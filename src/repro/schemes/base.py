@@ -9,12 +9,18 @@ packet (payload + the hashes it carries), place each hash on the
 packets that the graph says carry it, and sign the root.  That shared
 machinery lives in :func:`build_block`; schemes that are not
 hash-chained (sign-each, Wong–Lam, TESLA) override packetization.
+
+The graph depends only on the scheme and the block size, so each
+scheme compiles it once per ``n`` into a :class:`BlockPlan` — plain
+integers, validated and topologically sorted at compile time — and
+every later block of that size reuses it.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import ClassVar, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import ClassVar, List, Optional, Sequence, Tuple
 
 from repro.core.graph import DependenceGraph
 from repro.core.metrics import GraphMetrics, compute_metrics
@@ -23,7 +29,7 @@ from repro.crypto.signatures import Signer
 from repro.exceptions import SchemeParameterError
 from repro.packets import Packet
 
-__all__ = ["Scheme", "build_block"]
+__all__ = ["Scheme", "BlockPlan", "build_block"]
 
 
 class Scheme(ABC):
@@ -31,6 +37,14 @@ class Scheme(ABC):
 
     Subclasses define the dependence-graph topology; block
     packetization and metric extraction are inherited.
+
+    Contract: :meth:`build_graph` is a pure function of the
+    constructor parameters and ``n``, and a scheme is immutable after
+    construction.  :meth:`make_block` relies on both — it compiles the
+    graph for each block size once (:meth:`block_plan`) and reuses the
+    plan for every later block of that size.  A scheme whose graph is
+    redrawn per call (:class:`~repro.schemes.random_graph.RandomGraphScheme`
+    without a seed) overrides :meth:`block_plan` to compile afresh.
 
     Class attributes
     ----------------
@@ -64,17 +78,30 @@ class Scheme(ABC):
                    block_id: int = 0, base_seq: int = 1) -> List[Packet]:
         """Build the authenticated packets for one block, in send order.
 
-        The default implementation drives :func:`build_block` with this
-        scheme's dependence-graph; individually-verifiable schemes must
+        The default implementation runs this scheme's compiled
+        :meth:`block_plan`; individually-verifiable schemes must
         override.
         """
-        graph = self.build_graph(len(payloads))
-        if graph is None:
-            raise SchemeParameterError(
-                f"{self.name} does not use the generic block builder"
-            )
-        return build_block(graph, payloads, signer, hash_function,
-                           block_id=block_id, base_seq=base_seq)
+        return self.block_plan(len(payloads)).packetize(
+            payloads, signer, hash_function,
+            block_id=block_id, base_seq=base_seq)
+
+    def block_plan(self, n: int) -> BlockPlan:
+        """The compiled dependence-graph for blocks of ``n`` packets.
+
+        Compiled from :meth:`build_graph` on the first call for each
+        ``n`` and kept on the instance.
+        """
+        plans = vars(self).setdefault("_block_plans", {})
+        plan = plans.get(n)
+        if plan is None:
+            graph = self.build_graph(n)
+            if graph is None:
+                raise SchemeParameterError(
+                    f"{self.name} does not use the generic block builder"
+                )
+            plan = plans[n] = BlockPlan.compile(graph)
+        return plan
 
     # ------------------------------------------------------------------
     # Metrics
@@ -133,35 +160,72 @@ def build_block(graph: DependenceGraph, payloads: Sequence[bytes],
     computed in *reverse* topological order of the dependence relation
     (leaves first).  The dependence-graph being acyclic guarantees this
     order exists; :meth:`DependenceGraph.topological_order` supplies it.
+    Compiling the graph (:meth:`BlockPlan.compile`) validates it.
     """
-    n = len(payloads)
-    if n != graph.n:
-        raise SchemeParameterError(
-            f"graph is over {graph.n} packets but {n} payloads given"
+    return BlockPlan.compile(graph).packetize(
+        payloads, signer, hash_function,
+        block_id=block_id, base_seq=base_seq)
+
+
+@dataclass(frozen=True)
+class BlockPlan:
+    """A dependence-graph compiled for packetization.
+
+    Holds only integers: the signed ``root``, the vertices in
+    ``order`` (reverse topological order, so every vertex comes after
+    the vertices whose hashes it carries) and ``successors[v - 1]``,
+    the sorted vertices whose hashes vertex ``v`` carries.
+    """
+
+    n: int
+    root: int
+    order: Tuple[int, ...]
+    successors: Tuple[Tuple[int, ...], ...]
+
+    @classmethod
+    def compile(cls, graph: DependenceGraph) -> BlockPlan:
+        """Validate ``graph`` and flatten it into a plan."""
+        graph.validate()
+        return cls(
+            n=graph.n,
+            root=graph.root,
+            order=tuple(reversed(graph.topological_order())),
+            successors=tuple(tuple(graph.successors(v))
+                             for v in graph.vertices),
         )
-    graph.validate()
-    order = graph.topological_order()
-    hashes: Dict[int, bytes] = {}
-    packets: Dict[int, Packet] = {}
-    for vertex in reversed(order):
-        carried = tuple(
-            (base_seq + target - 1, hashes[target])
-            for target in graph.successors(vertex)
-        )
-        packet = Packet(
-            seq=base_seq + vertex - 1,
-            block_id=block_id,
-            payload=bytes(payloads[vertex - 1]),
-            carried=carried,
-        )
-        if vertex == graph.root:
-            packet = Packet(
-                seq=packet.seq,
-                block_id=packet.block_id,
-                payload=packet.payload,
-                carried=packet.carried,
-                signature=signer.sign(packet.auth_bytes()),
+
+    def packetize(self, payloads: Sequence[bytes], signer: Signer,
+                  hash_function: HashFunction = sha256,
+                  block_id: int = 0, base_seq: int = 1) -> List[Packet]:
+        """Build the packets of one block; see :func:`build_block`."""
+        n = len(payloads)
+        if n != self.n:
+            raise SchemeParameterError(
+                f"graph is over {self.n} packets but {n} payloads given"
             )
-        hashes[vertex] = hash_function.digest(packet.auth_bytes())
-        packets[vertex] = packet
-    return [packets[v] for v in range(1, n + 1)]
+        offset = base_seq - 1
+        successors = self.successors
+        digest = hash_function.digest
+        hashes: List[Optional[bytes]] = [None] * (n + 1)
+        packets: List[Optional[Packet]] = [None] * n
+        for vertex in self.order:
+            carried = tuple((offset + target, hashes[target])
+                            for target in successors[vertex - 1])
+            packet = Packet(
+                seq=offset + vertex,
+                block_id=block_id,
+                payload=bytes(payloads[vertex - 1]),
+                carried=carried,
+            )
+            auth = packet.auth_bytes()
+            if vertex == self.root:
+                packet = Packet(
+                    seq=packet.seq,
+                    block_id=block_id,
+                    payload=packet.payload,
+                    carried=carried,
+                    signature=signer.sign(auth),
+                )
+            hashes[vertex] = digest(auth)
+            packets[vertex - 1] = packet
+        return packets

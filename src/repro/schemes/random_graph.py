@@ -21,7 +21,7 @@ from typing import Optional
 
 from repro.core.graph import DependenceGraph
 from repro.exceptions import SchemeParameterError
-from repro.schemes.base import Scheme
+from repro.schemes.base import BlockPlan, Scheme
 
 __all__ = ["RandomGraphScheme"]
 
@@ -82,3 +82,12 @@ class RandomGraphScheme(Scheme):
                     graph.add_edge(n, vertex)
                     self.last_repairs += 1
         return graph
+
+    def block_plan(self, n: int) -> BlockPlan:
+        """Compile a freshly sampled graph for every block.
+
+        An unseeded scheme draws new randomness on each
+        :meth:`build_graph` call, and every call records
+        :attr:`last_repairs`, so no plan is kept between blocks.
+        """
+        return BlockPlan.compile(self.build_graph(n))

@@ -119,6 +119,11 @@ class ChainReceiver:
         # seq -> auth digest of the packet that verified for that slot
         self._accepted: Dict[int, bytes] = {}
         self.outcomes: Dict[int, PacketOutcome] = {}
+        # |{seq in _trusted : seq not in outcomes}|, kept exact at every
+        # insert into either map (neither ever shrinks): the trusted
+        # insert in _mark_verified and outcome creation in
+        # _ensure_outcome.
+        self._pending_hashes = 0
         self.evicted = 0
         #: Evictions forced by the DoS buffer cap specifically — unlike
         #: :attr:`evicted`, which also counts the routine block-close
@@ -154,8 +159,7 @@ class ChainReceiver:
         outcome = self.outcomes.get(packet.seq)
         if outcome is not None:
             return outcome  # duplicate delivery (e.g. retransmitted P_sign)
-        outcome = PacketOutcome(seq=packet.seq, arrival_time=arrival_time)
-        self.outcomes[packet.seq] = outcome
+        outcome = self._ensure_outcome(packet.seq, arrival_time)
         auth = packet.auth_bytes()
         if packet.signature is not None:
             if self._signer.verify(auth, packet.signature):
@@ -278,6 +282,8 @@ class ChainReceiver:
         if outcome is None:
             outcome = PacketOutcome(seq=seq, arrival_time=arrival_time)
             self.outcomes[seq] = outcome
+            if seq in self._trusted:
+                self._pending_hashes -= 1
         return outcome
 
     def _buffer_candidate(self, packet: Packet, arrival_time: float,
@@ -344,11 +350,14 @@ class ChainReceiver:
                 self._on_verified(current, now)
             for target, carried_digest in current.carried:
                 known = self._trusted.get(target)
-                if known is not None and known != carried_digest:
+                if known is None:
+                    self._trusted[target] = carried_digest
+                    if target not in self.outcomes:
+                        self._pending_hashes += 1
+                elif known != carried_digest:
                     # Conflicting trusted hashes can only come from a
                     # forged-but-signed packet; keep the first.
                     continue
-                self._trusted[target] = carried_digest
                 held = self._buffered.pop(target, None)
                 if held is None:
                     continue
@@ -366,7 +375,7 @@ class ChainReceiver:
                 if matched is not None:
                     worklist.append(matched)
             self._hash_buffer_peak = max(self._hash_buffer_peak,
-                                         self.pending_hash_count)
+                                         self._pending_hashes)
 
     # ------------------------------------------------------------------
 
@@ -381,8 +390,13 @@ class ChainReceiver:
 
     @property
     def pending_hash_count(self) -> int:
-        """Trusted hashes waiting for their packet (hash buffer level)."""
-        return sum(1 for seq in self._trusted if seq not in self.outcomes)
+        """Trusted hashes waiting for their packet (hash buffer level).
+
+        Kept as a running count, so reading it is O(1).  Trusted hashes
+        are never pruned: in a multi-block stream the level includes
+        the hashes of packets lost in earlier, already finished blocks.
+        """
+        return self._pending_hashes
 
     @property
     def buffered_count(self) -> int:
