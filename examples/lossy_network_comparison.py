@@ -18,13 +18,10 @@ from repro.schemes import (
     EmssScheme,
     RohatgiScheme,
     TeslaParameters,
+    TeslaScheme,
     WongLamScheme,
 )
-from repro.simulation import (
-    run_chain_session,
-    run_individual_session,
-    run_tesla_session,
-)
+from repro.simulation import run_session
 
 BLOCK = 64
 BLOCKS = 20
@@ -32,26 +29,18 @@ LOSS_RATES = (0.05, 0.2, 0.4)
 
 # TESLA rides the same channel with a generous disclosure delay,
 # matching the regime where the paper says it shines.
-TESLA = TeslaParameters(interval=0.02, lag=25, chain_length=BLOCK * BLOCKS)
-TESLA_ENV = TeslaEnvironment(t_disclose=TESLA.disclosure_delay,
+TESLA = TeslaScheme(TeslaParameters(interval=0.02, lag=25,
+                                    chain_length=BLOCK * BLOCKS))
+TESLA_ENV = TeslaEnvironment(t_disclose=TESLA.parameters.disclosure_delay,
                              mu=0.05, sigma=0.02)
 
 
 def measure(scheme, p, seed):
-    signer = default_signer()
     channel = Channel(loss=BernoulliLoss(p, seed=seed),
                       delay=GaussianDelay(mean=0.05, std=0.02,
                                           seed=seed + 1))
-    if scheme == "tesla":
-        stats = run_tesla_session(TESLA, BLOCK * BLOCKS, channel,
-                                  signer=signer)
-    elif scheme.individually_verifiable:
-        stats = run_individual_session(scheme, BLOCK, BLOCKS, channel,
-                                       signer=signer)
-    else:
-        stats = run_chain_session(scheme, BLOCK, BLOCKS, channel,
-                                  signer=signer)
-    return stats
+    return run_session(scheme, BLOCK, BLOCKS, channel,
+                       signer=default_signer())
 
 
 def main() -> None:
@@ -60,7 +49,7 @@ def main() -> None:
         ("wong-lam", WongLamScheme()),
         ("emss(2,1)", EmssScheme(2, 1)),
         ("ac(3,3)", AugmentedChainScheme(3, 3)),
-        ("tesla", "tesla"),
+        ("tesla", TESLA),
     ]
     print(f"live comparison: {BLOCKS} blocks x {BLOCK} packets per scheme, "
           f"Gaussian delay 50 +- 20 ms\n")
@@ -73,7 +62,7 @@ def main() -> None:
         for index, p in enumerate(LOSS_RATES):
             stats = measure(scheme, p, seed=17 + index * 31)
             simulated = stats.overall_q
-            if scheme == "tesla":
+            if scheme is TESLA:
                 from repro.analysis import tesla as tesla_analysis
                 analytic = tesla_analysis.q_min(
                     BLOCK * BLOCKS, p, TESLA_ENV.t_disclose,

@@ -16,7 +16,7 @@ from repro import EmssScheme, analytic_q_min, compute_metrics, graph_monte_carlo
 from repro.core.render import to_ascii
 from repro.crypto.signatures import default_signer
 from repro.network import BernoulliLoss, Channel
-from repro.simulation import run_chain_session
+from repro.simulation import run_session
 
 
 def main() -> None:
@@ -52,8 +52,8 @@ def main() -> None:
 
     # --- 5: real packets over a lossy channel --------------------------
     channel = Channel(loss=BernoulliLoss(loss_rate, seed=42))
-    stats = run_chain_session(scheme, block_size, blocks=20, channel=channel,
-                              signer=default_signer())
+    stats = run_session(scheme, block_size, blocks=20, channel=channel,
+                        signer=default_signer())
     print(f"wire-level session over 20 blocks at p={loss_rate}:")
     print(f"  observed loss rate: {stats.observed_loss_rate:.3f}")
     print(f"  empirical q_min:    {stats.q_min:.4f}")

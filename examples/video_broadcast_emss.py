@@ -24,7 +24,7 @@ from repro.schemes import (
     GenericOffsetScheme,
     SaidaScheme,
 )
-from repro.simulation import run_chain_session, run_saida_session
+from repro.simulation import run_session
 
 
 BLOCK = 96          # packets per signed block (~one GOP)
@@ -33,15 +33,11 @@ MEAN_LOSS = 0.10
 
 
 def measure(scheme, burst_length, seed):
-    """Empirical q_min of a scheme at the given mean burst length."""
+    """Verification statistics of a scheme at the given mean burst length."""
     loss = GilbertElliottLoss.from_rate_and_burst(
         MEAN_LOSS, max(burst_length, 1.0001), seed=seed)
-    if isinstance(scheme, SaidaScheme):
-        return run_saida_session(scheme, BLOCK, BLOCKS, Channel(loss=loss),
-                                 signer=default_signer())
-    stats = run_chain_session(scheme, BLOCK, BLOCKS, Channel(loss=loss),
-                              signer=default_signer())
-    return stats
+    return run_session(scheme, BLOCK, BLOCKS, Channel(loss=loss),
+                       signer=default_signer())
 
 
 def main() -> None:

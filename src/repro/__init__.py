@@ -56,8 +56,7 @@ from repro.faults import (
 from repro.packets import Packet, packet_from_wire
 from repro.parallel import (
     parallel_graph_monte_carlo,
-    parallel_multicast,
-    parallel_wire_monte_carlo,
+    parallel_trials,
     set_default_workers,
     sweep,
 )
@@ -82,9 +81,8 @@ from repro.simulation import (
     ChainReceiver,
     SimulationStats,
     StreamSender,
-    run_chain_session,
-    run_individual_session,
-    run_tesla_session,
+    run_session,
+    run_trials,
 )
 
 __version__ = "1.0.0"
@@ -123,8 +121,7 @@ __all__ = [
     "Packet",
     "packet_from_wire",
     "parallel_graph_monte_carlo",
-    "parallel_wire_monte_carlo",
-    "parallel_multicast",
+    "parallel_trials",
     "set_default_workers",
     "sweep",
     "AugmentedChainScheme",
@@ -145,7 +142,6 @@ __all__ = [
     "ChainReceiver",
     "SimulationStats",
     "StreamSender",
-    "run_chain_session",
-    "run_individual_session",
-    "run_tesla_session",
+    "run_session",
+    "run_trials",
 ]

@@ -61,15 +61,12 @@ from repro.core.recurrence import solve_recurrence
 from repro.crypto.batch import StreamBatchSigner
 from repro.crypto.signatures import HmacStubSigner, Signer
 from repro.exceptions import AnalysisError
-from repro.network.channel import Channel
-from repro.network.delay import ConstantDelay
-from repro.network.loss import BernoulliLoss
 from repro.schemes.augmented_chain import AugmentedChainScheme
 from repro.schemes.base import Scheme
 from repro.schemes.emss import EmssScheme, GenericOffsetScheme
 from repro.schemes.registry import make_scheme
 from repro.schemes.rohatgi import RohatgiScheme
-from repro.schemes.rohatgi_online import OnlineChainReceiver, OnlineRohatgiScheme
+from repro.schemes.rohatgi_online import OnlineRohatgiScheme
 from repro.schemes.saida import SaidaScheme
 from repro.schemes.sign_each import SignEachScheme
 from repro.schemes.tesla import TeslaScheme
@@ -84,15 +81,9 @@ from repro.faults import (
     ReplayDuplication,
     TruncationCorruption,
 )
-from repro.simulation.adversarial import run_adversarial_trials
-from repro.simulation.runner import (
-    WireTrialConfig,
-    run_tesla_trials,
-    run_wire_trials,
-)
-from repro.simulation.sender import make_payloads
-from repro.simulation.session import run_saida_session
+from repro.simulation.adversarial import AttackSchedule
 from repro.simulation.stats import SimulationStats
+from repro.simulation.trials import SeededChannels, run_trials
 
 __all__ = [
     "ConformanceEnvironment",
@@ -274,51 +265,11 @@ def recurrence_q_profile(scheme: Scheme, n: int,
 # Wire side
 # ---------------------------------------------------------------------
 
-def _conformance_signer() -> Signer:
-    return HmacStubSigner(key=b"conformance", signature_size=128)
-
-
-def _run_saida_trials(scheme: SaidaScheme, n: int, p: float, trials: int,
-                      seed: int) -> SimulationStats:
-    """SAIDA wire trials (needs its share-reassembling receiver)."""
-    signer = _conformance_signer()
-    stats = SimulationStats()
-    for trial in range(trials):
-        loss = BernoulliLoss(p, seed=seed + trial * 7919)
-        channel = Channel(loss=loss, delay=ConstantDelay(0.0))
-        run_saida_session(scheme, n, 1, channel, signer=signer, stats=stats)
-    return stats
-
-
-def _run_online_trials(scheme: OnlineRohatgiScheme, n: int, p: float,
-                       trials: int, seed: int) -> SimulationStats:
-    """Online-chain wire trials: strict in-order OTS verification.
-
-    The packet stream is built once (sender output is trial-invariant)
-    and re-transmitted through a fresh channel per trial; each trial
-    verifies with a fresh receiver holding the block's key pairs.
-    """
-    signer = _conformance_signer()
-    payloads = make_payloads(n)
-    packets = scheme.make_block(payloads, signer)
-    keypairs = scheme._last_keypairs
-    stats = SimulationStats()
-    for trial in range(trials):
-        loss = BernoulliLoss(p, seed=seed + trial * 7919)
-        channel = Channel(loss=loss, delay=ConstantDelay(0.0))
-        deliveries = channel.transmit(packets)
-        receiver = OnlineChainReceiver(signer, keypairs)
-        for delivery in deliveries:
-            receiver.receive(delivery.packet)
-        delivered = {d.packet.seq for d in deliveries}
-        for packet in packets:
-            position = packet.seq  # base_seq = 1
-            received = packet.seq in delivered
-            verified = received and bool(receiver.verified.get(packet.seq))
-            stats.record(position, received, verified)
-        stats.sent += channel.sent
-        stats.dropped += channel.dropped
-    return stats
+def _channels(scheme: Scheme, p: float, seed: int,
+              env: Optional[ConformanceEnvironment]) -> SeededChannels:
+    env = env if env is not None else ConformanceEnvironment()
+    return SeededChannels.for_scheme(scheme, p, seed, env.delay_mean,
+                                     env.delay_std)
 
 
 def wire_q_stats(scheme: Scheme, n: int, p: float, trials: int,
@@ -327,23 +278,13 @@ def wire_q_stats(scheme: Scheme, n: int, p: float, trials: int,
                  ) -> SimulationStats:
     """Wire-level empirical statistics for ``trials`` blocks of ``n``.
 
-    Dispatches each scheme family to the session runner that speaks its
-    wire format; positions in the returned
+    Every scheme runs through the trial kernel with its own verifier;
+    positions in the returned
     :class:`~repro.simulation.stats.SimulationStats` are 1-based send
     order, aligned with :func:`analytic_q_profile`.
     """
-    env = env if env is not None else ConformanceEnvironment()
-    if isinstance(scheme, TeslaScheme):
-        return run_tesla_trials(scheme.parameters, n, 0, trials, p,
-                                delay_mean=env.delay_mean,
-                                delay_std=env.delay_std, seed=seed)
-    if isinstance(scheme, SaidaScheme):
-        return _run_saida_trials(scheme, n, p, trials, seed)
-    if isinstance(scheme, OnlineRohatgiScheme):
-        return _run_online_trials(scheme, n, p, trials, seed)
-    config = WireTrialConfig(block_size=n, blocks_per_trial=1,
-                             trials=trials, loss_rate=p, seed=seed)
-    return run_wire_trials(scheme, config, 0, trials)
+    return run_trials(scheme, n, 0, trials,
+                      _channels(scheme, p, seed, env))[0]
 
 
 def _deviation_rows(stats: SimulationStats, analytic: Dict[int, float],
@@ -517,16 +458,12 @@ def adversarial_wire_stats(scheme: Scheme, n: int, p: float,
     :class:`~repro.crypto.batch.StreamBatchSigner` runs the whole
     matrix over batch attachments instead of plain signatures.
     """
-    env = env if env is not None else ConformanceEnvironment()
-    if workers is not None and workers > 1:
-        from repro.parallel.wire import parallel_adversarial_trials
-        return parallel_adversarial_trials(
-            scheme, n, p, plan, trials, seed=seed,
-            delay_mean=env.delay_mean, delay_std=env.delay_std,
-            workers=workers, signer=signer)
-    return run_adversarial_trials(scheme, n, p, plan, 0, trials, seed=seed,
-                                  delay_mean=env.delay_mean,
-                                  delay_std=env.delay_std, signer=signer)
+    from repro.parallel.wire import parallel_trials
+
+    return parallel_trials(scheme, n, trials, _channels(scheme, p, seed, env),
+                           workers=workers or 1,
+                           attack=AttackSchedule(plan, seed),
+                           signer=signer)[0]
 
 
 def adversarial_conformance_report(name: str, n: int, p: float, mix: str,

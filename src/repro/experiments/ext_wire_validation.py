@@ -17,10 +17,11 @@ from repro.analysis.montecarlo import graph_monte_carlo
 from repro.experiments.common import ExperimentResult
 from repro.schemes.emss import EmssScheme
 from repro.schemes.rohatgi import RohatgiScheme
-from repro.schemes.tesla import TeslaParameters
-from repro.simulation.runner import (
+from repro.schemes.tesla import TeslaParameters, TeslaScheme
+from repro.simulation import (
+    SeededChannels,
     WireTrialConfig,
-    tesla_monte_carlo,
+    run_trials,
     wire_monte_carlo,
 )
 
@@ -53,10 +54,12 @@ def run(fast: bool = False) -> ExperimentResult:
     # Gaussian delay mu=0.1 s sigma=0.05 s.
     parameters = TeslaParameters(interval=0.1, lag=5, chain_length=64,
                                  max_clock_offset=0.0)
+    tesla = TeslaScheme(parameters)
     count = 32 if fast else 64
     tesla_trials = 30 if fast else 100
-    stats = tesla_monte_carlo(parameters, count, tesla_trials,
-                              loss_rate=p, delay_mean=0.1, delay_std=0.05)
+    channels = SeededChannels.for_scheme(tesla, p, 11, delay_mean=0.1,
+                                         delay_std=0.05)
+    stats = run_trials(tesla, count, 0, tesla_trials, channels)[0]
     predicted = tesla_analysis.q_min(count, p, parameters.disclosure_delay,
                                      0.1, 0.05)
     result.rows.append({

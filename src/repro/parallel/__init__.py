@@ -12,12 +12,10 @@ Entry points
 ------------
 * :func:`parallel_graph_monte_carlo` — sharded vectorized graph
   estimator (the fast path for large sweeps).
-* :func:`parallel_wire_monte_carlo` / :func:`parallel_tesla_monte_carlo`
-  — sharded byte-level sessions, identical to the serial drivers.
-* :func:`parallel_multicast` — heterogeneous audiences, one receiver
-  per worker.
-* :func:`parallel_adversarial_trials` — sharded attacked sessions
-  (every scheme family) with exact soundness-counter folds.
+* :func:`parallel_trials` — the sharded trial kernel behind every
+  byte-level driver (passive, attacked, TESLA, topology, multi-receiver
+  trials), identical to the serial kernel down to the soundness
+  counters.
 * :func:`sweep` — map any picklable function over a parameter grid.
 * :func:`set_default_workers` — process-wide pool size (the CLI's
   ``--workers`` flag; ``REPRO_WORKERS`` in the environment also works).
@@ -37,19 +35,11 @@ from repro.parallel.seeds import (
     resolve_chunks,
     spawn_seed_tree,
 )
-from repro.parallel.wire import (
-    parallel_adversarial_trials,
-    parallel_multicast,
-    parallel_tesla_monte_carlo,
-    parallel_wire_monte_carlo,
-)
+from repro.parallel.wire import parallel_trials
 
 __all__ = [
     "parallel_graph_monte_carlo",
-    "parallel_wire_monte_carlo",
-    "parallel_tesla_monte_carlo",
-    "parallel_adversarial_trials",
-    "parallel_multicast",
+    "parallel_trials",
     "sweep",
     "run_tasks",
     "set_default_workers",

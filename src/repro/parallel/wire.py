@@ -1,183 +1,55 @@
-"""Sharded wire-level Monte Carlo and multicast fan-out.
+"""Sharded trial kernel.
 
-Wire-level trials already key each trial's channel RNG off the trial's
-*global* index (see :mod:`repro.simulation.runner`), so sharding is a
-partition of ``range(trials)`` into contiguous ranges; merging the
-per-range :class:`~repro.simulation.stats.SimulationStats` in range
-order reproduces the serial accumulator exactly — same tallies, same
-delay sequence, same buffer peaks.
-
-``parallel_multicast`` fans a heterogeneous audience out one receiver
-per task: the sender's packetization is deterministic (fixed payloads,
-stub signer), so every worker re-derives the identical packet stream
-and each receiver's statistics match the serial session bit-for-bit.
+Every offline byte-level driver is one call to
+:func:`~repro.simulation.trials.run_trials`, whose channels key each
+trial's randomness off the trial's *global* index.  Sharding is
+therefore a partition of ``range(trials)`` into contiguous ranges, and
+merging each receiver's per-range
+:class:`~repro.simulation.stats.SimulationStats` in range order
+reproduces the serial result exactly — same tallies, same delay
+sequence, same buffer peaks and counters.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional
 
 from repro.exceptions import SimulationError
-from repro.faults.plan import AttackPlan
-from repro.network.delay import DelayModel
-from repro.network.loss import LossModel
 from repro.parallel.pool import run_tasks
 from repro.parallel.seeds import chunk_sizes, resolve_chunks
 from repro.schemes.base import Scheme
-from repro.schemes.tesla import TeslaParameters
-from repro.simulation.adversarial import run_adversarial_trials
-from repro.simulation.multicast import (
-    MulticastResult,
-    ReceiverSpec,
-    run_multicast_session,
-)
-from repro.simulation.runner import (
-    WireTrialConfig,
-    run_tesla_trials,
-    run_wire_trials,
-)
 from repro.simulation.stats import SimulationStats
+from repro.simulation.trials import run_trials
 
-__all__ = ["parallel_wire_monte_carlo", "parallel_tesla_monte_carlo",
-           "parallel_adversarial_trials", "parallel_multicast"]
-
-
-def _wire_chunk(task) -> SimulationStats:
-    scheme, config, first_trial, trial_count, loss, delay, attack = task
-    return run_wire_trials(scheme, config, first_trial, trial_count,
-                           loss=loss, delay=delay, attack=attack)
+__all__ = ["parallel_trials"]
 
 
-def parallel_wire_monte_carlo(scheme: Scheme, config: WireTrialConfig,
-                              workers: Optional[int] = None,
-                              chunks: Optional[int] = None,
-                              loss: Optional[LossModel] = None,
-                              delay: Optional[DelayModel] = None,
-                              attack: Optional[AttackPlan] = None
-                              ) -> SimulationStats:
-    """Sharded :func:`~repro.simulation.runner.wire_monte_carlo`.
-
-    Output is identical to the serial driver for any worker count:
-    trial ``t`` sees the same channel randomness wherever it runs
-    (custom ``loss``/``delay`` models are pickled to each worker and
-    ``reset()`` per trial, exactly as the serial loop resets them).
-    ``attack`` plans likewise ship to each worker and are reseeded from
-    the global trial index, so attacked runs stay bit-for-bit identical
-    across worker counts.
-    """
-    if config.trials < 1:
-        raise SimulationError(f"need >= 1 trial, got {config.trials}")
-    chunks = resolve_chunks(config.trials, chunks)
-    sizes = chunk_sizes(config.trials, chunks)
-    tasks = []
-    first_trial = 0
-    for size in sizes:
-        tasks.append((scheme, config, first_trial, size, loss, delay, attack))
-        first_trial += size
-    shards = run_tasks(_wire_chunk, tasks, workers)
-    return SimulationStats.merge_all(shards)
+def _trial_chunk(task) -> List[SimulationStats]:
+    scheme, block_size, first_trial, trial_count, channels, options = task
+    return run_trials(scheme, block_size, first_trial, trial_count,
+                      channels, **options)
 
 
-def _adversarial_chunk(task) -> SimulationStats:
-    (scheme, block_size, loss_rate, plan, first_trial, trial_count, seed,
-     delay_mean, delay_std, signer) = task
-    return run_adversarial_trials(scheme, block_size, loss_rate, plan,
-                                  first_trial, trial_count, seed=seed,
-                                  delay_mean=delay_mean,
-                                  delay_std=delay_std, signer=signer)
+def parallel_trials(scheme: Scheme, block_size: int, trials: int, channels,
+                    *, workers: Optional[int] = None,
+                    chunks: Optional[int] = None,
+                    **options) -> List[SimulationStats]:
+    """Sharded :func:`~repro.simulation.trials.run_trials` over all trials.
 
-
-def parallel_adversarial_trials(scheme: Scheme, block_size: int,
-                                loss_rate: float, plan: AttackPlan,
-                                trials: int, seed: int = 7,
-                                delay_mean: float = 0.0,
-                                delay_std: float = 0.0,
-                                workers: Optional[int] = None,
-                                chunks: Optional[int] = None,
-                                signer=None) -> SimulationStats:
-    """Sharded :func:`~repro.simulation.adversarial.run_adversarial_trials`.
-
-    Every scheme family is covered; the attack plan is pickled to each
-    worker and reseeded per trial off the global index, so soundness
-    counters and ``q_i`` tallies merge to the serial result exactly.
-    A custom ``signer`` must be picklable and a pure function of its
-    inputs (e.g. :class:`~repro.crypto.batch.StreamBatchSigner`) for
-    the shard-invariance guarantee to hold.
+    The chunk layout depends only on ``trials``, so the output equals
+    the serial kernel's for any worker count.  ``options`` are the
+    kernel's keywords.  Everything is pickled to the workers: a custom
+    ``signer`` must be a pure function of its inputs (e.g.
+    :class:`~repro.crypto.batch.StreamBatchSigner`).
     """
     if trials < 1:
         raise SimulationError(f"need >= 1 trial, got {trials}")
-    chunks = resolve_chunks(trials, chunks)
-    sizes = chunk_sizes(trials, chunks)
     tasks = []
     first_trial = 0
-    for size in sizes:
-        tasks.append((scheme, block_size, loss_rate, plan, first_trial,
-                      size, seed, delay_mean, delay_std, signer))
+    for size in chunk_sizes(trials, resolve_chunks(trials, chunks)):
+        tasks.append((scheme, block_size, first_trial, size, channels,
+                      options))
         first_trial += size
-    shards = run_tasks(_adversarial_chunk, tasks, workers)
-    return SimulationStats.merge_all(shards)
-
-
-def _tesla_chunk(task) -> SimulationStats:
-    (parameters, packet_count, first_trial, trial_count, loss_rate,
-     delay_mean, delay_std, clock_offset, seed) = task
-    return run_tesla_trials(parameters, packet_count, first_trial,
-                            trial_count, loss_rate, delay_mean=delay_mean,
-                            delay_std=delay_std, clock_offset=clock_offset,
-                            seed=seed)
-
-
-def parallel_tesla_monte_carlo(parameters: TeslaParameters,
-                               packet_count: int, trials: int,
-                               loss_rate: float, delay_mean: float = 0.0,
-                               delay_std: float = 0.0,
-                               clock_offset: float = 0.0, seed: int = 11,
-                               workers: Optional[int] = None,
-                               chunks: Optional[int] = None
-                               ) -> SimulationStats:
-    """Sharded :func:`~repro.simulation.runner.tesla_monte_carlo`."""
-    if trials < 1:
-        raise SimulationError(f"need >= 1 trial, got {trials}")
-    chunks = resolve_chunks(trials, chunks)
-    sizes = chunk_sizes(trials, chunks)
-    tasks = []
-    first_trial = 0
-    for size in sizes:
-        tasks.append((parameters, packet_count, first_trial, size, loss_rate,
-                      delay_mean, delay_std, clock_offset, seed))
-        first_trial += size
-    shards = run_tasks(_tesla_chunk, tasks, workers)
-    return SimulationStats.merge_all(shards)
-
-
-def _multicast_chunk(task) -> MulticastResult:
-    scheme, block_size, blocks, specs, t_transmit, payload_size = task
-    return run_multicast_session(scheme, block_size, blocks, specs,
-                                 t_transmit=t_transmit,
-                                 payload_size=payload_size)
-
-
-def parallel_multicast(scheme: Scheme, block_size: int, blocks: int,
-                       receivers: Sequence[ReceiverSpec],
-                       workers: Optional[int] = None,
-                       t_transmit: float = 0.01,
-                       payload_size: int = 32) -> MulticastResult:
-    """Fan a multicast audience out across the pool, one receiver each.
-
-    Each worker replays the (deterministic) sender for its receiver and
-    verifies that receiver's deliveries; per-receiver statistics are
-    identical to :func:`~repro.simulation.multicast.run_multicast_session`
-    over the full audience.
-    """
-    if not receivers:
-        raise SimulationError("need at least one receiver")
-    names = [spec.name for spec in receivers]
-    if len(set(names)) != len(names):
-        raise SimulationError(f"duplicate receiver names: {names}")
-    tasks = [(scheme, block_size, blocks, [spec], t_transmit, payload_size)
-             for spec in receivers]
-    shards = run_tasks(_multicast_chunk, tasks, workers)
-    result = MulticastResult(packets_sent=shards[0].packets_sent)
-    for shard in shards:
-        result.per_receiver.update(shard.per_receiver)
-    return result
+    shards = run_tasks(_trial_chunk, tasks, workers)
+    return [SimulationStats.merge_all(list(receiver))
+            for receiver in zip(*shards)]

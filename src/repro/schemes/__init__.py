@@ -1,12 +1,13 @@
 """The multicast authentication schemes analyzed by the paper.
 
 Each scheme exposes its dependence-graph (the object the paper's
-framework analyzes) and real packetization: byte-level authenticated
-packets that the generic receiver in :mod:`repro.simulation` verifies.
+framework analyzes), real packetization — byte-level authenticated
+packets — and, through :meth:`Scheme.new_trial`, the verifier that
+checks them.
 """
 
 from repro.schemes.augmented_chain import AugmentedChainScheme, ac_vertex_coordinates
-from repro.schemes.base import Scheme, build_block
+from repro.schemes.base import Scheme, Trial, Verifier, build_block
 from repro.schemes.emss import EmssScheme, GenericOffsetScheme
 from repro.schemes.random_graph import RandomGraphScheme
 from repro.schemes.registry import (
@@ -15,9 +16,16 @@ from repro.schemes.registry import (
     paper_comparison_schemes,
 )
 from repro.schemes.rohatgi import RohatgiScheme
-from repro.schemes.rohatgi_online import OnlineChainReceiver, OnlineRohatgiScheme
+from repro.schemes.rohatgi_online import (
+    OnlineChainVerifier,
+    OnlineRohatgiScheme,
+)
 from repro.schemes.saida import SaidaReceiver, SaidaScheme
-from repro.schemes.sign_each import SignEachScheme, verify_sign_each_packet
+from repro.schemes.sign_each import (
+    IndividualVerifier,
+    SignEachScheme,
+    verify_sign_each_packet,
+)
 from repro.schemes.tesla import (
     BootstrapInfo,
     TeslaParameters,
@@ -25,11 +33,14 @@ from repro.schemes.tesla import (
     TeslaScheme,
     TeslaSender,
     TeslaVerdict,
+    TeslaVerifier,
 )
 from repro.schemes.wong_lam import WongLamScheme, verify_wong_lam_packet
 
 __all__ = [
     "Scheme",
+    "Trial",
+    "Verifier",
     "build_block",
     "AugmentedChainScheme",
     "ac_vertex_coordinates",
@@ -37,10 +48,11 @@ __all__ = [
     "GenericOffsetScheme",
     "RandomGraphScheme",
     "RohatgiScheme",
-    "OnlineChainReceiver",
+    "OnlineChainVerifier",
     "OnlineRohatgiScheme",
     "SaidaReceiver",
     "SaidaScheme",
+    "IndividualVerifier",
     "SignEachScheme",
     "verify_sign_each_packet",
     "BootstrapInfo",
@@ -49,6 +61,7 @@ __all__ = [
     "TeslaScheme",
     "TeslaSender",
     "TeslaVerdict",
+    "TeslaVerifier",
     "WongLamScheme",
     "verify_wong_lam_packet",
     "available_schemes",

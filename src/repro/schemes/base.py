@@ -14,22 +14,30 @@ The graph depends only on the scheme and the block size, so each
 scheme compiles it once per ``n`` into a :class:`BlockPlan` — plain
 integers, validated and topologically sorted at compile time — and
 every later block of that size reuses it.
+
+A scheme also owns its receiver side.  :meth:`Scheme.new_trial`
+packetizes one trial into a :class:`Trial` — the sent packets, each
+data packet's position and a factory for the scheme's
+:class:`Verifier` — and every offline driver verifies through that one
+protocol (:func:`repro.simulation.trials.run_trials`).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import ClassVar, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import (Callable, ClassVar, Dict, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from repro.core.graph import DependenceGraph
 from repro.core.metrics import GraphMetrics, compute_metrics
 from repro.crypto.hashing import HashFunction, sha256
 from repro.crypto.signatures import Signer
-from repro.exceptions import SchemeParameterError
-from repro.packets import Packet
+from repro.exceptions import SchemeParameterError, WireDecodeError
+from repro.packets import Packet, packet_from_wire
 
-__all__ = ["Scheme", "BlockPlan", "build_block"]
+__all__ = ["Scheme", "BlockPlan", "build_block", "Trial", "Verifier"]
 
 
 class Scheme(ABC):
@@ -52,9 +60,14 @@ class Scheme(ABC):
         ``True`` for schemes where every received packet verifies on
         its own (sign-each, Wong–Lam): ``q_i ≡ 1`` and
         :meth:`build_graph` returns ``None``.
+    timed:
+        ``True`` for schemes whose verdicts depend on arrival times
+        (TESLA's security condition): trial channels for them carry a
+        delay model.
     """
 
     individually_verifiable: ClassVar[bool] = False
+    timed: ClassVar[bool] = False
 
     @property
     @abstractmethod
@@ -102,6 +115,48 @@ class Scheme(ABC):
                 )
             plan = plans[n] = BlockPlan.compile(graph)
         return plan
+
+    # ------------------------------------------------------------------
+    # Trials
+    # ------------------------------------------------------------------
+
+    def new_trial(self, signer: Signer, block_size: int, blocks: int, *,
+                  hash_function: HashFunction = sha256,
+                  t_transmit: float = 0.01,
+                  seed: Optional[int] = None) -> Trial:
+        """Packetize one trial: ``blocks`` blocks of ``block_size`` payloads.
+
+        ``seed`` pins any key material the scheme draws for itself, so
+        a trial is the same in every process.  The default streams the
+        blocks through a :class:`~repro.simulation.sender.StreamSender`
+        and verifies with the generic hash-chain receiver; schemes with
+        their own packet format override this to pair their packets
+        with their own verifier.
+        """
+        # The simulation layer builds on schemes: imported at call time.
+        from repro.simulation.receiver import ChainReceiver
+
+        packets, positions = self._send_blocks(signer, block_size, blocks,
+                                               hash_function, t_transmit)
+        return Trial(packets, positions,
+                     partial(ChainReceiver, signer, hash_function))
+
+    def _send_blocks(self, signer: Signer, block_size: int, blocks: int,
+                     hash_function: HashFunction, t_transmit: float
+                     ) -> Tuple[List[Packet], Dict[int, int]]:
+        """Stamped blocks in send order, and each packet's block position."""
+        from repro.simulation.sender import StreamSender, make_payloads
+
+        sender = StreamSender(self, signer, block_size, t_transmit=t_transmit,
+                              hash_function=hash_function)
+        packets: List[Packet] = []
+        positions: Dict[int, int] = {}
+        for _ in range(blocks):
+            block = sender.send_block(make_payloads(block_size))
+            for position, packet in enumerate(block, start=1):
+                positions[packet.seq] = position
+            packets.extend(block)
+        return packets, positions
 
     # ------------------------------------------------------------------
     # Metrics
@@ -229,3 +284,81 @@ class BlockPlan:
             hashes[vertex] = digest(auth)
             packets[vertex - 1] = packet
         return packets
+
+
+class Verifier(ABC):
+    """Receiver side of one trial: the protocol every scheme's verifier speaks.
+
+    Deliveries arrive through :meth:`receive` (the trusting path:
+    parsed packets off a loss-only channel) or :meth:`ingest_wire` (the
+    defensive path: raw bytes off an attacked channel).  After the last
+    delivery, :meth:`finish` settles anything held back, and
+    :meth:`verdict` answers per sequence number.  The counters follow
+    :class:`~repro.simulation.stats.SimulationStats`: ``forged`` counts
+    rejections on the trusting path, ``undecodable``,
+    ``forged_rejected`` and ``replays_dropped`` the defensive path's.
+    For the soundness audit, :meth:`accepted_digests` must match the
+    :meth:`content_digest` of the packet sent under each sequence number.
+    """
+
+    forged = 0
+    undecodable = 0
+    forged_rejected = 0
+    replays_dropped = 0
+    message_buffer_peak = 0
+    hash_buffer_peak = 0
+
+    def __init__(self, hash_function: HashFunction = sha256) -> None:
+        self._hash = hash_function
+
+    @abstractmethod
+    def receive(self, packet: Packet, arrival_time: float) -> object:
+        """Take one delivered packet."""
+
+    def ingest(self, packet: Packet, arrival_time: float) -> object:
+        """Take one decoded packet off an attacked channel."""
+        return self.receive(packet, arrival_time)
+
+    def ingest_wire(self, data: bytes, arrival_time: float) -> object:
+        """Decode one wire buffer strictly, then :meth:`ingest` it."""
+        try:
+            packet = packet_from_wire(data)
+        except WireDecodeError:
+            self.undecodable += 1
+            return None
+        return self.ingest(packet, arrival_time)
+
+    def finish(self) -> None:
+        """Settle anything held back once the last delivery is in."""
+
+    @abstractmethod
+    def verdict(self, seq: int) -> Tuple[bool, Optional[float]]:
+        """``(verified, delay)`` for sequence number ``seq``."""
+
+    @abstractmethod
+    def accepted_digests(self) -> Mapping[int, bytes]:
+        """:meth:`content_digest` of every accepted packet, by sequence."""
+
+    def accepted_digest(self, seq: int) -> Optional[bytes]:
+        """:meth:`content_digest` of the packet accepted for ``seq``."""
+        return self.accepted_digests().get(seq)
+
+    def content_digest(self, packet: Packet) -> bytes:
+        """Digest of everything verification authenticates in ``packet``."""
+        return self._hash.digest(packet.auth_bytes())
+
+
+@dataclass(frozen=True)
+class Trial:
+    """One trial's sent stream and the way to verify it.
+
+    ``packets`` holds every packet sent, in send order; ``positions``
+    maps each data packet's sequence number to its 1-based position
+    (block position, or TESLA's interval index), in send order;
+    ``new_verifier()`` returns a fresh :class:`Verifier` for one
+    receiver.
+    """
+
+    packets: List[Packet]
+    positions: Dict[int, int]
+    new_verifier: Callable[..., Verifier]

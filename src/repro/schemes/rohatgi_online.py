@@ -25,7 +25,8 @@ The RSA/stub signature field is used only on ``P_1``.
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional, Sequence
+from functools import lru_cache, partial
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.graph import DependenceGraph
 from repro.core.metrics import GraphMetrics
@@ -34,13 +35,17 @@ from repro.crypto.lamport import LamportKeyPair
 from repro.crypto.signatures import Signer
 from repro.exceptions import SchemeParameterError, SimulationError
 from repro.packets import Packet
-from repro.schemes.base import Scheme
+from repro.schemes.base import Scheme, Trial, Verifier
 
-__all__ = ["OnlineRohatgiScheme", "OnlineChainReceiver"]
+__all__ = ["OnlineRohatgiScheme", "OnlineChainVerifier"]
 
 _FINGERPRINT_SIZE = 32
 _OTS_SIZE = 256 * 32
 _HEADER = struct.Struct(">I")  # OTS signature length (0 on P_1)
+
+#: One-time-key seed derived from a trial's run seed when the scheme
+#: pins none; recorded attacked-trial results depend on these bytes.
+_DERIVED_KEY_SEED = b"adv-online-%d"
 
 
 def _packet_body(seq: int, block_id: int, payload: bytes,
@@ -70,6 +75,47 @@ def _decode_extra(extra: bytes):
     return fingerprint, signature
 
 
+@lru_cache(maxsize=64)
+def _seeded_keypair(seed: bytes) -> LamportKeyPair:
+    """A seeded key pair is a pure function of its seed: derive it once."""
+    return LamportKeyPair.generate(seed)
+
+
+def _keypairs(count: int, seed: Optional[bytes]) -> List[LamportKeyPair]:
+    """``count`` one-time key pairs, from ``seed`` or fresh randomness."""
+    if seed is None:
+        return [LamportKeyPair.generate() for _ in range(count)]
+    return [_seeded_keypair(seed + index.to_bytes(4, "big"))
+            for index in range(count)]
+
+
+def _chain_block(payloads: Sequence[bytes], signer: Signer,
+                 keypairs: Sequence[LamportKeyPair], block_id: int,
+                 base_seq: int) -> List[Packet]:
+    """One block chained under ``keypairs`` (one more than the payloads)."""
+    packets: List[Packet] = []
+    for index, payload in enumerate(payloads):
+        seq = base_seq + index
+        next_fingerprint = keypairs[index + 1].public_fingerprint()
+        body = _packet_body(seq, block_id, bytes(payload), next_fingerprint)
+        if index == 0:
+            extra = _encode_extra(next_fingerprint, b"")
+            unsigned = Packet(seq=seq, block_id=block_id,
+                              payload=bytes(payload), extra=extra)
+            packets.append(Packet(
+                seq=seq, block_id=block_id, payload=bytes(payload),
+                extra=extra,
+                signature=signer.sign(unsigned.auth_bytes()),
+            ))
+        else:
+            ots_signature = keypairs[index].sign(body)
+            packets.append(Packet(
+                seq=seq, block_id=block_id, payload=bytes(payload),
+                extra=_encode_extra(next_fingerprint, ots_signature),
+            ))
+    return packets
+
+
 class OnlineRohatgiScheme(Scheme):
     """Forward chain of Lamport one-time signatures.
 
@@ -96,11 +142,6 @@ class OnlineRohatgiScheme(Scheme):
             graph.add_edge(i, i + 1)
         return graph
 
-    def _keypair(self, index: int) -> LamportKeyPair:
-        if self.seed is None:
-            return LamportKeyPair.generate()
-        return LamportKeyPair.generate(self.seed + index.to_bytes(4, "big"))
-
     def make_block(self, payloads: Sequence[bytes], signer: Signer,
                    hash_function: HashFunction = sha256,
                    block_id: int = 0, base_seq: int = 1) -> List[Packet]:
@@ -108,38 +149,45 @@ class OnlineRohatgiScheme(Scheme):
 
         Unlike the offline builder this needs *no* lookahead: each
         packet commits to the next key pair, generated on the spot.
+        Verifying takes those key pairs too; :meth:`new_trial` hands
+        them out together with the packets.
         """
         if not payloads:
             raise SchemeParameterError("empty block")
-        n = len(payloads)
-        keypairs = [self._keypair(i) for i in range(n + 1)]
+        return _chain_block(payloads, signer,
+                            _keypairs(len(payloads) + 1, self.seed),
+                            block_id, base_seq)
+
+    def new_trial(self, signer: Signer, block_size: int, blocks: int, *,
+                  hash_function: HashFunction = sha256,
+                  t_transmit: float = 0.01,
+                  seed: Optional[int] = None) -> Trial:
+        """Chained blocks and a verifier that holds their key pairs.
+
+        Receivers need each packet's one-time public key to check its
+        signature against the committed fingerprint; the trial hands
+        the key material over alongside the packets (in a deployment it
+        rides in the packet — the dominating overhead this scheme is
+        famous for).  Keys come from the scheme's ``seed``, else from
+        the run ``seed``, else fresh randomness, and every block of the
+        trial uses the same ones.  Packets carry no send times.
+        """
+        from repro.simulation.sender import make_payloads
+
+        key_seed = self.seed
+        if key_seed is None and seed is not None:
+            key_seed = _DERIVED_KEY_SEED % seed
+        keypairs = _keypairs(block_size + 1, key_seed)
+        payloads = make_payloads(block_size)
         packets: List[Packet] = []
-        for index, payload in enumerate(payloads):
-            seq = base_seq + index
-            next_fingerprint = keypairs[index + 1].public_fingerprint()
-            body = _packet_body(seq, block_id, bytes(payload),
-                                next_fingerprint)
-            if index == 0:
-                extra = _encode_extra(next_fingerprint, b"")
-                unsigned = Packet(seq=seq, block_id=block_id,
-                                  payload=bytes(payload), extra=extra)
-                packets.append(Packet(
-                    seq=seq, block_id=block_id, payload=bytes(payload),
-                    extra=extra,
-                    signature=signer.sign(unsigned.auth_bytes()),
-                ))
-            else:
-                ots_signature = keypairs[index].sign(body)
-                packets.append(Packet(
-                    seq=seq, block_id=block_id, payload=bytes(payload),
-                    extra=_encode_extra(next_fingerprint, ots_signature),
-                ))
-        # Receivers need each packet's OTS public key to check its
-        # signature against the committed fingerprint; ship the full
-        # key material alongside (in reality appended to the packet —
-        # the dominating overhead this scheme is famous for).
-        self._last_keypairs = keypairs
-        return packets
+        for block in range(blocks):
+            packets += _chain_block(payloads, signer, keypairs, block,
+                                    1 + block * block_size)
+        positions = {packet.seq: (packet.seq - 1) % block_size + 1
+                     for packet in packets}
+        return Trial(packets, positions,
+                     partial(OnlineChainVerifier, signer, keypairs,
+                             block_size, blocks, hash_function))
 
     def metrics(self, n: int, l_sign: int = 128, l_hash: int = 16,
                 sign_copies: int = 1) -> GraphMetrics:
@@ -162,50 +210,85 @@ class OnlineRohatgiScheme(Scheme):
         )
 
 
-class OnlineChainReceiver:
-    """Receiver for the online chain.
+class OnlineChainVerifier(Verifier):
+    """Trial verifier for the online chain.
 
     Verification needs each packet's full one-time public key; in a
-    deployment it rides in the packet (we keep it out of the simulated
-    wire format for clarity and hand it over out of band here, since
-    only its *size* matters for the paper's metrics).
+    deployment it rides in the packet (the simulated wire format leaves
+    it out for clarity and the trial hands the key pairs over out of
+    band, since only their *size* matters for the paper's metrics).
+    The chain is strictly positional, so each sequence number holds one
+    candidate — the first delivery; a later copy is a replay or a
+    forgery, a number outside the stream a forgery — and :meth:`finish`
+    verifies the candidates in sequence order.
     """
 
-    def __init__(self, signer: Signer,
-                 keypairs: Sequence[LamportKeyPair]) -> None:
+    def __init__(self, signer: Signer, keypairs: Sequence[LamportKeyPair],
+                 block_size: int, blocks: int,
+                 hash_function: HashFunction = sha256) -> None:
+        super().__init__(hash_function)
         self._signer = signer
-        self._keypairs = list(keypairs)
-        self._expected_fingerprint: Optional[bytes] = None
-        self._next_position = 0
-        self.verified: Dict[int, bool] = {}
+        self._keypairs = keypairs
+        self._block_size = block_size
+        self._slots = block_size * blocks
+        self._candidates: Dict[int, Packet] = {}
+        self._verified: Dict[int, bool] = {}
 
-    def receive(self, packet: Packet) -> bool:
-        """Verify the next packet in order; returns the verdict.
-
-        The chain is strictly sequential: a lost (skipped) packet
-        breaks everything after it, exactly as the paper says.
-        """
-        position = self._next_position
-        fingerprint, ots_signature = _decode_extra(packet.extra)
-        if position == 0:
-            unsigned = Packet(seq=packet.seq, block_id=packet.block_id,
-                              payload=packet.payload, extra=packet.extra)
-            ok = (packet.signature is not None
-                  and self._signer.verify(unsigned.auth_bytes(),
-                                          packet.signature))
-        elif self._expected_fingerprint is None:
-            ok = False  # chain already broken
+    def receive(self, packet: Packet, arrival_time: float) -> None:
+        """Hold ``packet`` as its slot's candidate, if the slot is free."""
+        if not 1 <= packet.seq <= self._slots:
+            self.forged_rejected += 1
+            return
+        held = self._candidates.get(packet.seq)
+        if held is None:
+            self._candidates[packet.seq] = packet
+        elif self.content_digest(held) == self.content_digest(packet):
+            self.replays_dropped += 1
         else:
-            keypair = self._keypairs[position]
-            body = _packet_body(packet.seq, packet.block_id,
-                                packet.payload, fingerprint)
-            ok = (keypair.public_fingerprint() == self._expected_fingerprint
-                  and keypair.verify(body, ots_signature))
-        self.verified[packet.seq] = ok
-        self._expected_fingerprint = fingerprint if ok else None
-        self._next_position = position + 1
-        return ok
+            self.forged_rejected += 1
 
-    def verified_count(self) -> int:
-        """Packets verified so far."""
-        return sum(1 for ok in self.verified.values() if ok)
+    def finish(self) -> None:
+        """Verify every block's candidates in sequence order.
+
+        The chain is strictly sequential: the candidate in position
+        ``i`` is checked against the ``i``-th one-time key and the
+        fingerprint its predecessor committed to, so a missing or
+        failed slot breaks everything after it, exactly as the paper
+        says.
+        """
+        block = position = expected = None
+        for seq in sorted(self._candidates):
+            packet = self._candidates[seq]
+            if (seq - 1) // self._block_size != block:
+                block = (seq - 1) // self._block_size
+                position, expected = 0, None
+            try:
+                fingerprint, ots_signature = _decode_extra(packet.extra)
+            except SimulationError:
+                # Decodes as a packet but not as an online-chain packet:
+                # the slot stays empty, breaking the chain like a loss.
+                self.forged_rejected += 1
+                continue
+            if position == 0:
+                unsigned = Packet(seq=packet.seq, block_id=packet.block_id,
+                                  payload=packet.payload, extra=packet.extra)
+                ok = (packet.signature is not None
+                      and self._signer.verify(unsigned.auth_bytes(),
+                                              packet.signature))
+            else:
+                keypair = self._keypairs[position]
+                body = _packet_body(packet.seq, packet.block_id,
+                                    packet.payload, fingerprint)
+                ok = (expected is not None
+                      and keypair.public_fingerprint() == expected
+                      and keypair.verify(body, ots_signature))
+            self._verified[seq] = ok
+            expected = fingerprint if ok else None
+            position += 1
+
+    def verdict(self, seq: int) -> Tuple[bool, Optional[float]]:
+        return bool(self._verified.get(seq)), None
+
+    def accepted_digests(self) -> Dict[int, bytes]:
+        return {seq: self.content_digest(self._candidates[seq])
+                for seq, ok in self._verified.items() if ok}

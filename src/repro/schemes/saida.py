@@ -30,7 +30,8 @@ from __future__ import annotations
 import itertools
 import math
 import struct
-from typing import Dict, List, Optional, Sequence
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.graph import DependenceGraph
 from repro.core.metrics import GraphMetrics
@@ -39,7 +40,7 @@ from repro.crypto.reed_solomon import rs_decode, rs_encode
 from repro.crypto.signatures import Signer
 from repro.exceptions import SchemeParameterError, SimulationError
 from repro.packets import Packet
-from repro.schemes.base import Scheme
+from repro.schemes.base import Scheme, Trial, Verifier
 
 __all__ = ["SaidaScheme", "SaidaReceiver"]
 
@@ -117,6 +118,16 @@ class SaidaScheme(Scheme):
             ))
         return packets
 
+    def new_trial(self, signer: Signer, block_size: int, blocks: int, *,
+                  hash_function: HashFunction = sha256,
+                  t_transmit: float = 0.01,
+                  seed: Optional[int] = None) -> Trial:
+        """Erasure-coded blocks, verified by a :class:`SaidaReceiver`."""
+        packets, positions = self._send_blocks(signer, block_size, blocks,
+                                               hash_function, t_transmit)
+        return Trial(packets, positions,
+                     partial(SaidaReceiver, signer, hash_function))
+
     def metrics(self, n: int, l_sign: int = 128, l_hash: int = 16,
                 sign_copies: int = 1) -> GraphMetrics:
         """Analytic costs: one blob share per packet.
@@ -152,12 +163,13 @@ class SaidaScheme(Scheme):
 _MAX_ATTEMPT_FACTOR = 8
 
 
-class SaidaReceiver:
+class SaidaReceiver(Verifier):
     """Receiver: collect shares, reconstruct, verify, release.
 
     Feed arriving packets to :meth:`receive`; per-seq verdicts appear
     in :attr:`verified` (True/False) once decidable.  Packets of a
-    block arriving after reconstruction verify immediately.
+    block arriving after reconstruction verify immediately.  This is
+    SAIDA's trial :class:`~repro.schemes.base.Verifier`.
 
     The receiver is defensive against active attackers: the first
     share per ``(block, index)`` wins (duplicates counted in
@@ -173,8 +185,8 @@ class SaidaReceiver:
 
     def __init__(self, signer: Signer,
                  hash_function: HashFunction = sha256) -> None:
+        super().__init__(hash_function)
         self._signer = signer
-        self._hash = hash_function
         self._pending: Dict[int, Dict[int, Packet]] = {}
         self._shapes: Dict[int, tuple] = {}
         self._attempts: Dict[int, int] = {}
@@ -182,8 +194,10 @@ class SaidaReceiver:
         self._hash_lists: Dict[int, List[bytes]] = {}
         self._failed_blocks: set = set()
         self.verified: Dict[int, bool] = {}
+        self._accepted: Dict[int, Packet] = {}
         self.duplicate_shares = 0
         self.rejected_shares = 0
+        self._malformed = 0
 
     # ------------------------------------------------------------------
 
@@ -272,6 +286,25 @@ class SaidaReceiver:
 
     def receive(self, packet: Packet, arrival_time: float = 0.0) -> None:
         """Process one arriving SAIDA packet."""
+        self._take(packet)
+        self.message_buffer_peak = max(self.message_buffer_peak,
+                                       self.pending_count)
+
+    def ingest(self, packet: Packet, arrival_time: float) -> None:
+        """:meth:`receive`, counting unparsable share headers as forgeries."""
+        try:
+            self.receive(packet, arrival_time)
+        except SimulationError:
+            self._malformed += 1
+
+    def _settle(self, packet: Packet, ok: bool) -> None:
+        self.verified[packet.seq] = ok
+        if ok:
+            self._accepted[packet.seq] = packet
+        else:
+            self._accepted.pop(packet.seq, None)
+
+    def _take(self, packet: Packet) -> None:
         try:
             index, k, n, signature_length = _EXTRA.unpack_from(
                 packet.extra, 0)
@@ -284,7 +317,7 @@ class SaidaReceiver:
             return
         block_id = packet.block_id
         if block_id in self._hash_lists:
-            self.verified[packet.seq] = self._check_payload(packet, index)
+            self._settle(packet, self._check_payload(packet, index))
             return
         if block_id in self._failed_blocks:
             self.verified[packet.seq] = False
@@ -307,15 +340,40 @@ class SaidaReceiver:
         if self._try_reconstruct(block_id, k, n):
             for held in self._pending.pop(block_id).values():
                 held_index, _, _, _ = _EXTRA.unpack_from(held.extra, 0)
-                self.verified[held.seq] = self._check_payload(held,
-                                                              held_index)
+                self._settle(held, self._check_payload(held, held_index))
             self._finish_block(block_id)
         elif block_id in self._failed_blocks:
             for held in self._pending.pop(block_id, {}).values():
-                self.verified[held.seq] = False
+                self._settle(held, False)
             self._finish_block(block_id)
 
     # ------------------------------------------------------------------
+
+    @property
+    def forged_rejected(self) -> int:
+        """Shares of an invalid shape, plus unparsable share headers."""
+        return self.rejected_shares + self._malformed
+
+    @property
+    def replays_dropped(self) -> int:
+        """Duplicate shares and re-received sequence numbers."""
+        return self.duplicate_shares
+
+    def verdict(self, seq: int) -> Tuple[bool, Optional[float]]:
+        return bool(self.verified.get(seq)), None
+
+    def accepted_digests(self) -> Dict[int, bytes]:
+        return {seq: self.content_digest(packet)
+                for seq, packet in self._accepted.items()}
+
+    def content_digest(self, packet: Packet) -> bytes:
+        """Digest of the payload under its sequence number.
+
+        That is what the signed hash list binds; a packet whose share
+        was tampered with still verifies through the other shares.
+        """
+        return self._hash.digest(
+            Packet(packet.seq, packet.block_id, packet.payload).auth_bytes())
 
     @property
     def pending_count(self) -> int:

@@ -9,7 +9,8 @@ amortization exists to avoid.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.graph import DependenceGraph
 from repro.core.metrics import GraphMetrics
@@ -17,9 +18,9 @@ from repro.crypto.hashing import HashFunction, sha256
 from repro.crypto.signatures import Signer
 from repro.exceptions import SchemeParameterError
 from repro.packets import Packet
-from repro.schemes.base import Scheme
+from repro.schemes.base import Scheme, Trial, Verifier
 
-__all__ = ["SignEachScheme", "verify_sign_each_packet"]
+__all__ = ["SignEachScheme", "IndividualVerifier", "verify_sign_each_packet"]
 
 
 class SignEachScheme(Scheme):
@@ -58,6 +59,17 @@ class SignEachScheme(Scheme):
             ))
         return packets
 
+    def new_trial(self, signer: Signer, block_size: int, blocks: int, *,
+                  hash_function: HashFunction = sha256,
+                  t_transmit: float = 0.01,
+                  seed: Optional[int] = None) -> Trial:
+        """Signed blocks, every packet checked on its own."""
+        packets, positions = self._send_blocks(signer, block_size, blocks,
+                                               hash_function, t_transmit)
+        check = partial(verify_sign_each_packet, signer=signer)
+        return Trial(packets, positions,
+                     partial(IndividualVerifier, check, hash_function))
+
     def metrics(self, n: int, l_sign: int = 128, l_hash: int = 16,
                 sign_copies: int = 1) -> GraphMetrics:
         """Analytic metrics: one signature per packet, nothing else."""
@@ -86,3 +98,46 @@ def verify_sign_each_packet(packet: Packet, signer: Signer) -> bool:
         extra=packet.extra,
     )
     return signer.verify(unsigned.auth_bytes(), packet.signature)
+
+
+class IndividualVerifier(Verifier):
+    """Verifier for individually verifiable schemes (sign-each, Wong–Lam).
+
+    ``check(packet)`` decides each packet on its own.  The first packet
+    to arrive under a sequence number is decided; a later one with the
+    same content is a replay, any other a forgery.  Verified packets
+    have zero delay.
+    """
+
+    def __init__(self, check: Callable[[Packet], bool],
+                 hash_function: HashFunction = sha256) -> None:
+        super().__init__(hash_function)
+        self._check = check
+        self._decided: Dict[int, Tuple[bytes, bool]] = {}
+
+    def receive(self, packet: Packet, arrival_time: float) -> bool:
+        """Decide ``packet``; ``True`` when it verified."""
+        digest = self.content_digest(packet)
+        decided = self._decided.get(packet.seq)
+        if decided is not None:
+            if decided[0] == digest:
+                self.replays_dropped += 1
+            else:
+                self.forged_rejected += 1
+            return False
+        ok = self._check(packet)
+        self._decided[packet.seq] = (digest, ok)
+        if not ok:
+            self.forged += 1
+            self.forged_rejected += 1
+        return ok
+
+    def verdict(self, seq: int) -> Tuple[bool, Optional[float]]:
+        decided = self._decided.get(seq)
+        if decided is None or not decided[1]:
+            return False, None
+        return True, 0.0
+
+    def accepted_digests(self) -> Dict[int, bytes]:
+        return {seq: digest for seq, (digest, ok) in self._decided.items()
+                if ok}

@@ -13,7 +13,9 @@ derivative of signature amortization" once cast as a dependence-graph
   is dropped if its key may already have been disclosed when it
   arrived, the paper's ``ξ_i``), buffers packets until their key
   arrives, authenticates disclosed keys against the signed commitment
-  by walking the one-way chain, and verifies MACs.
+  by walking the one-way chain, and verifies MACs;
+* :class:`TeslaVerifier` — the trial verifier, which opens a receiver
+  from the signed bootstrap packet.
 
 The receiver's clock may differ from the sender's by a bounded offset;
 the bound is part of the bootstrap handshake as in real TESLA.
@@ -24,18 +26,20 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from functools import partial
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.graph import DependenceGraph
 from repro.core.metrics import GraphMetrics
 from repro.core.tesla_graph import TeslaDependenceGraph
+from repro.crypto.hashing import HashFunction, sha256
 from repro.crypto.keychain import KeyChain, KeyChainCommitment
 from repro.crypto.mac import Mac, hmac_sha256
 from repro.crypto.signatures import Signer
 from repro.exceptions import SchemeParameterError, SimulationError
 from repro.network.clock import Clock
 from repro.packets import Packet
-from repro.schemes.base import Scheme
+from repro.schemes.base import Scheme, Trial, Verifier
 
 __all__ = [
     "TeslaParameters",
@@ -43,12 +47,17 @@ __all__ = [
     "TeslaSender",
     "TeslaReceiver",
     "TeslaVerdict",
+    "TeslaVerifier",
     "BootstrapInfo",
 ]
 
 _EXTRA = struct.Struct(">III")  # interval, disclosed_index, key_length
 _BOOTSTRAP = struct.Struct(">dddI")  # t0, interval, max_offset, lag
 _KEY_SIZE = 16
+
+#: Key-chain seed derived from a trial's run seed when the scheme pins
+#: none; recorded attacked-trial results depend on these exact bytes.
+_DERIVED_CHAIN_SEED = b"adv-tesla-%d"
 
 
 @dataclass(frozen=True)
@@ -112,12 +121,19 @@ class TeslaScheme(Scheme):
 
     TESLA has no per-block hash-chain graph; its extended graph comes
     from :class:`TeslaDependenceGraph` and its metrics are analytic.
+    ``seed`` optionally fixes the key chain (golden traces, tests), as
+    :class:`~repro.schemes.rohatgi_online.OnlineRohatgiScheme`'s seed
+    fixes its one-time keys.
     """
 
+    timed = True
+
     def __init__(self, parameters: Optional[TeslaParameters] = None,
-                 mac: Mac = hmac_sha256) -> None:
+                 mac: Mac = hmac_sha256,
+                 seed: Optional[bytes] = None) -> None:
         self.parameters = parameters or TeslaParameters()
         self.mac = mac
+        self.seed = seed
 
     @property
     def name(self) -> str:
@@ -131,6 +147,40 @@ class TeslaScheme(Scheme):
     def build_extended_graph(self, n: int) -> TeslaDependenceGraph:
         """The Sec. 3.2 two-vertices-per-packet dependence-graph."""
         return TeslaDependenceGraph(n, lag=self.parameters.lag)
+
+    def new_trial(self, signer: Signer, block_size: int, blocks: int, *,
+                  hash_function: HashFunction = sha256,
+                  t_transmit: float = 0.01,
+                  seed: Optional[int] = None) -> Trial:
+        """One stream of ``block_size * blocks`` packets, one per interval.
+
+        The signed bootstrap packet goes first and the key-flush
+        packets last; positions are interval indices, aligned with
+        Eq. 6.  The key chain comes from the scheme's ``seed``, else
+        from the run ``seed``, else fresh randomness.  The interval,
+        not ``t_transmit``, paces the stream.
+        """
+        from repro.simulation.sender import make_payloads
+
+        parameters = self.parameters
+        count = block_size * blocks
+        if count < 1:
+            raise SimulationError(f"need >= 1 packet, got {count}")
+        if count > parameters.chain_length:
+            raise SimulationError("packet count exceeds key-chain length")
+        chain_seed = self.seed
+        if chain_seed is None and seed is not None:
+            chain_seed = _DERIVED_CHAIN_SEED % seed
+        sender = TeslaSender(parameters, signer, self.mac, seed=chain_seed)
+        bootstrap = sender.bootstrap_packet().with_send_time(parameters.t0)
+        data = [sender.send(payload,
+                            parameters.t0 + index * parameters.interval)
+                for index, payload in enumerate(make_payloads(count))]
+        positions = {packet.seq: index
+                     for index, packet in enumerate(data, start=1)}
+        return Trial([bootstrap] + data + sender.flush_keys(count), positions,
+                     partial(TeslaVerifier, bootstrap.seq, signer, self.mac,
+                             hash_function))
 
     def metrics(self, n: int, l_sign: int = 128, l_hash: int = 16,
                 sign_copies: int = 1) -> GraphMetrics:
@@ -483,3 +533,107 @@ class TeslaReceiver:
         for verdict in self.verdicts.values():
             histogram[verdict.status] = histogram.get(verdict.status, 0) + 1
         return histogram
+
+
+class TeslaVerifier(Verifier):
+    """Trial verifier for TESLA: a :class:`TeslaReceiver` per bootstrap.
+
+    The first packet under the bootstrap sequence number whose
+    signature verifies opens the receiver; a later identical copy is a
+    replay, anything else under that number a forgery.  Deliveries
+    that overtake the bootstrap wait for it and are then processed in
+    arrival order.
+    """
+
+    def __init__(self, bootstrap_seq: int, signer: Signer,
+                 mac: Mac = hmac_sha256,
+                 hash_function: HashFunction = sha256) -> None:
+        super().__init__(hash_function)
+        self._bootstrap_seq = bootstrap_seq
+        self._signer = signer
+        self._mac = mac
+        self._receiver: Optional[TeslaReceiver] = None
+        self._bootstrap: Optional[Packet] = None
+        self._early: List[Tuple[Packet, float]] = []
+        # seq -> the packet its verdict judged (the first to get one)
+        self._judged: Dict[int, Packet] = {}
+        self._rejected = 0
+        self._replays = 0
+
+    def receive(self, packet: Packet, arrival_time: float) -> None:
+        """Take one delivery; the bootstrap opens the receiver."""
+        if packet.seq != self._bootstrap_seq:
+            if self._receiver is None:
+                self._early.append((packet, arrival_time))
+            else:
+                self._feed(packet, arrival_time)
+        elif self._receiver is not None:
+            if packet == self._bootstrap:
+                self._replays += 1
+            else:
+                self._rejected += 1
+        else:
+            try:
+                self._receiver = TeslaReceiver(packet, self._signer,
+                                               self._mac)
+            except SimulationError:
+                self._rejected += 1
+                return
+            self._bootstrap = packet
+            for held, when in self._early:
+                self._feed(held, when)
+            self._early.clear()
+
+    def _feed(self, packet: Packet, arrival_time: float) -> None:
+        receiver = self._receiver
+        judged = packet.seq in receiver.verdicts
+        try:
+            receiver.receive(packet, arrival_time)
+        except SimulationError:
+            self._rejected += 1
+        if not judged and packet.seq in receiver.verdicts:
+            self._judged[packet.seq] = packet
+        self.message_buffer_peak = max(self.message_buffer_peak,
+                                       receiver.pending_count)
+
+    def finish(self) -> None:
+        """Fail loudly when no valid bootstrap ever arrived."""
+        if self._receiver is None:
+            raise SimulationError(
+                "bootstrap packet lost; enable signature protection on the "
+                "channel")
+
+    @property
+    def forged_rejected(self) -> int:
+        """Forged bootstraps, unparsable packets and rejected keys."""
+        keys = self._receiver.rejected_keys if self._receiver else 0
+        return self._rejected + keys
+
+    @property
+    def replays_dropped(self) -> int:
+        """Bootstrap copies plus the receiver's re-received sequences."""
+        replays = self._receiver.replays_dropped if self._receiver else 0
+        return self._replays + replays
+
+    def verdict(self, seq: int) -> Tuple[bool, Optional[float]]:
+        verdict = self._receiver.verdicts.get(seq) if self._receiver else None
+        if verdict is None or verdict.status != "verified":
+            return False, None
+        return True, verdict.delay
+
+    def accepted_digests(self) -> Dict[int, bytes]:
+        if self._receiver is None:
+            return {}
+        return {seq: self.content_digest(self._judged[seq])
+                for seq, verdict in self._receiver.verdicts.items()
+                if verdict.status == "verified"}
+
+    def content_digest(self, packet: Packet) -> bytes:
+        """Digest of the payload under its sequence number.
+
+        That is what the MAC binds; a packet whose key-disclosure field
+        was tampered with still verifies once a later packet discloses
+        the key.
+        """
+        return self._hash.digest(
+            Packet(packet.seq, packet.block_id, packet.payload).auth_bytes())

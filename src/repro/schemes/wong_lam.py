@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import List, Optional, Sequence
+from functools import partial
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.graph import DependenceGraph
 from repro.core.metrics import GraphMetrics
@@ -24,7 +25,8 @@ from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.crypto.signatures import Signer
 from repro.exceptions import SchemeParameterError, VerificationError
 from repro.packets import Packet
-from repro.schemes.base import Scheme
+from repro.schemes.base import Scheme, Trial
+from repro.schemes.sign_each import IndividualVerifier
 
 __all__ = ["WongLamScheme", "encode_proof", "decode_proof", "verify_wong_lam_packet"]
 
@@ -123,6 +125,21 @@ class WongLamScheme(Scheme):
             ))
         return packets
 
+    def new_trial(self, signer: Signer, block_size: int, blocks: int, *,
+                  hash_function: HashFunction = sha256,
+                  t_transmit: float = 0.01,
+                  seed: Optional[int] = None) -> Trial:
+        """Tree-signed blocks, every packet checked on its own."""
+        packets, positions = self._send_blocks(signer, block_size, blocks,
+                                               hash_function, t_transmit)
+        bases: Dict[int, int] = {}
+        for packet in packets:
+            bases.setdefault(packet.block_id, packet.seq)
+        check = partial(_verify_in_stream, signer=signer,
+                        hash_function=hash_function, bases=bases)
+        return Trial(packets, positions,
+                     partial(IndividualVerifier, check, hash_function))
+
     def metrics(self, n: int, l_sign: int = 128, l_hash: int = 16,
                 sign_copies: int = 1) -> GraphMetrics:
         """Analytic metrics: proof depth hashes + a signature per packet.
@@ -166,3 +183,12 @@ def verify_wong_lam_packet(packet: Packet, signer: Signer,
     if not signer.verify(root, packet.signature):
         return False
     return MerkleTree.verify_static(packet.payload, proof, root, hash_function)
+
+
+def _verify_in_stream(packet: Packet, signer: Signer,
+                      hash_function: HashFunction,
+                      bases: Dict[int, int]) -> bool:
+    """:func:`verify_wong_lam_packet` at the base sequence of its block."""
+    base = bases.get(packet.block_id)
+    return base is not None and verify_wong_lam_packet(
+        packet, signer, hash_function, block_base_seq=base)

@@ -203,7 +203,7 @@ class ReceiverSession:
                     self.forged_accepted += 1
                     stats.forged_accepted += 1
             position = seq - frame.base_seq + 1
-            # Adversarial tally convention (run_adversarial_trials):
+            # Adversarial tally convention (the trial kernel's):
             # "received" means the authentic bytes made it through
             # untampered, or the slot verified anyway.
             received_for_stats = seq in intact or verified

@@ -6,25 +6,21 @@ from repro.simulation.multicast import (
     run_multicast_session,
 )
 from repro.simulation.receiver import ChainReceiver, PacketOutcome
-from repro.simulation.runner import (
-    WireTrialConfig,
-    tesla_monte_carlo,
-    wire_monte_carlo,
-)
+from repro.simulation.runner import WireTrialConfig, wire_monte_carlo
 from repro.simulation.sender import (
     StreamSender,
     make_payloads,
     replicate_signature_packets,
 )
-from repro.simulation.session import (
-    run_chain_session,
-    run_individual_session,
-    run_saida_session,
-    run_tesla_session,
-)
 from repro.simulation.stats import PositionTally, SimulationStats
 from repro.simulation.stream_receiver import DeliveredPayload, StreamReceiver
 from repro.simulation.trace import SessionTrace, TraceRecord
+from repro.simulation.trials import (
+    FixedChannels,
+    SeededChannels,
+    run_session,
+    run_trials,
+)
 
 __all__ = [
     "MulticastResult",
@@ -33,14 +29,13 @@ __all__ = [
     "ChainReceiver",
     "PacketOutcome",
     "WireTrialConfig",
-    "tesla_monte_carlo",
     "wire_monte_carlo",
     "StreamSender",
     "make_payloads",
-    "run_chain_session",
-    "run_individual_session",
-    "run_saida_session",
-    "run_tesla_session",
+    "FixedChannels",
+    "SeededChannels",
+    "run_session",
+    "run_trials",
     "PositionTally",
     "SimulationStats",
     "DeliveredPayload",

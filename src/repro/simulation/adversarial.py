@@ -1,66 +1,51 @@
 """Wire-level Monte Carlo under active attack.
 
-The passive drivers in :mod:`repro.simulation.runner` measure loss
-tolerance; this module measures what the paper's Sec. 2 threat model
-actually demands — that a Dolev–Yao attacker who can drop, tamper,
-inject, replay and reorder packets gains *nothing* beyond the loss it
-inflicts.  Every scheme family gets an adversarial session runner
-that:
+Passive runs measure loss tolerance; attacked runs measure what the
+paper's Sec. 2 threat model actually demands — that a Dolev–Yao
+attacker who can drop, tamper, inject, replay and reorder packets
+gains *nothing* beyond the loss it inflicts.  An attacked trial of the
+kernel (:func:`~repro.simulation.trials.run_trials` with ``attack``
+set):
 
 * transmits real wire bytes through an
   :class:`~repro.faults.channel.AdversarialChannel`;
-* decodes deliveries defensively (undecodable buffers are counted and
-  discarded, never crash the receiver);
+* verifies them on the scheme verifier's defensive path (undecodable
+  buffers are counted and discarded, never crash the receiver);
 * tallies the usual per-position ``q_i`` statistics against the
   attacker's **ground truth** (a corrupted delivery counts as lost —
   the ``p_eff = 1 - (1-p)(1-c)`` model the adversarial conformance
   pass compares against);
-* audits **soundness**: every verified sequence's authenticated
-  content is compared against what the honest sender sent, and any
-  mismatch increments ``stats.forged_accepted`` — which must stay 0.
+* audits **soundness**: every accepted packet's content is compared
+  against what the honest sender sent under its sequence number, and
+  any mismatch increments ``stats.forged_accepted`` — which must stay 0.
 
-Some receivers *salvage* authentic content from partially tampered
+Some verifiers *salvage* authentic content from partially tampered
 deliveries: a bit flip confined to a SAIDA packet's share or a TESLA
 packet's key-disclosure field destroys that field but leaves the
 payload verifiable through redundant information elsewhere in the
-stream.  The tally therefore treats "received" as *delivered intact
-or verified* — salvage can only push empirical ``q_i`` above the
-corrupted-as-lost model, never below, and soundness is unaffected
-(the verified payload is byte-identical to the genuine one).
+stream.  Their content digest covers what verification binds (the
+payload under its sequence number), and the tally treats "received"
+as *delivered intact or verified* — salvage can only push empirical
+``q_i`` above the corrupted-as-lost model, never below.
 
-Determinism matches the passive drivers: trial ``t`` derives its loss
-RNG, attack-plan seeds and (for TESLA / the online chain) its key
-material from the *global* trial index only, so attacked runs shard
-across workers bit-for-bit (:func:`repro.parallel.wire
-.parallel_adversarial_trials`).
+Determinism matches the passive runs: trial ``t``'s loss RNG,
+attack-plan reseed and scheme key material depend only on the seed
+and ``t``, so attacked runs shard across workers bit-for-bit.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
 
-from repro.crypto.hashing import HashFunction, sha256
-from repro.crypto.signatures import HmacStubSigner, Signer
-from repro.exceptions import SimulationError, WireDecodeError
-from repro.faults.channel import AdversarialChannel, WireDelivery
+from repro.exceptions import SimulationError
+from repro.faults.channel import AdversarialChannel
 from repro.faults.plan import AttackPlan
 from repro.network.channel import Channel
-from repro.network.delay import ConstantDelay, DelayModel, GaussianDelay
-from repro.network.loss import BernoulliLoss
-from repro.obs.registry import get_registry
-from repro.obs.spans import span
-from repro.packets import Packet, packet_from_wire
 from repro.schemes.base import Scheme
-from repro.schemes.rohatgi_online import OnlineChainReceiver, OnlineRohatgiScheme
-from repro.schemes.saida import SaidaReceiver, SaidaScheme
-from repro.schemes.sign_each import SignEachScheme, verify_sign_each_packet
-from repro.schemes.tesla import TeslaReceiver, TeslaScheme, TeslaSender
-from repro.schemes.wong_lam import WongLamScheme, verify_wong_lam_packet
-from repro.simulation.receiver import ChainReceiver
-from repro.simulation.sender import StreamSender, make_payloads
 from repro.simulation.stats import SimulationStats
+from repro.simulation.trials import SeededChannels, run_trials
 
-__all__ = ["run_adversarial_trials", "adversarial_monte_carlo"]
+__all__ = ["AttackSchedule", "adversarial_monte_carlo"]
 
 #: Per-trial attack-plan seed: offset then stride, both prime, disjoint
 #: from every channel-RNG stride so fault and loss streams never share
@@ -69,384 +54,33 @@ _ATTACK_SEED_OFFSET = 104729
 _ATTACK_SEED_STRIDE = 27644437
 
 
-def _default_signer() -> Signer:
-    return HmacStubSigner(key=b"adversarial-wire", signature_size=128)
+@dataclass(frozen=True)
+class AttackSchedule:
+    """``plan`` on every trial channel, reseeded from the trial index."""
 
+    plan: AttackPlan
+    seed: int
 
-def _decode_deliveries(deliveries: List[WireDelivery],
-                       stats: SimulationStats
-                       ) -> List[Tuple[WireDelivery, Packet]]:
-    """Strictly decode every delivery, counting undecodable buffers."""
-    decoded = []
-    for delivery in deliveries:
-        try:
-            packet = packet_from_wire(delivery.data)
-        except WireDecodeError:
-            stats.undecodable += 1
-            continue
-        decoded.append((delivery, packet))
-    return decoded
-
-
-def _intact_seqs(deliveries: List[WireDelivery]) -> Set[int]:
-    """Sequences the honest channel delivered untampered."""
-    return {d.seq_hint for d in deliveries if d.kind == "genuine"}
-
-
-def _fold_channel(stats: SimulationStats, adv: AdversarialChannel) -> None:
-    stats.sent += adv.sent
-    stats.dropped += adv.dropped
-    stats.corrupted += adv.corrupted
-    stats.injected += adv.injected
-    stats.replayed += adv.replayed
-
-
-def _genuine_digests(packets: List[Packet],
-                     hash_function: HashFunction) -> Dict[int, bytes]:
-    return {p.seq: hash_function.digest(p.auth_bytes()) for p in packets}
-
-
-# ---------------------------------------------------------------------
-# Family runners (one trial each)
-# ---------------------------------------------------------------------
-
-def _chain_trial(scheme: Scheme, block_size: int, adv: AdversarialChannel,
-                 signer: Signer, hash_function: HashFunction,
-                 stats: SimulationStats, t_transmit: float,
-                 max_buffered: Optional[int]) -> None:
-    sender = StreamSender(scheme, signer, block_size, t_transmit=t_transmit,
-                          hash_function=hash_function)
-    packets = sender.send_block(make_payloads(block_size))
-    base_seq = packets[0].seq
-    receiver = ChainReceiver(signer, hash_function,
-                             max_buffered=max_buffered)
-    deliveries = adv.transmit_wire(packets)
-    for delivery in deliveries:
-        receiver.ingest_wire(delivery.data, delivery.arrival_time)
-    intact = _intact_seqs(deliveries)
-    genuine = _genuine_digests(packets, hash_function)
-    for packet in packets:
-        outcome = receiver.outcomes.get(packet.seq)
-        verified = bool(outcome and outcome.verified)
-        delay = outcome.delay if verified else None
-        stats.record(packet.seq - base_seq + 1,
-                     packet.seq in intact or verified, verified, delay)
-    for seq, outcome in receiver.outcomes.items():
-        if not outcome.verified:
-            continue
-        if receiver.accepted_digest(seq) != genuine.get(seq):
-            stats.forged_accepted += 1
-    stats.undecodable += receiver.undecodable
-    stats.forged_rejected += receiver.forged_rejected
-    stats.replays_dropped += receiver.replays_dropped
-    stats.merge_buffer_peaks(receiver.message_buffer_peak,
-                             receiver.hash_buffer_peak)
-
-
-def _individual_trial(scheme: Scheme, block_size: int,
-                      adv: AdversarialChannel, signer: Signer,
-                      hash_function: HashFunction,
-                      stats: SimulationStats) -> None:
-    sender = StreamSender(scheme, signer, block_size,
-                          hash_function=hash_function)
-    packets = sender.send_block(make_payloads(block_size))
-    base_seq = packets[0].seq
-    deliveries = adv.transmit_wire(packets)
-    genuine = _genuine_digests(packets, hash_function)
-    decided: Dict[int, Tuple[bytes, bool]] = {}
-    for _delivery, packet in _decode_deliveries(deliveries, stats):
-        digest = hash_function.digest(packet.auth_bytes())
-        previous = decided.get(packet.seq)
-        if previous is not None:
-            if previous[0] == digest:
-                stats.replays_dropped += 1
-            else:
-                stats.forged_rejected += 1
-            continue
-        if isinstance(scheme, WongLamScheme):
-            ok = verify_wong_lam_packet(packet, signer, hash_function,
-                                        block_base_seq=base_seq)
-        elif isinstance(scheme, SignEachScheme):
-            ok = verify_sign_each_packet(packet, signer)
-        else:
-            raise SimulationError(
-                f"no individual verifier known for {scheme.name}")
-        decided[packet.seq] = (digest, ok)
-        if ok:
-            stats.delays.append(0.0)
-            if genuine.get(packet.seq) != digest:
-                stats.forged_accepted += 1
-        else:
-            stats.forged_rejected += 1
-    intact = _intact_seqs(deliveries)
-    for packet in packets:
-        verdict = decided.get(packet.seq)
-        verified = bool(verdict and verdict[1])
-        stats.record(packet.seq - base_seq + 1,
-                     packet.seq in intact or verified, verified)
-
-
-def _saida_trial(scheme: SaidaScheme, block_size: int,
-                 adv: AdversarialChannel, signer: Signer,
-                 hash_function: HashFunction,
-                 stats: SimulationStats) -> None:
-    sender = StreamSender(scheme, signer, block_size,
-                          hash_function=hash_function)
-    packets = sender.send_block(make_payloads(block_size))
-    base_seq = packets[0].seq
-    receiver = SaidaReceiver(signer, hash_function)
-    deliveries = adv.transmit_wire(packets)
-    for delivery, packet in _decode_deliveries(deliveries, stats):
-        try:
-            receiver.receive(packet, delivery.arrival_time)
-        except SimulationError:
-            stats.forged_rejected += 1
-        stats.message_buffer_peak = max(stats.message_buffer_peak,
-                                        receiver.pending_count)
-    intact = _intact_seqs(deliveries)
-    genuine_seqs = {p.seq for p in packets}
-    for packet in packets:
-        verified = bool(receiver.verified.get(packet.seq))
-        stats.record(packet.seq - base_seq + 1,
-                     packet.seq in intact or verified, verified)
-    for seq, ok in receiver.verified.items():
-        if ok and seq not in genuine_seqs:
-            # A verdict of True binds the payload to the signed hash
-            # list, so a non-genuine sequence verifying is a forgery.
-            stats.forged_accepted += 1
-    stats.replays_dropped += receiver.duplicate_shares
-    stats.forged_rejected += receiver.rejected_shares
-
-
-def _online_trial(packets: List[Packet], keypairs, block_size: int,
-                  adv: AdversarialChannel, signer: Signer,
-                  hash_function: HashFunction,
-                  stats: SimulationStats) -> None:
-    deliveries = adv.transmit_wire(packets)
-    genuine = _genuine_digests(packets, hash_function)
-    # The online receiver is strictly positional, so the session layer
-    # does the defending: one candidate per genuine slot (first
-    # decodable delivery wins — the genuine copy precedes its
-    # forgeries), out-of-range sequences rejected, slots fed in order
-    # so a dead slot breaks the chain exactly like a loss.
-    candidates: Dict[int, Packet] = {}
-    for _delivery, packet in _decode_deliveries(deliveries, stats):
-        if not 1 <= packet.seq <= block_size:
-            stats.forged_rejected += 1
-            continue
-        previous = candidates.get(packet.seq)
-        if previous is not None:
-            digest = hash_function.digest(packet.auth_bytes())
-            if hash_function.digest(previous.auth_bytes()) == digest:
-                stats.replays_dropped += 1
-            else:
-                stats.forged_rejected += 1
-            continue
-        candidates[packet.seq] = packet
-    receiver = OnlineChainReceiver(signer, keypairs)
-    for seq in sorted(candidates):
-        try:
-            receiver.receive(candidates[seq])
-        except SimulationError:
-            # Tampered extra that decodes at the wire layer but not at
-            # the scheme layer: the slot stays unfilled, breaking the
-            # chain like a loss.
-            stats.forged_rejected += 1
-    intact = _intact_seqs(deliveries)
-    for packet in packets:
-        verified = bool(receiver.verified.get(packet.seq))
-        if verified:
-            digest = hash_function.digest(
-                candidates[packet.seq].auth_bytes())
-            if digest != genuine[packet.seq]:
-                stats.forged_accepted += 1
-        stats.record(packet.seq, packet.seq in intact or verified, verified)
-
-
-def _tesla_trial(scheme: TeslaScheme, bootstrap: Packet,
-                 data_packets: List[Packet], flush: List[Packet],
-                 adv: AdversarialChannel, signer: Signer,
-                 hash_function: HashFunction, clock_offset: float,
-                 stats: SimulationStats) -> None:
-    deliveries = adv.transmit_wire([bootstrap] + data_packets + flush)
-    bootstrap_wire = bootstrap.to_wire()
-    bootstrap_delivery = next(
-        (d for d in deliveries
-         if d.kind == "genuine" and d.seq_hint == bootstrap.seq), None)
-    if bootstrap_delivery is None:
-        raise SimulationError(
-            "bootstrap packet lost; enable signature protection on the "
-            "channel")
-    # The bootstrap is signature-protected end to end (loss *and*
-    # corruption), so its delivered bytes are canonical; building the
-    # receiver up front mirrors the passive session, where deliveries
-    # reordered ahead of the bootstrap are still processed.
-    receiver = TeslaReceiver(packet_from_wire(bootstrap_delivery.data),
-                             signer, clock_offset=clock_offset)
-    seen_bootstrap = False
-    for delivery, packet in _decode_deliveries(deliveries, stats):
-        if packet.seq == bootstrap.seq:
-            if delivery.data != bootstrap_wire:
-                stats.forged_rejected += 1
-            elif seen_bootstrap:
-                stats.replays_dropped += 1
-            else:
-                seen_bootstrap = True
-            continue
-        try:
-            receiver.receive(packet, delivery.arrival_time + clock_offset)
-        except SimulationError:
-            stats.forged_rejected += 1
-        stats.message_buffer_peak = max(stats.message_buffer_peak,
-                                        receiver.pending_count)
-    intact = _intact_seqs(deliveries)
-    genuine_seqs = {p.seq for p in data_packets}
-    for index, packet in enumerate(data_packets):
-        verdict = receiver.verdicts.get(packet.seq)
-        verified = bool(verdict and verdict.status == "verified")
-        delay = verdict.delay if verified else None
-        stats.record(index + 1, packet.seq in intact or verified,
-                     verified, delay)
-    for seq, verdict in receiver.verdicts.items():
-        if verdict.status == "verified" and seq not in genuine_seqs:
-            # A verified verdict binds payload and framing to an
-            # authenticated chain key via the MAC.
-            stats.forged_accepted += 1
-    stats.replays_dropped += receiver.replays_dropped
-    stats.forged_rejected += receiver.rejected_keys
-
-
-# ---------------------------------------------------------------------
-# Unified driver
-# ---------------------------------------------------------------------
-
-def run_adversarial_trials(scheme: Scheme, block_size: int,
-                           loss_rate: float, plan: AttackPlan,
-                           first_trial: int, trial_count: int,
-                           seed: int = 7,
-                           delay_mean: float = 0.0, delay_std: float = 0.0,
-                           clock_offset: float = 0.0,
-                           t_transmit: float = 0.01,
-                           hash_function: HashFunction = sha256,
-                           signer: Optional[Signer] = None,
-                           max_buffered: Optional[int] = None,
-                           channel_factory: Optional[
-                               Callable[[int], Channel]] = None
-                           ) -> SimulationStats:
-    """Run attacked trials ``first_trial .. first_trial+trial_count-1``.
-
-    The adversarial counterpart of
-    :func:`repro.simulation.runner.run_wire_trials`, covering *every*
-    scheme family (chained, individually verifiable, SAIDA, TESLA and
-    the online chain) with the defensive session runners above.  Trial
-    indices are global: trial ``t``'s loss RNG, attack-plan reseed and
-    scheme key material depend only on ``seed`` and ``t``, so any
-    contiguous partition merges back to the serial result exactly.
-
-    ``delay_mean`` / ``delay_std`` apply to TESLA only (its analytic
-    ``q_i`` depends on the delay model); other schemes use a zero-delay
-    channel like the passive conformance runs.
-
-    ``channel_factory`` overrides the inner (pre-attack) channel:
-    called with the global trial index, it must return a fresh
-    :class:`~repro.network.channel.Channel` — the hook topology
-    conformance uses to run the whole attacked matrix over correlated
-    link loss.  The attack-plan reseed schedule is unchanged.
-    """
-    if trial_count < 0:
-        raise SimulationError(f"trial count must be >= 0, got {trial_count}")
-    if first_trial < 0:
-        raise SimulationError(f"first trial must be >= 0, got {first_trial}")
-    if block_size < 1:
-        raise SimulationError(f"need >= 1 packet per block, got {block_size}")
-    signer = signer if signer is not None else _default_signer()
-    stats = SimulationStats()
-
-    is_tesla = isinstance(scheme, TeslaScheme)
-    is_online = isinstance(scheme, OnlineRohatgiScheme)
-    bootstrap = data_packets = flush = None
-    online_packets = keypairs = None
-    if is_tesla:
-        parameters = scheme.parameters
-        if block_size > parameters.chain_length:
-            raise SimulationError("packet count exceeds key-chain length")
-        chain_seed = b"adv-tesla-%d" % seed
-        sender = TeslaSender(parameters, signer, seed=chain_seed)
-        bootstrap = sender.bootstrap_packet().with_send_time(parameters.t0)
-        payloads = make_payloads(block_size)
-        data_packets = []
-        for index, payload in enumerate(payloads):
-            when = parameters.t0 + index * parameters.interval
-            data_packets.append(sender.send(payload, when))
-        flush = sender.flush_keys(block_size)
-    elif is_online:
-        if scheme.seed is None:
-            # Worker-independent key material: every shard must derive
-            # the identical packet stream.
-            scheme = OnlineRohatgiScheme(seed=b"adv-online-%d" % seed)
-        online_packets = scheme.make_block(make_payloads(block_size), signer)
-        keypairs = scheme._last_keypairs
-
-    with span("wire.adversarial_trials"):
-        for trial in range(first_trial, first_trial + trial_count):
-            if channel_factory is not None:
-                inner = channel_factory(trial)
-            else:
-                if is_tesla:
-                    loss = BernoulliLoss(loss_rate,
-                                         seed=seed + trial * 104729)
-                    if delay_std > 0 or delay_mean > 0:
-                        delay: DelayModel = GaussianDelay(
-                            delay_mean, delay_std,
-                            seed=seed + trial * 1299709)
-                    else:
-                        delay = ConstantDelay(0.0)
-                else:
-                    loss = BernoulliLoss(loss_rate, seed=seed + trial * 7919)
-                    delay = ConstantDelay(0.0)
-                inner = Channel(loss=loss, delay=delay)
-            plan.reseed(seed + _ATTACK_SEED_OFFSET
-                        + trial * _ATTACK_SEED_STRIDE)
-            adv = AdversarialChannel(inner, plan)
-            if is_tesla:
-                _tesla_trial(scheme, bootstrap, data_packets, flush, adv,
-                             signer, hash_function, clock_offset, stats)
-            elif is_online:
-                _online_trial(online_packets, keypairs, block_size, adv,
-                              signer, hash_function, stats)
-            elif isinstance(scheme, SaidaScheme):
-                _saida_trial(scheme, block_size, adv, signer, hash_function,
-                             stats)
-            elif scheme.individually_verifiable:
-                _individual_trial(scheme, block_size, adv, signer,
-                                  hash_function, stats)
-            else:
-                _chain_trial(scheme, block_size, adv, signer, hash_function,
-                             stats, t_transmit, max_buffered)
-            _fold_channel(stats, adv)
-    registry = get_registry()
-    if registry.enabled:
-        registry.count("wire.adversarial_trials", trial_count)
-        registry.count("wire.packets_sent", stats.sent)
-        registry.count("wire.packets_dropped", stats.dropped)
-        registry.count("wire.packets_corrupted", stats.corrupted)
-        registry.count("wire.packets_injected", stats.injected)
-        registry.count("wire.packets_replayed", stats.replayed)
-        registry.count("wire.packets_undecodable", stats.undecodable)
-        registry.count("wire.packets_forged_rejected", stats.forged_rejected)
-        registry.count("wire.replays_dropped", stats.replays_dropped)
-        registry.count("wire.packets_forged_accepted", stats.forged_accepted)
-        registry.count("wire.packets_verified",
-                       sum(t.verified for t in stats.tallies.values()))
-    return stats
+    def __call__(self, channel: Channel, trial: int) -> AdversarialChannel:
+        self.plan.reseed(self.seed + _ATTACK_SEED_OFFSET
+                         + trial * _ATTACK_SEED_STRIDE)
+        return AdversarialChannel(channel, self.plan)
 
 
 def adversarial_monte_carlo(scheme: Scheme, block_size: int,
                             loss_rate: float, plan: AttackPlan,
                             trials: int, seed: int = 7,
+                            delay_mean: float = 0.0, delay_std: float = 0.0,
                             **kwargs) -> SimulationStats:
-    """Aggregate ``trials`` attacked sessions (serial convenience)."""
+    """Aggregate ``trials`` attacked single-block trials of ``scheme``.
+
+    ``delay_mean`` / ``delay_std`` apply to timed schemes (TESLA) only,
+    whose analytic ``q_i`` depends on the delay model; the other
+    keywords go to :func:`~repro.simulation.trials.run_trials`.
+    """
     if trials < 1:
         raise SimulationError(f"need >= 1 trial, got {trials}")
-    return run_adversarial_trials(scheme, block_size, loss_rate, plan,
-                                  0, trials, seed=seed, **kwargs)
+    channels = SeededChannels.for_scheme(scheme, loss_rate, seed,
+                                         delay_mean, delay_std)
+    return run_trials(scheme, block_size, 0, trials, channels,
+                      attack=AttackSchedule(plan, seed), **kwargs)[0]

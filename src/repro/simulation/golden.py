@@ -29,27 +29,18 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 from repro.analysis.conformance import DEFAULT_SPECS, default_scheme
 from repro.crypto.hashing import sha256
 from repro.crypto.signatures import HmacStubSigner, Signer
-from repro.exceptions import SimulationError
 from repro.network.channel import Channel
 from repro.network.delay import ConstantDelay
 from repro.network.loss import BernoulliLoss
 from repro.packets import Packet
-from repro.schemes.base import Scheme
-from repro.schemes.rohatgi_online import (
-    OnlineChainReceiver,
-    OnlineRohatgiScheme,
-)
-from repro.schemes.saida import SaidaReceiver, SaidaScheme
-from repro.schemes.sign_each import SignEachScheme, verify_sign_each_packet
-from repro.schemes.tesla import TeslaReceiver, TeslaScheme, TeslaSender
-from repro.schemes.wong_lam import WongLamScheme, verify_wong_lam_packet
-from repro.simulation.receiver import ChainReceiver
-from repro.simulation.sender import StreamSender, make_payloads
+from repro.schemes.base import Scheme, Trial
+from repro.schemes.rohatgi_online import OnlineRohatgiScheme
+from repro.schemes.tesla import TeslaScheme
 from repro.simulation.trace import SessionTrace
 
 __all__ = [
@@ -92,6 +83,9 @@ def golden_scheme(name: str) -> Scheme:
     """The conformance default scheme, with internal randomness pinned."""
     if name == "rohatgi-online":
         return OnlineRohatgiScheme(seed=_ONLINE_OTS_SEED)
+    if name == "tesla":
+        return TeslaScheme(default_scheme(name).parameters,
+                           seed=_TESLA_CHAIN_SEED)
     return default_scheme(name)
 
 
@@ -100,110 +94,13 @@ def _golden_channel() -> Channel:
                    delay=ConstantDelay(0.0))
 
 
-# ---------------------------------------------------------------------
-# Session construction: sent packets + a replay verifier per family
-# ---------------------------------------------------------------------
-
-#: ``verify(trace) -> verified seqs`` given the regenerated sent packets.
-_Verifier = Callable[[SessionTrace], Dict[int, bool]]
-
-
-def _build_session(name: str) -> Tuple[List[Packet], _Verifier]:
-    """Deterministically rebuild the sent packets and a trace verifier.
-
-    The verifier consumes a :class:`SessionTrace` (recorded live or
-    loaded from disk — the point of golden tests is that both behave
-    identically) and returns ``{seq: verified}`` for delivered packets.
-    """
-    scheme = golden_scheme(name)
-    signer = _golden_signer()
-    payloads = make_payloads(GOLDEN_BLOCK)
-
-    if isinstance(scheme, TeslaScheme):
-        sender = TeslaSender(scheme.parameters, signer,
-                             seed=_TESLA_CHAIN_SEED)
-        bootstrap = sender.bootstrap_packet().with_send_time(
-            scheme.parameters.t0)
-        data_packets = [
-            sender.send(payload, scheme.parameters.t0
-                        + index * scheme.parameters.interval)
-            for index, payload in enumerate(payloads)
-        ]
-        flush = sender.flush_keys(GOLDEN_BLOCK)
-        packets = [bootstrap] + data_packets + flush
-
-        def verify_tesla(trace: SessionTrace) -> Dict[int, bool]:
-            records = list(trace)
-            if not records or records[0].packet.seq != bootstrap.seq:
-                raise SimulationError(
-                    "golden TESLA trace must start with the bootstrap packet")
-            receiver = TeslaReceiver(records[0].packet, signer)
-            for record in records[1:]:
-                receiver.receive(record.packet, record.arrival_time)
-            return {
-                seq: bool(verdict.status == "verified")
-                for seq, verdict in receiver.verdicts.items()
-            }
-
-        return packets, verify_tesla
-
-    if isinstance(scheme, OnlineRohatgiScheme):
-        packets = scheme.make_block(payloads, signer)
-        keypairs = scheme._last_keypairs
-
-        def verify_online(trace: SessionTrace) -> Dict[int, bool]:
-            receiver = OnlineChainReceiver(signer, keypairs)
-            trace.replay(lambda packet, _time: receiver.receive(packet))
-            return {record.packet.seq:
-                    bool(receiver.verified.get(record.packet.seq))
-                    for record in trace}
-
-        return packets, verify_online
-
-    sender = StreamSender(scheme, signer, GOLDEN_BLOCK)
-    packets = sender.send_block(payloads)
-    base_seq = packets[0].seq
-
-    if isinstance(scheme, SaidaScheme):
-
-        def verify_saida(trace: SessionTrace) -> Dict[int, bool]:
-            receiver = SaidaReceiver(signer, sha256)
-            trace.replay(receiver.receive)
-            return {record.packet.seq:
-                    bool(receiver.verified.get(record.packet.seq))
-                    for record in trace}
-
-        return packets, verify_saida
-
-    if isinstance(scheme, (WongLamScheme, SignEachScheme)):
-
-        def verify_individual(trace: SessionTrace) -> Dict[int, bool]:
-            verified: Dict[int, bool] = {}
-            for record in trace:
-                packet = record.packet
-                if isinstance(scheme, WongLamScheme):
-                    ok = verify_wong_lam_packet(packet, signer, sha256,
-                                                block_base_seq=base_seq)
-                else:
-                    ok = verify_sign_each_packet(packet, signer)
-                verified[packet.seq] = ok
-            return verified
-
-        return packets, verify_individual
-
-    def verify_chain(trace: SessionTrace) -> Dict[int, bool]:
-        receiver = ChainReceiver(signer, sha256)
-        trace.replay(receiver.receive)
-        return {record.packet.seq:
-                bool(receiver.outcomes.get(record.packet.seq)
-                     and receiver.outcomes[record.packet.seq].verified)
-                for record in trace}
-
-    return packets, verify_chain
+def _golden_trial(name: str) -> Trial:
+    """The deterministic golden stream, with its verifier factory."""
+    return golden_scheme(name).new_trial(_golden_signer(), GOLDEN_BLOCK, 1)
 
 
 def _positions(packets: Sequence[Packet],
-               seqs: Sequence[int]) -> List[int]:
+               seqs: Iterable[int]) -> List[int]:
     """Map sequence numbers to 1-based send positions."""
     order = {packet.seq: index + 1 for index, packet in enumerate(packets)}
     return sorted(order[seq] for seq in seqs if seq in order)
@@ -217,28 +114,28 @@ def replay_golden(name: str, trace: SessionTrace) -> Dict[str, object]:
     an older build is verified by *today's* code, which is exactly the
     compatibility the golden suite pins.
     """
-    packets, verify = _build_session(name)
-    verified = verify(trace)
+    trial = _golden_trial(name)
+    verifier = trial.new_verifier()
+    trace.replay(verifier.receive)
+    verifier.finish()
     received = [record.packet.seq for record in trace]
+    verified = {seq for seq in received if verifier.verdict(seq)[0]}
     return {
         "scheme": golden_scheme(name).name,
         "block_size": GOLDEN_BLOCK,
         "loss_rate": GOLDEN_LOSS,
         "channel_seed": GOLDEN_CHANNEL_SEED,
-        "packets_sent": len(packets),
+        "packets_sent": len(trial.packets),
         "deliveries": len(trace),
-        "received_positions": _positions(packets, received),
-        "verified_positions": _positions(
-            packets, [seq for seq, ok in verified.items() if ok]),
+        "received_positions": _positions(trial.packets, received),
+        "verified_positions": _positions(trial.packets, verified),
     }
 
 
 def record_golden(name: str) -> GoldenCase:
     """Run the deterministic golden session for ``name`` live."""
-    packets, _ = _build_session(name)
-    channel = _golden_channel()
     trace = SessionTrace()
-    trace.record_all(channel.transmit(packets))
+    trace.record_all(_golden_channel().transmit(_golden_trial(name).packets))
     return GoldenCase(name=name, trace=trace,
                       expected=replay_golden(name, trace))
 

@@ -7,32 +7,29 @@ that setting is that the sender does *one* authentication pass while
 every receiver independently verifies whatever subset of packets its
 path delivered.
 
-This module runs exactly that: the sender packetizes once; each
-receiver gets an independent channel (its own loss/delay models) over
-the *same* packet objects; results come back per receiver, so
-experiments can study how `q_min` varies across a heterogeneous
-audience — something the single-receiver analysis cannot express.
+This module runs exactly that, as one trial of the kernel
+(:func:`~repro.simulation.trials.run_trials`): the sender packetizes
+once; each receiver gets its own channel (its own loss/delay models)
+over the *same* packet objects and its own verifier; results come back
+per receiver, so experiments can study how `q_min` varies across a
+heterogeneous audience — something the single-receiver analysis cannot
+express.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.crypto.hashing import HashFunction, sha256
-from repro.crypto.signatures import Signer, default_signer
+from repro.crypto.signatures import Signer
 from repro.exceptions import SimulationError
 from repro.network.channel import Channel
 from repro.network.delay import DelayModel
 from repro.network.loss import LossModel
-from repro.packets import Packet
 from repro.schemes.base import Scheme
-from repro.schemes.saida import SaidaReceiver, SaidaScheme
-from repro.schemes.sign_each import SignEachScheme, verify_sign_each_packet
-from repro.schemes.wong_lam import WongLamScheme, verify_wong_lam_packet
-from repro.simulation.receiver import ChainReceiver
-from repro.simulation.sender import StreamSender, make_payloads
 from repro.simulation.stats import SimulationStats
+from repro.simulation.trials import FixedChannels, run_trials
 
 __all__ = ["ReceiverSpec", "MulticastResult", "run_multicast_session"]
 
@@ -80,104 +77,26 @@ def run_multicast_session(scheme: Scheme, block_size: int, blocks: int,
                           receivers: Sequence[ReceiverSpec],
                           signer: Optional[Signer] = None,
                           hash_function: HashFunction = sha256,
-                          t_transmit: float = 0.01,
-                          payload_size: int = 32) -> MulticastResult:
+                          t_transmit: float = 0.01) -> MulticastResult:
     """One authenticated stream, fanned out to every receiver.
 
     The sender packetizes each block exactly once (one signature per
     block, total); every receiver sees an independent loss/delay
-    realization of the same packets.
-
-    Parameters
-    ----------
-    scheme:
-        Any block-based scheme: hash-chained (generic cascade
-        receiver), individually verifiable (per-packet check) or
-        SAIDA (erasure decoder).  TESLA's time coupling needs its own
-        session runner.
-    receivers:
-        Channel specs; names must be unique.
-
-    Returns
-    -------
-    MulticastResult
-        Per-receiver :class:`SimulationStats`.
+    realization of the same packets and verifies them with the
+    scheme's own verifier.  ``receivers`` names must be unique.
     """
-    if blocks < 1:
-        raise SimulationError(f"need >= 1 block, got {blocks}")
     if not receivers:
         raise SimulationError("need at least one receiver")
     names = [spec.name for spec in receivers]
     if len(set(names)) != len(names):
         raise SimulationError(f"duplicate receiver names: {names}")
-    signer = signer if signer is not None else default_signer()
-    sender = StreamSender(scheme, signer, block_size,
-                          t_transmit=t_transmit,
-                          hash_function=hash_function)
-    base_seqs: Dict[int, int] = {}
-    sent_packets: List[Packet] = []
-    for _ in range(blocks):
-        block_packets = sender.send_block(
-            make_payloads(block_size, size=payload_size))
-        base_seqs[block_packets[0].block_id] = block_packets[0].seq
-        sent_packets.extend(block_packets)
-
-    result = MulticastResult(packets_sent=len(sent_packets))
-    for spec in receivers:
-        channel = Channel(
-            loss=spec.loss, delay=spec.delay,
-            protect_signature_packets=spec.protect_signature_packets,
-        )
-        deliveries = channel.transmit(sent_packets)
-        delivered = {d.packet.seq for d in deliveries}
-        stats = SimulationStats()
-        verdicts = _verify_for_receiver(scheme, signer, hash_function,
-                                        deliveries, base_seqs, stats)
-        for packet in sent_packets:
-            position = packet.seq - base_seqs[packet.block_id] + 1
-            received = packet.seq in delivered
-            verified, delay = verdicts.get(packet.seq, (False, None))
-            stats.record(position, received, verified, delay)
-        stats.sent = channel.sent
-        stats.dropped = channel.dropped
-        result.per_receiver[spec.name] = stats
-    return result
-
-
-def _verify_for_receiver(scheme, signer, hash_function, deliveries,
-                         base_seqs, stats):
-    """Dispatch to the right verifier; return seq -> (verified, delay)."""
-    verdicts = {}
-    if isinstance(scheme, SaidaScheme):
-        receiver = SaidaReceiver(signer, hash_function)
-        for delivery in deliveries:
-            receiver.receive(delivery.packet, delivery.arrival_time)
-        for delivery in deliveries:
-            seq = delivery.packet.seq
-            verdicts[seq] = (bool(receiver.verified.get(seq)), None)
-        return verdicts
-    if scheme.individually_verifiable:
-        for delivery in deliveries:
-            packet = delivery.packet
-            if isinstance(scheme, WongLamScheme):
-                ok = verify_wong_lam_packet(
-                    packet, signer, hash_function,
-                    block_base_seq=base_seqs[packet.block_id])
-            elif isinstance(scheme, SignEachScheme):
-                ok = verify_sign_each_packet(packet, signer)
-            else:
-                raise SimulationError(
-                    f"no individual verifier known for {scheme.name}"
-                )
-            verdicts[packet.seq] = (ok, 0.0 if ok else None)
-        return verdicts
-    receiver = ChainReceiver(signer, hash_function)
-    for delivery in deliveries:
-        receiver.receive(delivery.packet, delivery.arrival_time)
-    stats.forged = receiver.forged_count()
-    stats.merge_buffer_peaks(receiver.message_buffer_peak,
-                             receiver.hash_buffer_peak)
-    for seq, outcome in receiver.outcomes.items():
-        verdicts[seq] = (outcome.verified,
-                         outcome.delay if outcome.verified else None)
-    return verdicts
+    channels = FixedChannels(tuple(
+        Channel(loss=spec.loss, delay=spec.delay,
+                protect_signature_packets=spec.protect_signature_packets)
+        for spec in receivers))
+    per_receiver = run_trials(scheme, block_size, 0, 1, channels,
+                              receivers=len(receivers), blocks=blocks,
+                              signer=signer, hash_function=hash_function,
+                              t_transmit=t_transmit)
+    return MulticastResult(per_receiver=dict(zip(names, per_receiver)),
+                           packets_sent=per_receiver[0].sent)

@@ -24,6 +24,9 @@ without letting them claim a sequence slot, and keeps several
 same-sequence candidates buffered so a forged packet can never evict
 the genuine one from contention — no crash, no trust-state pollution,
 bounded memory.
+
+:class:`ChainReceiver` is the hash-chained schemes' trial
+:class:`~repro.schemes.base.Verifier`.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from repro.crypto.hashing import HashFunction, sha256
 from repro.crypto.signatures import Signer
 from repro.exceptions import WireDecodeError
 from repro.packets import Packet, packet_from_wire
+from repro.schemes.base import Verifier
 
 __all__ = ["PacketOutcome", "ChainReceiver"]
 
@@ -63,7 +67,7 @@ class PacketOutcome:
         return self.verified_time - self.arrival_time
 
 
-class ChainReceiver:
+class ChainReceiver(Verifier):
     """Incremental verifier for hash-chained packet streams.
 
     Parameters
@@ -387,6 +391,22 @@ class ChainReceiver:
         corrupted content was ever accepted.
         """
         return self._accepted.get(seq)
+
+    def accepted_digests(self) -> Dict[int, bytes]:
+        """Auth digest of every packet that verified, by sequence."""
+        return self._accepted
+
+    def verdict(self, seq: int) -> Tuple[bool, Optional[float]]:
+        """``(verified, delay)`` for ``seq``."""
+        outcome = self.outcomes.get(seq)
+        if outcome is None or not outcome.verified:
+            return False, None
+        return True, outcome.delay
+
+    @property
+    def forged(self) -> int:
+        """Packets whose authentication data mismatched."""
+        return self.forged_count()
 
     @property
     def pending_hash_count(self) -> int:

@@ -1,16 +1,15 @@
-"""Multi-trial Monte Carlo drivers at the wire level.
+"""Wire-level Monte Carlo: real packets through real verification.
 
-These run *real* packets through *real* verification — the slow,
-high-fidelity counterpart to the vectorized graph-level estimator in
-:mod:`repro.analysis.montecarlo`.  Use them to validate that the
-byte-level implementation matches the graph abstraction; use the
-graph-level estimator for large parameter sweeps.
+The slow, high-fidelity counterpart to the vectorized graph-level
+estimator in :mod:`repro.analysis.montecarlo`.  Use it to validate
+that the byte-level implementation matches the graph abstraction; use
+the graph-level estimator for large parameter sweeps.
 
-Each trial's channel RNG is derived from the config seed and the
-trial's *global* index, so a run can be sharded into contiguous
-index ranges (:func:`run_wire_trials`, :func:`run_tesla_trials`) and
-re-merged — :mod:`repro.parallel` fans those ranges out across a
-process pool with output identical to the serial loop.
+:func:`wire_monte_carlo` is one call to the trial kernel
+(:func:`~repro.simulation.trials.run_trials`): trial ``t``'s channel
+RNG derives from the config seed and the global index ``t`` only, so
+:func:`repro.parallel.parallel_trials` shards the same run with
+identical output.
 """
 
 from __future__ import annotations
@@ -18,29 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.crypto.signatures import HmacStubSigner, Signer
 from repro.exceptions import SimulationError
-from repro.network.channel import Channel
-from repro.obs.registry import get_registry
-from repro.obs.spans import span
-from repro.network.delay import ConstantDelay, DelayModel, GaussianDelay
-from repro.network.loss import BernoulliLoss, LossModel
+from repro.faults.plan import AttackPlan
+from repro.network.delay import DelayModel
+from repro.network.loss import LossModel
 from repro.schemes.base import Scheme
-from repro.schemes.tesla import TeslaParameters
-from repro.simulation.session import (
-    run_chain_session,
-    run_individual_session,
-    run_tesla_session,
-)
+from repro.simulation.adversarial import AttackSchedule
 from repro.simulation.stats import SimulationStats
+from repro.simulation.trials import SeededChannels, run_trials
 
-__all__ = [
-    "wire_monte_carlo",
-    "tesla_monte_carlo",
-    "run_wire_trials",
-    "run_tesla_trials",
-    "WireTrialConfig",
-]
+__all__ = ["wire_monte_carlo", "WireTrialConfig"]
 
 
 @dataclass(frozen=True)
@@ -55,142 +41,24 @@ class WireTrialConfig:
     seed: int = 7
 
 
-def _fast_signer() -> Signer:
-    return HmacStubSigner(key=b"wire-monte-carlo", signature_size=128)
-
-
-def run_wire_trials(scheme: Scheme, config: WireTrialConfig,
-                    first_trial: int, trial_count: int,
-                    loss: Optional[LossModel] = None,
-                    delay: Optional[DelayModel] = None,
-                    attack=None) -> SimulationStats:
-    """Run trials ``first_trial .. first_trial + trial_count - 1``.
-
-    Trial indices are global: the channel RNG of trial ``t`` depends
-    only on ``config.seed`` and ``t``, never on the range boundaries,
-    so any partition of ``range(config.trials)`` into contiguous ranges
-    merges back to exactly the serial result.
-
-    ``attack`` (an :class:`~repro.faults.plan.AttackPlan`) switches the
-    run to the adversarial driver
-    (:func:`repro.simulation.adversarial.run_adversarial_trials`):
-    wire bytes cross an actively hostile channel and the statistics
-    gain soundness counters.  Custom ``loss``/``delay`` models and
-    multi-block trials are passive-only.
-    """
-    if trial_count < 0:
-        raise SimulationError(f"trial count must be >= 0, got {trial_count}")
-    if first_trial < 0:
-        raise SimulationError(f"first trial must be >= 0, got {first_trial}")
-    if attack is not None:
-        from repro.simulation.adversarial import run_adversarial_trials
-        if loss is not None or delay is not None:
-            raise SimulationError(
-                "attacked runs derive their channel per trial; custom "
-                "loss/delay models are passive-only")
-        if config.blocks_per_trial != 1:
-            raise SimulationError(
-                "attacked runs use one block per trial")
-        return run_adversarial_trials(
-            scheme, config.block_size, config.loss_rate, attack,
-            first_trial, trial_count, seed=config.seed,
-            t_transmit=config.t_transmit)
-    signer = _fast_signer()
-    stats = SimulationStats()
-    with span("wire.trials"):
-        for trial in range(first_trial, first_trial + trial_count):
-            trial_loss = loss if loss is not None else BernoulliLoss(
-                config.loss_rate, seed=config.seed + trial * 7919)
-            trial_delay = delay if delay is not None else ConstantDelay(0.0)
-            if loss is not None:
-                trial_loss.reset()
-            if delay is not None:
-                trial_delay.reset()
-            channel = Channel(loss=trial_loss, delay=trial_delay)
-            if scheme.individually_verifiable:
-                run_individual_session(scheme, config.block_size,
-                                       config.blocks_per_trial, channel,
-                                       signer=signer, stats=stats)
-            else:
-                run_chain_session(scheme, config.block_size,
-                                  config.blocks_per_trial, channel,
-                                  signer=signer,
-                                  t_transmit=config.t_transmit, stats=stats)
-    registry = get_registry()
-    if registry.enabled:
-        registry.count("wire.trials", trial_count)
-        registry.count("wire.sessions",
-                       trial_count * config.blocks_per_trial)
-        registry.count("wire.packets_sent", stats.sent)
-        registry.count("wire.packets_dropped", stats.dropped)
-        registry.count("wire.packets_verified",
-                       sum(t.verified for t in stats.tallies.values()))
-    return stats
-
-
 def wire_monte_carlo(scheme: Scheme, config: WireTrialConfig,
                      loss: Optional[LossModel] = None,
                      delay: Optional[DelayModel] = None,
-                     attack=None) -> SimulationStats:
+                     attack: Optional[AttackPlan] = None) -> SimulationStats:
     """Aggregate ``trials`` wire-level sessions of ``scheme``.
 
     Each trial gets an independent channel (fresh loss RNG derived from
-    the config seed) but statistics accumulate into one
+    the config seed; custom ``loss``/``delay`` models are reset per
+    trial) but statistics accumulate into one
     :class:`SimulationStats`, so ``stats.q_profile()`` is the empirical
     per-position ``q_i`` across all trials.  ``attack`` runs the trials
-    through an adversarial channel (see :func:`run_wire_trials`).
+    through an adversarial channel, the plan reseeded per trial.
     """
     if config.trials < 1:
         raise SimulationError(f"need >= 1 trial, got {config.trials}")
-    return run_wire_trials(scheme, config, 0, config.trials,
-                           loss=loss, delay=delay, attack=attack)
-
-
-def run_tesla_trials(parameters: TeslaParameters, packet_count: int,
-                     first_trial: int, trial_count: int, loss_rate: float,
-                     delay_mean: float = 0.0, delay_std: float = 0.0,
-                     clock_offset: float = 0.0,
-                     seed: int = 11) -> SimulationStats:
-    """TESLA counterpart of :func:`run_wire_trials` (global indices)."""
-    if trial_count < 0:
-        raise SimulationError(f"trial count must be >= 0, got {trial_count}")
-    if first_trial < 0:
-        raise SimulationError(f"first trial must be >= 0, got {first_trial}")
-    stats = SimulationStats()
-    with span("wire.tesla_trials"):
-        for trial in range(first_trial, first_trial + trial_count):
-            loss = BernoulliLoss(loss_rate, seed=seed + trial * 104729)
-            if delay_std > 0 or delay_mean > 0:
-                delay: DelayModel = GaussianDelay(delay_mean, delay_std,
-                                                  seed=seed + trial * 1299709)
-            else:
-                delay = ConstantDelay(0.0)
-            channel = Channel(loss=loss, delay=delay)
-            run_tesla_session(parameters, packet_count, channel,
-                              clock_offset=clock_offset, stats=stats)
-    registry = get_registry()
-    if registry.enabled:
-        registry.count("wire.tesla_trials", trial_count)
-        registry.count("wire.packets_sent", stats.sent)
-        registry.count("wire.packets_dropped", stats.dropped)
-        registry.count("wire.packets_verified",
-                       sum(t.verified for t in stats.tallies.values()))
-    return stats
-
-
-def tesla_monte_carlo(parameters: TeslaParameters, packet_count: int,
-                      trials: int, loss_rate: float,
-                      delay_mean: float = 0.0, delay_std: float = 0.0,
-                      clock_offset: float = 0.0,
-                      seed: int = 11) -> SimulationStats:
-    """Aggregate ``trials`` TESLA sessions into one statistics object.
-
-    Parameters mirror the paper's Fig. 3/4 axes: loss rate ``p``, mean
-    delay ``μ`` and jitter ``σ`` (the disclosure delay lives inside
-    ``parameters``).
-    """
-    if trials < 1:
-        raise SimulationError(f"need >= 1 trial, got {trials}")
-    return run_tesla_trials(parameters, packet_count, 0, trials, loss_rate,
-                            delay_mean=delay_mean, delay_std=delay_std,
-                            clock_offset=clock_offset, seed=seed)
+    channels = SeededChannels.for_scheme(scheme, config.loss_rate,
+                                         config.seed, loss=loss, delay=delay)
+    schedule = None if attack is None else AttackSchedule(attack, config.seed)
+    return run_trials(scheme, config.block_size, 0, config.trials, channels,
+                      blocks=config.blocks_per_trial, attack=schedule,
+                      t_transmit=config.t_transmit)[0]

@@ -1,0 +1,245 @@
+"""The trial kernel: one loop behind every offline driver.
+
+A trial packetizes once (:meth:`~repro.schemes.base.Scheme.new_trial`),
+fans the packets out to every receiver's channel and checks each
+receiver's deliveries with a fresh verifier of the scheme's own
+(:class:`~repro.schemes.base.Verifier`).  The tally is the same for
+every scheme: a position counts as received when its packet arrived
+intact or verified anyway — on a passive channel, exactly the
+delivered packets — and as verified by the verifier's verdict.
+
+With ``attack`` set, deliveries cross an
+:class:`~repro.faults.channel.AdversarialChannel` as wire bytes, take
+the verifier's defensive path, and every accepted packet is audited
+against the packet sent under its sequence number:
+``forged_accepted`` must stay 0.
+
+Channels come from picklable factories called with the *global* trial
+index, so trial ``t`` sees the same randomness wherever it runs and
+any contiguous partition of the trial range merges back to the serial
+result exactly (:func:`repro.parallel.parallel_trials`).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import ClassVar, List, Optional, Tuple
+
+from repro.crypto.hashing import HashFunction, sha256
+from repro.crypto.signatures import Signer, default_signer
+from repro.exceptions import SimulationError
+from repro.network.channel import Channel
+from repro.network.delay import DelayModel, GaussianDelay
+from repro.network.loss import BernoulliLoss, LossModel
+from repro.obs.registry import get_registry
+from repro.obs.spans import span
+from repro.schemes.base import Scheme
+from repro.simulation.stats import SimulationStats
+
+__all__ = ["SeededChannels", "FixedChannels", "run_trials", "run_session"]
+
+#: Per-trial seed strides, all prime.  Untimed schemes draw loss at
+#: ``LOSS_STRIDE``; timed schemes (TESLA) at ``TIMED_LOSS_STRIDE``, with
+#: their delay stream at ``DELAY_STRIDE``.  Receiver ``r`` of a trial
+#: offsets its seeds by ``r * RECEIVER_STRIDE``.
+LOSS_STRIDE = 7919
+TIMED_LOSS_STRIDE = 104729
+DELAY_STRIDE = 1299709
+RECEIVER_STRIDE = 15485863
+
+
+@dataclass(frozen=True)
+class SeededChannels:
+    """Trial ``t``'s channel, with loss and delay seeded from ``t``.
+
+    Loss is Bernoulli at ``loss_rate``, seeded ``seed + t *
+    loss_stride``; delay is Gaussian, seeded ``seed + t *
+    DELAY_STRIDE``, when ``delay_mean`` or ``delay_std`` is nonzero,
+    else zero.  A given ``loss`` or ``delay`` model replaces the seeded
+    one and is reset for every trial.
+    """
+
+    loss_rate: float
+    seed: int
+    loss_stride: int = LOSS_STRIDE
+    delay_mean: float = 0.0
+    delay_std: float = 0.0
+    loss: Optional[LossModel] = None
+    delay: Optional[DelayModel] = None
+
+    @classmethod
+    def for_scheme(cls, scheme: Scheme, loss_rate: float, seed: int,
+                   delay_mean: float = 0.0, delay_std: float = 0.0,
+                   loss: Optional[LossModel] = None,
+                   delay: Optional[DelayModel] = None) -> "SeededChannels":
+        """The schedule ``scheme`` is measured on.
+
+        Timed schemes get their own loss stride and the delay model;
+        the others a zero-delay channel.
+        """
+        if scheme.timed:
+            return cls(loss_rate, seed, TIMED_LOSS_STRIDE, delay_mean,
+                       delay_std, loss, delay)
+        return cls(loss_rate, seed, loss=loss, delay=delay)
+
+    def __call__(self, trial: int, receiver: int = 0) -> Channel:
+        key = self.seed + receiver * RECEIVER_STRIDE
+        loss = self.loss
+        if loss is None:
+            loss = BernoulliLoss(self.loss_rate,
+                                 seed=key + trial * self.loss_stride)
+        else:
+            loss.reset()
+        delay = self.delay
+        if delay is not None:
+            delay.reset()
+        elif self.delay_mean > 0 or self.delay_std > 0:
+            delay = GaussianDelay(self.delay_mean, self.delay_std,
+                                  seed=key + trial * DELAY_STRIDE)
+        return Channel(loss=loss, delay=delay)
+
+
+@dataclass(frozen=True)
+class FixedChannels:
+    """Given channels, one per receiver: a single-trial session.
+
+    Schemes draw fresh key material (there is no run seed).
+    """
+
+    channels: Tuple[Channel, ...]
+    seed: ClassVar[Optional[int]] = None
+
+    def __call__(self, trial: int, receiver: int = 0) -> Channel:
+        return self.channels[receiver]
+
+
+def run_trials(scheme: Scheme, block_size: int, first_trial: int,
+               trial_count: int, channels, *, receivers: int = 1,
+               blocks: int = 1, attack=None,
+               signer: Optional[Signer] = None,
+               hash_function: HashFunction = sha256,
+               t_transmit: float = 0.01,
+               max_buffered: Optional[int] = None) -> List[SimulationStats]:
+    """Run trials ``first_trial .. first_trial + trial_count - 1``.
+
+    Parameters
+    ----------
+    channels:
+        ``channels(trial, receiver) -> Channel``, with a ``seed``
+        attribute that pins the scheme's own key material
+        (:class:`SeededChannels`, :class:`FixedChannels`,
+        :class:`~repro.topology.conformance.TopologyChannels`).
+    receivers:
+        Receivers per trial, each with its own channel and verifier
+        over the same sent packets.
+    blocks:
+        Blocks per trial (TESLA: one stream of ``block_size * blocks``
+        packets).
+    attack:
+        ``attack(channel, trial) -> AdversarialChannel``, e.g.
+        :class:`~repro.simulation.adversarial.AttackSchedule`.
+    max_buffered:
+        Message-buffer cap for the hash-chain verifier.
+
+    Returns
+    -------
+    list of SimulationStats
+        One accumulator per receiver.
+    """
+    if first_trial < 0 or trial_count < 0:
+        raise SimulationError(
+            f"trial range must be >= 0, got first {first_trial}, "
+            f"count {trial_count}")
+    for value, what in ((block_size, "packet per block"), (blocks, "block"),
+                        (receivers, "receiver")):
+        if value < 1:
+            raise SimulationError(f"need >= 1 {what}, got {value}")
+    signer = signer if signer is not None else default_signer()
+    caps = {} if max_buffered is None else {"max_buffered": max_buffered}
+    results = [SimulationStats() for _ in range(receivers)]
+    with span("wire.trials"):
+        for trial in range(first_trial, first_trial + trial_count):
+            sent = scheme.new_trial(signer, block_size, blocks,
+                                    hash_function=hash_function,
+                                    t_transmit=t_transmit,
+                                    seed=channels.seed)
+            for receiver, stats in enumerate(results):
+                verifier = sent.new_verifier(**caps)
+                channel = channels(trial, receiver)
+                if attack is None:
+                    deliveries = channel.transmit(sent.packets)
+                    for delivery in deliveries:
+                        verifier.receive(delivery.packet,
+                                         delivery.arrival_time)
+                    intact = {delivery.packet.seq for delivery in deliveries}
+                else:
+                    channel = attack(channel, trial)
+                    deliveries = channel.transmit_wire(sent.packets)
+                    for delivery in deliveries:
+                        verifier.ingest_wire(delivery.data,
+                                             delivery.arrival_time)
+                    intact = {delivery.seq_hint for delivery in deliveries
+                              if delivery.kind == "genuine"}
+                verifier.finish()
+                for seq, position in sent.positions.items():
+                    verified, delay = verifier.verdict(seq)
+                    stats.record(position, verified or seq in intact,
+                                 verified, delay)
+                stats.sent += channel.sent
+                stats.dropped += channel.dropped
+                stats.merge_buffer_peaks(verifier.message_buffer_peak,
+                                         verifier.hash_buffer_peak)
+                if attack is None:
+                    stats.forged += verifier.forged
+                else:
+                    _audit(stats, channel, verifier, sent.packets)
+    _count(results, trial_count, attack is not None)
+    return results
+
+
+def _audit(stats: SimulationStats, channel, verifier, packets) -> None:
+    """Fold one attacked receiver's counters; check what it accepted."""
+    stats.corrupted += channel.corrupted
+    stats.injected += channel.injected
+    stats.replayed += channel.replayed
+    stats.undecodable += verifier.undecodable
+    stats.forged_rejected += verifier.forged_rejected
+    stats.replays_dropped += verifier.replays_dropped
+    genuine = {packet.seq: verifier.content_digest(packet)
+               for packet in packets}
+    for seq, digest in verifier.accepted_digests().items():
+        if genuine.get(seq) != digest:
+            stats.forged_accepted += 1
+
+
+def _count(results: List[SimulationStats], trials: int,
+           attacked: bool) -> None:
+    registry = get_registry()
+    if not registry.enabled:
+        return
+    total = SimulationStats.merge_all(results)
+    registry.count("wire.trials", trials)
+    registry.count("wire.packets_sent", total.sent)
+    registry.count("wire.packets_dropped", total.dropped)
+    registry.count("wire.packets_verified",
+                   sum(t.verified for t in total.tallies.values()))
+    if attacked:
+        for name in ("corrupted", "injected", "replayed", "undecodable",
+                     "forged_rejected", "forged_accepted"):
+            registry.count(f"wire.packets_{name}", getattr(total, name))
+        registry.count("wire.replays_dropped", total.replays_dropped)
+
+
+def run_session(scheme: Scheme, block_size: int, blocks: int,
+                channel: Channel, signer: Optional[Signer] = None,
+                hash_function: HashFunction = sha256,
+                t_transmit: float = 0.01) -> SimulationStats:
+    """One authenticated stream of ``blocks`` blocks over ``channel``.
+
+    A single kernel trial, for any scheme; statistics come back in a
+    fresh :class:`SimulationStats` (fold several with
+    :meth:`SimulationStats.merge`).
+    """
+    return run_trials(scheme, block_size, 0, 1, FixedChannels((channel,)),
+                      blocks=blocks, signer=signer,
+                      hash_function=hash_function, t_transmit=t_transmit)[0]

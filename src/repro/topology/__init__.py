@@ -14,9 +14,8 @@ that holds the construction to the analytic models.
 
 from repro.topology.channel import TopologyChannel, topology_channel_factory
 from repro.topology.conformance import (
-    parallel_topology_trials,
+    TopologyChannels,
     path_loss_rate,
-    run_topology_trials,
     sibling_delivery_correlation,
     topology_adversarial_stats,
     topology_conformance_deviations,
@@ -67,9 +66,8 @@ __all__ = [
     "TopologyChannel",
     "topology_channel_factory",
     "path_loss_rate",
+    "TopologyChannels",
     "topology_wire_stats",
-    "run_topology_trials",
-    "parallel_topology_trials",
     "topology_adversarial_stats",
     "topology_conformance_deviations",
     "sibling_delivery_correlation",

@@ -8,10 +8,9 @@ conformance suite uses (:mod:`repro.analysis.conformance`):
   private edge, so the induced per-receiver loss *is* the paper's
   independent Bernoulli model and the wire-level ``q_i`` must match
   the same analytic profiles.  :func:`topology_wire_stats` runs any
-  registered scheme's wire trials through a
+  registered scheme's kernel trials through a
   :class:`~repro.topology.channel.TopologyChannel` (fresh edge bank
-  per trial, same family dispatch as
-  :func:`repro.analysis.conformance.wire_q_stats`), and
+  per trial, :class:`TopologyChannels`), and
   :func:`topology_conformance_deviations` compares against
   :func:`~repro.analysis.conformance.analytic_q_profile` evaluated at
   the leaf's *path* loss rate;
@@ -31,6 +30,7 @@ partition merges back to the serial result bit-for-bit.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.conformance import (
@@ -38,23 +38,12 @@ from repro.analysis.conformance import (
     analytic_q_profile,
     deviation_rows,
 )
-from repro.crypto.signatures import HmacStubSigner, Signer
+from repro.crypto.signatures import Signer
 from repro.exceptions import SimulationError
-from repro.network.delay import ConstantDelay, DelayModel, GaussianDelay
-from repro.parallel.pool import run_tasks
-from repro.parallel.seeds import chunk_sizes, resolve_chunks
+from repro.network.delay import GaussianDelay
 from repro.schemes.base import Scheme
-from repro.schemes.rohatgi_online import OnlineChainReceiver, OnlineRohatgiScheme
-from repro.schemes.saida import SaidaScheme
-from repro.schemes.tesla import TeslaScheme
-from repro.simulation.sender import make_payloads
-from repro.simulation.session import (
-    run_chain_session,
-    run_individual_session,
-    run_saida_session,
-    run_tesla_session,
-)
 from repro.simulation.stats import SimulationStats
+from repro.simulation.trials import DELAY_STRIDE, run_trials
 from repro.topology.channel import TopologyChannel
 from repro.topology.graph import Topology
 from repro.topology.linkloss import EdgeLossBank, PathLoss, delivery_probability
@@ -62,9 +51,8 @@ from repro.topology.trees import DistTree, union_paths
 
 __all__ = [
     "path_loss_rate",
+    "TopologyChannels",
     "topology_wire_stats",
-    "run_topology_trials",
-    "parallel_topology_trials",
     "topology_adversarial_stats",
     "topology_conformance_deviations",
     "sibling_delivery_correlation",
@@ -74,13 +62,6 @@ __all__ = [
 #: per-edge/per-block strides inside the bank so (trial, edge) seed
 #: pairs never collide across neighbouring trials.
 _TRIAL_STRIDE = 32452843
-
-#: Delay-seed stride for TESLA trials — same as run_tesla_trials.
-_DELAY_STRIDE = 1299709
-
-
-def _conformance_signer() -> Signer:
-    return HmacStubSigner(key=b"topology-conformance", signature_size=128)
 
 
 def path_loss_rate(topology: Topology, trees: Sequence[DistTree],
@@ -99,100 +80,49 @@ def path_loss_rate(topology: Topology, trees: Sequence[DistTree],
     return 1.0 - delivery_probability(paths, rates)
 
 
-def run_topology_trials(scheme: Scheme, topology: Topology,
-                        paths: Sequence[Sequence[int]], leaf: str,
-                        block_size: int, base_rate: float,
-                        first_trial: int, trial_count: int, seed: int = 7,
-                        edge_model: str = "bernoulli",
-                        env: Optional[ConformanceEnvironment] = None
-                        ) -> SimulationStats:
-    """Trials ``first_trial .. first_trial + trial_count - 1`` for one leaf.
+@dataclass(frozen=True)
+class TopologyChannels:
+    """Trial ``t``'s channel to ``leaf``, over a fresh edge-loss bank.
 
-    Trial ``t`` builds a fresh :class:`EdgeLossBank` seeded from the
-    global index (``seed + t * stride``), so edge draws are
-    independent across trials and any contiguous sharding of the trial
-    range merges to the serial result exactly.  Dispatch per scheme
-    family mirrors :func:`repro.analysis.conformance.wire_q_stats`.
+    The bank is seeded ``seed + t * stride`` from the *global* trial
+    index, so edge draws are independent across trials and any
+    contiguous sharding of the trial range merges to the serial result
+    exactly.  Delay is Gaussian, seeded like
+    :class:`~repro.simulation.trials.SeededChannels`, when
+    ``delay_mean`` or ``delay_std`` is nonzero.
     """
-    if trial_count < 0:
-        raise SimulationError(f"trial count must be >= 0, got {trial_count}")
-    if first_trial < 0:
-        raise SimulationError(f"first trial must be >= 0, got {first_trial}")
-    env = env if env is not None else ConformanceEnvironment()
-    signer = _conformance_signer()
-    stats = SimulationStats()
-    online_packets = online_keypairs = None
-    if isinstance(scheme, OnlineRohatgiScheme):
-        online_packets = scheme.make_block(make_payloads(block_size), signer)
-        online_keypairs = scheme._last_keypairs
-    for trial in range(first_trial, first_trial + trial_count):
-        bank = EdgeLossBank(topology, seed + trial * _TRIAL_STRIDE,
-                            model=edge_model)
-        loss = PathLoss(bank, 0, paths, base_rate)
-        delay: Optional[DelayModel] = None
-        if isinstance(scheme, TeslaScheme) and (env.delay_mean > 0
-                                                or env.delay_std > 0):
-            delay = GaussianDelay(env.delay_mean, env.delay_std,
-                                  seed=seed + trial * _DELAY_STRIDE)
-        channel = TopologyChannel(loss, leaf, delay=delay)
-        if isinstance(scheme, TeslaScheme):
-            run_tesla_session(scheme.parameters, block_size, channel,
-                              stats=stats)
-        elif isinstance(scheme, SaidaScheme):
-            run_saida_session(scheme, block_size, 1, channel, signer=signer,
-                              stats=stats)
-        elif isinstance(scheme, OnlineRohatgiScheme):
-            deliveries = channel.transmit(online_packets)
-            receiver = OnlineChainReceiver(signer, online_keypairs)
-            for delivery in deliveries:
-                receiver.receive(delivery.packet)
-            delivered = {d.packet.seq for d in deliveries}
-            for packet in online_packets:
-                received = packet.seq in delivered
-                verified = received and bool(
-                    receiver.verified.get(packet.seq))
-                stats.record(packet.seq, received, verified)
-            stats.sent += channel.sent
-            stats.dropped += channel.dropped
-        elif scheme.individually_verifiable:
-            run_individual_session(scheme, block_size, 1, channel,
-                                   signer=signer, stats=stats)
-        else:
-            run_chain_session(scheme, block_size, 1, channel, signer=signer,
-                              stats=stats)
-    return stats
 
+    topology: Topology
+    paths: Tuple[Tuple[int, ...], ...]
+    leaf: str
+    base_rate: float
+    seed: int
+    edge_model: str = "bernoulli"
+    delay_mean: float = 0.0
+    delay_std: float = 0.0
 
-def _topology_chunk(task) -> SimulationStats:
-    (scheme, topology, paths, leaf, block_size, base_rate, first_trial,
-     trial_count, seed, edge_model, env) = task
-    return run_topology_trials(scheme, topology, paths, leaf, block_size,
-                               base_rate, first_trial, trial_count,
-                               seed=seed, edge_model=edge_model, env=env)
+    @classmethod
+    def for_scheme(cls, scheme: Scheme, topology: Topology,
+                   trees: Sequence[DistTree], leaf: str, base_rate: float,
+                   seed: int, edge_model: str = "bernoulli",
+                   env: Optional[ConformanceEnvironment] = None
+                   ) -> "TopologyChannels":
+        """Channels to ``leaf``; timed schemes get ``env``'s delay model."""
+        env = env if env is not None else ConformanceEnvironment()
+        delay = ((env.delay_mean, env.delay_std) if scheme.timed
+                 else (0.0, 0.0))
+        return cls(topology, union_paths(trees, leaf), leaf, base_rate, seed,
+                   edge_model, *delay)
 
-
-def parallel_topology_trials(scheme: Scheme, topology: Topology,
-                             trees: Sequence[DistTree], leaf: str,
-                             block_size: int, base_rate: float, trials: int,
-                             seed: int = 7, edge_model: str = "bernoulli",
-                             workers: Optional[int] = None,
-                             chunks: Optional[int] = None,
-                             env: Optional[ConformanceEnvironment] = None
-                             ) -> SimulationStats:
-    """Sharded :func:`run_topology_trials` — serial result, any workers."""
-    if trials < 1:
-        raise SimulationError(f"need >= 1 trial, got {trials}")
-    paths = union_paths(trees, leaf)
-    chunks = resolve_chunks(trials, chunks)
-    sizes = chunk_sizes(trials, chunks)
-    tasks = []
-    first_trial = 0
-    for size in sizes:
-        tasks.append((scheme, topology, paths, leaf, block_size, base_rate,
-                      first_trial, size, seed, edge_model, env))
-        first_trial += size
-    shards = run_tasks(_topology_chunk, tasks, workers)
-    return SimulationStats.merge_all(shards)
+    def __call__(self, trial: int, receiver: int = 0) -> TopologyChannel:
+        bank = EdgeLossBank(self.topology, self.seed + trial * _TRIAL_STRIDE,
+                            model=self.edge_model)
+        delay = None
+        if self.delay_mean > 0 or self.delay_std > 0:
+            delay = GaussianDelay(self.delay_mean, self.delay_std,
+                                  seed=self.seed + trial * DELAY_STRIDE)
+        return TopologyChannel(PathLoss(bank, 0, self.paths, self.base_rate),
+                               self.leaf, delay=delay)
 
 
 def topology_wire_stats(scheme: Scheme, topology: Topology,
@@ -204,10 +134,9 @@ def topology_wire_stats(scheme: Scheme, topology: Topology,
     """Empirical wire statistics for one leaf over ``trials`` blocks."""
     if trials < 1:
         raise SimulationError(f"need >= 1 trial, got {trials}")
-    paths = union_paths(trees, leaf)
-    return run_topology_trials(scheme, topology, paths, leaf, block_size,
-                               base_rate, 0, trials, seed=seed,
-                               edge_model=edge_model, env=env)
+    channels = TopologyChannels.for_scheme(scheme, topology, trees, leaf,
+                                           base_rate, seed, edge_model, env)
+    return run_trials(scheme, block_size, 0, trials, channels)[0]
 
 
 def topology_adversarial_stats(scheme: Scheme, topology: Topology,
@@ -220,38 +149,19 @@ def topology_adversarial_stats(scheme: Scheme, topology: Topology,
                                ) -> SimulationStats:
     """Attacked wire statistics for one leaf over correlated link loss.
 
-    Reuses the full adversarial trial machinery of
-    :func:`repro.simulation.adversarial.run_adversarial_trials` —
-    defensive decoding, soundness audit, fault counters, the standard
-    attack-plan reseed schedule — and only swaps the inner channel for
-    a per-trial :class:`TopologyChannel` (fresh
-    :class:`~repro.topology.linkloss.EdgeLossBank` each trial, same
-    per-trial seed discipline as the passive runner).  The soundness
-    invariant is unchanged: ``stats.forged_accepted`` must stay 0.
+    The kernel's attacked trials — defensive decoding, soundness
+    audit, fault counters, the standard attack-plan reseed schedule —
+    over :class:`TopologyChannels`.  The soundness invariant is
+    unchanged: ``stats.forged_accepted`` must stay 0.
     """
-    from repro.simulation.adversarial import run_adversarial_trials
+    from repro.simulation.adversarial import AttackSchedule
 
     if trials < 1:
         raise SimulationError(f"need >= 1 trial, got {trials}")
-    env = env if env is not None else ConformanceEnvironment()
-    paths = union_paths(trees, leaf)
-
-    def factory(trial: int) -> TopologyChannel:
-        bank = EdgeLossBank(topology, seed + trial * _TRIAL_STRIDE,
-                            model=edge_model)
-        loss = PathLoss(bank, 0, paths, base_rate)
-        delay: Optional[DelayModel] = None
-        if isinstance(scheme, TeslaScheme) and (env.delay_mean > 0
-                                                or env.delay_std > 0):
-            delay = GaussianDelay(env.delay_mean, env.delay_std,
-                                  seed=seed + trial * _DELAY_STRIDE)
-        return TopologyChannel(loss, leaf, delay=delay)
-
-    return run_adversarial_trials(scheme, block_size, base_rate, plan,
-                                  0, trials, seed=seed,
-                                  delay_mean=env.delay_mean,
-                                  delay_std=env.delay_std, signer=signer,
-                                  channel_factory=factory)
+    channels = TopologyChannels.for_scheme(scheme, topology, trees, leaf,
+                                           base_rate, seed, edge_model, env)
+    return run_trials(scheme, block_size, 0, trials, channels,
+                      attack=AttackSchedule(plan, seed), signer=signer)[0]
 
 
 def topology_conformance_deviations(scheme: Scheme, topology: Topology,

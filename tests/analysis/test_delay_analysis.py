@@ -9,7 +9,7 @@ from repro.network.channel import Channel
 from repro.network.delay import GaussianDelay
 from repro.schemes.emss import EmssScheme
 from repro.schemes.rohatgi import RohatgiScheme
-from repro.simulation.session import run_chain_session
+from repro.simulation import run_session
 
 
 class TestDistribution:
@@ -68,8 +68,8 @@ class TestWorstDelayDistribution:
         signer = HmacStubSigner(key=b"delay")
         channel = Channel(delay=GaussianDelay(mean=0.05, std=sigma,
                                               seed=9))
-        stats = run_chain_session(scheme, n, 40, channel, signer=signer,
-                                  t_transmit=t_transmit)
+        stats = run_session(scheme, n, 40, channel, signer=signer,
+                            t_transmit=t_transmit)
         law = worst_delay_distribution(scheme.build_graph(n), t_transmit,
                                        sigma)
         # The worst packet (first of each block) waits ~ the law's mean.

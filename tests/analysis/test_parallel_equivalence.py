@@ -9,12 +9,12 @@ agreement.
 import pytest
 
 from repro.analysis.montecarlo import McResult, graph_monte_carlo
+from repro.exceptions import SimulationError
+from repro.network.channel import Channel
 from repro.parallel import (
     chunk_sizes,
     parallel_graph_monte_carlo,
-    parallel_multicast,
-    parallel_tesla_monte_carlo,
-    parallel_wire_monte_carlo,
+    parallel_trials,
     resolve_chunks,
     spawn_seed_tree,
 )
@@ -22,12 +22,15 @@ from repro.network.loss import BernoulliLoss, GilbertElliottLoss
 from repro.schemes.augmented_chain import AugmentedChainScheme
 from repro.schemes.emss import EmssScheme
 from repro.schemes.rohatgi import RohatgiScheme
-from repro.schemes.tesla import TeslaParameters
+from repro.schemes.tesla import TeslaParameters, TeslaScheme
 from repro.schemes.wong_lam import WongLamScheme
-from repro.simulation.multicast import ReceiverSpec, run_multicast_session
-from repro.simulation.runner import (
+from repro.simulation import (
+    FixedChannels,
+    ReceiverSpec,
+    SeededChannels,
     WireTrialConfig,
-    tesla_monte_carlo,
+    run_multicast_session,
+    run_trials,
     wire_monte_carlo,
 )
 
@@ -101,7 +104,8 @@ class TestWireLevelWorkerInvariance:
                                  seed=13)
         scheme = EmssScheme(2, 1)
         serial = wire_monte_carlo(scheme, config)
-        parallel = parallel_wire_monte_carlo(scheme, config, workers=workers)
+        parallel, = parallel_trials(scheme, 8, 6, SeededChannels(0.25, 13),
+                                    workers=workers)
         assert parallel.tallies == serial.tallies
         assert parallel.delays == serial.delays
         assert (parallel.sent, parallel.dropped, parallel.forged) == \
@@ -114,7 +118,8 @@ class TestWireLevelWorkerInvariance:
                                  seed=29)
         scheme = WongLamScheme()
         serial = wire_monte_carlo(scheme, config)
-        parallel = parallel_wire_monte_carlo(scheme, config, workers=2)
+        parallel, = parallel_trials(scheme, 8, 4, SeededChannels(0.3, 29),
+                                    workers=2)
         assert parallel.tallies == serial.tallies
 
     def test_custom_loss_model_matches_serial(self):
@@ -123,15 +128,17 @@ class TestWireLevelWorkerInvariance:
         loss = GilbertElliottLoss.from_rate_and_burst(0.2, 3.0, seed=17)
         serial = wire_monte_carlo(scheme, config, loss=loss)
         loss = GilbertElliottLoss.from_rate_and_burst(0.2, 3.0, seed=17)
-        parallel = parallel_wire_monte_carlo(scheme, config, workers=2,
-                                             loss=loss)
+        parallel, = parallel_trials(scheme, 8, 4,
+                                    SeededChannels(0.2, 5, loss=loss),
+                                    workers=2)
         assert parallel.tallies == serial.tallies
 
     def test_tesla_matches_serial_driver(self):
-        parameters = TeslaParameters(interval=0.1, lag=2, chain_length=40)
-        serial = tesla_monte_carlo(parameters, 20, 4, 0.2, seed=23)
-        parallel = parallel_tesla_monte_carlo(parameters, 20, 4, 0.2,
-                                              seed=23, workers=2)
+        scheme = TeslaScheme(TeslaParameters(interval=0.1, lag=2,
+                                             chain_length=40))
+        channels = SeededChannels.for_scheme(scheme, 0.2, 23)
+        serial, = run_trials(scheme, 20, 0, 4, channels)
+        parallel, = parallel_trials(scheme, 20, 4, channels, workers=2)
         assert parallel.tallies == serial.tallies
         assert parallel.delays == serial.delays
 
@@ -150,15 +157,14 @@ class TestMulticastWorkerInvariance:
     def test_matches_serial_session(self):
         scheme = EmssScheme(2, 1)
         serial = run_multicast_session(scheme, 16, 2, self._audience())
-        parallel = parallel_multicast(scheme, 16, 2, self._audience(),
-                                      workers=2)
-        assert parallel.packets_sent == serial.packets_sent
-        assert set(parallel.per_receiver) == set(serial.per_receiver)
-        for name, stats in serial.per_receiver.items():
-            assert parallel.per_receiver[name].tallies == stats.tallies
-            assert parallel.per_receiver[name].dropped == stats.dropped
+        channels = FixedChannels(tuple(Channel(loss=spec.loss)
+                                       for spec in self._audience()))
+        parallel = parallel_trials(scheme, 16, 1, channels, receivers=3,
+                                   blocks=2, workers=2)
+        for spec, stats in zip(self._audience(), parallel):
+            assert stats == serial.per_receiver[spec.name]
 
     def test_duplicate_receiver_names_rejected(self):
         specs = [ReceiverSpec("a"), ReceiverSpec("a")]
-        with pytest.raises(Exception):
-            parallel_multicast(EmssScheme(2, 1), 8, 1, specs, workers=1)
+        with pytest.raises(SimulationError):
+            run_multicast_session(EmssScheme(2, 1), 8, 1, specs)

@@ -19,7 +19,7 @@ from repro.schemes.tesla import TeslaParameters, TeslaReceiver, TeslaSender
 from repro.schemes.wong_lam import WongLamScheme, verify_wong_lam_packet
 from repro.simulation.receiver import ChainReceiver
 from repro.simulation.sender import StreamSender, make_payloads
-from repro.simulation.session import run_chain_session
+from repro.simulation import run_session
 
 
 @pytest.fixture(scope="module")
@@ -32,16 +32,15 @@ class TestRsaBackedSessions:
         RohatgiScheme(), EmssScheme(2, 1), AugmentedChainScheme(2, 2),
     ])
     def test_lossless_session_verifies_everything(self, scheme, rsa_signer):
-        stats = run_chain_session(scheme, 9, 2, Channel(),
-                                  signer=rsa_signer)
+        stats = run_session(scheme, 9, 2, Channel(), signer=rsa_signer)
         assert stats.q_min == 1.0
         assert stats.forged == 0
 
     def test_lossy_delayed_session(self, rsa_signer):
         channel = Channel(loss=BernoulliLoss(0.2, seed=21),
                           delay=GaussianDelay(mean=0.05, std=0.02, seed=22))
-        stats = run_chain_session(EmssScheme(2, 1), 16, 3, channel,
-                                  signer=rsa_signer)
+        stats = run_session(EmssScheme(2, 1), 16, 3, channel,
+                            signer=rsa_signer)
         assert stats.forged == 0
         assert 0.0 < stats.overall_q <= 1.0
 
@@ -81,8 +80,8 @@ class TestLamportBootstrap:
 class TestMultiBlockStream:
     def test_long_stream_with_loss(self, rsa_signer):
         channel = Channel(loss=BernoulliLoss(0.15, seed=33))
-        stats = run_chain_session(AugmentedChainScheme(2, 2), 13, 5, channel,
-                                  signer=rsa_signer)
+        stats = run_session(AugmentedChainScheme(2, 2), 13, 5, channel,
+                            signer=rsa_signer)
         # Five blocks of 13: every position tallied 5 times.
         assert all(t.received <= 5 for t in stats.tallies.values())
         assert len(stats.tallies) == 13

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.analysis.conformance import attack_mix, default_scheme, wire_q_stats
 from repro.exceptions import AnalysisError
 from repro.obs.manifest import (
     MANIFEST_VERSION,
@@ -14,8 +15,10 @@ from repro.obs.manifest import (
     validate_metrics_file,
     validate_metrics_payload,
 )
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, use_registry
 from repro.obs.sinks import TraceSink, write_json_file
+from repro.schemes.emss import EmssScheme
+from repro.simulation.adversarial import adversarial_monte_carlo
 
 
 def _finished_manifest():
@@ -37,6 +40,20 @@ def test_start_finish_lifts_trial_counters():
     assert manifest.cpu_time_s >= 0.0
     assert manifest.started_at  # ISO timestamp stamped at start
     assert manifest.manifest_version == MANIFEST_VERSION
+
+
+@pytest.mark.parametrize("run", [
+    lambda: wire_q_stats(default_scheme("tesla"), 8, 0.1, 3),
+    lambda: adversarial_monte_carlo(EmssScheme(2, 1), 8, 0.1,
+                                    attack_mix("pollution"), 3),
+], ids=["tesla", "attacked"])
+def test_every_wire_run_lifts_its_trial_count(run):
+    registry = MetricsRegistry()
+    clock = RunManifest.start("experiment", "wire", parameters={},
+                              seed_root=7, workers=1)
+    with use_registry(registry):
+        run()
+    assert clock.finish(registry).trial_counts == {"wire.trials": 3}
 
 
 def test_manifest_round_trips_through_dict():

@@ -12,9 +12,9 @@ fold-in.
 import pytest
 
 from repro.obs.registry import MetricsRegistry, use_registry
-from repro.parallel import parallel_graph_monte_carlo, parallel_wire_monte_carlo
+from repro.parallel import parallel_graph_monte_carlo, parallel_trials
 from repro.schemes.emss import EmssScheme
-from repro.simulation.runner import WireTrialConfig
+from repro.simulation import SeededChannels
 
 WORKER_COUNTS = (1, 2, 4)
 
@@ -55,17 +55,16 @@ def test_graph_mc_counters_identical_across_worker_counts():
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_wire_mc_identical_with_metrics_on_or_off(workers):
     scheme = EmssScheme(2, 1)
-    config = WireTrialConfig(block_size=8, blocks_per_trial=1, trials=12,
-                             loss_rate=0.2, seed=9)
-    baseline = parallel_wire_monte_carlo(scheme, config, workers=1)
-    plain = parallel_wire_monte_carlo(scheme, config, workers=workers)
+    channels = SeededChannels(0.2, 9)
+    baseline = parallel_trials(scheme, 8, 12, channels, workers=1)
+    plain = parallel_trials(scheme, 8, 12, channels, workers=workers)
     with use_registry(MetricsRegistry()) as registry:
-        instrumented = parallel_wire_monte_carlo(scheme, config,
-                                                 workers=workers)
+        instrumented = parallel_trials(scheme, 8, 12, channels,
+                                       workers=workers)
     assert plain == baseline
     assert instrumented == baseline
-    assert registry.counter("wire.trials") == config.trials
-    assert registry.counter("wire.packets_sent") == baseline.sent
+    assert registry.counter("wire.trials") == 12
+    assert registry.counter("wire.packets_sent") == baseline[0].sent
 
 
 def test_shard_timers_fold_in_call_counts():

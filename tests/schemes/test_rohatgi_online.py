@@ -7,7 +7,7 @@ import pytest
 from repro.crypto.signatures import HmacStubSigner
 from repro.exceptions import SchemeParameterError
 from repro.schemes.rohatgi import RohatgiScheme
-from repro.schemes.rohatgi_online import OnlineChainReceiver, OnlineRohatgiScheme
+from repro.schemes.rohatgi_online import OnlineRohatgiScheme
 from repro.simulation.sender import make_payloads
 
 
@@ -21,10 +21,13 @@ def scheme():
     return OnlineRohatgiScheme(seed=b"test-seed")
 
 
-def _session(scheme, signer, n=6):
-    packets = scheme.make_block(make_payloads(n), signer)
-    receiver = OnlineChainReceiver(signer, scheme._last_keypairs)
-    return packets, receiver
+def _verdicts(trial, packets, verifier=None):
+    """Deliver ``packets`` to a fresh verifier; each one's verdict."""
+    verifier = verifier if verifier is not None else trial.new_verifier()
+    for packet in packets:
+        verifier.receive(packet, 0.0)
+    verifier.finish()
+    return [verifier.verdict(packet.seq)[0] for packet in packets]
 
 
 class TestStructure:
@@ -58,39 +61,44 @@ class TestStructure:
 
 class TestVerification:
     def test_clean_chain_verifies(self, scheme, signer):
-        packets, receiver = _session(scheme, signer)
-        for packet in packets:
-            assert receiver.receive(packet)
-        assert receiver.verified_count() == len(packets)
+        trial = scheme.new_trial(signer, 6, 1)
+        assert _verdicts(trial, trial.packets) == [True] * 6
 
     def test_single_loss_kills_the_suffix(self, scheme, signer):
-        packets, receiver = _session(scheme, signer)
-        survivors = [p for i, p in enumerate(packets) if i != 2]
-        results = [receiver.receive(p) for p in survivors]
+        trial = scheme.new_trial(signer, 6, 1)
+        survivors = [p for i, p in enumerate(trial.packets) if i != 2]
         # Packets before the gap verify; at and after it, nothing does.
-        assert results[:2] == [True, True]
-        assert not any(results[2:])
+        assert _verdicts(trial, survivors) == [True, True, False, False,
+                                               False]
 
     def test_forged_payload_rejected(self, scheme, signer):
-        packets, receiver = _session(scheme, signer)
-        receiver.receive(packets[0])
-        forged = replace(packets[1], payload=b"forged")
-        assert not receiver.receive(forged)
+        trial = scheme.new_trial(signer, 6, 1)
+        first, second, third = trial.packets[:3]
+        forged = replace(second, payload=b"forged")
         # Forgery breaks the chain forward too.
-        assert not receiver.receive(packets[2])
+        assert _verdicts(trial, [first, forged, third]) == [True, False,
+                                                            False]
 
     def test_forged_fingerprint_rejected(self, scheme, signer):
-        packets, receiver = _session(scheme, signer)
-        extra = bytearray(packets[0].extra)
+        trial = scheme.new_trial(signer, 6, 1)
+        extra = bytearray(trial.packets[0].extra)
         extra[10] ^= 1  # flip a fingerprint bit in the signed packet
-        bad_first = replace(packets[0], extra=bytes(extra))
-        assert not receiver.receive(bad_first)
+        bad_first = replace(trial.packets[0], extra=bytes(extra))
+        assert _verdicts(trial, [bad_first]) == [False]
 
     def test_wrong_root_signer_rejected(self, scheme, signer):
-        packets, _ = _session(scheme, signer)
-        receiver = OnlineChainReceiver(HmacStubSigner(key=b"other"),
-                                       scheme._last_keypairs)
-        assert not receiver.receive(packets[0])
+        trial = scheme.new_trial(signer, 6, 1)
+        other = OnlineRohatgiScheme(seed=b"test-seed").new_trial(
+            HmacStubSigner(key=b"other"), 6, 1)
+        assert _verdicts(trial, trial.packets[:1],
+                         other.new_verifier()) == [False]
+
+    def test_earlier_block_verifies_after_a_later_one_was_made(self, signer):
+        """Key pairs travel with each trial, never on the scheme."""
+        scheme = OnlineRohatgiScheme()  # unseeded: fresh key pairs per call
+        first = scheme.new_trial(signer, 6, 1)
+        scheme.new_trial(signer, 6, 1)
+        assert _verdicts(first, first.packets) == [True] * 6
 
     def test_deterministic_seed(self, signer):
         a = OnlineRohatgiScheme(seed=b"s").make_block(

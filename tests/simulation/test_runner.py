@@ -5,11 +5,12 @@ import pytest
 from repro.exceptions import SimulationError
 from repro.schemes.emss import EmssScheme
 from repro.schemes.rohatgi import RohatgiScheme
-from repro.schemes.tesla import TeslaParameters
+from repro.schemes.tesla import TeslaParameters, TeslaScheme
 from repro.schemes.wong_lam import WongLamScheme
-from repro.simulation.runner import (
+from repro.simulation import (
+    SeededChannels,
     WireTrialConfig,
-    tesla_monte_carlo,
+    run_trials,
     wire_monte_carlo,
 )
 from repro.analysis import rohatgi as rohatgi_analysis
@@ -43,11 +44,19 @@ class TestWireMonteCarlo:
                              WireTrialConfig(trials=0))
 
 
+def _tesla_trials(parameters, packet_count, trials, loss_rate,
+                  delay_mean=0.0, delay_std=0.0):
+    scheme = TeslaScheme(parameters)
+    channels = SeededChannels.for_scheme(scheme, loss_rate, 11, delay_mean,
+                                         delay_std)
+    return run_trials(scheme, packet_count, 0, trials, channels)[0]
+
+
 class TestTeslaMonteCarlo:
     def test_matches_eq7_at_zero_delay(self):
         parameters = TeslaParameters(interval=0.05, lag=4, chain_length=64)
         p = 0.3
-        stats = tesla_monte_carlo(parameters, 50, trials=60, loss_rate=p)
+        stats = _tesla_trials(parameters, 50, 60, p)
         # With no network delay xi = 1, so q_min -> 1 - p at the tail.
         profile = stats.q_profile()
         tail = profile[max(profile)]
@@ -57,12 +66,13 @@ class TestTeslaMonteCarlo:
         parameters = TeslaParameters(interval=0.05, lag=4, chain_length=64)
         t_disclose = parameters.disclosure_delay
         mu, sigma = 0.15, 0.05
-        stats = tesla_monte_carlo(parameters, 50, trials=60, loss_rate=0.0,
-                                  delay_mean=mu, delay_std=sigma)
+        stats = _tesla_trials(parameters, 50, 60, 0.0, delay_mean=mu,
+                              delay_std=sigma)
         predicted_xi = tesla_analysis.xi(t_disclose, mu, sigma)
         assert stats.overall_q == pytest.approx(predicted_xi, abs=0.12)
 
     def test_trials_validation(self):
         parameters = TeslaParameters(chain_length=8)
         with pytest.raises(SimulationError):
-            tesla_monte_carlo(parameters, 4, trials=0, loss_rate=0.1)
+            run_trials(TeslaScheme(parameters), 4, -1, 1,
+                       SeededChannels(0.1, 11))

@@ -1,4 +1,4 @@
-"""Unit tests for the SAIDA session runner."""
+"""SAIDA sessions through the trial kernel."""
 
 import pytest
 
@@ -8,7 +8,7 @@ from repro.exceptions import SimulationError
 from repro.network.channel import Channel
 from repro.network.loss import BernoulliLoss
 from repro.schemes.saida import SaidaScheme
-from repro.simulation.session import run_saida_session
+from repro.simulation import run_session
 
 
 @pytest.fixture
@@ -18,14 +18,14 @@ def signer():
 
 class TestSaidaSession:
     def test_lossless_everything_verifies(self, signer):
-        stats = run_saida_session(SaidaScheme(0.5), 16, 4, Channel(),
-                                  signer=signer)
+        stats = run_session(SaidaScheme(0.5), 16, 4, Channel(),
+                            signer=signer)
         assert stats.q_min == 1.0
 
     def test_matches_closed_form(self, signer):
         scheme = SaidaScheme(0.5)
         n, p = 20, 0.35
-        stats = run_saida_session(
+        stats = run_session(
             scheme, n, 150,
             Channel(loss=BernoulliLoss(p, seed=3),
                     protect_signature_packets=False),
@@ -35,17 +35,16 @@ class TestSaidaSession:
 
     def test_buffer_peak_bounded_by_threshold(self, signer):
         scheme = SaidaScheme(0.5)
-        stats = run_saida_session(scheme, 20, 3, Channel(), signer=signer)
+        stats = run_session(scheme, 20, 3, Channel(), signer=signer)
         assert stats.message_buffer_peak <= scheme.threshold(20)
 
     def test_validation(self, signer):
         with pytest.raises(SimulationError):
-            run_saida_session(SaidaScheme(0.5), 10, 0, Channel(),
-                              signer=signer)
+            run_session(SaidaScheme(0.5), 10, 0, Channel(), signer=signer)
 
     def test_above_cliff_collapses(self, signer):
         scheme = SaidaScheme(0.8)  # survives only < 20% loss
-        stats = run_saida_session(
+        stats = run_session(
             scheme, 20, 60,
             Channel(loss=BernoulliLoss(0.5, seed=4),
                     protect_signature_packets=False),

@@ -20,9 +20,10 @@ import pytest
 
 from repro.analysis.conformance import DEFAULT_SPECS, default_scheme
 from repro.exceptions import SimulationError
+from repro.parallel import parallel_trials
 from repro.topology import (
+    TopologyChannels,
     dualspine_topology,
-    parallel_topology_trials,
     path_loss_rate,
     redundant_trees,
     shortest_path_tree,
@@ -139,13 +140,12 @@ class TestShardingDeterminism:
     def test_parallel_fold_identical_across_worker_counts(self, star):
         topo, trees = star
         scheme = default_scheme("emss")
-        baseline = parallel_topology_trials(scheme, topo, trees, "r00",
-                                            BLOCK, RATE, 60, seed=SEED,
-                                            workers=1)
+        channels = TopologyChannels.for_scheme(scheme, topo, trees, "r00",
+                                               RATE, SEED)
+        baseline, = parallel_trials(scheme, BLOCK, 60, channels, workers=1)
         for workers in (2, 4):
-            shard = parallel_topology_trials(scheme, topo, trees, "r00",
-                                             BLOCK, RATE, 60, seed=SEED,
-                                             workers=workers)
+            shard, = parallel_trials(scheme, BLOCK, 60, channels,
+                                     workers=workers)
             assert shard.tallies == baseline.tallies
             assert shard.sent == baseline.sent
             assert shard.dropped == baseline.dropped
@@ -155,7 +155,8 @@ class TestShardingDeterminism:
         scheme = default_scheme("rohatgi")
         serial = topology_wire_stats(scheme, topo, trees, "r00", BLOCK,
                                      RATE, 60, seed=SEED)
-        sharded = parallel_topology_trials(scheme, topo, trees, "r00",
-                                           BLOCK, RATE, 60, seed=SEED,
-                                           workers=2, chunks=4)
+        channels = TopologyChannels.for_scheme(scheme, topo, trees, "r00",
+                                               RATE, SEED)
+        sharded, = parallel_trials(scheme, BLOCK, 60, channels, workers=2,
+                                   chunks=4)
         assert sharded.tallies == serial.tallies
