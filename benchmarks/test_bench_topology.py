@@ -4,8 +4,9 @@ Two numbers worth tracking release over release:
 
 * the throughput cost of routing the live serving loop through a
   shared-spine distribution tree (per-edge draws, path ANDing and
-  subtree bookkeeping) relative to the flat per-receiver channel —
-  measured as one full session at 32 receivers;
+  subtree bookkeeping) relative to the default star, one independent
+  channel per receiver — measured as one full session at 32
+  receivers;
 * the end-to-end ``ext-topology`` experiment in fast mode, which
   exercises per-subtree adaptation and k-redundant trees — its
   qualitative claims (per-subtree beats global, k=2 beats k=1, zero
@@ -32,8 +33,10 @@ def _config(**overrides):
 
 @pytest.mark.parametrize("topology", [None, "spine:4", "dualspine:4"])
 def test_topology_serve_throughput(benchmark, show, topology):
-    config = _config(topology=topology,
-                     trees=2 if topology == "dualspine:4" else 1)
+    # ``None`` runs the session's default topology (a star).
+    overrides = {} if topology is None else dict(topology=topology)
+    config = _config(trees=2 if topology == "dualspine:4" else 1,
+                     **overrides)
     session = benchmark(run_live_session, config)
     assert session.forged_accepted == 0
     assert session.delivered > 0
@@ -45,7 +48,7 @@ def test_topology_serve_throughput(benchmark, show, topology):
     result = ExperimentResult(
         experiment_id="bench-topology",
         title=f"topology serving, {RECEIVERS} receivers, "
-              f"{topology or 'flat channels'}",
+              f"{topology or 'default star'}",
     )
     result.rows.append({
         "topology": topology or "(none)",

@@ -57,7 +57,7 @@ from repro.serve.membership import (
     storm_channel_factory,
 )
 from repro.serve.receiver import LossReport, ReceiverPool, ReceiverSession
-from repro.serve.sender import BlockTruth, SenderService
+from repro.serve.sender import SenderService
 from repro.serve.service import ServeConfig, SessionResult, run_live_session
 from repro.serve.transport import (
     ControlFrame,
@@ -72,7 +72,6 @@ __all__ = [
     "AdaptationEvent",
     "AdaptiveController",
     "BOOTSTRAP_RULES",
-    "BlockTruth",
     "ControlFrame",
     "LocalTransport",
     "LossReport",

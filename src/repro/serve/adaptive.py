@@ -3,14 +3,15 @@
 The paper's complaint about EMSS/AC — "there is no effective way of
 choosing these parameters" — was answered offline by
 :mod:`repro.design.optimizer`.  :class:`AdaptiveController` makes the
-choice *live*: it folds every receiver's per-block loss report into a
-pool-wide :class:`~repro.network.loss.LossEstimator`, quantizes the
-EWMA rate up onto a design grid, and re-selects the design whenever
-the grid point moves.  Quantizing up keeps the adaptation
-conservative (design for at least the observed loss) and, more
-importantly, deterministic: tiny float differences in the estimate
-cannot flip the chosen parameters, only a genuine grid-point crossing
-can.
+choice *live*: it folds every receiver's per-block loss report into
+its group's :class:`~repro.network.loss.LossEstimator` (one pool-wide
+group by default, one group per subtree under subtree adaptation),
+quantizes the estimate up onto a design grid, and re-selects that
+group's design whenever the grid point moves.  Quantizing up keeps
+the adaptation conservative (design for at least the observed loss)
+and, more importantly, deterministic: tiny float differences in the
+estimate cannot flip the chosen parameters, only a genuine grid-point
+crossing can.
 
 Selection prefers a precomputed
 :class:`~repro.design.service.DesignService` when one is wired in
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.design.grid import quantize_up
 from repro.design.optimizer import ParameterChoice, optimize_ac, optimize_emss
@@ -42,8 +43,7 @@ from repro.schemes.base import Scheme
 from repro.schemes.registry import make_scheme
 from repro.serve.receiver import LossReport
 
-__all__ = ["AdaptationEvent", "AdaptiveController",
-           "SubtreeAdaptiveController", "CONTROLLER_FAMILIES",
+__all__ = ["AdaptationEvent", "AdaptiveController", "CONTROLLER_FAMILIES",
            "DEFAULT_P_GRID"]
 
 DEFAULT_P_GRID = (0.02, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.5)
@@ -58,11 +58,10 @@ CONTROLLER_FAMILIES = ("emss", "ac")
 
 @dataclass(frozen=True)
 class AdaptationEvent:
-    """One controller decision, taken after observing ``block_id``.
+    """One group's controller decision, taken after observing ``block_id``.
 
-    ``group`` names the subtree the decision applies to when a
-    :class:`SubtreeAdaptiveController` took it; pool-wide decisions
-    leave it ``None``.
+    ``group`` names the receiver group (subtree) the decision applies
+    to; the pool-wide controller's one group is ``None``.
     """
 
     block_id: int
@@ -94,8 +93,32 @@ class AdaptationEvent:
         return record
 
 
+class _GroupDesign:
+    """One group's loss estimate, current design and selection counters."""
+
+    def __init__(self, estimator: LossEstimator) -> None:
+        self.estimator = estimator
+        self.p_design = 0.0
+        self.choice: Optional[ParameterChoice] = None
+        self.scheme: Optional[Scheme] = None
+        self.events: List[AdaptationEvent] = []
+        self.table_hits = 0
+        self.table_misses = 0
+        self.inline_calls = 0
+        self.refresh_requests = 0
+
+
 class AdaptiveController:
-    """Per-block scheme re-selection from pooled loss reports.
+    """Per-block scheme re-selection from loss reports, per receiver group.
+
+    Receivers are partitioned into groups by ``group_of`` and every
+    group flies its own design: its own loss estimator, grid point and
+    scheme.  A shared spine edge degrades its whole subtree at once, so
+    one pool-wide estimate either over-provisions the clean branches or
+    under-protects the hot one; keyed by subtree label, each subtree
+    gets the cheapest design meeting the ``q_min`` target *at its own
+    loss rate*.  Without ``group_of`` there is one group, labelled
+    ``None``: the classic pool-wide controller.
 
     Parameters
     ----------
@@ -103,8 +126,6 @@ class AdaptiveController:
         ``n`` handed to the optimizer (payloads per block).
     q_min_target:
         Authentication-probability floor the design must meet.
-    estimator:
-        Pool-wide loss estimator; a fresh one if omitted.
     p_grid:
         Sorted design grid; the EWMA estimate is quantized *up* to the
         nearest grid point.  Estimates above the top of the grid clamp
@@ -114,9 +135,9 @@ class AdaptiveController:
     estimate:
         Which estimator view drives decisions: ``"window"`` (default —
         the exact rate over the last ``window`` packet slots pooled
-        across receivers, stable under bursty per-block loss) or
-        ``"ewma"`` (faster-reacting but, with block-granular feedback,
-        dominated by each block's tail).
+        across the group's receivers, stable under bursty per-block
+        loss) or ``"ewma"`` (faster-reacting but, with block-granular
+        feedback, dominated by each block's tail).
     slack_se:
         Statistical slack before quantizing: the design point is the
         smallest grid point not more than this many binomial standard
@@ -141,19 +162,20 @@ class AdaptiveController:
     a_values, b_values:
         Search space forwarded to
         :func:`~repro.design.optimizer.optimize_ac` (inline AC path).
-    group:
-        Subtree label stamped on every event this controller emits
-        (``None`` for the classic pool-wide controller).
+    group_of:
+        Receiver id -> group label (see
+        :meth:`~repro.topology.graph.Topology.subtree_of`).  Every
+        event a group's design emits carries its label.  ``None``
+        (default) puts every receiver in the one group ``None``.
     membership_aware:
         Use a :class:`~repro.network.loss.PooledLossEstimator` keyed
         by receiver id instead of one flat window, so a member that
         leaves can be retired (:meth:`retire_receiver`) and its stale
-        samples fold out of the pooled estimate immediately rather
+        samples fold out of its group's estimate immediately rather
         than aging out over the next ``window`` slots.
     """
 
     def __init__(self, block_size: int, q_min_target: float = 0.75,
-                 estimator: Optional[LossEstimator] = None,
                  p_grid: Sequence[float] = DEFAULT_P_GRID,
                  initial_p: float = 0.05,
                  estimate: str = "window",
@@ -165,7 +187,7 @@ class AdaptiveController:
                  a_values: Sequence[int] = tuple(range(2, 11)),
                  b_values: Sequence[int] = tuple(range(1, 11)),
                  max_delay_slots: Optional[int] = 8,
-                 group: Optional[str] = None,
+                 group_of: Optional[Mapping[str, str]] = None,
                  membership_aware: bool = False) -> None:
         if block_size < 1:
             raise SimulationError(f"block_size must be >= 1, got {block_size}")
@@ -180,42 +202,35 @@ class AdaptiveController:
             raise SimulationError(
                 f"controller family must be one of "
                 f"{', '.join(CONTROLLER_FAMILIES)}, got {family!r}")
+        if group_of is not None and not group_of:
+            raise SimulationError("need at least one receiver group")
         self.family = family
         self.design_service = design_service
-        self.table_hits = 0
-        self.table_misses = 0
-        self.inline_calls = 0
-        self.refresh_requests = 0
         self.estimate = estimate
         self.slack_se = slack_se
-        self.group = group
         self.block_size = block_size
         self.q_min_target = q_min_target
         self.membership_aware = membership_aware
-        if estimator is not None:
-            if membership_aware and not isinstance(estimator,
-                                                   PooledLossEstimator):
-                raise SimulationError(
-                    "membership_aware controllers need a "
-                    "PooledLossEstimator")
-            self.estimator = estimator
-        elif membership_aware:
-            self.estimator = PooledLossEstimator()
-        else:
-            self.estimator = LossEstimator()
         self.p_grid = tuple(p_grid)
         self.m_values = tuple(m_values)
         self.d_values = tuple(d_values)
         self.a_values = tuple(a_values)
         self.b_values = tuple(b_values)
         self.max_delay_slots = max_delay_slots
+        self.group_of: Dict[str, str] = dict(group_of or {})
         self.events: List[AdaptationEvent] = []
-        self._p_design = self.quantize(initial_p)
-        self._choice = self._optimize(self._p_design)
-        if self._choice is None:
-            raise DesignError(
-                f"initial design infeasible at p={self._p_design}")
-        self._scheme = make_scheme(self._spec(self._choice))
+        labels = sorted(set(self.group_of.values())) or [None]
+        self._designs: Dict[Optional[str], _GroupDesign] = {}
+        for label in labels:
+            design = _GroupDesign(PooledLossEstimator() if membership_aware
+                                  else LossEstimator())
+            design.p_design = self.quantize(initial_p)
+            design.choice = self._optimize(design, design.p_design)
+            if design.choice is None:
+                raise DesignError(
+                    f"initial design infeasible at p={design.p_design}")
+            design.scheme = make_scheme(self._spec(design.choice))
+            self._designs[label] = design
 
     # ------------------------------------------------------------------
 
@@ -228,7 +243,8 @@ class AdaptiveController:
         x, y = choice.parameters
         return f"{choice.scheme}({x},{y})"
 
-    def _optimize(self, p_design: float) -> Optional[ParameterChoice]:
+    def _optimize(self, design: _GroupDesign,
+                  p_design: float) -> Optional[ParameterChoice]:
         """Select parameters for ``p_design``: table first, inline last.
 
         A covered table cell is authoritative either way — a feasible
@@ -246,15 +262,15 @@ class AdaptiveController:
                     family=self.family,
                     max_delay_slots=self.max_delay_slots)
             except DesignCoverageError:
-                self.table_misses += 1
+                design.table_misses += 1
                 if registry.enabled:
                     registry.count("design.service.fallbacks")
             else:
-                self.table_hits += 1
+                design.table_hits += 1
                 if point is None:
                     return None
                 return point.to_parameter_choice()
-        self.inline_calls += 1
+        design.inline_calls += 1
         if registry.enabled:
             registry.count("design.inline.calls")
         try:
@@ -274,66 +290,95 @@ class AdaptiveController:
 
     # ------------------------------------------------------------------
 
-    @property
-    def scheme(self) -> Scheme:
-        """The scheme the next block should be packetized with."""
-        return self._scheme
+    def schemes(self) -> Dict[Optional[str], Scheme]:
+        """Each group's next-block scheme, keyed by group label."""
+        return {label: design.scheme
+                for label, design in self._designs.items()}
 
-    @property
-    def choice(self) -> ParameterChoice:
-        """The current optimizer selection."""
-        return self._choice
+    def design(self, label: Optional[str] = None) -> _GroupDesign:
+        """One group's state: ``estimator``, ``p_design``, ``choice``,
+        ``scheme``, ``events`` and its selection counters."""
+        try:
+            return self._designs[label]
+        except KeyError:
+            raise SimulationError(f"no receiver group {label!r}")
 
-    @property
-    def p_design(self) -> float:
-        """Grid point the current parameters were designed for."""
-        return self._p_design
+    def _gauges(self, design: _GroupDesign) -> Dict[str, object]:
+        m, d = design.choice.parameters
+        last = design.events[-1] if design.events else None
+        return {
+            "p_hat": last.p_hat if last is not None else 0.0,
+            "p_design": design.p_design,
+            "scheme": self._spec(design.choice),
+            "m": m,
+            "d": d,
+            "predicted_q_min": design.choice.q_min,
+            "cost": design.choice.cost,
+            "decisions": len(design.events),
+            "switches": sum(1 for e in design.events if e.switched),
+            "table_hits": design.table_hits,
+            "table_misses": design.table_misses,
+            "inline_fallbacks": design.inline_calls,
+            "refresh_requests": design.refresh_requests,
+        }
 
     def gauges(self) -> Dict[str, object]:
         """Current controller state as a flat timeseries row.
 
         Emitted under the :data:`~repro.obs.timeseries.CONTROLLER_ROW`
         pseudo-receiver so live dashboards can plot the adaptation
-        staircase next to the per-receiver loss estimates.
+        staircase next to the per-receiver loss estimates.  With more
+        than the one ``None`` group, every group's gauges appear
+        prefixed by its label.
         """
-        m, d = self._choice.parameters
-        last = self.events[-1] if self.events else None
-        return {
-            "p_hat": last.p_hat if last is not None else 0.0,
-            "p_design": self._p_design,
-            "scheme": self._spec(self._choice),
-            "m": m,
-            "d": d,
-            "predicted_q_min": self._choice.q_min,
-            "cost": self._choice.cost,
-            "decisions": len(self.events),
-            "switches": sum(1 for e in self.events if e.switched),
-            "table_hits": self.table_hits,
-            "table_misses": self.table_misses,
-            "inline_fallbacks": self.inline_calls,
-            "refresh_requests": self.refresh_requests,
-        }
+        if None in self._designs:
+            return self._gauges(self._designs[None])
+        row: Dict[str, object] = {"groups": len(self._designs)}
+        for label, design in self._designs.items():
+            for name, value in self._gauges(design).items():
+                row[f"{label}.{name}"] = value
+        return row
 
     def observe(self, block_id: int,
-                reports: Sequence[LossReport]) -> AdaptationEvent:
-        """Fold one block's reports; maybe re-select parameters.
+                reports: Sequence[LossReport]) -> List[AdaptationEvent]:
+        """Fold one block's reports; maybe re-select each group's design.
 
-        Reports are folded in sorted receiver order so the pooled
-        estimator's state is independent of task scheduling.
+        Reports are partitioned by group and folded in sorted receiver
+        order, so every estimator's state is independent of task
+        scheduling.  Every group that reported takes one decision, in
+        sorted group order; the decisions are returned and appended to
+        :attr:`events`.
         """
-        pooled = isinstance(self.estimator, PooledLossEstimator)
+        by_group: Dict[Optional[str], List[LossReport]] = {}
+        for report in reports:
+            label = self.group_of.get(report.receiver_id)
+            if label not in self._designs:
+                raise SimulationError(
+                    f"report from {report.receiver_id!r} has no "
+                    f"receiver group")
+            by_group.setdefault(label, []).append(report)
+        events = [self._decide(label, block_id, by_group[label])
+                  for label in self._designs if label in by_group]
+        self.events.extend(events)
+        return events
+
+    def _decide(self, label: Optional[str], block_id: int,
+                reports: Sequence[LossReport]) -> AdaptationEvent:
+        design = self._designs[label]
+        estimator = design.estimator
+        pooled = isinstance(estimator, PooledLossEstimator)
         for report in sorted(reports, key=lambda r: r.receiver_id):
             lost = report.expected - report.received
             if pooled:
-                self.estimator.observe_block(report.receiver_id, lost,
-                                             report.expected)
+                estimator.observe_block(report.receiver_id, lost,
+                                        report.expected)
             else:
-                self.estimator.observe_block(lost, report.expected)
+                estimator.observe_block(lost, report.expected)
         if self.estimate == "window":
-            p_hat = self.estimator.window_rate
+            p_hat = estimator.window_rate
         else:
-            p_hat = self.estimator.ewma_rate
-        fill = self.estimator.window_fill
+            p_hat = estimator.ewma_rate
+        fill = estimator.window_fill
         slack = 0.0
         if self.slack_se > 0 and fill > 0:
             slack = self.slack_se * math.sqrt(
@@ -341,8 +386,8 @@ class AdaptiveController:
         p_design = self.quantize(max(0.0, p_hat - slack))
         switched = False
         feasible = True
-        if p_design != self._p_design:
-            choice = self._optimize(p_design)
+        if p_design != design.p_design:
+            choice = self._optimize(design, p_design)
             if choice is None:
                 # Infeasible at the requested operating point: keep
                 # flying on the current parameters rather than stall
@@ -350,29 +395,34 @@ class AdaptiveController:
                 # the next block retries.
                 feasible = False
             else:
-                switched = choice.parameters != self._choice.parameters
-                self._choice = choice
-                self._p_design = p_design
+                switched = choice.parameters != design.choice.parameters
+                design.choice = choice
+                design.p_design = p_design
                 if switched:
-                    self._scheme = make_scheme(self._spec(choice))
+                    design.scheme = make_scheme(self._spec(choice))
+        choice = design.choice
         event = AdaptationEvent(
             block_id=block_id, p_hat=p_hat, p_design=p_design,
-            scheme=self._choice.scheme, parameters=self._choice.parameters,
-            predicted_q_min=self._choice.q_min, cost=self._choice.cost,
-            switched=switched, feasible=feasible, group=self.group,
+            scheme=choice.scheme, parameters=choice.parameters,
+            predicted_q_min=choice.q_min, cost=choice.cost,
+            switched=switched, feasible=feasible, group=label,
         )
-        self.events.append(event)
+        design.events.append(event)
         return event
 
     def envelope_counts(self) -> Tuple[int, int]:
-        """Exact pooled window counts ``(lost, fill)`` for drift checks.
+        """Exact window counts ``(lost, fill)`` summed over every group.
 
-        These are the integer counts inside the estimator's sliding
-        window — the health plane's drift detector compares them
+        These are the integer counts inside the estimators' sliding
+        windows — the health plane's drift detector compares them
         against :meth:`lattice_top` in cross-multiplied integers so no
         float rounding can flip an off-lattice verdict.
         """
-        return (self.estimator.window_lost, self.estimator.window_fill)
+        lost = fill = 0
+        for design in self._designs.values():
+            lost += design.estimator.window_lost
+            fill += design.estimator.window_fill
+        return (lost, fill)
 
     def lattice_top(self) -> float:
         """Top of the design lattice this controller can serve.
@@ -389,28 +439,31 @@ class AdaptiveController:
         """Counted re-lookup hook for off-lattice drift alerts.
 
         The health plane calls this when the observed envelope leaves
-        the lattice: the controller re-runs its selection at the
-        current design point (a table re-lookup when a service is
-        wired — the seam a future *background table rebuild* lands in)
-        and the request is counted on the instance and the live
+        the lattice: every group re-runs its selection at its current
+        design point (a table re-lookup when a service is wired — the
+        seam a future *background table rebuild* lands in) and each
+        group's request is counted on the instance and the live
         registry (``design.refresh.requests``), so soaks can assert
-        the hook fired.  Returns whether a feasible selection came
-        back.
+        the hook fired.  Returns whether every group got a feasible
+        selection back.
         """
-        self.refresh_requests += 1
         registry = get_registry()
-        if registry.enabled:
-            registry.count("design.refresh.requests")
-        choice = self._optimize(self._p_design)
-        if choice is None:
-            return False
-        if choice.parameters != self._choice.parameters:
-            self._scheme = make_scheme(self._spec(choice))
-        self._choice = choice
-        return True
+        feasible = True
+        for design in self._designs.values():
+            design.refresh_requests += 1
+            if registry.enabled:
+                registry.count("design.refresh.requests")
+            choice = self._optimize(design, design.p_design)
+            if choice is None:
+                feasible = False
+                continue
+            if choice.parameters != design.choice.parameters:
+                design.scheme = make_scheme(self._spec(choice))
+            design.choice = choice
+        return feasible
 
     def retire_receiver(self, receiver_id: str) -> bool:
-        """Fold a departed member's samples out of the pooled estimate.
+        """Fold a departed member's samples out of its group's estimate.
 
         Only meaningful with a membership-aware estimator — there the
         leaver's per-receiver window is dropped wholesale, so its last
@@ -418,124 +471,8 @@ class AdaptiveController:
         decision.  Returns whether anything was removed; a flat
         estimator always answers ``False`` (samples age out instead).
         """
-        if isinstance(self.estimator, PooledLossEstimator):
-            return self.estimator.retire(receiver_id)
-        return False
-
-
-class SubtreeAdaptiveController:
-    """Per-subtree scheme selection: one inner controller per branch.
-
-    A shared spine edge degrades its whole subtree at once, so one
-    pool-wide loss estimate either over-provisions the clean branches
-    or under-protects the hot one.  This controller partitions
-    :class:`~repro.serve.receiver.LossReport`\\ s by their ``subtree``
-    label and runs an independent :class:`AdaptiveController` per
-    branch — each subtree gets the cheapest EMSS design meeting the
-    ``q_min`` target *at its own loss rate*.
-
-    The interface mirrors :class:`AdaptiveController` where the serve
-    loop needs it (``observe``, ``events``, ``gauges``); scheme access
-    is per group via :meth:`schemes_by_group`, which the sender's
-    grouped transmit path consumes.
-
-    Parameters
-    ----------
-    groups:
-        Subtree label -> receiver ids behind it (see
-        :meth:`~repro.topology.graph.Topology.subtree_groups`).
-    block_size, q_min_target, initial_p, and the rest:
-        Forwarded to every inner controller.
-    """
-
-    def __init__(self, groups: Dict[str, Sequence[str]], block_size: int,
-                 q_min_target: float = 0.75, initial_p: float = 0.05,
-                 **controller_kwargs) -> None:
-        if not groups:
-            raise SimulationError("need at least one subtree group")
-        self.group_of: Dict[str, str] = {}
-        for group, receiver_ids in groups.items():
-            for receiver_id in receiver_ids:
-                if receiver_id in self.group_of:
-                    raise SimulationError(
-                        f"receiver {receiver_id!r} in two subtrees")
-                self.group_of[receiver_id] = group
-        self.controllers: Dict[str, AdaptiveController] = {
-            group: AdaptiveController(block_size=block_size,
-                                      q_min_target=q_min_target,
-                                      initial_p=initial_p, group=group,
-                                      **controller_kwargs)
-            for group in sorted(groups)
-        }
-        self.events: List[AdaptationEvent] = []
-
-    def schemes_by_group(self) -> Dict[str, Scheme]:
-        """Each subtree's current scheme, keyed by group label."""
-        return {group: controller.scheme
-                for group, controller in self.controllers.items()}
-
-    def scheme_for(self, group: str) -> Scheme:
-        """The scheme the named subtree's next block uses."""
-        try:
-            return self.controllers[group].scheme
-        except KeyError:
-            raise SimulationError(f"unknown subtree group {group!r}")
-
-    def observe(self, block_id: int,
-                reports: Sequence[LossReport]) -> List[AdaptationEvent]:
-        """Fold one block's reports per subtree, in sorted group order."""
-        by_group: Dict[str, List[LossReport]] = {}
-        for report in reports:
-            group = report.subtree or self.group_of.get(report.receiver_id)
-            if group not in self.controllers:
-                raise SimulationError(
-                    f"report from {report.receiver_id!r} names unknown "
-                    f"subtree {group!r}")
-            by_group.setdefault(group, []).append(report)
-        events: List[AdaptationEvent] = []
-        for group in sorted(by_group):
-            events.append(
-                self.controllers[group].observe(block_id, by_group[group]))
-        self.events.extend(events)
-        return events
-
-    def envelope_counts(self) -> Tuple[int, int]:
-        """Pooled window counts summed over every subtree controller."""
-        lost = 0
-        fill = 0
-        for group in sorted(self.controllers):
-            group_lost, group_fill = self.controllers[group].envelope_counts()
-            lost += group_lost
-            fill += group_fill
-        return (lost, fill)
-
-    def lattice_top(self) -> float:
-        """Shared lattice top (every inner controller is configured alike)."""
-        first = min(self.controllers)
-        return self.controllers[first].lattice_top()
-
-    @property
-    def refresh_requests(self) -> int:
-        """Refresh requests summed over every subtree controller."""
-        return sum(c.refresh_requests for c in self.controllers.values())
-
-    def request_refresh(self) -> bool:
-        """Forward the drift refresh hook to every subtree controller."""
-        results = [self.controllers[group].request_refresh()
-                   for group in sorted(self.controllers)]
-        return all(results)
-
-    def retire_receiver(self, receiver_id: str) -> bool:
-        """Retire a leaver from its subtree's estimator (see inner)."""
-        group = self.group_of.get(receiver_id)
-        if group is None:
+        design = self._designs.get(self.group_of.get(receiver_id))
+        if design is None or not isinstance(design.estimator,
+                                            PooledLossEstimator):
             return False
-        return self.controllers[group].retire_receiver(receiver_id)
-
-    def gauges(self) -> Dict[str, object]:
-        """Flat timeseries row: every inner gauge, group-prefixed."""
-        row: Dict[str, object] = {"groups": len(self.controllers)}
-        for group in sorted(self.controllers):
-            for name, value in self.controllers[group].gauges().items():
-                row[f"{group}.{name}"] = value
-        return row
+        return design.estimator.retire(receiver_id)

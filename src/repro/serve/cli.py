@@ -74,20 +74,21 @@ def _build_parser(prog: str, soak: bool) -> argparse.ArgumentParser:
                              "leaves and mid-block crashes from a seeded "
                              "plan (storm[:J,L,C], flood:BLOCK or "
                              "flap:COUNT; default none)")
-    parser.add_argument("--topology", default=None, metavar="SPEC",
-                        help="stream over a distribution tree with "
-                             "correlated per-link loss instead of "
-                             "independent channels (star, spine:<groups>, "
-                             "dualspine:<groups>; default none)")
+    parser.add_argument("--topology", default="star", metavar="SPEC",
+                        help="distribution tree to stream over: star "
+                             "(one independent channel per receiver), "
+                             "spine:<groups> or dualspine:<groups> "
+                             "(correlated per-link loss; default star)")
     parser.add_argument("--trees", type=_positive_int, default=1,
                         metavar="K",
                         help="redundant edge-disjoint-biased trees per "
                              "packet, deduplicated at the receiver "
-                             "(default 1; needs --topology)")
+                             "(default 1)")
     parser.add_argument("--subtree-adaptive", action="store_true",
                         dest="subtree_adaptive",
-                        help="run one adaptive controller per subtree "
-                             "instead of pool-wide (needs --topology)")
+                        help="key the adaptive controller by subtree: "
+                             "one design per subtree instead of "
+                             "pool-wide (composes with --batch-size)")
     parser.add_argument("--design-table", default=None, metavar="FILE",
                         dest="design_table",
                         help="serve scheme selections from a precomputed "

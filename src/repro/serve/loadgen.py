@@ -194,12 +194,11 @@ def run_loadgen(config: ServeConfig,
         "schemes_used": session.schemes_used,
         "adaptation_switches": switches,
         "phases": phases,
+        "topology": config.topology,
+        "trees": config.trees,
+        "subtree_adaptive": config.subtree_adaptive,
+        "duplicates_suppressed": session.duplicates_suppressed,
     }
-    if config.topology is not None:
-        summary["topology"] = config.topology
-        summary["trees"] = config.trees
-        summary["subtree_adaptive"] = config.subtree_adaptive
-        summary["duplicates_suppressed"] = session.duplicates_suppressed
     if config.churn is not None:
         membership = session.manifest.parameters.get("membership", {})
         summary["churn"] = config.churn

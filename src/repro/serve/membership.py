@@ -46,6 +46,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.exceptions import SimulationError
 from repro.faults import AdversarialChannel, AttackPlan, BootstrapBurstForgery
 from repro.faults.churn import CHURN_KINDS, ChurnEvent, churn_storm
+from repro.topology.linkloss import attack_seed
 
 __all__ = [
     "BOOTSTRAP_RULES",
@@ -327,14 +328,12 @@ def storm_channel_factory(base_factory: Callable,
     factory so the cell at (joiner's universe index, join block) gets
     an extra :class:`~repro.faults.BootstrapBurstForgery` plan —
     composed *after* the base mix's faults so the base per-cell
-    streams are untouched — reseeded from the cell's loss seed plus
+    streams are untouched — reseeded from the cell's attack seed
+    (:func:`~repro.topology.linkloss.attack_seed`) plus
     :data:`_BOOTSTRAP_OFFSET`.  All other cells pass through
     unchanged, so a plan with no joins leaves the session
     byte-identical.
     """
-    from repro.serve.sender import (_ATTACK_OFFSET, _LOSS_STRIDE_BLOCK,
-                                    _LOSS_STRIDE_RECEIVER)
-
     join_cells = {(plan.index_of(rid), block)
                   for rid, block in plan.join_blocks.items()}
     if burst is None:
@@ -346,9 +345,8 @@ def storm_channel_factory(base_factory: Callable,
         if (receiver_index, block_id) not in join_cells:
             return channel
         burst_plan = burst()
-        cell_seed = (seed + _LOSS_STRIDE_RECEIVER * (receiver_index + 1)
-                     + _LOSS_STRIDE_BLOCK * (block_id + 1))
-        burst_plan.reseed(cell_seed + _ATTACK_OFFSET + _BOOTSTRAP_OFFSET)
+        burst_plan.reseed(attack_seed(seed, receiver_index, block_id)
+                          + _BOOTSTRAP_OFFSET)
         if isinstance(channel, AdversarialChannel):
             # Recompose rather than mutate: the base plan's members
             # keep their already-reseeded streams, the burst appends.

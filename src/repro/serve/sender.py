@@ -2,116 +2,50 @@
 
 :class:`SenderService` owns the stream state (sequence numbers, block
 ids, the pacing clock) but — unlike the offline
-:class:`~repro.simulation.sender.StreamSender` — takes the scheme *per
+:class:`~repro.simulation.sender.StreamSender` — takes the schemes *per
 block*, because the adaptive controller may re-parameterize between
-blocks.  Each block is packetized once, then pushed through one
-impairment channel per receiver (independent loss draws, optionally an
-:class:`~repro.faults.AdversarialChannel` with a per-(receiver, block)
-reseeded plan) and onto the transport, followed by a control frame
-carrying the block's ground truth.
+blocks, and one scheme *per receiver group*, because each subtree may
+fly its own design.  Each block is packetized once per group at one
+shared block id, sequence range and set of send times, then pushed
+through one channel per receiver (the session's topology channel,
+optionally wrapped in an :class:`~repro.faults.AdversarialChannel`)
+and onto the transport, followed by a control frame carrying the
+block's ground truth.
 
-Seed derivation, all from one root seed:
-
-* loss for receiver ``r`` (0-based), block ``b``:
-  ``seed + 7919 * (r + 1) + 104729 * (b + 1)``;
-* attack plan for the same pair: the loss seed plus ``15485863``
-  (:meth:`~repro.faults.AttackPlan.reseed` spreads it further across
-  the plan's members).
-
-Fresh models per (receiver, block) make every cell of the session an
-independent, reproducible sample — the same property the Monte-Carlo
-trial runners get from their per-trial seeds — and per-phase counter
-folds stay exact because all accounting is integer.
+Every channel is built fresh per (receiver, block) from seeds that
+derive from one root seed (:func:`repro.topology.linkloss.cell_seed`),
+so every cell of the session is an independent, reproducible sample —
+the same property the Monte-Carlo trial runners get from their
+per-trial seeds — and per-phase counter folds stay exact because all
+accounting is integer.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.crypto.batch import BatchSigner
 from repro.crypto.hashing import HashFunction, sha256
 from repro.crypto.signatures import Signer
 from repro.exceptions import SimulationError
-from repro.faults import AdversarialChannel, AttackPlan, WireDelivery
+from repro.faults import AdversarialChannel, WireDelivery
 from repro.network.channel import Channel
 from repro.network.clock import Clock
-from repro.network.delay import ConstantDelay
-from repro.network.loss import BernoulliLoss
 from repro.obs import get_registry
 from repro.obs.lifecycle import NOISE_SEQ, get_lifecycle
 from repro.packets import Packet
 from repro.schemes.base import Scheme
 from repro.serve.transport import ControlFrame, Transport, encode_control
 
-__all__ = ["BlockTruth", "SenderService", "default_channel_factory"]
+__all__ = ["SenderService"]
 
 #: Histogram bounds for blocks amortized per root signature.
 _BATCH_SIZE_BOUNDS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
 #: Histogram bounds for encoded batch-attachment sizes (bytes).
 _PROOF_BYTES_BOUNDS = (64.0, 128.0, 256.0, 512.0, 1024.0, 4096.0)
-
-_LOSS_STRIDE_RECEIVER = 7919
-_LOSS_STRIDE_BLOCK = 104729
-_ATTACK_OFFSET = 15485863
-
-
-@dataclass(frozen=True)
-class BlockTruth:
-    """Ground truth of one block as one receiver's channel produced it.
-
-    ``intact`` holds the sequence numbers whose *untampered* bytes the
-    transport accepted for this receiver (genuine kind, not dropped by
-    queue backpressure); ``digests`` maps every sequence the sender
-    emitted to the hex digest of its authentic bytes.  Together they
-    are what the receiver-side audit and the per-phase ``q_i`` tallies
-    score against.
-    """
-
-    receiver_id: str
-    block_id: int
-    base_seq: int
-    last_seq: int
-    phase: str
-    scheme: str
-    intact: FrozenSet[int]
-    digests: Mapping[int, str]
-    sent: int
-    dropped: int
-    corrupted: int
-    injected: int
-    replayed: int
-    queue_dropped: int
-
-
-def default_channel_factory(seed: int,
-                            attack_plan_factory: Optional[
-                                Callable[[], AttackPlan]] = None
-                            ) -> Callable[[int, int, float], Channel]:
-    """Seeded per-(receiver, block) channel construction.
-
-    Returns a factory ``(receiver_index, block_id, loss_rate) ->``
-    :class:`~repro.network.channel.Channel` (or an
-    :class:`~repro.faults.AdversarialChannel` wrapping one when an
-    attack-plan factory is supplied).  Every call builds fresh models
-    with the documented seed derivation, so a session's channel bank
-    is fully determined by the root seed.
-    """
-
-    def build(receiver_index: int, block_id: int, loss_rate: float):
-        cell_seed = (seed + _LOSS_STRIDE_RECEIVER * (receiver_index + 1)
-                     + _LOSS_STRIDE_BLOCK * (block_id + 1))
-        channel = Channel(loss=BernoulliLoss(loss_rate, seed=cell_seed),
-                          delay=ConstantDelay(0.0))
-        if attack_plan_factory is None:
-            return channel
-        plan = attack_plan_factory()
-        plan.reseed(cell_seed + _ATTACK_OFFSET)
-        return AdversarialChannel(channel, plan)
-
-    return build
 
 
 class _DeferredSigner:
@@ -135,18 +69,26 @@ class _DeferredSigner:
 
 
 @dataclass
+class _GroupPackets:
+    """One receiver group's packetization of a block."""
+
+    scheme_name: str
+    phase: str
+    stamped: List[Packet]
+    digests: Dict[int, str]
+
+
+@dataclass
 class _PendingBlock:
-    """One packetized block waiting for its batch flush."""
+    """One packetized block, every group's layout, not yet on the wire."""
 
     block_id: int
     base_seq: int
     last_seq: int
-    scheme_name: str
-    phase: str
     loss_rate: float
-    stamped: List[Packet]
-    digests: Dict[int, str]
     control_time: float
+    groups: Dict[Optional[str], _GroupPackets]
+    group_of: Mapping[str, str]
 
 
 class SenderService:
@@ -157,12 +99,13 @@ class SenderService:
     immediately but held back from the transport with a placeholder
     signature; once ``batch_size`` blocks are pending — or the oldest
     pending block has waited ``flush_deadline`` virtual seconds — one
-    Merkle root covering every pending signature packet is signed and
-    each packet's placeholder is replaced by its proof-carrying
-    attachment before the blocks stream out.  Because channel draws are
-    seeded per (receiver, block) and send times are stamped at
-    packetization, the loss pattern, digests and receiver verdicts are
-    identical to per-block signing on the same seed.
+    Merkle root covering every pending signature packet, of every
+    receiver group, is signed and each packet's placeholder is replaced
+    by its proof-carrying attachment before the blocks stream out.
+    Because channel draws are seeded per (receiver, block) and send
+    times are stamped at packetization, the loss pattern, digests and
+    receiver verdicts are identical to per-block signing on the same
+    seed.
 
     Parameters
     ----------
@@ -175,7 +118,7 @@ class SenderService:
         Block-signature signer.
     channel_factory:
         ``(receiver_index, block_id, loss_rate) -> Channel`` — see
-        :func:`default_channel_factory`.
+        :func:`~repro.topology.channel.topology_channel_factory`.
     clock:
         Pacing clock; block transmission advances it by
         ``packets * t_transmit``.
@@ -192,12 +135,12 @@ class SenderService:
         partial batch is flushed anyway (bounds latency); ``None``
         flushes only on a full batch or at end of session.
     receiver_indices:
-        Receiver id -> channel-seeding index.  Defaults to each id's
-        position in ``receiver_ids``; churn sessions pass the
-        membership universe's indices instead, so a receiver's loss
-        and attack draws are pinned to its identity rather than to
-        the shifting roster order (and a no-churn session seeds
-        exactly as before).
+        Receiver id -> channel-seeding index (its topology leaf).
+        Defaults to each id's position in ``receiver_ids``; churn
+        sessions pass the membership universe's indices instead, so a
+        receiver's loss and attack draws are pinned to its identity
+        rather than to the shifting roster order.  Only ids in this
+        map can ever be subscribed (:meth:`add_receiver`).
     """
 
     def __init__(self, transport: Transport, receiver_ids: Sequence[str],
@@ -257,28 +200,25 @@ class SenderService:
 
     @property
     def next_block_id(self) -> int:
-        """Block id the next :meth:`send_block` will use."""
+        """Block id the next :meth:`submit_block` will use."""
         return self._next_block
 
-    def add_receiver(self, receiver_id: str,
-                     index: Optional[int] = None) -> None:
+    def add_receiver(self, receiver_id: str) -> None:
         """Start streaming to a late joiner from the next block on.
 
-        ``index`` pins the joiner's channel-seeding index (the
-        membership universe position); without it the joiner gets the
-        next unused index.  The canonical sorted roster order is
+        The joiner must have a channel-seeding index (a topology leaf)
+        already; one without cannot be served and is refused here,
+        not at the next block.  The canonical sorted roster order is
         preserved, so transmit order — and therefore virtual-time
         interleaving — is a pure function of the active set.
         """
         if receiver_id in self.receiver_ids:
             raise SimulationError(
                 f"receiver {receiver_id!r} already subscribed")
-        if index is None:
-            # A preloaded universe mapping pins the index; otherwise
-            # the joiner extends the roster.
-            index = self._index_of.get(
-                receiver_id, 1 + max(self._index_of.values(), default=-1))
-        self._index_of[receiver_id] = index
+        if receiver_id not in self._index_of:
+            raise SimulationError(
+                f"receiver {receiver_id!r} has no channel index "
+                f"(not a leaf of the session's topology)")
         bisect.insort(self.receiver_ids, receiver_id)
 
     def remove_receiver(self, receiver_id: str) -> None:
@@ -288,63 +228,60 @@ class SenderService:
                 f"receiver {receiver_id!r} is not subscribed")
         self.receiver_ids.remove(receiver_id)
 
-    async def send_block(self, scheme: Scheme, payloads: Sequence[bytes],
-                         loss_rate: float, phase: str
-                         ) -> Dict[str, BlockTruth]:
-        """Packetize one block with ``scheme`` and stream it to everyone.
+    async def submit_block(self, schemes: Mapping[Optional[str], Scheme],
+                           payloads: Sequence[bytes], loss_rate: float,
+                           phases: Mapping[Optional[str], str],
+                           group_of: Optional[Mapping[str, str]] = None
+                           ) -> List[int]:
+        """Packetize one block per receiver group; send per the batch policy.
 
-        Returns per-receiver ground truth; the control frame each
-        receiver gets carries its own ``intact`` set plus the shared
-        digest map.
+        ``schemes`` and ``phases`` are keyed by group label; a receiver
+        belongs to group ``group_of.get(receiver_id)``, so without
+        ``group_of`` every receiver is in group ``None``.  Every group's
+        packetization shares the block id, base sequence and send
+        times, and the stream state advances once.  In per-block mode
+        (``batch_size == 1``) the block is signed and streamed at once;
+        in batch mode it is packetized with a placeholder signature and
+        held.  Returns the ids of the blocks streamed *by this call*
+        (possibly none, possibly several), in block order.
         """
-        pending = self._packetize(scheme, payloads, loss_rate, phase,
-                                  self.signer)
-        truths = await self._transmit_block(pending)
-        await self.clock.sleep(len(pending.stamped) * self.t_transmit)
-        return truths
-
-    async def submit_block(self, scheme: Scheme, payloads: Sequence[bytes],
-                           loss_rate: float, phase: str
-                           ) -> Dict[int, Dict[str, BlockTruth]]:
-        """Queue one block, flushing per the batch policy.
-
-        In per-block mode (``batch_size == 1``) this is exactly
-        :meth:`send_block`.  In batch mode the block is packetized with
-        a placeholder signature and held; the return value maps the
-        block ids flushed *by this call* (possibly none, possibly
-        several) to their per-receiver ground truth.
-        """
-        if self.batch_size == 1:
-            block_id = self._next_block
-            truths = await self.send_block(scheme, payloads, loss_rate,
-                                           phase)
-            return {block_id: truths}
-        pending = self._packetize(scheme, payloads, loss_rate, phase,
-                                  _DeferredSigner(self.signer))
+        batched = self.batch_size > 1
+        pending = self._packetize(
+            schemes, payloads, loss_rate, phases, group_of or {},
+            _DeferredSigner(self.signer) if batched else self.signer)
+        duration = (pending.last_seq - pending.base_seq + 1) * self.t_transmit
+        if not batched:
+            await self._transmit_block(pending)
+            await self.clock.sleep(duration)
+            return [pending.block_id]
         self._pending.append(pending)
         if self._pending_since is None:
             self._pending_since = self.clock.now()
-        await self.clock.sleep(len(pending.stamped) * self.t_transmit)
+        await self.clock.sleep(duration)
         deadline_hit = (
             self.flush_deadline is not None
             and self.clock.now() - self._pending_since >= self.flush_deadline)
         if len(self._pending) >= self.batch_size or deadline_hit:
             return await self.flush_pending()
-        return {}
+        return []
 
-    async def flush_pending(self) -> Dict[int, Dict[str, BlockTruth]]:
-        """Sign one Merkle root over all pending blocks and stream them."""
+    async def flush_pending(self) -> List[int]:
+        """Sign one Merkle root over all pending blocks and stream them.
+
+        Returns the ids of the blocks streamed, in block order.
+        """
         if not self._pending:
-            return {}
+            return []
         pending_blocks = self._pending
         self._pending = []
         self._pending_since = None
-        signature_slots = []  # (pending_index, packet_index)
-        for p_index, pending in enumerate(pending_blocks):
-            for k_index, packet in enumerate(pending.stamped):
-                if packet.signature is not None:
-                    self._batch.append(packet.auth_bytes())
-                    signature_slots.append((p_index, k_index))
+        signature_slots = []  # (group packets, packet index)
+        for pending in pending_blocks:
+            for packets in pending.groups.values():
+                for k_index, packet in enumerate(packets.stamped):
+                    if packet.signature is not None:
+                        self._batch.append(packet.auth_bytes())
+                        signature_slots.append((packets, k_index))
         attachments = self._batch.flush()
         self.batch_signs += 1
         self.batch_flushes += 1
@@ -359,71 +296,81 @@ class SenderService:
                 registry.observe("serve.batch.proof_bytes",
                                  float(len(attachment)),
                                  bounds=_PROOF_BYTES_BOUNDS)
-        for (p_index, k_index), attachment in zip(signature_slots,
+        for (packets, k_index), attachment in zip(signature_slots,
                                                   attachments):
-            pending = pending_blocks[p_index]
-            pending.stamped[k_index] = replace(pending.stamped[k_index],
+            packets.stamped[k_index] = replace(packets.stamped[k_index],
                                                signature=attachment)
-        results: Dict[int, Dict[str, BlockTruth]] = {}
         for pending in pending_blocks:
-            results[pending.block_id] = await self._transmit_block(pending)
-        return results
+            await self._transmit_block(pending)
+        return [pending.block_id for pending in pending_blocks]
 
-    def _packetize_at(self, scheme: Scheme, payloads: Sequence[bytes],
-                      loss_rate: float, phase: str, signer: Signer,
-                      block_id: int, base_seq: int,
-                      send_base: float) -> _PendingBlock:
-        """Build and stamp one block at explicit coordinates (no state).
+    def _packetize(self, schemes: Mapping[Optional[str], Scheme],
+                   payloads: Sequence[bytes], loss_rate: float,
+                   phases: Mapping[Optional[str], str],
+                   group_of: Mapping[str, str],
+                   signer: Signer) -> _PendingBlock:
+        """Build and stamp one block per group; advances the stream state.
 
-        The grouped transmit path packetizes the *same* block id, seq
-        range and send times once per subtree scheme; committing the
-        stream state is the caller's job.
+        The layouts must line up slot for slot (EMSS and AC packet
+        counts are independent of their parameters), so every group
+        shares one sequence range and one set of send times.
         """
         if not payloads:
             raise SimulationError("empty block")
-        packets = scheme.make_block(list(payloads), signer,
-                                    self.hash_function, block_id=block_id,
-                                    base_seq=base_seq)
-        stamped = []
-        send_clock = send_base
-        for packet in packets:
-            stamped.append(packet.with_send_time(send_clock))
-            send_clock += self.t_transmit
-        digests = {
-            packet.seq: self.hash_function.digest(packet.auth_bytes()).hex()
-            for packet in stamped
-        }
-        return _PendingBlock(
-            block_id=block_id, base_seq=base_seq,
-            last_seq=base_seq + len(packets) - 1,
-            scheme_name=scheme.name, phase=phase, loss_rate=loss_rate,
-            stamped=stamped, digests=digests,
-            control_time=send_clock)
-
-    def _packetize(self, scheme: Scheme, payloads: Sequence[bytes],
-                   loss_rate: float, phase: str,
-                   signer: Signer) -> _PendingBlock:
-        """Build and stamp one block; advances seq/block/send-time state."""
-        pending = self._packetize_at(scheme, payloads, loss_rate, phase,
-                                     signer, self._next_block,
-                                     self._next_seq, self._send_clock)
+        if not schemes:
+            raise SimulationError("need at least one scheme group")
+        block_id = self._next_block
+        base_seq = self._next_seq
+        groups: Dict[Optional[str], _GroupPackets] = {}
+        count: Optional[int] = None
+        for group, scheme in schemes.items():
+            packets = scheme.make_block(list(payloads), signer,
+                                        self.hash_function,
+                                        block_id=block_id, base_seq=base_seq)
+            if count is None:
+                count = len(packets)
+            elif len(packets) != count:
+                raise SimulationError(
+                    f"group {group!r} packetized {len(packets)} packets, "
+                    f"expected {count}; grouped schemes must share a "
+                    f"block layout")
+            stamped = []
+            send_end = self._send_clock
+            for packet in packets:
+                stamped.append(packet.with_send_time(send_end))
+                send_end += self.t_transmit
+            digests = {
+                packet.seq: self.hash_function.digest(
+                    packet.auth_bytes()).hex()
+                for packet in stamped
+            }
+            groups[group] = _GroupPackets(scheme_name=scheme.name,
+                                          phase=phases[group],
+                                          stamped=stamped, digests=digests)
         self._next_block += 1
-        self._next_seq += len(pending.stamped)
-        self._send_clock = pending.control_time
-        return pending
+        self._next_seq += count
+        # Two clock rules, kept only because the pinned sessions encode
+        # both (ROADMAP.md, "One stream clock").
+        self._send_clock = (send_end if None in groups
+                            else self._send_clock + count * self.t_transmit)
+        return _PendingBlock(block_id=block_id, base_seq=base_seq,
+                             last_seq=base_seq + count - 1,
+                             loss_rate=loss_rate, control_time=send_end,
+                             groups=groups, group_of=group_of)
 
     async def _transmit_to_receiver(self, pending: _PendingBlock,
-                                    index: int,
-                                    receiver_id: str) -> BlockTruth:
-        """Push one packetized block through one receiver's channel."""
+                                    packets: _GroupPackets,
+                                    receiver_id: str) -> None:
+        """Push one group's packets through one receiver's channel."""
         block_id = pending.block_id
         base_seq = pending.base_seq
         last_seq = pending.last_seq
-        stamped = pending.stamped
-        digests = pending.digests
+        stamped = packets.stamped
+        digests = packets.digests
         registry = get_registry()
         tracer = get_lifecycle()
-        channel = self.channel_factory(index, block_id, pending.loss_rate)
+        channel = self.channel_factory(self._index_of[receiver_id], block_id,
+                                       pending.loss_rate)
         if isinstance(channel, AdversarialChannel):
             deliveries = channel.transmit_wire(stamped)
             corrupted = channel.corrupted
@@ -447,7 +394,7 @@ class SenderService:
             for packet in stamped:
                 tracer.record(receiver_id, block_id, packet.seq,
                               "sign", "signed", packet.send_time,
-                              scheme=pending.scheme_name)
+                              scheme=packets.scheme_name)
                 tracer.record(receiver_id, block_id, packet.seq,
                               "frame", "framed", packet.send_time)
                 if packet.seq not in surviving:
@@ -473,17 +420,9 @@ class SenderService:
             d.seq_hint for d in deliveries
             if d.kind == "genuine" and d.seq_hint is not None
             and d.seq_hint not in dropped_genuine)
-        truth = BlockTruth(
-            receiver_id=receiver_id, block_id=block_id,
-            base_seq=base_seq, last_seq=last_seq, phase=pending.phase,
-            scheme=pending.scheme_name, intact=intact, digests=digests,
-            sent=channel.sent, dropped=channel.dropped,
-            corrupted=corrupted, injected=injected, replayed=replayed,
-            queue_dropped=len(transport_dropped),
-        )
         frame = ControlFrame(
             block_id=block_id, base_seq=base_seq, last_seq=last_seq,
-            scheme=pending.scheme_name, phase=pending.phase,
+            scheme=packets.scheme_name, phase=packets.phase,
             intact=tuple(sorted(intact)),
             digests=tuple(sorted(digests.items())),
         )
@@ -500,70 +439,15 @@ class SenderService:
                 registry.count("serve.attack.corrupted", corrupted)
                 registry.count("serve.attack.injected", injected)
                 registry.count("serve.attack.replayed", replayed)
-        return truth
 
-    async def _transmit_block(self, pending: _PendingBlock
-                              ) -> Dict[str, BlockTruth]:
+    async def _transmit_block(self, pending: _PendingBlock) -> None:
         """Push one packetized block through every receiver's channel."""
-        truths: Dict[str, BlockTruth] = {}
         for receiver_id in self.receiver_ids:
-            truths[receiver_id] = await self._transmit_to_receiver(
-                pending, self._index_of[receiver_id], receiver_id)
-        return truths
-
-    async def send_block_grouped(self, schemes_by_group: Mapping[str, Scheme],
-                                 group_of: Mapping[str, str],
-                                 payloads: Sequence[bytes], loss_rate: float,
-                                 phases_by_group: Mapping[str, str]
-                                 ) -> Dict[str, BlockTruth]:
-        """One block, packetized per subtree scheme, one seq range.
-
-        Every group's packetization shares the block id, base sequence
-        and send times (EMSS packet counts are independent of
-        ``(m, d)``, so the layouts line up slot for slot); each
-        receiver's channel then carries its own subtree's packets.
-        Stream state advances exactly once, so block ids, sequence
-        numbers and virtual time stay identical to the ungrouped path.
-        """
-        if self.batch_size != 1:
-            raise SimulationError(
-                "grouped transmit requires per-block signing "
-                "(batch_size == 1)")
-        if not schemes_by_group:
-            raise SimulationError("need at least one scheme group")
-        for receiver_id in self.receiver_ids:
-            group = group_of.get(receiver_id)
-            if group is None or group not in schemes_by_group:
+            packets = pending.groups.get(pending.group_of.get(receiver_id))
+            if packets is None:
                 raise SimulationError(
                     f"receiver {receiver_id!r} has no scheme group")
-        block_id = self._next_block
-        base_seq = self._next_seq
-        send_base = self._send_clock
-        pendings: Dict[str, _PendingBlock] = {}
-        packet_count: Optional[int] = None
-        for group in sorted(schemes_by_group):
-            pending = self._packetize_at(
-                schemes_by_group[group], payloads, loss_rate,
-                phases_by_group[group], self.signer, block_id, base_seq,
-                send_base)
-            if packet_count is None:
-                packet_count = len(pending.stamped)
-            elif len(pending.stamped) != packet_count:
-                raise SimulationError(
-                    f"group {group!r} packetized {len(pending.stamped)} "
-                    f"packets, expected {packet_count}; grouped schemes "
-                    f"must share a block layout")
-            pendings[group] = pending
-        self._next_block += 1
-        self._next_seq += packet_count
-        self._send_clock = send_base + packet_count * self.t_transmit
-        truths: Dict[str, BlockTruth] = {}
-        for receiver_id in self.receiver_ids:
-            truths[receiver_id] = await self._transmit_to_receiver(
-                pendings[group_of[receiver_id]],
-                self._index_of[receiver_id], receiver_id)
-        await self.clock.sleep(packet_count * self.t_transmit)
-        return truths
+            await self._transmit_to_receiver(pending, packets, receiver_id)
 
     async def send_final(self) -> None:
         """End the session: flush any partial batch, then signal EOF."""

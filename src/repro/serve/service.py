@@ -3,9 +3,10 @@
 :func:`run_live_session` wires the serve components together and runs
 a complete adaptive session to completion:
 
-1. packetize block ``b`` with the controller's *current* scheme and
-   stream it to every receiver through per-(receiver, block) seeded
-   channels;
+1. packetize block ``b`` with the controller's *current* scheme of
+   every receiver group and stream it to every receiver through
+   per-(receiver, block) seeded channels over the session's topology
+   (``star`` by default: one independent channel per receiver);
 2. barrier on :meth:`~repro.serve.receiver.ReceiverPool.wait_block` —
    every receiver has closed the block and reported its losses;
 3. feed the reports to the :class:`~repro.serve.adaptive.\
@@ -45,7 +46,6 @@ from repro.serve.adaptive import (
     CONTROLLER_FAMILIES,
     AdaptationEvent,
     AdaptiveController,
-    SubtreeAdaptiveController,
 )
 from repro.serve.membership import (
     MembershipPlan,
@@ -53,7 +53,7 @@ from repro.serve.membership import (
     storm_channel_factory,
 )
 from repro.serve.receiver import LossReport, ReceiverPool
-from repro.serve.sender import SenderService, default_channel_factory
+from repro.serve.sender import SenderService
 from repro.serve.transport import LocalTransport, Transport, UdpTransport
 from repro.simulation.sender import make_payloads
 from repro.simulation.stats import SimulationStats
@@ -75,21 +75,24 @@ class ServeConfig:
     ``first_block <= b``.  A ramp like ``((0, 0.05), (20, 0.3))``
     drives the adaptation staircase the acceptance test asserts on.
 
-    ``topology`` switches the session from independent per-receiver
-    channels to correlated link loss over a distribution tree (spec
-    grammar: ``star`` | ``spine:<groups>`` | ``dualspine:<groups>``);
-    ``trees`` streams every packet down that many redundant
+    ``topology`` is the distribution tree every session streams over
+    (spec grammar: ``star`` | ``spine:<groups>`` |
+    ``dualspine:<groups>``); the default ``star`` gives every receiver
+    its own independent loss process, the paper's channel model, while
+    shared spine edges correlate loss across a subtree.  ``trees``
+    streams every packet down that many redundant
     (edge-disjoint-biased) trees with receiver-side deduplication, and
-    ``subtree_adaptive`` replaces the pool-wide controller with one
-    controller per subtree.
+    ``subtree_adaptive`` keys the controller by subtree: one design
+    per subtree instead of one pool-wide.
 
     ``churn`` makes membership dynamic (spec grammar: ``storm[:J,L,C]``
     | ``flood:BLOCK`` | ``flap:COUNT``): a seeded
     :class:`~repro.serve.membership.MembershipPlan` admits late
     joiners, drains graceful leavers and kills crash victims
-    mid-session.  Churn requires per-block signing — joins and leaves
-    apply at block boundaries, which must coincide with flush
-    boundaries for the barrier bookkeeping to stay exact.
+    mid-session.  Membership changes apply at block boundaries; under
+    batch signing a boundary that carries membership events flushes
+    the pending batch first, and a block with crash victims is
+    flushed before its victims are detached.
     """
 
     receivers: int = 8
@@ -107,7 +110,7 @@ class ServeConfig:
     timeout_s: Optional[float] = None
     batch_size: int = 1
     flush_deadline: Optional[float] = None
-    topology: Optional[str] = None
+    topology: str = "star"
     trees: int = 1
     subtree_adaptive: bool = False
     churn: Optional[str] = None
@@ -125,29 +128,14 @@ class ServeConfig:
         if self.trees < 1:
             raise SimulationError(
                 f"trees must be >= 1, got {self.trees}")
-        if self.trees > 1 and self.topology is None:
+        if self.subtree_adaptive and not self.adaptive:
             raise SimulationError(
-                "redundant trees need a topology (--topology)")
-        if self.subtree_adaptive:
-            if self.topology is None:
-                raise SimulationError(
-                    "subtree adaptation needs a topology (--topology)")
-            if not self.adaptive:
-                raise SimulationError(
-                    "subtree adaptation contradicts --no-adaptive")
-            if self.batch_size != 1:
-                raise SimulationError(
-                    "subtree adaptation requires per-block signing "
-                    "(batch_size == 1)")
+                "subtree adaptation contradicts --no-adaptive")
         if self.flush_deadline is not None and self.flush_deadline <= 0:
             raise SimulationError(
                 f"flush_deadline must be > 0, got {self.flush_deadline}")
         if self.churn is not None:
             parse_churn_spec(self.churn)  # fail on bad specs eagerly
-            if self.batch_size != 1:
-                raise SimulationError(
-                    "churn requires per-block signing (batch_size == 1); "
-                    "membership changes apply at block boundaries")
         if self.transport not in ("local", "udp"):
             raise SimulationError(
                 f"unknown transport {self.transport!r} (local|udp)")
@@ -324,6 +312,13 @@ def _observe_health(health: HealthMonitor, block_id: int,
         t=now)
 
 
+def _phase(scheme_name: str, group: Optional[str], loss_rate: float) -> str:
+    """Stats phase of one group's block: scheme, group label, loss rate."""
+    if group is None:
+        return f"{scheme_name}@p={loss_rate:g}"
+    return f"{scheme_name}@{group}@p={loss_rate:g}"
+
+
 async def _drive_session(config: ServeConfig, transport: Transport,
                          sender: SenderService, pool: ReceiverPool,
                          controller, clock: Clock,
@@ -333,10 +328,7 @@ async def _drive_session(config: ServeConfig, transport: Transport,
                          batch_verifier: Optional[BatchVerifier] = None
                          ) -> None:
     registry = get_registry()
-    grouped = isinstance(controller, SubtreeAdaptiveController)
-    initial_ids = (plan.initial_ids if plan is not None
-                   else config.receiver_ids())
-    await transport.start(initial_ids)
+    await transport.start(list(sender.receiver_ids))
     pool.start(transport)
 
     async def settle(flushed_block_id: int) -> None:
@@ -353,6 +345,10 @@ async def _drive_session(config: ServeConfig, transport: Transport,
                               _gauge_rows(pool, controller, health))
         if registry.enabled:
             registry.count("serve.block.runs", 1)
+
+    async def settle_all(flushed: List[int]) -> None:
+        for flushed_block_id in flushed:
+            await settle(flushed_block_id)
 
     async def apply_boundary(block_id: int) -> None:
         # Leaves drain before joins admit (the plan sorts them so);
@@ -394,33 +390,28 @@ async def _drive_session(config: ServeConfig, transport: Transport,
     try:
         for block_id in range(config.blocks):
             victims: List[str] = []
-            if plan is not None:
+            if plan is not None and (plan.boundary_events(block_id)
+                                     or plan.crash_events(block_id)):
+                # Blocks sent before a membership change settle under
+                # the membership they were sent to, as with per-block
+                # signing.
+                await settle_all(await sender.flush_pending())
                 await apply_boundary(block_id)
                 victims = await strike_crashes(block_id)
             loss_rate = config.loss_for_block(block_id)
             payloads = make_payloads(config.block_size, config.payload_size,
                                      tag=b"blk%04d" % block_id)
-            if grouped:
-                schemes = controller.schemes_by_group()
-                phases = {
-                    group: f"{scheme.name}@{group}@p={loss_rate:g}"
-                    for group, scheme in schemes.items()
-                }
-                await sender.send_block_grouped(
-                    schemes, controller.group_of, payloads, loss_rate,
-                    phases)
-                await detach_crashed(victims)
-                await settle(block_id)
-                continue
-            scheme = controller.scheme
-            phase = f"{scheme.name}@p={loss_rate:g}"
-            flushed = await sender.submit_block(scheme, payloads, loss_rate,
-                                                phase)
+            schemes = controller.schemes()
+            phases = {group: _phase(scheme.name, group, loss_rate)
+                      for group, scheme in schemes.items()}
+            flushed = await sender.submit_block(schemes, payloads, loss_rate,
+                                                phases, controller.group_of)
+            if victims:
+                # The victims' channels still carry their crash block.
+                flushed += await sender.flush_pending()
             await detach_crashed(victims)
-            for flushed_id in sorted(flushed):
-                await settle(flushed_id)
-        for flushed_id in sorted(await sender.flush_pending()):
-            await settle(flushed_id)
+            await settle_all(flushed)
+        await settle_all(await sender.flush_pending())
         await sender.send_final()
         await pool.join()
     finally:
@@ -470,22 +461,15 @@ def run_live_session(config: ServeConfig,
     # With churn, topology, channel seeding and subtree labels span the
     # whole membership universe — a joiner's channel draws key on its
     # stable universe index, never on who happens to be active.
-    member_ids = (list(plan.universe) if plan is not None
-                  else config.receiver_ids())
-    initial_ids = (plan.initial_ids if plan is not None
-                   else config.receiver_ids())
-    topology = None
-    subtree_of = None
-    if config.topology is not None:
-        topology = make_topology(config.topology, member_ids)
-        trees = redundant_trees(topology, config.trees)
-        channel_factory = topology_channel_factory(
-            config.seed, topology, trees, attack_plan_factory)
-        subtree_of = {leaf: topology.subtree_of(leaf)
-                      for leaf in topology.leaves}
-    else:
-        channel_factory = default_channel_factory(config.seed,
-                                                  attack_plan_factory)
+    member_ids = config.receiver_ids()
+    initial_ids = member_ids
+    if plan is not None:
+        member_ids, initial_ids = list(plan.universe), plan.initial_ids
+    topology = make_topology(config.topology, member_ids)
+    trees = redundant_trees(topology, config.trees)
+    channel_factory = topology_channel_factory(
+        config.seed, topology, trees, attack_plan_factory)
+    subtree_of = {leaf: topology.subtree_of(leaf) for leaf in topology.leaves}
     if plan is not None and attack_plan_factory is not None:
         # Adversarial churn: forged bursts timed at every join's
         # bootstrap window, on top of whatever mix is configured.
@@ -493,21 +477,13 @@ def run_live_session(config: ServeConfig,
                                                 config.seed)
     design_service = (DesignService.load(config.design_table)
                       if config.design_table is not None else None)
-    if config.subtree_adaptive:
-        controller = SubtreeAdaptiveController(
-            topology.subtree_groups(), block_size=config.block_size,
-            q_min_target=config.q_min_target,
-            initial_p=config.loss_for_block(0),
-            family=config.scheme_family,
-            design_service=design_service,
-            membership_aware=plan is not None)
-    else:
-        controller = AdaptiveController(
-            block_size=config.block_size, q_min_target=config.q_min_target,
-            initial_p=config.loss_for_block(0),
-            family=config.scheme_family,
-            design_service=design_service,
-            membership_aware=plan is not None)
+    controller = AdaptiveController(
+        block_size=config.block_size, q_min_target=config.q_min_target,
+        initial_p=config.loss_for_block(0),
+        family=config.scheme_family,
+        design_service=design_service,
+        group_of=subtree_of if config.subtree_adaptive else None,
+        membership_aware=plan is not None)
     if health is not None and config.adaptive and health.envelope_top is None:
         # The drift detector's envelope is whatever lattice the active
         # controller can actually serve from.
@@ -529,8 +505,7 @@ def run_live_session(config: ServeConfig,
                                for index, receiver_id
                                in enumerate(member_ids)})
     parameters = config.to_parameters()
-    if topology is not None:
-        parameters["topology_detail"] = topology.describe()
+    parameters["topology_detail"] = topology.describe()
     if plan is not None:
         parameters["membership"] = plan.describe()
     manifest_clock = RunManifest.start(

@@ -8,12 +8,12 @@ ground-truth estimator are all inherited, so every consumer of the
 `Channel` interface (:mod:`repro.simulation`, :mod:`repro.faults`,
 the serve sender) works unchanged.
 
-:func:`topology_channel_factory` is the topology twin of
-:func:`repro.serve.sender.default_channel_factory`: same
-``(receiver_index, block_id, loss_rate) -> Channel`` signature, same
-attack-plan seed derivation, but all channels of a session share one
+:func:`topology_channel_factory` is the serve layer's one channel
+factory: ``(receiver_index, block_id, loss_rate) -> Channel``, with
+every channel of a session sharing one
 :class:`~repro.topology.linkloss.EdgeLossBank`, which is where the
-cross-receiver correlation lives.
+cross-receiver correlation lives.  Over a ``star`` it is the paper's
+independent per-receiver channel model.
 """
 
 from __future__ import annotations
@@ -26,15 +26,10 @@ from repro.network.channel import Channel
 from repro.network.delay import ConstantDelay, DelayModel
 from repro.network.loss import LossEstimator
 from repro.topology.graph import Topology
-from repro.topology.linkloss import EdgeLossBank, PathLoss
+from repro.topology.linkloss import EdgeLossBank, PathLoss, attack_seed
 from repro.topology.trees import DistTree, union_paths
 
 __all__ = ["TopologyChannel", "topology_channel_factory"]
-
-# Attack-plan seed derivation — identical to default_channel_factory.
-_STRIDE_RECEIVER = 7919
-_STRIDE_BLOCK = 104729
-_ATTACK_OFFSET = 15485863
 
 
 class TopologyChannel(Channel):
@@ -74,13 +69,13 @@ def topology_channel_factory(seed: int, topology: Topology,
                              ) -> Callable[[int, int, float], Channel]:
     """Per-(receiver, block) channels over a shared edge-loss bank.
 
-    Drop-in replacement for
-    :func:`repro.serve.sender.default_channel_factory`: the returned
-    factory has the same signature and the same attack-plan seed
-    derivation (so a star session under attack is byte-identical to
-    the independent-channel session), but all receivers consult one
-    :class:`~repro.topology.linkloss.EdgeLossBank`, giving correlated
-    delivery wherever root→leaf paths share edges.
+    Every call builds a fresh channel: the edge draws come from the one
+    :class:`~repro.topology.linkloss.EdgeLossBank` all receivers
+    consult (correlated delivery wherever root→leaf paths share
+    edges), and an attack plan, when a factory is supplied, is
+    reseeded per cell with :func:`~repro.topology.linkloss.attack_seed`
+    and wrapped around the channel as an
+    :class:`~repro.faults.AdversarialChannel`.
 
     ``receiver_index`` indexes ``topology.leaves`` — the factory is
     only valid for the leaf ordering the topology was built with.
@@ -110,9 +105,7 @@ def topology_channel_factory(seed: int, topology: Topology,
         if attack_plan_factory is None:
             return channel
         plan = attack_plan_factory()
-        cell_seed = (seed + _STRIDE_RECEIVER * (receiver_index + 1)
-                     + _STRIDE_BLOCK * (block_id + 1))
-        plan.reseed(cell_seed + _ATTACK_OFFSET)
+        plan.reseed(attack_seed(seed, receiver_index, block_id))
         return AdversarialChannel(channel, plan)
 
     build.bank = bank

@@ -9,23 +9,23 @@ substrate for that model: a networkx graph with one distinguished
 per-edge attributes —
 
 * ``index`` — a stable integer identity assigned at construction, the
-  key every per-(edge, block) RNG seed derives from.  Leaf edges of
-  the canonical builders are indexed by receiver order, which is what
-  makes a star topology's edge draws *bit-identical* to the
-  independent per-receiver channels of
-  :func:`repro.serve.sender.default_channel_factory`;
+  key every per-(edge, block) RNG seed derives from
+  (:func:`repro.topology.linkloss.cell_seed`).  Leaf edges of the
+  canonical builders are indexed by receiver order, which is what
+  makes a star topology's edge draws exactly one independent,
+  receiver-seeded loss process per receiver;
 * ``loss_scale`` — a multiplier applied to the session's scheduled
   loss rate on this edge (clamped to ``[0, 1]``), so one spec string
   can describe heterogeneous links (a hot spine over clean last-hop
   edges).
 
 Canonical builders cover the shapes the serve layer and the test
-suites exercise: ``star`` (independent last hops — the differential
-baseline), ``spine`` (a 2-level shared-spine tree whose sibling
-leaves have correlated delivery) and ``dualspine`` (two parallel
-aggregation planes, the smallest shape where k-redundant trees are
-genuinely edge-disjoint).  :func:`make_topology` parses the
-``--topology`` CLI spec grammar.
+suites exercise: ``star`` (independent last hops — the paper's
+channel model and the default serve topology), ``spine`` (a 2-level
+shared-spine tree whose sibling leaves have correlated delivery) and
+``dualspine`` (two parallel aggregation planes, the smallest shape
+where k-redundant trees are genuinely edge-disjoint).
+:func:`make_topology` parses the ``--topology`` CLI spec grammar.
 """
 
 from __future__ import annotations
@@ -182,9 +182,8 @@ def star_topology(leaves: Sequence[str], root: str = "root") -> Topology:
     """Every receiver on its own last-hop edge — independent links.
 
     Edge ``i`` connects the root to ``leaves[i]``, so per-(edge, block)
-    seeds coincide with the independent per-(receiver, block) channel
-    seeds and a star session is byte-identical to the non-topology
-    serve path.
+    seeds coincide with the per-(receiver, block) cell seeds: a star
+    session gives every receiver its own independent loss process.
     """
     graph, counter = _new_graph()
     graph.add_node(root)

@@ -9,13 +9,15 @@ Three claims from the issue, each over randomized inputs:
   dictates, never more than ``ceil(log2(leaf_count))``;
 * splitting a digest stream at any point into two batches never
   changes the set of verifiable blocks; and (session level) random
-  batch sizes and flush deadlines leave a live session's transcripts
-  byte-identical to per-block signing.
+  batch sizes, flush deadlines and churn specs leave a live session's
+  transcripts byte-identical to per-block signing, and churn storms
+  under pollution never accept a forgery.
 """
 
+import json
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.batch import (
@@ -26,6 +28,7 @@ from repro.crypto.batch import (
 )
 from repro.crypto.hashing import sha256
 from repro.crypto.signatures import HmacStubSigner
+from repro.obs.lifecycle import LifecycleTracer
 from repro.serve.service import ServeConfig, run_live_session
 
 _messages = st.lists(st.binary(min_size=1, max_size=48), min_size=1,
@@ -125,17 +128,54 @@ class TestSplitInvariance:
         assert whole == parts == set(messages)
 
 
+def _sorted_events(tracer):
+    return sorted(json.dumps(event, sort_keys=True)
+                  for event in tracer.events())
+
+
+_churn_specs = st.one_of(
+    st.none(),
+    st.sampled_from(["storm", "storm:0.5,0.5,0.25", "storm:1,0.5,0.5"]),
+    st.integers(min_value=1, max_value=3).map(lambda n: f"flap:{n}"),
+    st.integers(min_value=1, max_value=4).map(lambda b: f"flood:{b}"),
+)
+
+
 class TestSessionInvariance:
     @given(st.integers(min_value=2, max_value=6),
            st.one_of(st.none(),
-                     st.floats(min_value=0.01, max_value=1.0)))
-    @settings(max_examples=8, deadline=None)
+                     st.floats(min_value=0.01, max_value=1.0)),
+           _churn_specs)
+    @example(batch_size=4, flush_deadline=None, churn="storm:1,0.5,0.5")
+    @settings(max_examples=12, deadline=None)
     def test_random_batching_leaves_transcripts_identical(
-            self, batch_size, flush_deadline):
+            self, batch_size, flush_deadline, churn):
         base = dict(receivers=3, blocks=5, block_size=4, payload_size=8,
-                    loss_schedule=((0, 0.1),), seed=31, adaptive=False)
-        per_block = run_live_session(ServeConfig(**base))
+                    loss_schedule=((0, 0.1),), seed=31, adaptive=False,
+                    churn=churn)
+        per_block_trace = LifecycleTracer(run_seed=31)
+        per_block = run_live_session(ServeConfig(**base),
+                                     lifecycle=per_block_trace)
+        batched_trace = LifecycleTracer(run_seed=31)
         batched = run_live_session(ServeConfig(
-            **base, batch_size=batch_size, flush_deadline=flush_deadline))
+            **base, batch_size=batch_size, flush_deadline=flush_deadline),
+            lifecycle=batched_trace)
         assert batched.transcripts == per_block.transcripts
+        assert batched.forged_accepted == 0
+        # Same packets to the same receivers (a crash victim still gets
+        # its crash block), only in flush order.
+        assert (_sorted_events(batched_trace)
+                == _sorted_events(per_block_trace))
+
+    @given(st.integers(min_value=2, max_value=8),
+           st.one_of(st.none(),
+                     st.floats(min_value=0.01, max_value=1.0)))
+    @settings(max_examples=6, deadline=None)
+    def test_churn_storm_under_pollution_stays_sound(self, batch_size,
+                                                     flush_deadline):
+        batched = run_live_session(ServeConfig(
+            receivers=4, blocks=8, block_size=4, payload_size=8,
+            loss_schedule=((0, 0.1), (4, 0.3)), seed=31,
+            churn="storm", attack="pollution", batch_size=batch_size,
+            flush_deadline=flush_deadline))
         assert batched.forged_accepted == 0

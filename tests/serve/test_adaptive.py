@@ -36,30 +36,30 @@ class TestQuantization:
 class TestInitialDesign:
     def test_initial_choice_matches_optimizer(self):
         controller = AdaptiveController(block_size=12, initial_p=0.05)
-        assert controller.choice.scheme == "emss"
-        assert controller.choice.q_min >= 0.75
-        assert controller.scheme.name == "emss{0}".format(
-            "(%d,%d)" % controller.choice.parameters)
+        assert controller.design().choice.scheme == "emss"
+        assert controller.design().choice.q_min >= 0.75
+        assert controller.design().scheme.name == "emss{0}".format(
+            "(%d,%d)" % controller.design().choice.parameters)
 
     def test_p_design_starts_quantized(self):
         controller = AdaptiveController(block_size=12, initial_p=0.04)
-        assert controller.p_design == 0.05
+        assert controller.design().p_design == 0.05
 
 
 class TestSwitching:
     def test_rising_loss_switches_parameters(self):
         controller = AdaptiveController(block_size=12, initial_p=0.02)
-        start = controller.choice.parameters
+        start = controller.design().choice.parameters
         # Saturate the window with heavy loss; the design point must
         # move up the grid and the parameters must change.
         event = None
         for block_id in range(4):
-            event = controller.observe(block_id,
-                                       [_report(block_id, 30, 100)])
+            [event] = controller.observe(block_id,
+                                         [_report(block_id, 30, 100)])
         assert event.p_design >= 0.3
-        assert controller.choice.parameters != start
+        assert controller.design().choice.parameters != start
         assert any(e.switched for e in controller.events)
-        assert controller.choice.q_min >= 0.75
+        assert controller.design().choice.q_min >= 0.75
 
     def test_stable_loss_never_switches(self):
         controller = AdaptiveController(block_size=12, initial_p=0.05)
@@ -78,7 +78,7 @@ class TestSwitching:
 
     def test_event_serializes_for_manifest(self):
         controller = AdaptiveController(block_size=12)
-        event = controller.observe(0, [_report(0, 0, 100)])
+        [event] = controller.observe(0, [_report(0, 0, 100)])
         payload = event.to_dict()
         assert payload["block_id"] == 0
         assert payload["parameters"] == list(event.parameters)
@@ -92,10 +92,66 @@ class TestInfeasibility:
         # has instead of stalling the stream.
         controller = AdaptiveController(block_size=12, initial_p=0.02,
                                         d_values=(1,), q_min_target=0.99)
-        before = controller.choice
+        before = controller.design().choice
         event = None
         for block_id in range(4):
-            event = controller.observe(block_id,
-                                       [_report(block_id, 70, 100)])
+            [event] = controller.observe(block_id,
+                                         [_report(block_id, 70, 100)])
         assert not event.feasible
-        assert controller.choice == before
+        assert controller.design().choice == before
+
+
+class TestGroups:
+    GROUPS = {"r00": "s00", "r01": "s00", "r02": "s01", "r03": "s01"}
+
+    def test_pool_wide_controller_is_the_one_none_group(self):
+        controller = AdaptiveController(block_size=12)
+        events = controller.observe(0, [_report(0, 5, 100, "r00"),
+                                        _report(0, 5, 100, "r07")])
+        assert [event.group for event in events] == [None]
+        assert "group" not in events[0].to_dict()
+        assert set(controller.schemes()) == {None}
+        assert "groups" not in controller.gauges()
+
+    def test_each_group_designs_for_its_own_loss(self):
+        controller = AdaptiveController(block_size=12, initial_p=0.02,
+                                        group_of=self.GROUPS)
+        for block_id in range(4):
+            controller.observe(block_id, [
+                _report(block_id, 40, 100, "r00"),
+                _report(block_id, 40, 100, "r01"),
+                _report(block_id, 0, 100, "r02"),
+                _report(block_id, 0, 100, "r03"),
+            ])
+        last = {event.group: event for event in controller.events[-2:]}
+        assert last["s00"].p_design > last["s01"].p_design
+        schemes = controller.schemes()
+        assert list(schemes) == ["s00", "s01"]
+        assert schemes["s00"].name != schemes["s01"].name
+        gauges = controller.gauges()
+        assert gauges["groups"] == 2
+        assert gauges["s00.p_design"] > gauges["s01.p_design"]
+        assert controller.design("s00").scheme is schemes["s00"]
+        with pytest.raises(SimulationError):
+            controller.design()  # no pool-wide group here
+
+    def test_only_groups_that_reported_decide(self):
+        controller = AdaptiveController(block_size=12, group_of=self.GROUPS)
+        events = controller.observe(0, [_report(0, 5, 100, "r02")])
+        assert [event.group for event in events] == ["s01"]
+
+    def test_report_outside_every_group_is_refused(self):
+        controller = AdaptiveController(block_size=12, group_of=self.GROUPS)
+        with pytest.raises(SimulationError):
+            controller.observe(0, [_report(0, 5, 100, "r09")])
+
+    def test_retire_folds_out_of_the_leavers_group_only(self):
+        controller = AdaptiveController(block_size=12, group_of=self.GROUPS,
+                                        membership_aware=True)
+        controller.observe(0, [_report(0, 50, 100, "r00"),
+                               _report(0, 0, 100, "r01"),
+                               _report(0, 10, 100, "r02")])
+        assert controller.envelope_counts() == (60, 300)
+        assert controller.retire_receiver("r00") is True
+        assert controller.envelope_counts() == (10, 200)
+        assert controller.retire_receiver("r09") is False

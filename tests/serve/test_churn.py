@@ -211,10 +211,10 @@ class TestLeaverFolding:
                 self._report("lossy", block_id, received=2),
                 self._report("clean", block_id, received=10),
             ])
-        assert controller.estimator.window_rate == pytest.approx(0.4)
+        assert controller.design().estimator.window_rate == pytest.approx(0.4)
         assert controller.retire_receiver("lossy") is True
         # The leaver's stale samples are gone at once, not aged out.
-        assert controller.estimator.window_rate == 0.0
+        assert controller.design().estimator.window_rate == 0.0
         assert controller.retire_receiver("lossy") is False
 
     def test_flat_controller_declines_to_retire(self):
@@ -224,10 +224,14 @@ class TestLeaverFolding:
 
 
 class TestConfigAndCli:
-    def test_churn_requires_per_block_signing(self):
-        with pytest.raises(SimulationError) as err:
-            ServeConfig(receivers=2, churn="storm", batch_size=4)
-        assert "batch_size" in str(err.value)
+    def test_churn_composes_with_batch_signing(self):
+        config = ServeConfig(receivers=3, blocks=8, block_size=6,
+                             churn="storm", batch_size=4, seed=5)
+        result = run_live_session(config)
+        assert result.forged_accepted == 0
+        plan = result.manifest.parameters["membership"]
+        assert len(result.transcripts) == len(
+            {e[2] for e in plan["events"]} | {"r00", "r01", "r02"})
 
     def test_bad_spec_fails_at_construction(self):
         with pytest.raises(SimulationError):
@@ -255,3 +259,36 @@ class TestConfigAndCli:
                                          block_size=8, seed=5))
         assert "churn" not in result.summary
         assert "membership_counts" not in result.summary
+
+
+class TestSenderRoster:
+    @staticmethod
+    def _sender(receiver_ids):
+        from repro.crypto.signatures import HmacStubSigner
+        from repro.network.clock import VirtualClock
+        from repro.serve.sender import SenderService
+        from repro.serve.transport import LocalTransport
+        from repro.topology import (
+            make_topology,
+            redundant_trees,
+            topology_channel_factory,
+        )
+
+        topology = make_topology("star", receiver_ids)
+        factory = topology_channel_factory(
+            3, topology, redundant_trees(topology, 1))
+        return SenderService(LocalTransport(), receiver_ids,
+                             HmacStubSigner(key=b"roster"), factory,
+                             VirtualClock())
+
+    def test_joiner_outside_the_topology_is_refused_at_once(self):
+        sender = self._sender(["r00", "r01"])
+        with pytest.raises(SimulationError, match="r02"):
+            sender.add_receiver("r02")
+        assert sender.receiver_ids == ["r00", "r01"]
+
+    def test_known_leaf_rejoins_in_roster_order(self):
+        sender = self._sender(["r00", "r01", "r02"])
+        sender.remove_receiver("r01")
+        sender.add_receiver("r01")
+        assert sender.receiver_ids == ["r00", "r01", "r02"]

@@ -121,8 +121,8 @@ class TestControllerServiceWiring:
     def test_service_hit_counts_and_no_inline(self):
         controller = AdaptiveController(block_size=12,
                                         design_service=self.make_service())
-        assert controller.table_hits == 1  # the initial design
-        assert controller.inline_calls == 0
+        assert controller.design().table_hits == 1  # the initial design
+        assert controller.design().inline_calls == 0
         gauges = controller.gauges()
         assert gauges["table_hits"] == 1
         assert gauges["inline_fallbacks"] == 0
@@ -134,8 +134,8 @@ class TestControllerServiceWiring:
         with use_registry(MetricsRegistry()) as registry:
             controller = AdaptiveController(block_size=12,
                                             design_service=service)
-        assert controller.table_misses == 1
-        assert controller.inline_calls == 1
+        assert controller.design().table_misses == 1
+        assert controller.design().inline_calls == 1
         assert registry.counters["design.service.fallbacks"] == 1
         assert registry.counters["design.inline.calls"] == 1
         assert controller.gauges()["table_misses"] == 1
@@ -144,12 +144,12 @@ class TestControllerServiceWiring:
         with_table = AdaptiveController(block_size=12,
                                         design_service=self.make_service())
         inline = AdaptiveController(block_size=12)
-        assert with_table.choice == inline.choice
+        assert with_table.design().choice == inline.design().choice
 
     def test_ac_controller_inline_fallback(self):
         controller = AdaptiveController(block_size=12, family="ac")
-        assert controller.choice.scheme == "ac"
-        assert controller.inline_calls == 1
+        assert controller.design().choice.scheme == "ac"
+        assert controller.design().inline_calls == 1
 
     def test_missing_table_file_fails_loudly(self):
         with pytest.raises(DesignError, match="cannot read"):

@@ -13,7 +13,19 @@ from repro.serve.membership import (
     parse_churn_spec,
     storm_channel_factory,
 )
-from repro.serve.sender import default_channel_factory
+from repro.topology import (
+    shortest_path_tree,
+    star_topology,
+    topology_channel_factory,
+)
+
+
+def _star_factory(seed, attack_plan_factory=None,
+                  leaves=("r00", "r01", "r02", "r03")):
+    topology = star_topology(list(leaves))
+    return topology_channel_factory(seed, topology,
+                                    [shortest_path_tree(topology)],
+                                    attack_plan_factory)
 
 
 def _plan(events=(), universe=("r00", "r01", "r02", "r03"), initial=2,
@@ -192,14 +204,14 @@ class TestStormChannelFactory:
         return _plan_with_join()
 
     def test_non_join_cells_pass_through_unchanged(self):
-        base = default_channel_factory(self.SEED)
+        base = _star_factory(self.SEED)
         wrapped = storm_channel_factory(base, self._plan(), self.SEED)
         channel = wrapped(0, 3, 0.1)
         assert isinstance(channel, Channel)
         assert not isinstance(channel, AdversarialChannel)
 
     def test_join_cell_gets_the_burst(self):
-        base = default_channel_factory(self.SEED)
+        base = _star_factory(self.SEED)
         wrapped = storm_channel_factory(base, self._plan(), self.SEED)
         channel = wrapped(2, 3, 0.1)  # r02's universe index is 2
         assert isinstance(channel, AdversarialChannel)
@@ -209,7 +221,7 @@ class TestStormChannelFactory:
     def test_recompose_preserves_base_faults(self):
         mix = lambda: AttackPlan(  # noqa: E731
             (BootstrapBurstForgery(burst_rate=0.3, window=2),))
-        base = default_channel_factory(self.SEED, attack_plan_factory=mix)
+        base = _star_factory(self.SEED, attack_plan_factory=mix)
         wrapped = storm_channel_factory(base, self._plan(), self.SEED)
         channel = wrapped(2, 3, 0.1)
         assert isinstance(channel, AdversarialChannel)
@@ -217,7 +229,7 @@ class TestStormChannelFactory:
         assert len(channel.plan.faults) == 2
 
     def test_wrapped_factory_is_deterministic(self):
-        base = default_channel_factory(self.SEED)
+        base = _star_factory(self.SEED)
         wrapped = storm_channel_factory(base, self._plan(), self.SEED)
         packets = []
         for factory_run in range(2):

@@ -2,10 +2,13 @@
 
 The acceptance criteria this file pins:
 
-* a star-topology session is **byte-identical** to the independent
-  per-receiver channel session under the same config — the edge-seed
-  derivation reuses the per-(receiver, block) formula with leaf edges
-  indexed by receiver order, so the differential must be exact;
+* ``star`` is the default topology, and a star session is
+  **byte-identical** to the independent per-receiver channel session
+  the serve path ran before every session was topology-backed — the
+  edge-seed derivation is the per-(receiver, block) cell formula with
+  leaf edges indexed by receiver order, so the transcripts match the
+  digests recorded from that path exactly (``test_serve_pins.py``
+  extends the same differential to every artifact);
 * topology sessions are deterministic: double runs reproduce every
   transcript byte, and the pinned shared-spine session matches its
   versioned golden record (``tests/data/traces/topology-session.
@@ -19,15 +22,20 @@ The acceptance criteria this file pins:
 * per-subtree adaptation beats one global controller on a
   heterogeneous (hot-spine) topology;
 * loss reports carry subtree labels and the grouped sender keeps
-  per-group phases apart.
+  per-group phases apart;
+* subtree adaptation composes with batch signing: one Merkle root per
+  flush covers every group's packets.
 """
 
+import hashlib
 import json
+import math
 import os
 
 import pytest
 
 from repro.exceptions import SimulationError
+from repro.obs import MetricsRegistry, use_registry
 from repro.serve.cli import config_from_args, _build_parser
 from repro.serve.loadgen import run_loadgen
 from repro.serve.service import ServeConfig, run_live_session
@@ -41,6 +49,22 @@ TRACE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "data",
 
 BASE = dict(receivers=6, blocks=8, block_size=8, seed=11,
             loss_schedule=((0, 0.1),))
+
+#: SHA-256 over the sorted transcripts of ``BASE`` sessions, recorded on
+#: independent per-receiver channels (plain, then under pollution).
+INDEPENDENT_DIGESTS = {
+    None: "565ed3deb220fcdac09f67ec9c988d814d4d995ad17143cd239d3e7a804545f4",
+    "pollution":
+        "5f072772b64aa9ab72c7e5aeb8812249d23b5dc8ba0721727047016f10c3ef49",
+}
+
+
+def _transcripts_digest(result) -> str:
+    digest = hashlib.sha256()
+    for receiver_id in sorted(result.transcripts):
+        digest.update(receiver_id.encode() + b"\n")
+        digest.update(result.transcripts[receiver_id])
+    return digest.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -56,16 +80,15 @@ def star_session():
 class TestStarDifferential:
     def test_star_transcripts_byte_identical_to_independent(
             self, plain_session, star_session):
-        assert set(star_session.transcripts) == set(plain_session.transcripts)
-        for receiver_id in plain_session.transcripts:
-            assert (star_session.transcripts[receiver_id]
-                    == plain_session.transcripts[receiver_id]), receiver_id
+        assert ServeConfig(**BASE).topology == "star"
+        assert star_session.transcripts == plain_session.transcripts
+        assert (_transcripts_digest(star_session)
+                == INDEPENDENT_DIGESTS[None])
 
     def test_star_attacked_transcripts_byte_identical(self):
-        attacked = dict(BASE, attack="pollution")
-        plain = run_live_session(ServeConfig(**attacked))
-        star = run_live_session(ServeConfig(**attacked, topology="star"))
-        assert star.transcripts == plain.transcripts
+        star = run_live_session(ServeConfig(**BASE, attack="pollution",
+                                            topology="star"))
+        assert _transcripts_digest(star) == INDEPENDENT_DIGESTS["pollution"]
         assert star.forged_accepted == 0
 
     def test_double_run_reproduces_every_byte(self, star_session):
@@ -116,9 +139,13 @@ class TestRedundantTrees:
         assert r1.duplicates_suppressed == 0
         assert r2.duplicates_suppressed > 0
 
-    def test_redundancy_requires_a_topology(self):
-        with pytest.raises(SimulationError):
-            ServeConfig(**BASE, trees=2)
+    def test_redundancy_over_the_default_star_is_a_no_op(self,
+                                                         plain_session):
+        # A star has one root->leaf path per receiver, so a second tree
+        # is the same path, deduplicated before any draw.
+        doubled = run_live_session(ServeConfig(**BASE, trees=2))
+        assert doubled.transcripts == plain_session.transcripts
+        assert doubled.duplicates_suppressed == 0
 
 
 class TestSubtreeAdaptation:
@@ -176,13 +203,45 @@ class TestSubtreeAdaptation:
 
     def test_validation_gates(self):
         with pytest.raises(SimulationError):
-            ServeConfig(**BASE, subtree_adaptive=True)  # no topology
-        with pytest.raises(SimulationError):
             ServeConfig(**BASE, topology="spine:2", subtree_adaptive=True,
                         adaptive=False)
-        with pytest.raises(SimulationError):
-            ServeConfig(**BASE, topology="spine:2", subtree_adaptive=True,
-                        batch_size=4)
+
+
+class TestSubtreeBatchSigning:
+    CONFIG = ServeConfig(receivers=8, blocks=20, block_size=8, seed=19,
+                         loss_schedule=((0, 0.05), (10, 0.3)),
+                         topology="spine:4", subtree_adaptive=True,
+                         batch_size=8, attack="pollution")
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        runs = []
+        for _ in range(2):
+            with use_registry(MetricsRegistry()) as registry:
+                runs.append((run_live_session(self.CONFIG),
+                             dict(registry.counters)))
+        return runs
+
+    def test_sound_under_pollution(self, runs):
+        for session, _ in runs:
+            assert session.forged_accepted == 0
+
+    def test_double_run_is_byte_identical(self, runs):
+        (first, _), (second, _) = runs
+        assert first.transcripts == second.transcripts
+        assert ([e.to_dict() for e in first.events]
+                == [e.to_dict() for e in second.events])
+
+    def test_one_root_per_flush_covers_every_group(self, runs):
+        session, counters = runs[0]
+        groups = {phase.split("@")[1] for phase in session.stats}
+        assert groups == {"s00", "s01", "s02", "s03"}
+        signs = counters["serve.batch.signs"]
+        assert signs <= math.ceil(self.CONFIG.blocks / 8)
+        # Every receiver verifies its own group's proofs against the
+        # shared root cache: per-group roots would need more verifies
+        # than signatures.
+        assert 0 < counters["serve.batch.root_verifies"] <= signs
 
 
 class TestCliAndLoadgen:
@@ -211,7 +270,10 @@ class TestCliAndLoadgen:
         assert result.summary["duplicates_suppressed"] \
             == result.session.duplicates_suppressed > 0
 
-    def test_loadgen_summary_omits_topology_when_absent(self):
+    def test_loadgen_summary_reports_the_default_star(self):
         config = ServeConfig(receivers=2, blocks=2, block_size=6, seed=11)
         result = run_loadgen(config)
-        assert "topology" not in result.summary
+        assert result.summary["topology"] == "star"
+        assert result.summary["trees"] == 1
+        assert result.summary["subtree_adaptive"] is False
+        assert result.summary["duplicates_suppressed"] == 0

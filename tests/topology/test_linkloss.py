@@ -46,6 +46,15 @@ class TestBank:
         bank.lost(0, 1, 0.4, 0)
         assert bank.cells_touched == 2
 
+    def test_rate_pin_outlives_dropped_cells(self):
+        bank = _star_bank()
+        first = [bank.lost(0, 0, 0.3, slot) for slot in range(8)]
+        bank.lost(0, 1, 0.4, 0)  # drops block 0's draws
+        with pytest.raises(SimulationError):
+            bank.lost(0, 0, 0.5, 0)
+        assert [bank.lost(0, 0, 0.3, slot) for slot in range(8)] == first
+        assert bank.cells_touched == 2
+
     def test_loss_scale_clamps_to_one(self):
         topo = spine_topology(LEAVES, 2, spine_scales=(10.0, 1.0))
         bank = EdgeLossBank(topo, 7)

@@ -1,13 +1,21 @@
-"""TopologyChannel: Channel semantics, factory seeds, star differential."""
+"""TopologyChannel: Channel semantics, factory seeds, star differential.
+
+The star differential holds the star factory to the paper's channel
+model written out by hand: one independent Bernoulli channel per
+receiver, seeded per (receiver, block) cell, with an attack plan
+reseeded per cell.
+"""
 
 import pytest
 
 from repro.analysis.conformance import attack_mix
 from repro.crypto.signatures import HmacStubSigner
 from repro.exceptions import SimulationError
+from repro.faults import AdversarialChannel
+from repro.network.channel import Channel
+from repro.network.delay import ConstantDelay
 from repro.network.loss import BernoulliLoss
 from repro.schemes.registry import make_scheme
-from repro.serve.sender import default_channel_factory
 from repro.simulation.sender import StreamSender, make_payloads
 from repro.topology import (
     EdgeLossBank,
@@ -19,9 +27,27 @@ from repro.topology import (
     star_topology,
     topology_channel_factory,
 )
+from repro.topology.linkloss import attack_seed, cell_seed
 
 LEAVES = [f"r{i:02d}" for i in range(6)]
 SEED = 42
+
+
+def _independent_factory(seed, attack_plan_factory=None):
+    """One fresh, cell-seeded Bernoulli channel per (receiver, block)."""
+
+    def build(receiver_index, block_id, loss_rate):
+        channel = Channel(
+            loss=BernoulliLoss(loss_rate,
+                               seed=cell_seed(seed, receiver_index, block_id)),
+            delay=ConstantDelay(0.0))
+        if attack_plan_factory is None:
+            return channel
+        plan = attack_plan_factory()
+        plan.reseed(attack_seed(seed, receiver_index, block_id))
+        return AdversarialChannel(channel, plan)
+
+    return build
 
 
 def _block(block_id=0):
@@ -61,7 +87,7 @@ class TestFactory:
         topo = star_topology(LEAVES)
         tree = shortest_path_tree(topo)
         topo_factory = topology_channel_factory(SEED, topo, [tree])
-        plain_factory = default_channel_factory(SEED)
+        plain_factory = _independent_factory(SEED)
         for receiver in range(len(LEAVES)):
             for block_id in range(3):
                 packets = _block(block_id)
@@ -77,7 +103,7 @@ class TestFactory:
         tree = shortest_path_tree(topo)
         plan = lambda: attack_mix("pollution")  # noqa: E731
         topo_factory = topology_channel_factory(SEED, topo, [tree], plan)
-        plain_factory = default_channel_factory(SEED, plan)
+        plain_factory = _independent_factory(SEED, plan)
         packets = _block()
         for receiver in (0, 3, 5):
             got = topo_factory(receiver, 0, 0.2).transmit_wire(packets)
