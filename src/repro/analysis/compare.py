@@ -23,6 +23,7 @@ from repro.schemes.augmented_chain import AugmentedChainScheme
 from repro.schemes.base import Scheme
 from repro.schemes.emss import EmssScheme, GenericOffsetScheme
 from repro.schemes.rohatgi import RohatgiScheme
+from repro.schemes.rohatgi_online import OnlineRohatgiScheme
 from repro.schemes.saida import SaidaScheme
 from repro.schemes.tesla import TeslaScheme
 
@@ -70,7 +71,7 @@ def analytic_q_min(scheme: Scheme, n: int, p: float,
     """
     if scheme.individually_verifiable:
         return 1.0
-    if isinstance(scheme, RohatgiScheme):
+    if isinstance(scheme, (RohatgiScheme, OnlineRohatgiScheme)):
         return rohatgi_analysis.q_min(n, p)
     if isinstance(scheme, EmssScheme):
         return emss_analysis.q_min(n, scheme.m, scheme.d, p)

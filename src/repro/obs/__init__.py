@@ -19,6 +19,9 @@ never touch an RNG) and zero-cost when disabled:
   integer-CUSUM SLO monitors, envelope drift detection against the
   design lattice, soundness sentinels, and a deterministic JSON-lines
   alert pipeline with exact state ``merge()``;
+* :mod:`repro.obs.sinks` — the JSON-lines :class:`TraceSink` and the
+  sort-at-flush :class:`CanonicalLog` the three collectors above write
+  through; :mod:`repro.obs.artifacts` validates their files;
 * :mod:`repro.obs.export` — Chrome trace-event / Perfetto JSON and
   Prometheus text renderings of the above;
 * :mod:`repro.obs.manifest` — per-run provenance manifests and the
@@ -27,6 +30,7 @@ never touch an RNG) and zero-cost when disabled:
   diffs two of them for the regression gate.
 """
 
+from repro.obs.artifacts import ARTIFACT_KINDS, validate_artifact
 from repro.obs.bench import (
     build_bench_report,
     diff_bench_reports,
@@ -44,12 +48,10 @@ from repro.obs.health import (
     ALERT_DETECTORS,
     ALERT_SEVERITIES,
     AlertEvent,
-    AlertSink,
     HealthMonitor,
     SloSpec,
     max_severity,
     parse_slo_spec,
-    validate_alerts_file,
 )
 from repro.obs.lifecycle import (
     LIFECYCLE_STAGES,
@@ -61,7 +63,6 @@ from repro.obs.lifecycle import (
     lifecycle_trace_id,
     set_lifecycle,
     use_lifecycle,
-    validate_lifecycle_file,
 )
 from repro.obs.manifest import (
     RunManifest,
@@ -79,23 +80,21 @@ from repro.obs.registry import (
     set_registry,
     use_registry,
 )
-from repro.obs.sinks import TraceSink, write_json_file
+from repro.obs.sinks import CanonicalLog, TraceSink, write_json_file
 from repro.obs.spans import (
     get_trace_sink,
     profile_report,
     set_trace_sink,
     span,
 )
-from repro.obs.timeseries import (
-    TimeseriesSampler,
-    validate_timeseries_file,
-)
+from repro.obs.timeseries import TimeseriesSampler
 
 __all__ = [
     "ALERT_DETECTORS",
     "ALERT_SEVERITIES",
+    "ARTIFACT_KINDS",
     "AlertEvent",
-    "AlertSink",
+    "CanonicalLog",
     "HealthMonitor",
     "SloSpec",
     "Histogram",
@@ -131,11 +130,9 @@ __all__ = [
     "span",
     "use_lifecycle",
     "use_registry",
-    "validate_alerts_file",
-    "validate_lifecycle_file",
+    "validate_artifact",
     "validate_metrics_file",
     "validate_metrics_payload",
-    "validate_timeseries_file",
     "write_bench_report",
     "write_chrome_trace",
     "write_json_file",

@@ -31,11 +31,11 @@ evaluated at virtual-time block boundaries inside
   and batch root-cache anomalies (more root verifications than root
   signatures — the shared cache stopped amortizing).
 
-Alerts flow through :class:`AlertSink`, a canonical JSON-lines writer
-with the same sort-at-flush discipline as
-:class:`~repro.obs.lifecycle.LifecycleTracer` — asyncio interleaving
-can never leak into the bytes, so CI diffs two alert files instead of
-trusting them.
+The monitor is a :class:`~repro.obs.sinks.CanonicalLog` keyed by
+:meth:`AlertEvent.sort_key` — the same sort-at-flush discipline as
+:class:`~repro.obs.lifecycle.LifecycleTracer` — so asyncio interleaving
+can never leak into the alert file's bytes, and CI diffs two alert
+files instead of trusting them.
 
 :meth:`HealthMonitor.merge` gives monitor state the exact fold the
 rest of the observability layer has (``McResult.merge`` /
@@ -54,19 +54,18 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.exceptions import AnalysisError
 from repro.obs.registry import get_registry
-from repro.obs.sinks import TraceSink
+from repro.obs.sinks import CanonicalLog, LogTarget
 
 __all__ = [
     "ALERT_SEVERITIES",
     "ALERT_DETECTORS",
     "DEFAULT_SLO_DEFICIT",
     "AlertEvent",
-    "AlertSink",
     "SloSpec",
+    "alert_sort_key",
     "parse_slo_spec",
     "HealthMonitor",
     "max_severity",
-    "validate_alerts_file",
 ]
 
 #: Severity levels, mildest first; CLI exit codes key on the worst.
@@ -136,8 +135,7 @@ class AlertEvent:
 
     def sort_key(self) -> Tuple:
         """Canonical order: block-major, then detector/kind/scope."""
-        return (self.block, self.detector, self.kind, self.scope, self.t,
-                json.dumps(self.detail, sort_keys=True))
+        return alert_sort_key(vars(self))
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready record (the alert-file line and manifest form)."""
@@ -152,6 +150,13 @@ class AlertEvent:
         }
 
 
+def alert_sort_key(record: Dict[str, object]) -> Tuple:
+    """:meth:`AlertEvent.sort_key` of an alert record (its ``to_dict``)."""
+    return (record["block"], record["detector"], record["kind"],
+            record["scope"], record["t"],
+            json.dumps(record["detail"], sort_keys=True))
+
+
 def max_severity(alerts: List[AlertEvent]) -> Optional[str]:
     """The worst severity present, or ``None`` for an empty list."""
     worst: Optional[str] = None
@@ -159,45 +164,6 @@ def max_severity(alerts: List[AlertEvent]) -> Optional[str]:
         if worst is None or _SEVERITY_RANK[alert.severity] > _SEVERITY_RANK[worst]:
             worst = alert.severity
     return worst
-
-
-class AlertSink:
-    """Buffered canonical JSON-lines writer for alert events.
-
-    Mirrors the :class:`~repro.obs.lifecycle.LifecycleTracer` flush
-    discipline: events buffer in memory and are written sorted by
-    :meth:`AlertEvent.sort_key` on :meth:`flush`, so the emission order
-    (which asyncio scheduling could perturb) never reaches the file.
-    One final flush — the normal path — yields a globally sorted file.
-    """
-
-    def __init__(self, sink: Union[None, str, TraceSink] = None) -> None:
-        if sink is None or isinstance(sink, TraceSink):
-            self._sink: Optional[TraceSink] = sink
-        else:
-            self._sink = TraceSink(sink)
-        self._pending: List[AlertEvent] = []
-        self.written = 0
-
-    def append(self, alert: AlertEvent) -> None:
-        """Buffer one alert for the next flush."""
-        self._pending.append(alert)
-
-    def flush(self) -> int:
-        """Write buffered alerts sorted; returns how many were written."""
-        pending = sorted(self._pending, key=AlertEvent.sort_key)
-        self._pending = []
-        if self._sink is not None:
-            for alert in pending:
-                self._sink.write(alert.to_dict())
-        self.written += len(pending)
-        return len(pending)
-
-    def close(self) -> None:
-        """Flush and close the underlying sink (idempotent)."""
-        self.flush()
-        if self._sink is not None:
-            self._sink.close()
 
 
 @dataclass(frozen=True)
@@ -268,7 +234,7 @@ _SENTINEL_KEYS = ("forged", "undecodable", "cap_evictions",
                   "root_verifies", "batch_signs", "expected")
 
 
-class HealthMonitor:
+class HealthMonitor(CanonicalLog):
     """Deterministic streaming health state for one serving session.
 
     Parameters
@@ -290,7 +256,10 @@ class HealthMonitor:
         Undecodable-to-expected ratio (per block, exact fraction) at or
         above which the decode sentinel fires.
     sink:
-        Optional :class:`AlertSink` the monitor flushes alerts to.
+        Where :meth:`flush` writes the alerts emitted since the last
+        flush, in canonical order: a path, a text stream, or an
+        existing :class:`~repro.obs.sinks.TraceSink`.  ``None`` keeps
+        them in :attr:`alerts` only.
 
     All detector state is integers (or exact rational configuration),
     so :meth:`merge` is an exact fold and repeated runs produce
@@ -301,7 +270,7 @@ class HealthMonitor:
                  deficit: int = DEFAULT_SLO_DEFICIT,
                  envelope_top: Optional[FractionLike] = None,
                  decode_spike: FractionLike = Fraction(1, 4),
-                 sink: Optional[AlertSink] = None) -> None:
+                 sink: LogTarget = None) -> None:
         if deficit < 1:
             raise AnalysisError(f"deficit must be >= 1, got {deficit}")
         target = _to_fraction(q_target, "q target")
@@ -312,6 +281,7 @@ class HealthMonitor:
             raise AnalysisError(
                 f"decode spike threshold must be in (0, 1], got "
                 f"{decode_spike}")
+        super().__init__(sink)
         self.q_num = target.numerator
         self.q_den = target.denominator
         self.deficit = int(deficit)
@@ -320,9 +290,7 @@ class HealthMonitor:
         self._envelope: Optional[Fraction] = None
         if envelope_top is not None:
             self.configure_envelope(envelope_top)
-        self.sink = sink
         self.alerts: List[AlertEvent] = []
-        self._unflushed: List[AlertEvent] = []
         self.slo: Dict[str, _SloState] = {}
         self.drift_blocks = 0
         self.off_lattice_blocks = 0
@@ -364,7 +332,10 @@ class HealthMonitor:
 
     def _emit(self, alert: AlertEvent) -> AlertEvent:
         self.alerts.append(alert)
-        self._unflushed.append(alert)
+        if self.sink is not None:
+            # Without a sink, ``alerts`` is the whole record; buffered
+            # copies would be discarded unread at the next flush.
+            self.append(alert.sort_key(), alert.to_dict())
         registry = get_registry()
         if registry.enabled:
             registry.count(f"health.alerts.{alert.severity}", 1)
@@ -570,8 +541,9 @@ class HealthMonitor:
         Per-scope SLO states union by scope (integer field sums on a
         collision — bit-for-bit when shards own disjoint scopes, which
         is the cohort-sharding contract), drift and sentinel totals
-        sum, and alert lists concatenate (:meth:`describe` and the
-        sink both re-sort canonically).  Associative and commutative,
+        sum, and alert lists concatenate (:meth:`describe` re-sorts
+        canonically).  The merged monitor has no sink and nothing to
+        flush.  Associative and commutative,
         with a fresh same-config monitor as identity.
         """
         if not isinstance(other, HealthMonitor):
@@ -606,71 +578,3 @@ class HealthMonitor:
             merged.sentinel_totals[key] = (self.sentinel_totals[key]
                                            + other.sentinel_totals[key])
         return merged
-
-    # -- sink plumbing -------------------------------------------------
-
-    def flush(self) -> int:
-        """Push alerts emitted since the last flush into the sink."""
-        pending = self._unflushed
-        self._unflushed = []
-        if self.sink is None:
-            return 0
-        for alert in pending:
-            self.sink.append(alert)
-        return self.sink.flush()
-
-    def close(self) -> None:
-        """Flush and close the sink (idempotent; no-sink safe)."""
-        self.flush()
-        if self.sink is not None:
-            self.sink.close()
-
-
-def validate_alerts_file(path: str) -> int:
-    """Validate an alerts JSON-lines file; returns the alert count.
-
-    Every line must be a JSON object with the canonical fields, a known
-    detector and severity, integer block ids, and the lines must appear
-    in canonical sorted order (the sort-at-flush contract) — corrupted,
-    reordered or hand-edited files fail loudly.
-    """
-    count = 0
-    previous_key: Optional[Tuple] = None
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                raise AnalysisError(f"{path}:{line_no}: not valid JSON: {exc}")
-            for name in ("block", "detector", "kind", "scope", "severity",
-                         "t", "detail"):
-                if name not in record:
-                    raise AnalysisError(
-                        f"{path}:{line_no}: missing field {name!r}")
-            if not isinstance(record["block"], int):
-                raise AnalysisError(
-                    f"{path}:{line_no}: block must be an integer, got "
-                    f"{record['block']!r}")
-            if record["detector"] not in ALERT_DETECTORS:
-                raise AnalysisError(
-                    f"{path}:{line_no}: unknown detector "
-                    f"{record['detector']!r}")
-            if record["severity"] not in _SEVERITY_RANK:
-                raise AnalysisError(
-                    f"{path}:{line_no}: unknown severity "
-                    f"{record['severity']!r}")
-            if not isinstance(record["detail"], dict):
-                raise AnalysisError(
-                    f"{path}:{line_no}: detail must be an object")
-            key = (record["block"], record["detector"], record["kind"],
-                   record["scope"], record["t"],
-                   json.dumps(record["detail"], sort_keys=True))
-            if previous_key is not None and key < previous_key:
-                raise AnalysisError(
-                    f"{path}:{line_no}: alerts out of canonical order")
-            previous_key = key
-            count += 1
-    return count

@@ -18,14 +18,14 @@ Sampling is by trace-ID hash (``keep iff hash % sample == 0``), so a
 ``1/N`` sample selects the *same* traces every run and the sampled
 file is a byte-exact subset of the full one.
 
-The tracer buffers events in memory and writes them on
-:meth:`LifecycleTracer.flush` / :meth:`~LifecycleTracer.close`, sorted
-by the canonical ``(block, receiver, seq, time, stage)`` key — asyncio
-task interleaving can never leak into the file, and each trace's
-events appear in monotone time order.  Flushing happens even
-when the instrumented run raises (context-manager close and the
-serving layer's ``finally``), so a crashed run still yields a
-parseable JSON-lines prefix of its story.
+The tracer is a :class:`~repro.obs.sinks.CanonicalLog`: events
+buffer in memory and are written on :meth:`~LifecycleTracer.flush` /
+:meth:`~LifecycleTracer.close`, sorted by the canonical ``(block,
+receiver, seq, time, stage)`` key — asyncio task interleaving can
+never leak into the file, and each trace's events appear in monotone
+time order.  Flushing happens even when the instrumented run raises
+(context-manager close and the serving layer's error path), so a
+crashed run still yields a parseable JSON-lines prefix of its story.
 
 Like the metrics registry, a process-wide *current tracer* defaults to
 a null singleton whose ``enabled`` attribute lets hot paths skip event
@@ -35,12 +35,10 @@ construction entirely.
 from __future__ import annotations
 
 import hashlib
-import json
-import threading
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 from repro.exceptions import AnalysisError
-from repro.obs.sinks import TraceSink
+from repro.obs.sinks import CanonicalLog, LogTarget
 
 __all__ = [
     "LIFECYCLE_STAGES",
@@ -54,7 +52,6 @@ __all__ = [
     "use_lifecycle",
     "lifecycle_trace_id",
     "lifecycle_sampled",
-    "validate_lifecycle_file",
 ]
 
 #: Canonical stage order; the sort key and the exporters lean on it.
@@ -63,7 +60,7 @@ LIFECYCLE_STAGES: Tuple[str, ...] = (
 
 _STAGE_INDEX = {name: index for index, name in enumerate(LIFECYCLE_STAGES)}
 
-#: Statuses each stage may legally emit (the schema validator checks).
+#: Statuses each stage may legally emit (the artifact validator checks).
 LIFECYCLE_STATUSES: Dict[str, Tuple[str, ...]] = {
     "sign": ("signed",),
     "frame": ("framed",),
@@ -98,7 +95,7 @@ def lifecycle_sampled(trace_id: str, sample: int) -> bool:
     return int(trace_id, 16) % sample == 0
 
 
-class LifecycleTracer:
+class LifecycleTracer(CanonicalLog):
     """Records packet lifecycle events; writes them sorted and stable.
 
     Parameters
@@ -118,17 +115,12 @@ class LifecycleTracer:
     enabled = True
 
     def __init__(self, run_seed: int, sample: int = 1,
-                 sink: Union[None, str, TraceSink] = None) -> None:
+                 sink: LogTarget = None) -> None:
         if sample < 1:
             raise AnalysisError(f"trace sample must be >= 1, got {sample}")
+        super().__init__(sink)
         self.run_seed = int(run_seed)
         self.sample = int(sample)
-        if sink is None or isinstance(sink, TraceSink):
-            self._sink: Optional[TraceSink] = sink
-        else:
-            self._sink = TraceSink(sink)
-        self._lock = threading.Lock()
-        self._events: List[Tuple[Tuple, dict]] = []
         self._ids: Dict[Tuple[str, int, int], str] = {}
         self._kept: Dict[str, bool] = {}
         self._birth = 0
@@ -177,46 +169,11 @@ class LifecycleTracer:
             key = (block, receiver, seq, t, _STAGE_INDEX.get(stage, 99),
                    self._birth)
             self._birth += 1
-            self._events.append((key, record))
+            self._pending.append((key, record))
             self.events_recorded += 1
 
-    # -- reading / writing ---------------------------------------------
-
-    def events(self) -> List[dict]:
-        """Buffered (unflushed) events in canonical sorted order."""
-        with self._lock:
-            return [record for _key, record in sorted(self._events,
-                                                      key=lambda e: e[0])]
-
-    def flush(self) -> int:
-        """Write buffered events to the sink, sorted; returns the count.
-
-        Clears the buffer, so repeated flushes append disjoint sorted
-        chunks (one final flush — the normal path — yields a globally
-        sorted file).  Safe with no sink installed.
-        """
-        with self._lock:
-            pending = sorted(self._events, key=lambda e: e[0])
-            self._events = []
-        if self._sink is not None:
-            for _key, record in pending:
-                self._sink.write(record)
-        return len(pending)
-
-    def close(self) -> None:
-        """Flush and close the sink (idempotent)."""
-        self.flush()
-        if self._sink is not None:
-            self._sink.close()
-
-    def __enter__(self) -> "LifecycleTracer":
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        # Close on success *and* on error: a crashing instrumented run
-        # must still leave a parseable JSON-lines file behind.
-        self.close()
-        return False
+    #: Buffered (unflushed) events in canonical sorted order.
+    events = CanonicalLog.sorted_records
 
 
 class NullLifecycleTracer(LifecycleTracer):
@@ -230,9 +187,6 @@ class NullLifecycleTracer(LifecycleTracer):
     def record(self, receiver: str, block: int, seq: int, stage: str,
                status: str, t: float, **attrs) -> None:  # noqa: D102
         pass
-
-    def flush(self) -> int:  # noqa: D102
-        return 0
 
 
 #: Process-wide disabled singleton; ``get_lifecycle()`` returns it
@@ -272,45 +226,3 @@ class use_lifecycle:
     def __exit__(self, *exc_info) -> bool:
         set_lifecycle(self._previous)
         return False
-
-
-def validate_lifecycle_file(path: str) -> int:
-    """Validate a lifecycle JSON-lines file; returns the event count.
-
-    Every line must be a JSON object with the canonical fields, a
-    known stage, a status legal for that stage, and a trace ID that
-    re-derives from ``(r, b, seq)`` — corrupted or hand-edited files
-    fail loudly.  The run seed is recovered from the first event by
-    trial re-derivation only if a ``seed`` attr is present; otherwise
-    ID self-consistency is checked structurally (16 hex chars).
-    """
-    count = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                raise AnalysisError(
-                    f"{path}:{line_no}: not valid JSON: {exc}")
-            for field in ("trace", "r", "b", "seq", "stage", "status", "t"):
-                if field not in record:
-                    raise AnalysisError(
-                        f"{path}:{line_no}: missing field {field!r}")
-            stage = record["stage"]
-            if stage not in LIFECYCLE_STATUSES:
-                raise AnalysisError(
-                    f"{path}:{line_no}: unknown stage {stage!r}")
-            if record["status"] not in LIFECYCLE_STATUSES[stage]:
-                raise AnalysisError(
-                    f"{path}:{line_no}: status {record['status']!r} "
-                    f"illegal for stage {stage!r}")
-            trace = record["trace"]
-            if (not isinstance(trace, str) or len(trace) != 16
-                    or any(c not in "0123456789abcdef" for c in trace)):
-                raise AnalysisError(
-                    f"{path}:{line_no}: malformed trace id {trace!r}")
-            count += 1
-    return count

@@ -9,32 +9,23 @@ from __future__ import annotations
 
 import json
 import threading
-from typing import List, Optional, TextIO, Union
+from operator import itemgetter
+from typing import List, Optional, TextIO, Tuple, Union
 
-__all__ = ["TraceSink", "write_json_file"]
+__all__ = ["CanonicalLog", "LogTarget", "TraceSink", "write_json_file"]
 
 
 class TraceSink:
-    """Append-only JSON-lines writer for span trace records.
+    """Append-only JSON-lines writer.
 
     Accepts a path (opened and owned by the sink) or an existing text
     stream (borrowed — :meth:`close` leaves it open, so tests can pass
-    a ``StringIO``).  Writes are serialized under a lock.
-
-    Two write disciplines:
-
-    * ``buffered=False`` (default) — each record is one ``json.dumps``
-      line flushed immediately, so a crashed run still leaves a
-      readable prefix;
-    * ``buffered=True`` — records accumulate in memory until
-      :meth:`flush`.  :meth:`close` always flushes first and the
-      context manager closes on error paths too, so even a run that
-      dies mid-stream yields a parseable JSON-lines file — never a
-      torn line, never silently dropped buffered events.
+    a ``StringIO``).  Each record is one ``json.dumps`` line, written
+    and flushed under a lock, so a crashed run still leaves a readable
+    prefix.
     """
 
-    def __init__(self, target: Union[str, TextIO],
-                 buffered: bool = False) -> None:
+    def __init__(self, target: Union[str, TextIO]) -> None:
         self._lock = threading.Lock()
         if isinstance(target, str):
             self._handle: TextIO = open(target, "w", encoding="utf-8")
@@ -42,8 +33,6 @@ class TraceSink:
         else:
             self._handle = target
             self._owned = False
-        self.buffered = buffered
-        self._pending: List[str] = []
         self._closed = False
         self.records_written = 0
 
@@ -51,35 +40,14 @@ class TraceSink:
         """Append one record as a JSON line."""
         line = json.dumps(record, sort_keys=True)
         with self._lock:
-            if self.buffered:
-                self._pending.append(line)
-            else:
-                self._handle.write(line + "\n")
-                self._handle.flush()
+            self._handle.write(line + "\n")
+            self._handle.flush()
             self.records_written += 1
 
-    def flush(self) -> int:
-        """Drain buffered records to the handle; returns the count.
-
-        A no-op (returning 0) in unbuffered mode, where every write
-        already hit the handle.
-        """
-        with self._lock:
-            pending, self._pending = self._pending, []
-            if pending:
-                self._handle.write("\n".join(pending) + "\n")
-            self._handle.flush()
-        return len(pending)
-
     def close(self) -> None:
-        """Flush, then close the underlying handle if this sink opened it.
-
-        Idempotent: safe to call from both a ``finally`` block and a
-        context-manager exit.
-        """
+        """Close the underlying handle if this sink opened it (idempotent)."""
         if self._closed:
             return
-        self.flush()
         self._closed = True
         if self._owned:
             self._handle.close()
@@ -88,8 +56,78 @@ class TraceSink:
         return self
 
     def __exit__(self, *exc_info) -> bool:
+        self.close()
+        return False
+
+
+#: Where a :class:`CanonicalLog` writes: a path, a text stream, an
+#: existing :class:`TraceSink`, or ``None`` for memory only.
+LogTarget = Union[None, str, TextIO, TraceSink]
+
+_BY_KEY = itemgetter(0)
+
+
+class CanonicalLog:
+    """Sort-at-flush canonical JSON-lines log.
+
+    Records buffer in memory as ``(sort_key, record)`` pairs and reach
+    the sink only on :meth:`flush`, in ``sort_key`` order (stable, so
+    equal keys keep their append order).  Emission order — which
+    asyncio scheduling could perturb — therefore never leaks into the
+    bytes, and one final flush (the normal path) yields a globally
+    sorted file that CI can diff instead of trusting.
+
+    The lifecycle tracer, the timeseries sampler and the health monitor
+    are canonical logs; each supplies its own key and record.  The
+    buffer is guarded by ``_lock``; hot paths may append to
+    ``_pending`` directly while holding it.
+    """
+
+    def __init__(self, sink: LogTarget = None) -> None:
+        if sink is None or isinstance(sink, TraceSink):
+            self.sink: Optional[TraceSink] = sink
+        else:
+            self.sink = TraceSink(sink)
+        self._lock = threading.Lock()
+        self._pending: List[Tuple[Tuple, dict]] = []
+
+    def append(self, key: Tuple, record: dict) -> None:
+        """Buffer one record for the next flush."""
+        with self._lock:
+            self._pending.append((key, record))
+
+    def sorted_records(self) -> List[dict]:
+        """Buffered (unflushed) records in canonical sorted order."""
+        with self._lock:
+            return [record for _key, record in sorted(self._pending,
+                                                      key=_BY_KEY)]
+
+    def flush(self) -> int:
+        """Write buffered records to the sink, sorted; returns the count.
+
+        Clears the buffer, so repeated flushes append disjoint sorted
+        chunks.  With no sink the records are discarded.
+        """
+        with self._lock:
+            ordered = sorted(self._pending, key=_BY_KEY)
+            self._pending.clear()
+        if self.sink is not None:
+            for _key, record in ordered:
+                self.sink.write(record)
+        return len(ordered)
+
+    def close(self) -> None:
+        """Flush, then close the sink (idempotent)."""
+        self.flush()
+        if self.sink is not None:
+            self.sink.close()
+
+    def __enter__(self) -> "CanonicalLog":
+        return self
+
+    def __exit__(self, *exc_info) -> bool:
         # Close (and therefore flush) even when the body raised: the
-        # error path is exactly when a partial trace is most valuable.
+        # error path is exactly when a partial story is most valuable.
         self.close()
         return False
 

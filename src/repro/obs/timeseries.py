@@ -12,20 +12,19 @@ runs.
 
 Rows are plain dicts written as sorted-key JSON lines (one line per
 receiver per tick, plus one ``_controller`` row carrying the adaptive
-state).  The sampler buffers in memory and flushes on ``close`` — the
-same crash-safe discipline as the lifecycle tracer.
+state).  The sampler is a :class:`~repro.obs.sinks.CanonicalLog` keyed
+by tick, so it buffers in memory and flushes on ``close`` — the same
+crash-safe discipline as the lifecycle tracer.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence
 
 from repro.exceptions import AnalysisError
-from repro.obs.sinks import TraceSink
+from repro.obs.sinks import CanonicalLog, LogTarget
 
-__all__ = ["TimeseriesSampler", "validate_timeseries_file",
-           "CONTROLLER_ROW", "HEALTH_ROW"]
+__all__ = ["TimeseriesSampler", "CONTROLLER_ROW", "HEALTH_ROW"]
 
 #: Reserved "receiver" id for the controller-state row of each tick.
 CONTROLLER_ROW = "_controller"
@@ -35,7 +34,7 @@ CONTROLLER_ROW = "_controller"
 HEALTH_ROW = "_health"
 
 
-class TimeseriesSampler:
+class TimeseriesSampler(CanonicalLog):
     """Per-receiver gauges on a fixed virtual-time grid.
 
     Parameters
@@ -53,18 +52,14 @@ class TimeseriesSampler:
     """
 
     def __init__(self, interval_s: float = 0.05,
-                 sink: Union[None, str, TraceSink] = None) -> None:
+                 sink: LogTarget = None) -> None:
         if interval_s <= 0:
             raise AnalysisError(
                 f"timeseries interval must be > 0, got {interval_s}")
+        super().__init__(sink)
         self.interval_s = float(interval_s)
-        if sink is None or isinstance(sink, TraceSink):
-            self._sink: Optional[TraceSink] = sink
-        else:
-            self._sink = TraceSink(sink)
         self._tick = 1  # next grid index to fire
         self.samples: List[dict] = []
-        self._flushed = 0
 
     def due(self, now: float) -> bool:
         """Whether the clock has crossed the next tick boundary."""
@@ -88,32 +83,9 @@ class TimeseriesSampler:
                 raise AnalysisError("timeseries row missing receiver id 'r'")
             stamped = {"t": tick_time}
             stamped.update(row)
+            self.append((tick_time, len(self.samples)), stamped)
             self.samples.append(stamped)
         return True
-
-    # -- output --------------------------------------------------------
-
-    def flush(self) -> int:
-        """Write unflushed rows to the sink; returns the count written."""
-        pending = self.samples[self._flushed:]
-        if self._sink is not None:
-            for row in pending:
-                self._sink.write(row)
-        self._flushed = len(self.samples)
-        return len(pending)
-
-    def close(self) -> None:
-        """Flush and close the sink (idempotent)."""
-        self.flush()
-        if self._sink is not None:
-            self._sink.close()
-
-    def __enter__(self) -> "TimeseriesSampler":
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        self.close()
-        return False
 
     def last_gauges(self) -> Dict[str, Dict[str, object]]:
         """Latest row per receiver id (for end-of-run snapshots)."""
@@ -121,44 +93,3 @@ class TimeseriesSampler:
         for row in self.samples:
             latest[str(row["r"])] = row
         return latest
-
-
-def validate_timeseries_file(path: str) -> int:
-    """Validate a timeseries JSON-lines file; returns the row count.
-
-    Rows must be JSON objects with ``t`` (non-decreasing) and ``r``;
-    every other field must be a JSON number or string.
-    """
-    count = 0
-    last_t = float("-inf")
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except ValueError as exc:
-                raise AnalysisError(
-                    f"{path}:{line_no}: not valid JSON: {exc}")
-            if not isinstance(row, dict) or "t" not in row or "r" not in row:
-                raise AnalysisError(
-                    f"{path}:{line_no}: timeseries rows need 't' and 'r'")
-            t = row["t"]
-            if not isinstance(t, (int, float)) or isinstance(t, bool):
-                raise AnalysisError(f"{path}:{line_no}: 't' must be a number")
-            if t < last_t:
-                raise AnalysisError(
-                    f"{path}:{line_no}: tick time went backwards "
-                    f"({t} < {last_t})")
-            last_t = t
-            for name, value in row.items():
-                if name in ("r", "scheme"):
-                    continue
-                if isinstance(value, bool) or not isinstance(
-                        value, (int, float, str)):
-                    raise AnalysisError(
-                        f"{path}:{line_no}: gauge {name!r} must be a "
-                        f"number or string, got {type(value).__name__}")
-            count += 1
-    return count

@@ -27,7 +27,6 @@ from repro.obs import MetricsRegistry, use_registry
 from repro.obs.export import write_chrome_trace, write_prometheus
 from repro.obs.health import (
     DEFAULT_SLO_DEFICIT,
-    AlertSink,
     HealthMonitor,
     parse_slo_spec,
 )
@@ -127,9 +126,8 @@ def run_loadgen(config: ServeConfig,
         else:
             q_target = config.q_min_target
             deficit = DEFAULT_SLO_DEFICIT
-        health = HealthMonitor(
-            q_target=q_target, deficit=deficit,
-            sink=AlertSink(obs.alerts_out) if obs.alerts_out else None)
+        health = HealthMonitor(q_target=q_target, deficit=deficit,
+                               sink=obs.alerts_out or None)
     try:
         with use_registry(registry):
             session = run_live_session(config, signer=signer,
@@ -144,14 +142,11 @@ def run_loadgen(config: ServeConfig,
                         if health is not None else None))
     finally:
         # Closing flushes whatever is still buffered — on the success
-        # path and on every error path alike (satellite invariant: a
-        # crashed instrumented run still leaves parseable JSON lines).
-        if lifecycle is not None:
-            lifecycle.close()
-        if timeseries is not None:
-            timeseries.close()
-        if health is not None:
-            health.close()
+        # path and on every error path alike, so a crashed instrumented
+        # run still leaves parseable JSON lines.
+        for collector in (lifecycle, timeseries, health):
+            if collector is not None:
+                collector.close()
     metrics_payload = {
         "format": METRICS_FILE_VERSION,
         "runs": [{

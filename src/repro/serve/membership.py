@@ -187,7 +187,7 @@ class MembershipPlan:
         active = set(self.universe[:self.initial])
         spares = set(self.universe[self.initial:])
         seen: Dict[Tuple[int, str], str] = {}
-        for event in self.events:
+        for position, event in enumerate(self.events):
             if event.receiver_id not in indices:
                 raise SimulationError(
                     f"event names unknown receiver {event.receiver_id!r}")
@@ -215,10 +215,16 @@ class MembershipPlan:
                         f"{event.receiver_id!r} cannot {event.kind}: "
                         f"not active at block {event.block}")
                 active.discard(event.receiver_id)
-                if not active:
-                    raise SimulationError(
-                        f"block {event.block} would leave the session "
-                        f"empty; at least one member must survive")
+            # The survivor floor holds per block, after its leaves,
+            # joins and crashes: a block's joiners may replace its
+            # leavers (the floor churn_storm draws against).
+            last_of_block = (position + 1 == len(self.events)
+                             or self.events[position + 1].block
+                             != event.block)
+            if last_of_block and not active:
+                raise SimulationError(
+                    f"block {event.block} would leave the session "
+                    f"empty; at least one member must survive")
 
     # -- accessors the serve loop drives ------------------------------
 

@@ -538,12 +538,9 @@ def run_live_session(config: ServeConfig,
     except BaseException:
         # Crash-safety: persist whatever the collectors buffered so a
         # failed run still tells its story, then let the error travel.
-        if lifecycle is not None:
-            lifecycle.flush()
-        if timeseries is not None:
-            timeseries.flush()
-        if health is not None:
-            health.flush()
+        for collector in (lifecycle, timeseries, health):
+            if collector is not None:
+                collector.flush()
         raise
 
     if registry.enabled:

@@ -14,7 +14,8 @@ from repro.exceptions import AnalysisError
 from repro.schemes.augmented_chain import AugmentedChainScheme
 from repro.schemes.base import Scheme
 from repro.schemes.emss import EmssScheme, GenericOffsetScheme
-from repro.schemes.registry import paper_comparison_schemes
+from repro.analysis.conformance import analytic_q_profile
+from repro.schemes.registry import make_scheme, paper_comparison_schemes
 from repro.schemes.rohatgi import RohatgiScheme
 from repro.schemes.sign_each import SignEachScheme
 from repro.schemes.tesla import TeslaScheme
@@ -25,6 +26,13 @@ class TestDispatch:
     def test_rohatgi(self):
         assert analytic_q_min(RohatgiScheme(), 50, 0.1) == pytest.approx(
             rohatgi_analysis.q_min(50, 0.1))
+
+    @pytest.mark.parametrize("name", ["rohatgi", "rohatgi-online"])
+    @pytest.mark.parametrize("n, p", [(12, 0.2), (5, 0.5), (32, 0.05)])
+    def test_rohatgi_family_q_min_is_profile_minimum(self, name, n, p):
+        scheme = make_scheme(name)
+        assert analytic_q_min(scheme, n, p) == pytest.approx(
+            min(analytic_q_profile(scheme, n, p).values()))
 
     def test_individually_verifiable(self):
         assert analytic_q_min(WongLamScheme(), 50, 0.9) == 1.0

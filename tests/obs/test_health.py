@@ -7,22 +7,22 @@ promotes the right counter movement at the right severity, and the
 alert file is canonical (sorted at flush, validated strictly).
 """
 
+import io
 import json
 from fractions import Fraction
 
 import pytest
 
 from repro.exceptions import AnalysisError
+from repro.obs.artifacts import validate_artifact
 from repro.obs.health import (
     ALERT_DETECTORS,
     ALERT_SEVERITIES,
     DEFAULT_SLO_DEFICIT,
     AlertEvent,
-    AlertSink,
     HealthMonitor,
     max_severity,
     parse_slo_spec,
-    validate_alerts_file,
 )
 
 
@@ -253,36 +253,31 @@ class TestReadouts:
 
 
 class TestAlertSink:
-    def _alert(self, block, scope="r:a"):
-        return AlertEvent(block=block, detector="slo", kind="slo-breach",
-                          scope=scope, severity="warning", t=block * 0.1,
-                          detail={"expected": 1, "verified": 0})
-
     def test_flush_sorts_whatever_order_appended(self, tmp_path):
         path = tmp_path / "alerts.jsonl"
-        sink = AlertSink(str(path))
+        monitor = HealthMonitor(q_target="1/1", deficit=1, sink=str(path))
         for block in (5, 1, 3):
-            sink.append(self._alert(block))
-        sink.close()
-        blocks = [json.loads(line)["block"]
-                  for line in path.read_text().splitlines()]
-        assert blocks == [1, 3, 5]
-        assert sink.written == 3
-        assert validate_alerts_file(str(path)) == 3
+            monitor.observe_slo(block, "r:a", 1, 0, t=block * 0.1)
+        monitor.close()
+        records = [json.loads(line)
+                   for line in path.read_text().splitlines()]
+        assert [record["block"] for record in records] == [1, 3, 5]
+        assert records == [alert.to_dict() for alert in
+                           sorted(monitor.alerts, key=AlertEvent.sort_key)]
+        assert validate_artifact(str(path), "alerts") == 3
 
     def test_memory_only_sink_counts_writes(self):
-        sink = AlertSink(None)
-        sink.append(self._alert(1))
-        assert sink.flush() == 1
-        assert sink.written == 1
+        monitor = HealthMonitor(q_target="1/1", deficit=1)
+        monitor.observe_slo(0, "r:a", 1, 0)
+        assert monitor.flush() == 0  # nothing to write without a sink
+        assert len(monitor.alerts) == 1  # flushing never forgets alerts
 
     def test_monitor_flush_forwards_to_sink(self, tmp_path):
         path = tmp_path / "alerts.jsonl"
-        monitor = HealthMonitor(q_target="1/1", deficit=1,
-                                sink=AlertSink(str(path)))
+        monitor = HealthMonitor(q_target="1/1", deficit=1, sink=str(path))
         monitor.observe_slo(0, "r:a", 2, 0)
         monitor.close()
-        assert validate_alerts_file(str(path)) == 1
+        assert validate_artifact(str(path), "alerts") == 1
 
 
 class TestValidateAlertsFile:
@@ -301,7 +296,7 @@ class TestValidateAlertsFile:
         path = tmp_path / "alerts.jsonl"
         self._write(path, [self._record(block=2), self._record(block=1)])
         with pytest.raises(AnalysisError, match="canonical order"):
-            validate_alerts_file(str(path))
+            validate_artifact(str(path), "alerts")
 
     def test_rejects_missing_field(self, tmp_path):
         path = tmp_path / "alerts.jsonl"
@@ -309,22 +304,22 @@ class TestValidateAlertsFile:
         del record["scope"]
         self._write(path, [record])
         with pytest.raises(AnalysisError, match="scope"):
-            validate_alerts_file(str(path))
+            validate_artifact(str(path), "alerts")
 
     def test_rejects_unknown_detector_and_severity(self, tmp_path):
         path = tmp_path / "alerts.jsonl"
         self._write(path, [self._record(detector="vibes")])
         with pytest.raises(AnalysisError, match="detector"):
-            validate_alerts_file(str(path))
+            validate_artifact(str(path), "alerts")
         self._write(path, [self._record(severity="fatal")])
         with pytest.raises(AnalysisError, match="severity"):
-            validate_alerts_file(str(path))
+            validate_artifact(str(path), "alerts")
 
     def test_rejects_non_integer_block(self, tmp_path):
         path = tmp_path / "alerts.jsonl"
         self._write(path, [self._record(block=1.5)])
         with pytest.raises(AnalysisError, match="block"):
-            validate_alerts_file(str(path))
+            validate_artifact(str(path), "alerts")
 
 
 class TestMerge:
@@ -357,6 +352,6 @@ class TestMerge:
         assert merged.describe() == monitor.describe()
 
     def test_merge_ignores_sink_and_keeps_registry_out(self):
-        left = HealthMonitor(sink=AlertSink(None))
+        left = HealthMonitor(sink=io.StringIO())
         right = HealthMonitor()
         assert left.merge(right).sink is None

@@ -16,8 +16,8 @@ from repro.obs.lifecycle import (
     lifecycle_trace_id,
     set_lifecycle,
     use_lifecycle,
-    validate_lifecycle_file,
 )
+from repro.obs.artifacts import validate_artifact
 
 
 class TestTraceIds:
@@ -125,7 +125,7 @@ class TestFlushAndClose:
         with LifecycleTracer(run_seed=6, sink=path) as tracer:
             tracer.record("r00", 0, 1, "sign", "signed", 0.0)
             tracer.record("r00", 0, NOISE_SEQ, "ingest", "undecodable", 0.2)
-        assert validate_lifecycle_file(path) == 2
+        assert validate_artifact(path, "lifecycle") == 2
 
 
 class TestCurrentTracer:
@@ -175,24 +175,24 @@ class TestValidation:
     def test_rejects_unknown_stage(self, tmp_path):
         path = self._write(tmp_path, [self._event(stage="teleport")])
         with pytest.raises(AnalysisError, match="unknown stage"):
-            validate_lifecycle_file(path)
+            validate_artifact(path, "lifecycle")
 
     def test_rejects_illegal_status_for_stage(self, tmp_path):
         path = self._write(tmp_path, [self._event(status="deliver")])
         with pytest.raises(AnalysisError, match="illegal"):
-            validate_lifecycle_file(path)
+            validate_artifact(path, "lifecycle")
 
     def test_rejects_malformed_trace_id(self, tmp_path):
         path = self._write(tmp_path, [self._event(trace="nope")])
         with pytest.raises(AnalysisError, match="trace id"):
-            validate_lifecycle_file(path)
+            validate_artifact(path, "lifecycle")
 
     def test_rejects_missing_field(self, tmp_path):
         event = json.loads(self._event())
         del event["status"]
         path = self._write(tmp_path, [json.dumps(event)])
         with pytest.raises(AnalysisError, match="missing field"):
-            validate_lifecycle_file(path)
+            validate_artifact(path, "lifecycle")
 
     def test_stage_tuple_is_canonical(self):
         assert LIFECYCLE_STAGES == ("sign", "frame", "enqueue",

@@ -1,6 +1,6 @@
 """Crash-safety of the trace sinks and instrumented serve runs.
 
-The satellite invariant: an instrumented run that dies mid-stream must
+The invariant: an instrumented run that dies mid-stream must
 still leave parseable JSON-lines artifacts behind — never a torn line,
 never silently dropped buffered events.
 """
@@ -10,8 +10,10 @@ import json
 
 import pytest
 
+from repro.obs.artifacts import validate_artifact
+from repro.obs.health import HealthMonitor
 from repro.obs.lifecycle import LifecycleTracer
-from repro.obs.sinks import TraceSink
+from repro.obs.sinks import CanonicalLog, TraceSink
 from repro.obs.timeseries import TimeseriesSampler
 from repro.serve.service import ServeConfig, run_live_session
 
@@ -21,33 +23,6 @@ class TestTraceSinkBuffering:
         stream = io.StringIO()
         sink = TraceSink(stream)
         sink.write({"a": 1})
-        assert stream.getvalue() == '{"a": 1}\n'
-        assert sink.flush() == 0  # nothing pending
-
-    def test_buffered_writes_wait_for_flush(self):
-        stream = io.StringIO()
-        sink = TraceSink(stream, buffered=True)
-        sink.write({"a": 1})
-        sink.write({"b": 2})
-        assert stream.getvalue() == ""
-        assert sink.flush() == 2
-        assert [json.loads(line) for line in
-                stream.getvalue().splitlines()] == [{"a": 1}, {"b": 2}]
-
-    def test_close_flushes_buffered_records(self):
-        stream = io.StringIO()
-        sink = TraceSink(stream, buffered=True)
-        sink.write({"a": 1})
-        sink.close()
-        assert stream.getvalue() == '{"a": 1}\n'
-        sink.close()  # idempotent
-
-    def test_context_manager_flushes_on_exception(self):
-        stream = io.StringIO()
-        with pytest.raises(RuntimeError):
-            with TraceSink(stream, buffered=True) as sink:
-                sink.write({"a": 1})
-                raise RuntimeError("boom")
         assert stream.getvalue() == '{"a": 1}\n'
 
     def test_owned_file_closed_borrowed_stream_left_open(self, tmp_path):
@@ -59,6 +34,60 @@ class TestTraceSinkBuffering:
         stream = io.StringIO()
         TraceSink(stream).close()
         stream.write("still open")  # would raise on a closed stream
+
+
+class TestCanonicalLog:
+    def test_flush_writes_key_order_and_clears(self):
+        stream = io.StringIO()
+        log = CanonicalLog(stream)
+        log.append((2,), {"x": "late"})
+        log.append((1,), {"x": "early"})
+        log.append((2,), {"x": "late-second"})  # equal keys keep order
+        assert stream.getvalue() == ""
+        assert log.sorted_records() == [{"x": "early"}, {"x": "late"},
+                                        {"x": "late-second"}]
+        assert log.flush() == 3
+        assert log.flush() == 0
+        assert [json.loads(line)["x"] for line in
+                stream.getvalue().splitlines()] == ["early", "late",
+                                                    "late-second"]
+
+    @pytest.mark.parametrize("kind", ["path", "stream", "sink"])
+    def test_every_target_type_gets_the_same_bytes(self, kind, tmp_path):
+        path = str(tmp_path / "log.jsonl")
+        stream = open(path, "w") if kind == "stream" else None
+        target = {"path": path, "stream": stream,
+                  "sink": TraceSink(path) if kind == "sink" else None}[kind]
+        log = CanonicalLog(target)
+        log.append((1,), {"b": 1, "a": 2})
+        log.close()
+        if stream is not None:
+            assert not stream.closed  # borrowed streams stay open
+            stream.close()
+        assert (tmp_path / "log.jsonl").read_text() == '{"a": 2, "b": 1}\n'
+
+    def test_memory_only_flush_counts_and_discards(self):
+        log = CanonicalLog(None)
+        log.append((0,), {"a": 1})
+        assert log.sink is None
+        assert log.flush() == 1
+        assert log.sorted_records() == []
+
+    def test_close_is_idempotent(self, tmp_path):
+        path = str(tmp_path / "log.jsonl")
+        log = CanonicalLog(path)
+        log.append((0,), {"a": 1})
+        log.close()
+        log.close()
+        assert (tmp_path / "log.jsonl").read_text() == '{"a": 1}\n'
+
+    def test_context_manager_flushes_on_exception(self):
+        stream = io.StringIO()
+        with pytest.raises(RuntimeError):
+            with CanonicalLog(stream) as log:
+                log.append((0,), {"a": 1})
+                raise RuntimeError("boom")
+        assert stream.getvalue() == '{"a": 1}\n'
 
 
 class _Boom(Exception):
@@ -101,24 +130,24 @@ class TestCrashedRunLeavesParseableArtifacts:
     def test_crashing_session_still_yields_valid_json_lines(self, tmp_path):
         from repro.serve.service import default_serve_signer
 
-        lifecycle_path = str(tmp_path / "lifecycle.jsonl")
-        timeseries_path = str(tmp_path / "timeseries.jsonl")
+        paths = {kind: str(tmp_path / f"{kind}.jsonl")
+                 for kind in ("lifecycle", "timeseries", "alerts")}
         config = ServeConfig(receivers=2, blocks=6, block_size=8, seed=13)
         signer = _CrashingSigner(default_serve_signer(config.seed), after=3)
-        tracer = LifecycleTracer(config.seed, sink=lifecycle_path)
-        sampler = TimeseriesSampler(interval_s=0.001, sink=timeseries_path)
+        tracer = LifecycleTracer(config.seed, sink=paths["lifecycle"])
+        sampler = TimeseriesSampler(interval_s=0.001,
+                                    sink=paths["timeseries"])
+        # A perfect-delivery target with a one-packet deficit: every
+        # lost packet before the crash fires an SLO breach.
+        monitor = HealthMonitor(q_target="1/1", deficit=1,
+                                sink=paths["alerts"])
         with pytest.raises(_Boom):
-            with tracer, sampler:
+            with tracer, sampler, monitor:
                 run_live_session(config, signer=signer, lifecycle=tracer,
-                                 timeseries=sampler)
-        # Every line of both artifacts parses; the story up to the
-        # crash survived.
-        lifecycle_lines = open(lifecycle_path).read().splitlines()
-        assert lifecycle_lines, "crash dropped all lifecycle events"
-        for line in lifecycle_lines:
-            event = json.loads(line)
-            assert {"trace", "r", "b", "seq", "stage", "status",
-                    "t"} <= set(event)
-        for line in open(timeseries_path).read().splitlines():
-            row = json.loads(line)
-            assert "r" in row and "t" in row
+                                 timeseries=sampler, health=monitor)
+        # Every artifact passes its schema; the story up to the crash
+        # survived in all three.
+        for kind, path in paths.items():
+            assert validate_artifact(path, kind) > 0, kind
+        assert validate_artifact(paths["alerts"], "alerts") == len(
+            monitor.alerts)

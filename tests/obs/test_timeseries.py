@@ -9,8 +9,8 @@ from repro.exceptions import AnalysisError
 from repro.obs.timeseries import (
     CONTROLLER_ROW,
     TimeseriesSampler,
-    validate_timeseries_file,
 )
+from repro.obs.artifacts import validate_artifact
 
 
 class TestTicks:
@@ -85,18 +85,18 @@ class TestValidation:
             sampler.record(0.1, [{"r": "r00", "x": 1},
                                  {"r": CONTROLLER_ROW, "scheme": "emss(1,2)"}])
             sampler.record(0.2, [{"r": "r00", "x": 2}])
-        assert validate_timeseries_file(path) == 3
+        assert validate_artifact(path, "timeseries") == 3
 
     def test_rejects_backwards_time(self, tmp_path):
         path = tmp_path / "ts.jsonl"
         path.write_text(json.dumps({"t": 0.2, "r": "r00"}) + "\n"
                         + json.dumps({"t": 0.1, "r": "r00"}) + "\n")
         with pytest.raises(AnalysisError, match="backwards"):
-            validate_timeseries_file(str(path))
+            validate_artifact(str(path), "timeseries")
 
     def test_rejects_non_numeric_gauge(self, tmp_path):
         path = tmp_path / "ts.jsonl"
         path.write_text(json.dumps({"t": 0.1, "r": "r00",
                                     "bad": [1, 2]}) + "\n")
         with pytest.raises(AnalysisError, match="gauge"):
-            validate_timeseries_file(str(path))
+            validate_artifact(str(path), "timeseries")

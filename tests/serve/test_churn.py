@@ -147,6 +147,18 @@ class TestSoundnessUnderChurn:
         for stats in result.stats.values():
             assert stats.forged_accepted == 0
 
+    @pytest.mark.parametrize("attack", [None, "pollution"])
+    def test_hand_over_storm_is_sound_and_deterministic(self, attack):
+        # Seed 22 draws a block-4 boundary where the last member leaves
+        # as two spares join: the pool is handed over, never empty.
+        config = ServeConfig(receivers=3, blocks=6, churn="storm", seed=22,
+                             attack=attack)
+        first = run_live_session(config)
+        second = run_live_session(config)
+        assert first.forged_accepted == second.forged_accepted == 0
+        assert first.transcripts == second.transcripts
+        assert {"r03", "r04"} <= set(first.transcripts)
+
     def test_bootstrap_burst_is_live_on_join_blocks(self):
         # The flood boundary admits every spare at once under the
         # pollution mix; the per-join bootstrap bursts must inject

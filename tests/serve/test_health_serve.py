@@ -13,7 +13,9 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs.health import AlertSink, HealthMonitor, validate_alerts_file
+from repro.obs.artifacts import validate_artifact
+from repro.obs.health import HealthMonitor
+from repro.obs.sinks import CanonicalLog
 from repro.serve.loadgen import ObsOptions, run_loadgen
 from repro.serve.service import ServeConfig, run_live_session
 
@@ -62,7 +64,7 @@ class TestPinnedAlerts:
 
     def test_alerts_file_validates(self, lossy):
         result, path = lossy
-        assert validate_alerts_file(str(path)) == len(result.health.alerts)
+        assert validate_artifact(str(path), "alerts") == len(result.health.alerts)
 
 
 class TestCleanStaircase:
@@ -137,18 +139,16 @@ class TestShardInvariance:
         assert merged.describe() == whole.describe()
 
         # The byte-level form of the same statement: writing the merged
-        # alerts through a sink reproduces the single-worker file.
-        merged_path = tmp_path / "merged.jsonl"
-        sink = AlertSink(str(merged_path))
-        for alert in merged.alerts:
-            sink.append(alert)
-        sink.close()
-        whole_path = tmp_path / "whole.jsonl"
-        whole_sink = AlertSink(str(whole_path))
-        for alert in whole.alerts:
-            whole_sink.append(alert)
-        whole_sink.close()
-        assert merged_path.read_bytes() == whole_path.read_bytes()
+        # alerts through a canonical log reproduces the single-worker
+        # file.
+        files = []
+        for name, monitor in (("merged", merged), ("whole", whole)):
+            path = tmp_path / f"{name}.jsonl"
+            with CanonicalLog(str(path)) as log:
+                for alert in monitor.alerts:
+                    log.append(alert.sort_key(), alert.to_dict())
+            files.append(path.read_bytes())
+        assert files[0] == files[1]
 
 
 class TestSubtreeScopes:
@@ -181,7 +181,7 @@ class TestCliSurface:
             "--slo", SLO, "--alerts-out", str(alerts),
             "--prom-out", str(prom), "--perfetto-out", str(pf)]))
         assert code == 0  # warnings alone never gate without strict
-        assert validate_alerts_file(str(alerts)) == 22
+        assert validate_artifact(str(alerts), "alerts") == 22
         text = prom.read_text()
         assert "repro_health_alerts_warning_total 22" in text
         assert "repro_health_slo_breaches 21" in text

@@ -93,6 +93,20 @@ class TestPlanValidation:
                    MembershipEvent(2, "crash", "r01")])
         assert "survive" in str(err.value)
 
+    def test_joiners_replace_a_blocks_leavers(self):
+        # The floor holds per block: the last member leaving at the same
+        # boundary a spare joins is a hand-over, not an empty session.
+        plan = _plan([MembershipEvent(2, "leave", "r00"),
+                      MembershipEvent(3, "leave", "r01"),
+                      MembershipEvent(3, "join", "r02")])
+        assert plan.final_active() == ["r02"]
+
+    def test_block_that_really_empties_the_session_rejected(self):
+        with pytest.raises(SimulationError, match="survive"):
+            _plan([MembershipEvent(2, "leave", "r00"),
+                   MembershipEvent(3, "leave", "r01"),
+                   MembershipEvent(4, "join", "r02")])
+
     def test_departing_all_but_one_is_fine(self):
         plan = _plan([MembershipEvent(2, "leave", "r00")])
         assert plan.final_active() == ["r01"]
@@ -171,6 +185,12 @@ class TestFromSpec:
         two = MembershipPlan.from_spec("storm", 4, 16, seed=7)
         assert one == two
         assert one != MembershipPlan.from_spec("storm", 4, 16, seed=8)
+
+    def test_every_storm_seed_builds(self):
+        # churn_storm counts a block's joiners toward its survivor
+        # floor; the plan must accept every trajectory it draws.
+        for seed in range(2000):
+            MembershipPlan.from_spec("storm", 3, 6, seed)
 
     def test_storm_actually_churns(self):
         plan = MembershipPlan.from_spec("storm", 4, 24, seed=7)

@@ -12,10 +12,7 @@ import re
 import pytest
 
 from repro.cli import main
-from repro.obs import (
-    validate_lifecycle_file,
-    validate_timeseries_file,
-)
+from repro.obs import validate_artifact
 from repro.obs.lifecycle import LIFECYCLE_STAGES, LifecycleTracer
 from repro.obs.timeseries import CONTROLLER_ROW, TimeseriesSampler
 from repro.serve.loadgen import ObsOptions, run_loadgen
@@ -190,8 +187,8 @@ class TestCliFlags:
                      "--prom-out", str(prom),
                      "--perfetto-out", str(pf)])
         assert code == 0
-        assert validate_lifecycle_file(str(lc)) > 0
-        assert validate_timeseries_file(str(ts)) > 0
+        assert validate_artifact(str(lc), "lifecycle") > 0
+        assert validate_artifact(str(ts), "timeseries") > 0
         assert "# TYPE" in prom.read_text()
         payload = json.loads(pf.read_text())
         assert payload["traceEvents"]
@@ -222,4 +219,4 @@ class TestCliFlags:
         code = main(["serve", "--receivers", "2", "--blocks", "3",
                      "--block-size", "8", "--lifecycle-out", str(lc)])
         assert code == 0
-        assert validate_lifecycle_file(str(lc)) > 0
+        assert validate_artifact(str(lc), "lifecycle") > 0

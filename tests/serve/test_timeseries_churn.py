@@ -10,7 +10,7 @@ emitting frozen gauges forever.)
 
 import pytest
 
-from repro.obs import validate_timeseries_file
+from repro.obs import validate_artifact
 from repro.obs.timeseries import CONTROLLER_ROW, TimeseriesSampler
 from repro.serve.loadgen import ObsOptions, run_loadgen
 from repro.serve.service import ServeConfig, run_live_session
@@ -100,6 +100,6 @@ class TestChurnGauges:
             obs = ObsOptions(timeseries_out=str(path),
                              timeseries_interval=0.01)
             run_loadgen(CHURN, obs=obs)
-            assert validate_timeseries_file(str(path)) > 0
+            assert validate_artifact(str(path), "timeseries") > 0
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
