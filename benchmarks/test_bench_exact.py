@@ -1,22 +1,21 @@
-"""Exact periodic oracle: vectorized transfer matrix vs the old walk.
+"""Exact offset-set oracle: the frontier engine vs the dictionary walk.
 
 The ``test_exact_periodic_reach12_n400`` hot spot (~2.3 s under the
 dictionary walk) is the workload benchmarked here under the shipping
-``np.bincount`` oracle; the speedup assertion keeps the vectorized
-path from silently regressing back to per-state Python, and the
-cross-check keeps it honest against the reference it replaced.
+frontier engine (:mod:`repro.analysis.frontier`) over the compiled
+``offsets(1,5,12)`` graph; the speedup assertion keeps the engine from
+silently regressing to per-state Python, and the cross-check keeps it
+honest against the reference walk.
 """
 
 import time
 
 import pytest
 
-from repro.analysis.exact_periodic import (
-    exact_periodic_q_min,
-    exact_periodic_q_profile,
-    exact_periodic_q_profile_reference,
-)
+from repro.analysis.exact_periodic import exact_periodic_q_profile_reference
+from repro.analysis.frontier import frontier_q_profile
 from repro.experiments.common import ExperimentResult
+from repro.schemes.emss import GenericOffsetScheme
 
 N = 400
 OFFSETS = (1, 5, 12)
@@ -25,41 +24,44 @@ MIN_SPEEDUP = 5.0
 
 
 def test_bench_exact_periodic_oracle(benchmark, show):
-    q_min = benchmark(exact_periodic_q_min, N, list(OFFSETS), LOSS_RATE)
+    plan = GenericOffsetScheme(OFFSETS).block_plan(N)
+    q_min = benchmark(lambda: min(frontier_q_profile(plan, LOSS_RATE)
+                                  .values()))
 
     assert 0.0 < q_min < 1.0
-    oracle_seconds = benchmark.stats.stats.mean
+    engine_seconds = benchmark.stats.stats.mean
 
     # Correctness: full-precision agreement with the reference walk on
-    # the benchmarked workload itself.
+    # the benchmarked workload itself.  Send position s is the
+    # reference's signature-rooted index n + 1 - s.
     start = time.perf_counter()
     reference = exact_periodic_q_profile_reference(N, list(OFFSETS),
                                                    LOSS_RATE)
     reference_seconds = time.perf_counter() - start
-    oracle = exact_periodic_q_profile(N, list(OFFSETS), LOSS_RATE)
-    for got, want in zip(oracle, reference):
-        assert got == pytest.approx(want, abs=1e-12)
+    engine = frontier_q_profile(plan, LOSS_RATE)
+    for position, got in engine.items():
+        assert got == pytest.approx(reference[N - position], abs=1e-12)
     assert q_min == pytest.approx(min(reference), abs=1e-12)
 
-    speedup = reference_seconds / oracle_seconds
+    speedup = reference_seconds / engine_seconds
     assert speedup >= MIN_SPEEDUP, (
-        f"vectorized oracle only {speedup:.1f}x over the reference walk "
-        f"(need >= {MIN_SPEEDUP}x): {oracle_seconds:.4f}s vs "
+        f"frontier engine only {speedup:.1f}x over the reference walk "
+        f"(need >= {MIN_SPEEDUP}x): {engine_seconds:.4f}s vs "
         f"{reference_seconds:.4f}s")
 
     result = ExperimentResult(
         experiment_id="bench-exact",
-        title="exact periodic oracle, reach 12, n=400",
+        title="exact offset-set profile, reach 12, n=400",
     )
     result.rows.append({
         "n": N,
         "offsets": str(list(OFFSETS)),
         "p": LOSS_RATE,
         "q_min": q_min,
-        "oracle s": oracle_seconds,
+        "engine s": engine_seconds,
         "reference s": reference_seconds,
         "speedup": speedup,
     })
-    result.note("np.bincount transfer matrix vs the dictionary walk it "
-                "replaced; both exact to 1e-12")
+    result.note("frontier engine over the compiled graph vs the "
+                "dictionary walk; both exact to 1e-12")
     show(result)

@@ -116,9 +116,11 @@ def test_exact_chain_n1000(benchmark):
 
 
 def test_exact_periodic_reach12_n400(benchmark):
-    from repro.analysis.exact_periodic import exact_periodic_q_min
+    from repro.analysis.frontier import frontier_q_profile
+    from repro.schemes.emss import GenericOffsetScheme
 
-    value = benchmark(exact_periodic_q_min, 400, [1, 5, 12], 0.2)
+    plan = GenericOffsetScheme((1, 5, 12)).block_plan(400)
+    value = benchmark(lambda: min(frontier_q_profile(plan, 0.2).values()))
     assert 0.0 < value < 1.0
 
 

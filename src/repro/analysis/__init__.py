@@ -7,6 +7,7 @@ from repro.analysis import (
     exact_chain,
     exact_chain_markov,
     exact_periodic,
+    frontier,
     rohatgi,
     saida,
     tesla,
@@ -33,6 +34,7 @@ __all__ = [
     "exact_chain",
     "exact_chain_markov",
     "exact_periodic",
+    "frontier",
     "rohatgi",
     "saida",
     "tesla",

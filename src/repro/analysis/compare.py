@@ -1,10 +1,8 @@
 """Cross-scheme comparison API (Figures 8, 9 and 10).
 
-Dispatches each scheme to its analytic ``q_min`` — closed form for
-Rohatgi and Wong–Lam, Eq. 9 recurrence for EMSS/offset schemes,
-Eq. 10 for augmented chains, Eq. 7 for TESLA — and assembles the
-paper's comparison sweeps over loss rate and block size plus the
-overhead/delay table.
+Takes each scheme's analytic ``q_min`` from the scheme's own models
+and assembles the paper's comparison sweeps over loss rate and block
+size plus the overhead/delay table.
 """
 
 from __future__ import annotations
@@ -12,23 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis import augmented_chain as ac_analysis
-from repro.analysis import emss as emss_analysis
-from repro.analysis import rohatgi as rohatgi_analysis
-from repro.analysis import saida as saida_analysis
 from repro.analysis import tesla as tesla_analysis
-from repro.core.recurrence import solve_recurrence
 from repro.exceptions import AnalysisError
-from repro.schemes.augmented_chain import AugmentedChainScheme
 from repro.schemes.base import Scheme
-from repro.schemes.emss import EmssScheme, GenericOffsetScheme
-from repro.schemes.rohatgi import RohatgiScheme
-from repro.schemes.rohatgi_online import OnlineRohatgiScheme
-from repro.schemes.saida import SaidaScheme
-from repro.schemes.tesla import TeslaScheme
 
 __all__ = [
     "TeslaEnvironment",
+    "check_block",
     "analytic_q_min",
     "sweep_loss",
     "sweep_block_size",
@@ -58,33 +46,35 @@ class TeslaEnvironment:
         return tesla_analysis.xi(self.t_disclose, self.mu, self.sigma)
 
 
+def check_block(n: int, p: float) -> None:
+    """Reject a block size below 1 or a loss rate outside ``[0, 1]``."""
+    if n < 1:
+        raise AnalysisError(f"block size must be >= 1, got {n}")
+    if not 0.0 <= p <= 1.0:
+        raise AnalysisError(f"loss rate must be in [0, 1], got {p}")
+
+
 def analytic_q_min(scheme: Scheme, n: int, p: float,
                    tesla_env: Optional[TeslaEnvironment] = None) -> float:
     """``q_min`` of ``scheme`` at block size ``n`` and loss rate ``p``.
 
+    The minimum of the scheme's Eq. 9/10 profile when it has one (the
+    paper's figures plot those), else of its exact profile.
+
     Parameters
     ----------
     tesla_env:
-        Required context for :class:`TeslaScheme`; a default
+        Delay context for timed schemes (TESLA's Eq. 7); a default
         environment (``T_d = 1 s, μ = 0.2 s, σ = 0.1 s``) is used when
         omitted.
     """
-    if scheme.individually_verifiable:
-        return 1.0
-    if isinstance(scheme, (RohatgiScheme, OnlineRohatgiScheme)):
-        return rohatgi_analysis.q_min(n, p)
-    if isinstance(scheme, EmssScheme):
-        return emss_analysis.q_min(n, scheme.m, scheme.d, p)
-    if isinstance(scheme, GenericOffsetScheme):
-        return solve_recurrence(n, scheme.offsets, p).q_min
-    if isinstance(scheme, AugmentedChainScheme):
-        return ac_analysis.q_min(n, scheme.a, scheme.b, p)
-    if isinstance(scheme, TeslaScheme):
+    check_block(n, p)
+    profile = scheme.recurrence_q_profile(n, p)
+    if profile is None:
         env = tesla_env if tesla_env is not None else TeslaEnvironment()
-        return tesla_analysis.q_min(n, p, env.t_disclose, env.mu, env.sigma)
-    if isinstance(scheme, SaidaScheme):
-        return saida_analysis.q_min(n, scheme.threshold(n), p)
-    raise AnalysisError(f"no analytic q_min available for {scheme.name}")
+        profile = scheme.q_profile(n, p, t_disclose=env.t_disclose,
+                                   mu=env.mu, sigma=env.sigma)
+    return min(profile.values())
 
 
 def sweep_loss(schemes: Sequence[Scheme], n: int, p_values: Sequence[float],

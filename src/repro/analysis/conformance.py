@@ -12,65 +12,35 @@ fails loudly when a scheme is registered without a case here — so an
 aggressive refactor (or a brand-new scheme) cannot silently drift away
 from the analysis it claims to implement.
 
-Send-order index conventions differ per scheme family and are resolved
-here once:
-
-* Rohatgi (offline and online): signature first, ``q_i = (1-p)^{i-2}``
-  directly in send order (Eq. 8, exact — each packet has one path);
-* EMSS / generic offsets: the exact transfer-matrix model
-  (:mod:`repro.analysis.exact_periodic`) uses signature-rooted
-  indexing with ``P_1 = P_sign`` — send position ``s`` of an
-  ``n``-block maps to model index ``n + 1 - s``;
-* augmented chains and random graphs: :func:`exhaustive_q_profile`
-  computes the exact profile by enumerating every loss pattern
-  (2^(n-1) of them) on the scheme's own graph, whose vertices are
-  already send positions;
-* SAIDA's profile is flat; TESLA's is Eq. 6; individually-verifiable
-  schemes are identically 1.
+Every profile is indexed by send position, and each scheme produces
+its own (:meth:`~repro.schemes.base.Scheme.q_profile`): graph schemes
+through the frontier engine (:mod:`repro.analysis.frontier`), whose
+vertices already are send positions; Rohatgi (Eq. 8), SAIDA and TESLA
+(Eq. 6, by interval index) through their closed forms; individually
+verifiable schemes are identically 1.
 
 **Why the oracle is the exact model, not Eq. 9/10 verbatim.**  The
-paper's Eq. 9/10 recurrences assume path-failure independence; at
-conformance block sizes the approximation error is *large* (for
-``E_{2,1}`` at ``n = 12, p = 0.25`` the recurrence says ``q ≈ 0.89``
-at the far end while the true value is ``0.61``) — far beyond any
-sampling tolerance.  The wire simulation is therefore compared against
-the exact analytic evaluation, and the recurrences are held to the
-relationship they actually satisfy: :func:`recurrence_q_profile`
-exposes the Eq. 9/10 approximation in send order so the suite can
-assert it upper-bounds the exact model everywhere (independence is
-optimistic: path-death events are positively correlated, so the true
-all-paths-dead probability exceeds the product) and coincides with it
-near the signature, where paths cannot yet overlap.
+recurrences assume path-failure independence, which is far off at
+conformance block sizes (``E_{2,1}`` at ``n = 12, p = 0.25``: ``q ≈
+0.89`` at the far end, truly ``0.61``).  So the wire is compared against
+the exact model, and :func:`recurrence_q_profile` is held to what it
+does satisfy: an upper bound everywhere (path deaths are positively
+correlated), tight near the signature, where paths cannot yet overlap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.analysis import augmented_chain as ac_analysis
-from repro.analysis import rohatgi as rohatgi_analysis
-from repro.analysis import saida as saida_analysis
-from repro.analysis import tesla as tesla_analysis
-from repro.analysis.exact_periodic import exact_periodic_q_profile
-from repro.analysis.montecarlo import _propagate
-from repro.core.graph import DependenceGraph
-from repro.core.recurrence import solve_recurrence
+from repro.analysis.compare import check_block
 from repro.crypto.batch import StreamBatchSigner
 from repro.crypto.signatures import HmacStubSigner, Signer
 from repro.exceptions import AnalysisError
-from repro.schemes.augmented_chain import AugmentedChainScheme
 from repro.schemes.base import Scheme
-from repro.schemes.emss import EmssScheme, GenericOffsetScheme
 from repro.schemes.registry import make_scheme
-from repro.schemes.rohatgi import RohatgiScheme
-from repro.schemes.rohatgi_online import OnlineRohatgiScheme
-from repro.schemes.saida import SaidaScheme
-from repro.schemes.sign_each import SignEachScheme
-from repro.schemes.tesla import TeslaScheme
-from repro.schemes.wong_lam import WongLamScheme
 from repro.faults import (
     AttackPlan,
     BitFlipCorruption,
@@ -91,7 +61,6 @@ __all__ = [
     "default_scheme",
     "analytic_q_profile",
     "recurrence_q_profile",
-    "exhaustive_q_profile",
     "wire_q_stats",
     "conformance_deviations",
     "deviation_rows",
@@ -150,115 +119,28 @@ def default_scheme(name: str) -> Scheme:
 # Analytic side
 # ---------------------------------------------------------------------
 
-def exhaustive_q_profile(graph: DependenceGraph, p: float,
-                         root_always_received: bool = True
-                         ) -> Dict[int, float]:
-    """Exact per-vertex ``q_i`` by enumerating every loss pattern.
-
-    Sums ``P{verifiable & received}`` over all ``2^(n-1)`` receive
-    subsets of the non-root vertices (the root is handled per the
-    ``P_sign`` assumption), then conditions on receipt.  Exponential by
-    construction — the guard caps ``n`` — but *exact*: unlike Eq. 9/10
-    it makes no path-independence approximation, so it is the right
-    oracle for schemes (random graphs) with no closed form.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise AnalysisError(f"loss rate must be in [0, 1], got {p}")
-    if not root_always_received:
-        raise AnalysisError(
-            "exhaustive profile models the paper's P_sign assumption only")
-    graph.validate()
-    n = graph.n
-    if n > 16:
-        raise AnalysisError(
-            f"exhaustive enumeration infeasible for n = {n} (cap 16)")
-    others = [v for v in graph.vertices if v != graph.root]
-    patterns = 1 << len(others)
-    received = np.zeros((patterns, n + 1), dtype=bool)
-    for bit, vertex in enumerate(others):
-        received[:, vertex] = (np.arange(patterns) >> bit) & 1
-    received[:, graph.root] = True
-    loss_count = len(others) - received[:, others].sum(axis=1)
-    weights = (1.0 - p) ** (len(others) - loss_count) * p ** loss_count
-    verifiable = _propagate(graph, received)
-    profile: Dict[int, float] = {}
-    for vertex in graph.vertices:
-        got = float(weights[received[:, vertex]].sum())
-        ok = float(weights[verifiable[:, vertex]].sum())
-        if got <= 0.0:
-            continue
-        profile[vertex] = ok / got
-    return profile
-
-
-def _flat_profile(n: int, value: float) -> Dict[int, float]:
-    return {position: value for position in range(1, n + 1)}
-
-
 def analytic_q_profile(scheme: Scheme, n: int, p: float,
                        env: Optional[ConformanceEnvironment] = None
                        ) -> Dict[int, float]:
-    """Analytic ``q_i`` by **send position** for a block of ``n`` packets.
-
-    Dispatches to the matching analytic module — closed forms where
-    they are exact (Rohatgi, SAIDA, TESLA, individually verifiable),
-    the exact transfer-matrix model for offset schemes, and exact
-    loss-pattern enumeration for other graph schemes — and converts
-    each model's native indexing to 1-based send order, the indexing
-    :class:`~repro.simulation.stats.SimulationStats` tallies use.
-    The Eq. 9/10 approximations live in :func:`recurrence_q_profile`.
+    """Exact ``q_i`` by **send position**: the scheme's own ``q_profile``.
 
     Raises :class:`AnalysisError` for schemes without an analytic
     model — the loud failure the conformance suite relies on.
     """
+    check_block(n, p)
     env = env if env is not None else ConformanceEnvironment()
-    if isinstance(scheme, (WongLamScheme, SignEachScheme)):
-        return _flat_profile(n, 1.0)
-    if isinstance(scheme, (RohatgiScheme, OnlineRohatgiScheme)):
-        return {i: q for i, q in
-                enumerate(rohatgi_analysis.q_profile(n, p), start=1)}
-    if isinstance(scheme, (EmssScheme, GenericOffsetScheme)):
-        exact = exact_periodic_q_profile(n, list(scheme.offsets), p)
-        # send position s <-> signature-rooted index n + 1 - s
-        return {s: exact[n - s] for s in range(1, n + 1)}
-    if isinstance(scheme, SaidaScheme):
-        return {i: q for i, q in enumerate(
-            saida_analysis.q_profile(n, scheme.threshold(n), p), start=1)}
-    if isinstance(scheme, TeslaScheme):
-        t_disclose = scheme.parameters.disclosure_delay
-        return {i: tesla_analysis.q_i(i, n, p, t_disclose,
-                                      env.delay_mean, env.delay_std)
-                for i in range(1, n + 1)}
-    graph = scheme.build_graph(n)
-    if graph is not None and graph.n <= 16:
-        return exhaustive_q_profile(graph, p)
-    raise AnalysisError(
-        f"no analytic q_i model for {scheme.name} at n = {n}; register "
-        f"one in repro.analysis.conformance")
+    return scheme.q_profile(n, p, mu=env.delay_mean, sigma=env.delay_std)
 
 
 def recurrence_q_profile(scheme: Scheme, n: int,
                          p: float) -> Optional[Dict[int, float]]:
     """Eq. 9/10 independence-approximation ``q_i`` in send order.
 
-    Returns ``None`` for schemes whose conformance model *is* already
-    the paper's closed form (Rohatgi, SAIDA, TESLA, …) — only offset
-    schemes and augmented chains have a recurrence that approximates,
-    rather than equals, the exact profile.  The suite checks the
-    returned profile upper-bounds :func:`analytic_q_profile` and
-    matches it at positions within ``max(offsets)`` (resp. ``a``) of
-    the signature, where dependence paths cannot yet share vertices.
+    ``None`` except for offset schemes and augmented chains, whose
+    recurrence approximates, rather than equals, the exact profile.
     """
-    if isinstance(scheme, (EmssScheme, GenericOffsetScheme)):
-        solved = solve_recurrence(n, list(scheme.offsets), p)
-        return {s: solved.q[n - s] for s in range(1, n + 1)}
-    if isinstance(scheme, AugmentedChainScheme):
-        profile = ac_analysis.q_profile(n, scheme.a, scheme.b, p)
-        result = {n: 1.0}  # the signature packet, sent last
-        for s in range(1, n):
-            result[s] = profile.q_of_reversed_index(n - s)
-        return result
-    return None
+    check_block(n, p)
+    return scheme.recurrence_q_profile(n, p)
 
 
 # ---------------------------------------------------------------------

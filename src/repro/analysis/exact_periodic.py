@@ -1,128 +1,37 @@
-"""Exact evaluation of arbitrary periodic offset schemes.
+"""The original offset-set bitmask walk, kept as the engine's oracle.
 
-:mod:`repro.analysis.exact_chain` solves ``A = {1..m}`` with an
-(m+1)-state run-length chain.  For an *arbitrary* positive offset set
-``A`` — say ``{1, 7}`` or ``{2, 3, 5}`` — the verifiability process is
-still Markov, but the state must remember the verifiability of the
-last ``K = max(A)`` packets: a bitmask of ``K`` bits, giving an exact
-``O(n · 2^K)`` transfer-matrix evaluation.  This is the paper's
-"signal-flow graph" direction made concrete: the scheme's exact loss
-behaviour is the repeated application of one linear operator.
-
-Semantics (signature-rooted indexing, ``P_1 = P_sign`` always
+Offset set ``A`` in signature-rooted indexing (``P_1 = P_sign``, always
 received): packet ``i`` is verifiable iff it is received and some
-``P_{i-a}``, ``a ∈ A``, is verifiable — with branches clamped to the
-root (``i - a <= 1``) always succeeding.
-
-Feasible up to ``max(A) ≈ 16`` (65k states); beyond that, fall back to
-Monte Carlo.  Used to validate the Eq. 9 recurrence's error for
-non-contiguous offset sets and to give the design toolkit exact
-evaluations for small policies.
+``P_{i-a}``, ``a ∈ A``, is verifiable, branches clamped to the root
+(``i - a <= 1``) always succeeding.  The state is the verifiability of
+the last ``max(A)`` packets, one dictionary entry per bitmask.  The
+frontier engine (:mod:`repro.analysis.frontier`) computes the same
+profile and is differential-tested against this walk.
 """
-
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence
 
 from repro.exceptions import AnalysisError
 
-__all__ = ["exact_periodic_q_profile", "exact_periodic_q_profile_reference",
-           "exact_periodic_q_min"]
+__all__ = ["exact_periodic_q_profile_reference"]
 
 _MAX_REACH = 16
 
 
-def _clean_offsets(offsets: Sequence[int]) -> Tuple[int, ...]:
-    cleaned = tuple(sorted(set(offsets)))
-    if not cleaned:
-        raise AnalysisError("offset set must be non-empty")
-    if any(a < 1 for a in cleaned):
-        raise AnalysisError(f"offsets must be positive: {offsets}")
-    if cleaned[-1] > _MAX_REACH:
-        raise AnalysisError(
-            f"max offset {cleaned[-1]} exceeds exact-evaluation reach "
-            f"{_MAX_REACH}; use Monte Carlo"
-        )
-    return cleaned
-
-
-def exact_periodic_q_profile(n: int, offsets: Sequence[int],
-                             p: float) -> List[float]:
-    """Exact ``[q_1 .. q_n]`` for offset set ``A`` under iid loss.
-
-    Parameters
-    ----------
-    n:
-        Block size including ``P_sign``.
-    offsets:
-        Positive offsets ``A`` (each packet relies on ``P_{i-a}``);
-        ``max(A) <= 16``.
-    p:
-        iid loss rate.
-
-    Notes
-    -----
-    The state is the verifiability bitmask of the last ``K`` packets
-    (bit ``k`` = packet ``k+1`` positions back).  The root's certainty
-    is encoded by starting, for each position ``i <= K+1``, from the
-    exact joint distribution grown step by step — positions whose
-    branch clamps to the root are verifiable whenever received.
-
-    This is the vectorized transfer-matrix evaluation: the state
-    distribution is a dense vector over all ``2^K`` bitmasks and each
-    position applies the (sparse, two-outcomes-per-state) linear
-    operator with a pair of ``np.bincount`` scatters.  It matches
-    :func:`exact_periodic_q_profile_reference` — the original
-    dictionary walk, kept as the differential-testing ground truth —
-    to full double precision.
-    """
-    a_set = _clean_offsets(offsets)
-    if n < 1:
-        raise AnalysisError(f"block size must be >= 1, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise AnalysisError(f"loss rate must be in [0, 1], got {p}")
-    reach = a_set[-1]
-    survive = 1.0 - p
-    size = 1 << reach
-    states = np.arange(size, dtype=np.int64)
-    # A state supports the next packet when any offset branch is alive.
-    supported = np.zeros(size, dtype=bool)
-    for a in a_set:
-        supported |= ((states >> (a - 1)) & 1).astype(bool)
-    shifted = (states << 1) & (size - 1)
-    weights = np.zeros(size)
-    weights[1] = 1.0  # root verifiable with certainty
-    profile = [1.0]
-    for i in range(2, n + 1):
-        clamp = reach >= i - 1  # some branch reaches back to the root
-        alive_mask = np.ones(size, dtype=bool) if clamp else supported
-        if clamp:
-            profile.append(1.0)
-        else:
-            profile.append(float(weights[alive_mask].sum()))
-        supported_weight = np.where(alive_mask, weights, 0.0)
-        unsupported_weight = np.where(alive_mask, 0.0, weights)
-        weights = (
-            np.bincount(shifted | 1, weights=supported_weight * survive,
-                        minlength=size)
-            + np.bincount(shifted, weights=supported_weight * p
-                          + unsupported_weight, minlength=size)
-        )
-    return profile
-
-
 def exact_periodic_q_profile_reference(n: int, offsets: Sequence[int],
                                        p: float) -> List[float]:
-    """Original dictionary-based walk; ground truth for the oracle.
-
-    Same contract as :func:`exact_periodic_q_profile`, ``O(n · 2^K)``
-    with per-state Python dictionaries.  Kept verbatim so the
-    vectorized path is forever differential-testable against the code
-    it replaced.
-    """
-    a_set = _clean_offsets(offsets)
+    """Exact ``[q_1 .. q_n]`` for offsets ``A``, ``max(A) <= 16``, iid loss."""
+    a_set = tuple(sorted(set(offsets)))
+    if not a_set:
+        raise AnalysisError("offset set must be non-empty")
+    if any(a < 1 for a in a_set):
+        raise AnalysisError(f"offsets must be positive: {offsets}")
+    if a_set[-1] > _MAX_REACH:
+        raise AnalysisError(
+            f"max offset {a_set[-1]} exceeds exact-evaluation reach "
+            f"{_MAX_REACH}; use Monte Carlo"
+        )
     if n < 1:
         raise AnalysisError(f"block size must be >= 1, got {n}")
     if not 0.0 <= p <= 1.0:
@@ -160,8 +69,3 @@ def exact_periodic_q_profile_reference(n: int, offsets: Sequence[int],
                     shifted, 0.0) + probability
         distribution = advanced
     return profile
-
-
-def exact_periodic_q_min(n: int, offsets: Sequence[int], p: float) -> float:
-    """Exact ``q_min`` for an arbitrary offset set (reach <= 16)."""
-    return min(exact_periodic_q_profile(n, offsets, p))

@@ -31,7 +31,7 @@ realizes them without difficulty.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.graph import DependenceGraph
 from repro.exceptions import SchemeParameterError
@@ -117,6 +117,15 @@ class AugmentedChainScheme(Scheme):
                 if not graph.has_edge(carrier, vertex):
                     graph.add_edge(carrier, vertex)
         return graph
+
+    def recurrence_q_profile(self, n: int, p: float) -> Dict[int, float]:
+        """Eq. 10 by send position (reversed index ``i`` is vertex ``n - i``)."""
+        # The analysis layer builds on schemes: imported at call time.
+        from repro.analysis import augmented_chain as analysis
+
+        solved = analysis.q_profile(n, self.a, self.b, p)
+        return {s: solved.q_of_reversed_index(n - s) if s < n else 1.0
+                for s in range(1, n + 1)}
 
     def chain_packet_count(self, n: int) -> int:
         """Number of first-level chain packets in a block of size ``n``."""

@@ -19,7 +19,10 @@ A scheme also owns its receiver side.  :meth:`Scheme.new_trial`
 packetizes one trial into a :class:`Trial` — the sent packets, each
 data packet's position and a factory for the scheme's
 :class:`Verifier` — and every offline driver verifies through that one
-protocol (:func:`repro.simulation.trials.run_trials`).
+protocol (:func:`repro.simulation.trials.run_trials`).  Likewise its
+loss models: :meth:`Scheme.q_profile` (exact) and
+:meth:`Scheme.recurrence_q_profile` (Eq. 9/10) are all the analysis
+front doors call.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from repro.core.graph import DependenceGraph
 from repro.core.metrics import GraphMetrics, compute_metrics
 from repro.crypto.hashing import HashFunction, sha256
 from repro.crypto.signatures import Signer
-from repro.exceptions import SchemeParameterError, WireDecodeError
+from repro.exceptions import (AnalysisError, SchemeParameterError,
+                               WireDecodeError)
 from repro.packets import Packet, packet_from_wire
 
 __all__ = ["Scheme", "BlockPlan", "build_block", "Trial", "Verifier"]
@@ -157,6 +161,34 @@ class Scheme(ABC):
                 positions[packet.seq] = position
             packets.extend(block)
         return packets, positions
+
+    # ------------------------------------------------------------------
+    # Loss models
+    # ------------------------------------------------------------------
+
+    def q_profile(self, n: int, p: float, **delay: float) -> Dict[int, float]:
+        """Exact ``q_i`` by send position, from the frontier engine.
+
+        Closed forms override this; ``delay`` (``mu``, ``sigma``,
+        ``t_disclose``) is for timed schemes.
+        """
+        if self.individually_verifiable:
+            return dict.fromkeys(range(1, n + 1), 1.0)
+        # The analysis layer builds on schemes: imported at call time.
+        from repro.analysis.frontier import frontier_q_profile
+
+        try:
+            plan = self.block_plan(n)
+        except SchemeParameterError as exc:
+            raise AnalysisError(
+                f"no analytic q_i model for {self.name} at n = {n}: {exc}"
+            ) from exc
+        return frontier_q_profile(plan, p)
+
+    def recurrence_q_profile(self, n: int,
+                             p: float) -> Optional[Dict[int, float]]:
+        """The Eq. 9/10 approximation by send position, if there is one."""
+        return None
 
     # ------------------------------------------------------------------
     # Metrics

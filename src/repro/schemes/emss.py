@@ -18,16 +18,45 @@ exactly the offset set ``A = {d, 2d, ..., m·d}`` fed to Eq. 9.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.graph import DependenceGraph
+from repro.core.recurrence import solve_recurrence
 from repro.exceptions import SchemeParameterError
 from repro.schemes.base import Scheme
 
 __all__ = ["EmssScheme", "GenericOffsetScheme"]
 
 
-class EmssScheme(Scheme):
+class _OffsetScheme(Scheme):
+    """A periodic scheme: packet ``s``'s hash rides in ``s + a``, ``a ∈ A``.
+
+    ``offsets`` is ``A``, equal to the reversed-index offset set of
+    Eq. 9; targets beyond the last data packet clamp to the signature
+    packet.
+    """
+
+    offsets: Sequence[int]
+
+    def build_graph(self, n: int) -> DependenceGraph:
+        """Graph over ``n`` packets, vertex ``n`` the signature packet."""
+        if n < 2:
+            raise SchemeParameterError(
+                f"block needs >= 2 packets (data + signature), got {n}"
+            )
+        graph = DependenceGraph(n, root=n)
+        for s in range(1, n):
+            for carrier in {min(s + a, n) for a in self.offsets}:
+                graph.add_edge(carrier, s)
+        return graph
+
+    def recurrence_q_profile(self, n: int, p: float) -> Dict[int, float]:
+        """Eq. 9 over ``A``; send position ``s`` is index ``n + 1 - s``."""
+        q = solve_recurrence(n, list(self.offsets), p).q
+        return {s: q[n - s] for s in range(1, n + 1)}
+
+
+class EmssScheme(_OffsetScheme):
     """``E_{m,d}``: hash stored in ``m`` later packets spaced ``d`` apart.
 
     Parameters
@@ -56,25 +85,8 @@ class EmssScheme(Scheme):
         """The reversed-index offset set ``A = {d, 2d, ..., m·d}``."""
         return [k * self.d for k in range(1, self.m + 1)]
 
-    def build_graph(self, n: int) -> DependenceGraph:
-        """Graph over ``n`` packets, vertex ``n`` the signature packet."""
-        if n < 2:
-            raise SchemeParameterError(
-                f"EMSS block needs >= 2 packets (data + signature), got {n}"
-            )
-        graph = DependenceGraph(n, root=n)
-        for s in range(1, n):
-            targets = set()
-            for k in range(1, self.m + 1):
-                carrier = s + k * self.d
-                targets.add(min(carrier, n))
-            for carrier in targets:
-                if carrier != s:
-                    graph.add_edge(carrier, s)
-        return graph
 
-
-class GenericOffsetScheme(Scheme):
+class GenericOffsetScheme(_OffsetScheme):
     """An arbitrary-offset periodic scheme (the general form of Eq. 9).
 
     Each data packet stores its hash in the packets at the given
@@ -100,15 +112,3 @@ class GenericOffsetScheme(Scheme):
     def name(self) -> str:
         inner = ",".join(str(a) for a in self.offsets)
         return f"offsets({inner})"
-
-    def build_graph(self, n: int) -> DependenceGraph:
-        """Graph over ``n`` packets, vertex ``n`` the signature packet."""
-        if n < 2:
-            raise SchemeParameterError(f"block needs >= 2 packets, got {n}")
-        graph = DependenceGraph(n, root=n)
-        for s in range(1, n):
-            targets = {min(s + a, n) for a in self.offsets}
-            for carrier in targets:
-                if carrier != s:
-                    graph.add_edge(carrier, s)
-        return graph

@@ -10,6 +10,8 @@ chain for everything after it — the paper's Sec. 3 worked example,
 
 from __future__ import annotations
 
+from typing import Dict
+
 from repro.core.graph import DependenceGraph
 from repro.exceptions import SchemeParameterError
 from repro.schemes.base import Scheme
@@ -35,3 +37,10 @@ class RohatgiScheme(Scheme):
         for i in range(1, n):
             graph.add_edge(i, i + 1)
         return graph
+
+    def q_profile(self, n: int, p: float, **delay: float) -> Dict[int, float]:
+        """Eq. 8's closed form ``(1-p)^{i-2}``: each packet has one path."""
+        # The analysis layer builds on schemes: imported at call time.
+        from repro.analysis import rohatgi as analysis
+
+        return dict(enumerate(analysis.q_profile(n, p), start=1))

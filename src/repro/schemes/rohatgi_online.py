@@ -28,7 +28,6 @@ import struct
 from functools import lru_cache, partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.graph import DependenceGraph
 from repro.core.metrics import GraphMetrics
 from repro.crypto.hashing import HashFunction, sha256
 from repro.crypto.lamport import LamportKeyPair
@@ -36,6 +35,7 @@ from repro.crypto.signatures import Signer
 from repro.exceptions import SchemeParameterError, SimulationError
 from repro.packets import Packet
 from repro.schemes.base import Scheme, Trial, Verifier
+from repro.schemes.rohatgi import RohatgiScheme
 
 __all__ = ["OnlineRohatgiScheme", "OnlineChainVerifier"]
 
@@ -133,14 +133,9 @@ class OnlineRohatgiScheme(Scheme):
     def name(self) -> str:
         return "rohatgi-online"
 
-    def build_graph(self, n: int) -> DependenceGraph:
-        """Same dependence topology as the offline chain."""
-        if n < 1:
-            raise SchemeParameterError(f"block needs >= 1 packet, got {n}")
-        graph = DependenceGraph(n, root=1)
-        for i in range(1, n):
-            graph.add_edge(i, i + 1)
-        return graph
+    # Same dependence topology as the offline chain, so the same Eq. 8.
+    build_graph = RohatgiScheme.build_graph
+    q_profile = RohatgiScheme.q_profile
 
     def make_block(self, payloads: Sequence[bytes], signer: Signer,
                    hash_function: HashFunction = sha256,

@@ -93,6 +93,14 @@ class SaidaScheme(Scheme):
             raise SchemeParameterError(f"block needs >= 1 packet, got {n}")
         return None
 
+    def q_profile(self, n: int, p: float, **delay: float) -> Dict[int, float]:
+        """The flat binomial tail: ``k − 1`` of the other ``n − 1`` arrive."""
+        # The analysis layer builds on schemes: imported at call time.
+        from repro.analysis import saida as analysis
+
+        return dict(enumerate(analysis.q_profile(n, self.threshold(n), p),
+                              start=1))
+
     # ------------------------------------------------------------------
 
     def make_block(self, payloads: Sequence[bytes], signer: Signer,

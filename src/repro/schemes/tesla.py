@@ -144,6 +144,20 @@ class TeslaScheme(Scheme):
         """TESLA needs the extended graph; the plain one does not apply."""
         return None
 
+    def q_profile(self, n: int, p: float, *, mu: float, sigma: float,
+                  t_disclose: Optional[float] = None) -> Dict[int, float]:
+        """Eq. 6 by interval, under ``N(mu, sigma²)`` delay.
+
+        ``t_disclose`` defaults to this scheme's disclosure delay.
+        """
+        # The analysis layer builds on schemes: imported at call time.
+        from repro.analysis import tesla as analysis
+
+        if t_disclose is None:
+            t_disclose = self.parameters.disclosure_delay
+        return dict(enumerate(
+            analysis.q_profile(n, p, t_disclose, mu, sigma), start=1))
+
     def build_extended_graph(self, n: int) -> TeslaDependenceGraph:
         """The Sec. 3.2 two-vertices-per-packet dependence-graph."""
         return TeslaDependenceGraph(n, lag=self.parameters.lag)

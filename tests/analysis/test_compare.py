@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.analysis import augmented_chain as ac_analysis
+from repro.analysis import emss as emss_analysis
 from repro.analysis import rohatgi as rohatgi_analysis
+from repro.analysis import saida as saida_analysis
+from repro.analysis import tesla as tesla_analysis
 from repro.analysis.compare import (
     TeslaEnvironment,
     analytic_q_min,
@@ -14,7 +18,11 @@ from repro.exceptions import AnalysisError
 from repro.schemes.augmented_chain import AugmentedChainScheme
 from repro.schemes.base import Scheme
 from repro.schemes.emss import EmssScheme, GenericOffsetScheme
-from repro.analysis.conformance import analytic_q_profile
+from repro.analysis.conformance import (
+    DEFAULT_SPECS,
+    ConformanceEnvironment,
+    analytic_q_profile,
+)
 from repro.schemes.registry import make_scheme, paper_comparison_schemes
 from repro.schemes.rohatgi import RohatgiScheme
 from repro.schemes.sign_each import SignEachScheme
@@ -63,19 +71,89 @@ class TestDispatch:
 
     def test_unknown_scheme_rejected(self):
         class Mystery(Scheme):
+            """Neither a dependence-graph nor a loss model of its own."""
+
             @property
             def name(self):
                 return "mystery"
 
             def build_graph(self, n):
+                return None
+
+        with pytest.raises(AnalysisError, match="no analytic q_i model"):
+            analytic_q_min(Mystery(), 10, 0.1)
+
+    def test_any_graph_scheme_gets_the_exact_minimum(self):
+        class Chain(Scheme):
+            @property
+            def name(self):
+                return "chain"
+
+            def build_graph(self, n):
                 return RohatgiScheme().build_graph(n)
 
-        with pytest.raises(AnalysisError):
-            analytic_q_min(Mystery(), 10, 0.1)
+        assert analytic_q_min(Chain(), 10, 0.1) == pytest.approx(
+            rohatgi_analysis.q_min(10, 0.1), abs=1e-12)
 
     def test_environment_xi(self):
         env = TeslaEnvironment(t_disclose=1.0, mu=1.0, sigma=0.5)
         assert env.xi == pytest.approx(0.5)
+
+
+def _closed_form_q_min(name, scheme, n, p, env):
+    """The per-scheme analytic ``q_min`` the paper's figures plot."""
+    if name in ("wong-lam", "sign-each"):
+        return 1.0
+    if name in ("rohatgi", "rohatgi-online"):
+        return rohatgi_analysis.q_min(n, p)
+    if name == "emss":
+        return emss_analysis.q_min(n, scheme.m, scheme.d, p)
+    if name == "offsets":
+        return emss_analysis.generic_q_min(n, scheme.offsets, p)
+    if name == "ac":
+        return ac_analysis.q_min(n, scheme.a, scheme.b, p)
+    if name == "tesla":
+        return tesla_analysis.q_min(n, p, env.t_disclose, env.mu, env.sigma)
+    if name == "saida":
+        return saida_analysis.q_min(n, scheme.threshold(n), p)
+    return None  # random graphs: exact profile only, no closed form
+
+
+class TestValuesUnchanged:
+    """The scheme-owned models reproduce the closed forms bit for bit."""
+
+    @pytest.mark.parametrize("p", [0.05, 0.2, 0.5])
+    @pytest.mark.parametrize("n", [12, 100, 1000])
+    @pytest.mark.parametrize("name", sorted(DEFAULT_SPECS))
+    def test_q_min_bit_identical_to_closed_form(self, name, n, p):
+        scheme = make_scheme(DEFAULT_SPECS[name])
+        env = TeslaEnvironment()
+        want = _closed_form_q_min(name, scheme, n, p, env)
+        if want is None:
+            pytest.skip(f"{name} has no closed-form q_min")
+        assert analytic_q_min(scheme, n, p, env) == want
+
+    @pytest.mark.parametrize("p", [0.0, 0.2, 1.0])
+    def test_closed_form_profiles_bit_identical(self, p):
+        n = 40
+        env = ConformanceEnvironment()
+        tesla = make_scheme(DEFAULT_SPECS["tesla"])
+        saida = make_scheme(DEFAULT_SPECS["saida"])
+        t_disclose = tesla.parameters.disclosure_delay
+        expected = {
+            "rohatgi": rohatgi_analysis.q_profile(n, p),
+            "rohatgi-online": rohatgi_analysis.q_profile(n, p),
+            "saida": saida_analysis.q_profile(n, saida.threshold(n), p),
+            "tesla": [tesla_analysis.q_i(i, n, p, t_disclose, env.delay_mean,
+                                         env.delay_std)
+                      for i in range(1, n + 1)],
+            "wong-lam": [1.0] * n,
+            "sign-each": [1.0] * n,
+        }
+        for name, values in expected.items():
+            profile = analytic_q_profile(make_scheme(DEFAULT_SPECS[name]),
+                                         n, p, env)
+            assert profile == dict(enumerate(values, start=1)), name
 
 
 class TestSweeps:

@@ -1,17 +1,40 @@
-"""Unit tests for the exact transfer-matrix periodic solver."""
+"""Exact offset-set profiles: the frontier engine on periodic graphs.
+
+Offset set ``A`` in signature-rooted indexing (``P_1 = P_sign``):
+packet ``i`` relies on ``P_{i-a}``, branches reaching past the root
+clamp to it.  The engine evaluates that graph; the original per-state
+walk (:func:`exact_periodic_q_profile_reference`) is its oracle.
+"""
+
+from typing import List, Sequence
 
 import pytest
 
+from repro.analysis.conformance import analytic_q_profile
 from repro.analysis.exact_chain import exact_q_profile
-from repro.analysis.exact_periodic import (
-    exact_periodic_q_min,
-    exact_periodic_q_profile,
-    exact_periodic_q_profile_reference,
-)
+from repro.analysis.exact_periodic import exact_periodic_q_profile_reference
+from repro.analysis.frontier import frontier_q_profile
 from repro.analysis.montecarlo import graph_monte_carlo
+from repro.core.graph import DependenceGraph
 from repro.core.recurrence import solve_recurrence
-from repro.exceptions import AnalysisError
+from repro.exceptions import AnalysisError, SchemeParameterError
+from repro.schemes.base import BlockPlan
 from repro.schemes.emss import GenericOffsetScheme
+
+
+def exact_periodic_q_profile(n: int, offsets: Sequence[int],
+                             p: float) -> List[float]:
+    """The engine's ``[q_1 .. q_n]`` for offset set ``A``, ``P_1 = P_sign``."""
+    graph = DependenceGraph(n, root=1)
+    for i in range(2, n + 1):
+        for carrier in sorted({max(i - a, 1) for a in offsets}):
+            graph.add_edge(carrier, i)
+    profile = frontier_q_profile(BlockPlan.compile(graph), p)
+    return [profile[i] for i in range(1, n + 1)]
+
+
+def exact_periodic_q_min(n: int, offsets: Sequence[int], p: float) -> float:
+    return min(exact_periodic_q_profile(n, offsets, p))
 
 
 class TestReductions:
@@ -69,13 +92,13 @@ class TestAgainstRecurrence:
 
 
 class TestAgainstReference:
-    """The vectorized oracle vs the dictionary walk it replaced.
+    """The frontier engine vs the original dictionary walk.
 
     The reference implementation is the original per-state Python
-    loop, kept verbatim; the shipping oracle is the ``np.bincount``
-    transfer-matrix evaluation.  They must agree to full double
-    precision across block sizes, offset shapes (contiguous, sparse,
-    rootless starts, max reach) and the loss-rate extremes.
+    loop, kept verbatim; the shipping evaluator is the frontier engine
+    over the compiled graph.  They must agree to full double precision
+    across block sizes, offset shapes (contiguous, sparse, rootless
+    starts, max reach) and the loss-rate extremes.
     """
 
     @pytest.mark.parametrize("n", [1, 2, 17, 80])
@@ -98,15 +121,17 @@ class TestAgainstReference:
 
 class TestValidation:
     def test_offset_bounds(self):
-        with pytest.raises(AnalysisError):
-            exact_periodic_q_profile(10, [], 0.1)
-        with pytest.raises(AnalysisError):
-            exact_periodic_q_profile(10, [0], 0.1)
-        with pytest.raises(AnalysisError):
-            exact_periodic_q_profile(10, [1, 17], 0.1)
+        for offsets in ((), (0,)):
+            with pytest.raises(AnalysisError):
+                exact_periodic_q_profile_reference(10, list(offsets), 0.1)
+            with pytest.raises(SchemeParameterError):
+                GenericOffsetScheme(offsets)
+        # Reach 17 needs a 17-bit frontier, past the engine's cap.
+        with pytest.raises(AnalysisError, match="frontier width 17"):
+            exact_periodic_q_profile(40, [1, 17], 0.1)
 
     def test_input_bounds(self):
         with pytest.raises(AnalysisError):
-            exact_periodic_q_profile(0, [1], 0.1)
+            analytic_q_profile(GenericOffsetScheme((1,)), 0, 0.1)
         with pytest.raises(AnalysisError):
             exact_periodic_q_profile(10, [1], 1.5)

@@ -86,3 +86,24 @@ class TestEquationMap:
         text = _read("docs/equations.md")
         for match in re.finditer(r"tests/([\w/]+\.py)", text):
             assert (ROOT / "tests" / match.group(1)).exists(), match.group(1)
+
+
+class TestTutorial:
+    def test_section3_snippet_runs_and_its_values_hold(self):
+        """Every line of §3 runs; every exact value in a comment holds."""
+        text = _read("docs/tutorial.md")
+        section = text[text.index("## 3."):]
+        snippet = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        namespace = {}
+        exec("from repro import make_scheme\n"
+             "emss = make_scheme('emss(2,1)')", namespace)
+        for line in snippet.splitlines():
+            code, _, comment = line.partition("#")
+            if not code.strip():
+                continue
+            claimed = re.search(r":\s*([0-9.]+)\s*$", comment)
+            if claimed is None:
+                exec(code, namespace)
+                continue
+            value = eval(code, namespace)
+            assert round(value, 3) == float(claimed.group(1)), line

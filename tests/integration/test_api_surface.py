@@ -79,6 +79,7 @@ class TestTopLevelExports:
             "repro.schemes.saida", "repro.network.loss",
             "repro.network.delay", "repro.simulation.receiver",
             "repro.analysis.montecarlo", "repro.analysis.exact_chain",
+            "repro.analysis.frontier",
             "repro.design.dp", "repro.packets",
         ]
         for name in modules:

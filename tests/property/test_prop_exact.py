@@ -1,9 +1,11 @@
 """Property-based tests tying the exact evaluators together.
 
-Four independent evaluators cover overlapping domains; hypothesis
-drives random instances through every pairwise agreement and ordering
-that must hold between them and the paper's recurrence.
+Independent evaluators cover overlapping domains; hypothesis drives
+random instances through every pairwise agreement and ordering that
+must hold between them and the paper's recurrence.
 """
+
+from typing import List, Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +13,29 @@ from hypothesis import strategies as st
 
 from repro.analysis.exact_chain import exact_q_profile
 from repro.analysis.exact_chain_markov import markov_chain_q_profile
-from repro.analysis.exact_periodic import exact_periodic_q_profile
+from repro.analysis.frontier import frontier_q_profile
+from repro.core.graph import DependenceGraph
 from repro.core.recurrence import solve_recurrence
+from repro.schemes.base import BlockPlan
 
 _loss = st.floats(min_value=0.0, max_value=0.95)
 _small_offsets = st.lists(st.integers(min_value=1, max_value=10),
                           min_size=1, max_size=3, unique=True)
+
+
+def exact_periodic_q_profile(n: int, offsets: Sequence[int],
+                             p: float) -> List[float]:
+    """The frontier engine's ``[q_1 .. q_n]`` for offset set ``A``.
+
+    Signature-rooted: ``P_1 = P_sign``, packet ``i`` relies on
+    ``P_{max(i - a, 1)}``.
+    """
+    graph = DependenceGraph(n, root=1)
+    for i in range(2, n + 1):
+        for carrier in sorted({max(i - a, 1) for a in offsets}):
+            graph.add_edge(carrier, i)
+    profile = frontier_q_profile(BlockPlan.compile(graph), p)
+    return [profile[i] for i in range(1, n + 1)]
 
 
 class TestEvaluatorAgreement:
