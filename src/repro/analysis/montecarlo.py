@@ -33,7 +33,6 @@ from repro.obs.spans import span
 __all__ = [
     "McResult",
     "graph_monte_carlo",
-    "graph_monte_carlo_reference",
     "graph_monte_carlo_model",
     "tesla_lambda_monte_carlo",
 ]
@@ -202,44 +201,6 @@ def graph_monte_carlo(graph: DependenceGraph, p: float, trials: int = 10_000,
             received[:, graph.root] = True
         verifiable = _propagate(graph, received)
         return _tally(graph, received, verifiable, trials)
-
-
-def graph_monte_carlo_reference(graph: DependenceGraph, p: float,
-                                trials: int = 10_000, seed=None,
-                                root_always_received: bool = True) -> McResult:
-    """Pre-vectorization reference implementation of
-    :func:`graph_monte_carlo`.
-
-    Propagates verifiability with an explicit Python loop over each
-    vertex's predecessors instead of the ``np.logical_or.reduce``
-    column gather.  Kept (slow, unoptimized) as the differential-test
-    oracle: with the same seed it must match :func:`graph_monte_carlo`
-    bit-for-bit, because both consume identical RNG draws.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise AnalysisError(f"loss rate must be in [0, 1], got {p}")
-    if trials < 1:
-        raise AnalysisError(f"need >= 1 trial, got {trials}")
-    graph.validate()
-    n = graph.n
-    rng = np.random.default_rng(seed)
-    received = rng.random((trials, n + 1)) >= p  # column 0 unused
-    received[:, 0] = False
-    if root_always_received:
-        received[:, graph.root] = True
-    verifiable = np.zeros((trials, n + 1), dtype=bool)
-    verifiable[:, graph.root] = received[:, graph.root]
-    for vertex in graph.topological_order():
-        if vertex == graph.root:
-            continue
-        predecessors = graph.predecessors(vertex)
-        if not predecessors:
-            continue
-        support = verifiable[:, predecessors[0]].copy()
-        for predecessor in predecessors[1:]:
-            support |= verifiable[:, predecessor]
-        verifiable[:, vertex] = received[:, vertex] & support
-    return _tally(graph, received, verifiable, trials)
 
 
 def graph_monte_carlo_model(graph: DependenceGraph, loss_model,

@@ -19,17 +19,32 @@ across workers bit-for-bit like passive ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.faults.plan import AttackPlan
 from repro.network.channel import Channel
 from repro.packets import Packet
 
-__all__ = ["WireDelivery", "AdversarialChannel", "ATTACK_KINDS"]
+__all__ = ["WireDelivery", "AdversarialChannel", "ATTACK_KINDS",
+           "frame_once"]
 
 #: Ground-truth kinds that mark adversarial interference; lifecycle
 #: tracing turns them into attack-tag attributes on transport events.
 ATTACK_KINDS = ("corrupted", "forged", "replayed")
+
+
+def frame_once(packet: Packet, frames: Dict[int, bytes]) -> bytes:
+    """``packet``'s wire bytes, encoded on first use and kept in ``frames``.
+
+    ``frames`` maps sequence numbers to wire bytes for one packetized
+    block, whose packets have distinct sequence numbers; every
+    receiver's channel that delivers the packet shares the one
+    encoding, and a packet no channel delivers is never encoded.
+    """
+    wire = frames.get(packet.seq)
+    if wire is None:
+        wire = frames[packet.seq] = packet.to_wire()
+    return wire
 
 
 @dataclass(frozen=True)
@@ -82,12 +97,18 @@ class AdversarialChannel:
         self.injected = 0
         self.replayed = 0
 
-    def transmit_wire(self, packets: Iterable[Packet]) -> List[WireDelivery]:
+    def transmit_wire(self, packets: Iterable[Packet],
+                      frames: Optional[Dict[int, bytes]] = None
+                      ) -> List[WireDelivery]:
         """Send ``packets``; return attacked wire deliveries in arrival order.
 
         Ties on arrival time are broken by staging order (genuine
         before its own injections/replays, earlier deliveries first),
-        keeping the stream deterministic.
+        keeping the stream deterministic.  With ``frames`` (a block's
+        shared ``seq -> wire bytes`` map, see :func:`frame_once`) each
+        delivered packet's bytes come from the map, so the receivers of
+        one block share one encoding; the faults see the same bytes
+        either way, so every draw is unchanged.
         """
         staged: List[tuple] = []
 
@@ -103,7 +124,8 @@ class AdversarialChannel:
             arrival = delivery.arrival_time
             for fault in self.plan.faults:
                 arrival += fault.jitter()
-            wire = packet.to_wire()
+            wire = (packet.to_wire() if frames is None
+                    else frame_once(packet, frames))
             tampered = False
             for fault in self.plan.faults:
                 mutated = fault.corrupt(wire)

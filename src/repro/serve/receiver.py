@@ -35,6 +35,7 @@ from repro.network.loss import LossEstimator
 from repro.obs import get_registry
 from repro.obs.lifecycle import NOISE_SEQ, get_lifecycle
 from repro.serve.transport import ControlFrame, Transport, decode_control
+from repro.simulation.receiver import WireMemo
 from repro.simulation.stats import SimulationStats
 from repro.simulation.stream_receiver import StreamReceiver
 
@@ -93,18 +94,24 @@ class ReceiverSession:
         Distribution-tree branch label stamped on every
         :class:`LossReport`; defaults to the receiver id (independent
         channels — every receiver is its own branch).
+    wire_memo:
+        Decode memo shared with the other sessions of a
+        :class:`ReceiverPool` (see
+        :meth:`~repro.simulation.receiver.ChainReceiver.ingest_wire`).
     """
 
     def __init__(self, receiver_id: str, signer: Signer,
                  hash_function: HashFunction = sha256,
                  estimator: Optional[LossEstimator] = None,
                  max_buffered: Optional[int] = None,
-                 subtree: Optional[str] = None) -> None:
+                 subtree: Optional[str] = None,
+                 wire_memo: Optional[WireMemo] = None) -> None:
         self.receiver_id = receiver_id
         self.subtree = subtree if subtree is not None else receiver_id
         self._hash = hash_function
         self.stream = StreamReceiver(signer, hash_function,
-                                     max_buffered=max_buffered)
+                                     max_buffered=max_buffered,
+                                     wire_memo=wire_memo)
         self.estimator = estimator if estimator is not None else LossEstimator()
         self.transcript: List[str] = []
         self.stats: Dict[str, SimulationStats] = {}
@@ -283,6 +290,12 @@ class ReceiverPool:
     :meth:`wait_block` / :meth:`join` — a crashing receiver fails the
     session loudly instead of hanging the barrier.
 
+    Shared decode: every session ingests through one content-keyed
+    wire memo owned by the pool, so each distinct data buffer is
+    decoded and hashed once however many receivers get it.  The memo
+    is dropped at every barrier, which bounds it to the blocks in
+    flight.
+
     Parameters
     ----------
     receiver_ids:
@@ -314,6 +327,7 @@ class ReceiverPool:
         self._estimator_factory = estimator_factory
         self._max_buffered = max_buffered
         self._subtree_of = subtree_of if subtree_of is not None else {}
+        self._wire_memo: WireMemo = {}
         self.sessions: Dict[str, ReceiverSession] = {}
         for receiver_id in receiver_ids:
             self.sessions[receiver_id] = self._build_session(receiver_id)
@@ -332,7 +346,8 @@ class ReceiverPool:
         return ReceiverSession(
             receiver_id, self._signer, self._hash, estimator=estimator,
             max_buffered=self._max_buffered,
-            subtree=self._subtree_of.get(receiver_id))
+            subtree=self._subtree_of.get(receiver_id),
+            wire_memo=self._wire_memo)
 
     def start(self, transport: Transport) -> None:
         """Spawn one task per session (requires a running event loop)."""
@@ -450,7 +465,8 @@ class ReceiverPool:
         Re-evaluates the running set on entry (a crash just before
         settling shrinks it) and races the barrier against session
         failure — a receiver that raises mid-block surfaces here
-        instead of deadlocking the loop.
+        instead of deadlocking the loop.  Passing the barrier drops
+        the shared wire memo.
         """
         self._check_failure()
         self._maybe_release(block_id)
@@ -465,6 +481,7 @@ class ReceiverPool:
                 barrier.cancel()
                 failed.cancel()
             self._check_failure()
+        self._wire_memo.clear()
         self._events.pop(block_id, None)
         reports = self._reports.pop(block_id, {})
         return [reports[receiver_id] for receiver_id in sorted(reports)]

@@ -10,7 +10,9 @@ shared block id, sequence range and set of send times, then pushed
 through one channel per receiver (the session's topology channel,
 optionally wrapped in an :class:`~repro.faults.AdversarialChannel`)
 and onto the transport, followed by a control frame carrying the
-block's ground truth.
+block's ground truth.  A packet is framed at most once per block,
+on the first channel that delivers it; every other receiver's
+channel reuses those bytes.
 
 Every channel is built fresh per (receiver, block) from seeds that
 derive from one root seed (:func:`repro.topology.linkloss.cell_seed`),
@@ -31,6 +33,7 @@ from repro.crypto.hashing import HashFunction, sha256
 from repro.crypto.signatures import Signer
 from repro.exceptions import SimulationError
 from repro.faults import AdversarialChannel, WireDelivery
+from repro.faults.channel import frame_once
 from repro.network.channel import Channel
 from repro.network.clock import Clock
 from repro.obs import get_registry
@@ -360,8 +363,13 @@ class SenderService:
 
     async def _transmit_to_receiver(self, pending: _PendingBlock,
                                     packets: _GroupPackets,
-                                    receiver_id: str) -> None:
-        """Push one group's packets through one receiver's channel."""
+                                    receiver_id: str,
+                                    frames: Dict[int, bytes]) -> None:
+        """Push one group's packets through one receiver's channel.
+
+        ``frames`` is the group's shared ``seq -> wire bytes`` map for
+        this block (:func:`~repro.faults.channel.frame_once`).
+        """
         block_id = pending.block_id
         base_seq = pending.base_seq
         last_seq = pending.last_seq
@@ -372,14 +380,14 @@ class SenderService:
         channel = self.channel_factory(self._index_of[receiver_id], block_id,
                                        pending.loss_rate)
         if isinstance(channel, AdversarialChannel):
-            deliveries = channel.transmit_wire(stamped)
+            deliveries = channel.transmit_wire(stamped, frames)
             corrupted = channel.corrupted
             injected = channel.injected
             replayed = channel.replayed
         else:
             deliveries = [
                 WireDelivery(arrival_time=delivery.arrival_time,
-                             data=delivery.packet.to_wire(),
+                             data=frame_once(delivery.packet, frames),
                              kind="genuine", seq_hint=delivery.packet.seq,
                              block_hint=delivery.packet.block_id)
                 for delivery in channel.transmit(stamped)
@@ -441,13 +449,21 @@ class SenderService:
                 registry.count("serve.attack.replayed", replayed)
 
     async def _transmit_block(self, pending: _PendingBlock) -> None:
-        """Push one packetized block through every receiver's channel."""
+        """Push one packetized block through every receiver's channel.
+
+        Each group's packets are framed at most once for the whole
+        block: the receivers' channels share one lazily filled
+        ``seq -> wire bytes`` map per group.
+        """
+        frames: Dict[Optional[str], Dict[int, bytes]] = {}
         for receiver_id in self.receiver_ids:
-            packets = pending.groups.get(pending.group_of.get(receiver_id))
+            group = pending.group_of.get(receiver_id)
+            packets = pending.groups.get(group)
             if packets is None:
                 raise SimulationError(
                     f"receiver {receiver_id!r} has no scheme group")
-            await self._transmit_to_receiver(pending, packets, receiver_id)
+            await self._transmit_to_receiver(
+                pending, packets, receiver_id, frames.setdefault(group, {}))
 
     async def send_final(self) -> None:
         """End the session: flush any partial batch, then signal EOF."""

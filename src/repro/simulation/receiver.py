@@ -42,6 +42,16 @@ from repro.schemes.base import Verifier
 
 __all__ = ["PacketOutcome", "ChainReceiver"]
 
+#: Content-keyed decode memo shared by receivers of one stream: wire
+#: bytes -> ``(packet, auth_bytes, auth digest)``, or
+#: :data:`_UNDECODABLE` for bytes the strict decoder rejected.  Every
+#: value is a pure function of the key, so sharing it cannot change a
+#: verdict (see :meth:`ChainReceiver.ingest_wire`).
+WireMemo = Dict[bytes, Tuple[Optional[Packet], Optional[bytes],
+                             Optional[bytes]]]
+
+_UNDECODABLE = (None, None, None)
+
 #: Buffered same-sequence candidates kept per slot on the defensive
 #: path.  The eavesdrop-and-inject adversary sends forgeries *after*
 #: the genuine packet, so slot 1 suffices for it; the margin covers
@@ -92,6 +102,12 @@ class ChainReceiver(Verifier):
         the instant it verifies (including cascade releases) — the
         hook :class:`~repro.simulation.stream_receiver.StreamReceiver`
         builds ordered delivery on.
+    wire_memo:
+        Optional :data:`WireMemo` shared with other receivers of the
+        same stream (and hash function): :meth:`ingest_wire` decodes
+        and hashes each distinct buffer once for all of them.  Only
+        the pure functions of the bytes are shared; verdicts, buffers
+        and counters stay per receiver.
 
     Notes
     -----
@@ -105,7 +121,8 @@ class ChainReceiver(Verifier):
                  hash_function: HashFunction = sha256,
                  max_buffered: Optional[int] = None,
                  max_candidates: int = DEFAULT_MAX_CANDIDATES,
-                 on_verified=None) -> None:
+                 on_verified=None,
+                 wire_memo: Optional[WireMemo] = None) -> None:
         if max_buffered is not None and max_buffered < 1:
             raise ValueError(f"max_buffered must be >= 1, got {max_buffered}")
         if max_candidates < 1:
@@ -116,6 +133,7 @@ class ChainReceiver(Verifier):
         self._max_buffered = max_buffered
         self._max_candidates = max_candidates
         self._on_verified = on_verified
+        self._wire_memo = wire_memo
         self._trusted: Dict[int, bytes] = {}
         # seq -> [(packet, arrival_time, auth digest), ...] in arrival order
         self._buffered: Dict[int, List[Tuple[Packet, float, bytes]]] = {}
@@ -144,7 +162,9 @@ class ChainReceiver(Verifier):
         #: "verified", "buffered" — plus the decoded packet (None when
         #: decoding failed).  Written by :meth:`ingest_wire`/:meth:`ingest`
         #: so lifecycle tracing can attribute the event without decoding
-        #: the wire bytes a second time.
+        #: the wire bytes a second time.  Always this receiver's own
+        #: verdict: with a shared wire memo the packet object may be
+        #: shared with other receivers (it is frozen), the taxonomy never.
         self.last_ingest: Optional[str] = None
         self.last_ingest_packet: Optional[Packet] = None
 
@@ -196,18 +216,37 @@ class ChainReceiver(Verifier):
         Undecodable buffers (truncation, bit flips that break framing,
         garbage) are counted in :attr:`undecodable` and discarded —
         they cannot crash the receiver or consume buffer space.
+
+        With a shared wire memo, the decode, ``auth_bytes`` and digest
+        of each distinct buffer are computed once and reused by every
+        receiver that gets the same bytes.  The decoder is canonical (a
+        successful decode re-encodes to the identical input), so a
+        tampered or forged frame is a different key and can never hit
+        an entry made for a genuine one.
         """
-        try:
-            packet = packet_from_wire(data)
-        except WireDecodeError:
+        memo = self._wire_memo
+        entry = memo.get(data) if memo is not None else None
+        if entry is None:
+            try:
+                packet = packet_from_wire(data)
+            except WireDecodeError:
+                entry = _UNDECODABLE
+            else:
+                auth = packet.auth_bytes()
+                entry = (packet, auth, self._hash.digest(auth))
+            if memo is not None:
+                memo[data] = entry
+        packet, auth, digest = entry
+        if packet is None:
             self.undecodable += 1
             self.last_ingest = "undecodable"
             self.last_ingest_packet = None
             return None
-        return self.ingest(packet, arrival_time)
+        return self.ingest(packet, arrival_time, auth, digest)
 
-    def ingest(self, packet: Packet,
-               arrival_time: float) -> Optional[PacketOutcome]:
+    def ingest(self, packet: Packet, arrival_time: float,
+               auth: Optional[bytes] = None,
+               digest: Optional[bytes] = None) -> Optional[PacketOutcome]:
         """Defensively ingest one decoded packet.
 
         Differences from :meth:`receive`, all aimed at an attacker who
@@ -223,11 +262,16 @@ class ChainReceiver(Verifier):
           *candidates* (bounded by ``max_candidates``), so trust
           resolves to whichever candidate matches once the covering
           hash arrives, regardless of arrival order.
+
+        ``auth`` and ``digest`` are the packet's ``auth_bytes()`` and
+        their hash when the caller already has them (the wire path);
+        omitted, they are computed here.
         """
         seq = packet.seq
         outcome = self.outcomes.get(seq)
-        auth = packet.auth_bytes()
-        digest = self._hash.digest(auth)
+        if auth is None:
+            auth = packet.auth_bytes()
+            digest = self._hash.digest(auth)
         self.last_ingest_packet = packet
         if outcome is not None and outcome.verified:
             if self._accepted.get(seq) == digest:

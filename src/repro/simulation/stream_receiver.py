@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional
 from repro.crypto.hashing import HashFunction, sha256
 from repro.crypto.signatures import Signer
 from repro.packets import Packet
-from repro.simulation.receiver import ChainReceiver
+from repro.simulation.receiver import ChainReceiver, WireMemo
 
 __all__ = ["DeliveredPayload", "StreamReceiver"]
 
@@ -54,15 +54,19 @@ class StreamReceiver:
         as it is released (in sequence order).
     max_buffered:
         Passed through to the underlying verifier (DoS cap).
+    wire_memo:
+        Passed through to the underlying verifier (shared decode memo).
     """
 
     def __init__(self, signer: Signer,
                  hash_function: HashFunction = sha256,
                  on_deliver: Optional[Callable[[DeliveredPayload], None]] = None,
-                 max_buffered: Optional[int] = None) -> None:
+                 max_buffered: Optional[int] = None,
+                 wire_memo: Optional[WireMemo] = None) -> None:
         self._verifier = ChainReceiver(signer, hash_function,
                                        max_buffered=max_buffered,
-                                       on_verified=self._note_verified)
+                                       on_verified=self._note_verified,
+                                       wire_memo=wire_memo)
         self._on_deliver = on_deliver
         # seq -> DeliveredPayload, or None for verified data-less packets.
         self._ready: Dict[int, Optional[DeliveredPayload]] = {}

@@ -1,16 +1,15 @@
 """Property-based tests for the Eq. 9 recurrence and scheme analyses."""
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import augmented_chain as ac_analysis
 from repro.analysis import emss as emss_analysis
-from repro.analysis.montecarlo import (
-    graph_monte_carlo,
-    graph_monte_carlo_reference,
-)
+from repro.analysis.montecarlo import McResult, _tally, graph_monte_carlo
 from repro.core.graph import DependenceGraph
 from repro.core.recurrence import solve_recurrence
+from repro.exceptions import AnalysisError
 from repro.schemes.augmented_chain import AugmentedChainScheme
 from repro.schemes.emss import EmssScheme
 
@@ -18,6 +17,44 @@ _loss = st.floats(min_value=0.0, max_value=1.0)
 _moderate_loss = st.floats(min_value=0.0, max_value=0.9)
 _offsets = st.lists(st.integers(min_value=1, max_value=12),
                     min_size=1, max_size=4, unique=True)
+
+
+def graph_monte_carlo_reference(graph: DependenceGraph, p: float,
+                                trials: int = 10_000, seed=None,
+                                root_always_received: bool = True) -> McResult:
+    """Pre-vectorization reference implementation of
+    :func:`graph_monte_carlo`.
+
+    Propagates verifiability with an explicit Python loop over each
+    vertex's predecessors instead of the ``np.logical_or.reduce``
+    column gather.  Kept (slow, unoptimized) as the differential-test
+    oracle: with the same seed it must match :func:`graph_monte_carlo`
+    bit-for-bit, because both consume identical RNG draws.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise AnalysisError(f"loss rate must be in [0, 1], got {p}")
+    if trials < 1:
+        raise AnalysisError(f"need >= 1 trial, got {trials}")
+    graph.validate()
+    n = graph.n
+    rng = np.random.default_rng(seed)
+    received = rng.random((trials, n + 1)) >= p  # column 0 unused
+    received[:, 0] = False
+    if root_always_received:
+        received[:, graph.root] = True
+    verifiable = np.zeros((trials, n + 1), dtype=bool)
+    verifiable[:, graph.root] = received[:, graph.root]
+    for vertex in graph.topological_order():
+        if vertex == graph.root:
+            continue
+        predecessors = graph.predecessors(vertex)
+        if not predecessors:
+            continue
+        support = verifiable[:, predecessors[0]].copy()
+        for predecessor in predecessors[1:]:
+            support |= verifiable[:, predecessor]
+        verifiable[:, vertex] = received[:, vertex] & support
+    return _tally(graph, received, verifiable, trials)
 
 
 class TestRecurrenceProperties:

@@ -25,6 +25,7 @@ import pytest
 
 from repro.analysis.conformance import analytic_q_profile, deviation_rows
 from repro.exceptions import SimulationError
+from repro.obs.lifecycle import LifecycleTracer
 from repro.schemes.registry import make_scheme
 from repro.serve.adaptive import AdaptiveController
 from repro.serve.cli import _build_parser, config_from_args
@@ -122,6 +123,27 @@ class TestMembershipExecution:
             # last settled block is the one before the departure.
             last = departures.get(receiver_id, CONFIG.blocks) - 1
             assert settled == list(range(first, last + 1)), receiver_id
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ReceiverSession attributes undecodable noise to its own "
+        "blocks_closed count, which starts at 0 for a late joiner; the "
+        "fix moves the storm-pollution pin, so it waits for the re-pin "
+        "item in ROADMAP.md"))
+    def test_late_joiner_ingest_events_name_blocks_it_was_sent(self):
+        config = ServeConfig(receivers=6, blocks=16, block_size=12,
+                             seed=12, attack="dos",
+                             loss_schedule=((0, 0.1),), churn="storm")
+        tracer = LifecycleTracer(config.seed)
+        run_live_session(config, lifecycle=tracer)
+        plan = MembershipPlan.from_spec(config.churn, config.receivers,
+                                        config.blocks, config.seed)
+        first_block = dict(plan.join_blocks)
+        assert first_block, "the config must admit late joiners"
+        early = [(event["r"], event["b"], event["status"])
+                 for event in tracer.events()
+                 if event["stage"] == "ingest"
+                 and event["b"] < first_block.get(event["r"], 0)]
+        assert early == []
 
     def test_membership_counters_match_the_plan(self):
         # Counters need a live registry, which loadgen installs.
