@@ -20,9 +20,11 @@ Three moving parts:
   protocol verifier that recognizes batch attachments by magic prefix,
   recomputes the root from the message and the proof, and checks the
   root signature through a bounded ``(root, signature)`` cache so a
-  whole batch costs one real verification.  Non-batch signatures fall
-  through to the wrapped signer unchanged, so the same verifier serves
-  batched and per-block senders.
+  whole batch costs one real verification.  Non-batch signatures go to
+  the wrapped signer through a second bounded map keyed on the exact
+  ``(message, signature)`` pair, so the same verifier serves batched
+  and per-block senders and a shared instance verifies each distinct
+  plain signature once.
 * the wire codec — a strict, size-capped, *canonical* encoding of the
   attachment.  Every structural fact (sibling count, side bits) is
   recomputed from ``(leaf_index, leaf_count)`` and must match exactly,
@@ -348,10 +350,15 @@ class BatchVerifier:
     exact triple (not the root alone) keeps a tampered signature or
     count from poisoning the verdict of the genuine one.
 
-    Everything that is not a batch attachment is delegated to the
-    wrapped signer unchanged, so one verifier instance serves batched
-    and per-block senders alike.  ``sign`` is intentionally refused —
-    this is the public half.
+    Everything that is not a batch attachment is a plain signature for
+    the wrapped signer, whose verdict is a pure function of the exact
+    ``(message, signature)`` bytes; a second bounded map keyed on that
+    pair lets a pool of receivers sharing one verifier pay one real
+    verification per distinct signed frame.  The two maps share the
+    ``max_cached_roots`` bound but not their slots, so plain traffic
+    (forged signatures included) can never evict a root verdict and
+    move ``root_verifies``.  ``sign`` is intentionally refused — this
+    is the public half.
     """
 
     def __init__(self, signer: Signer,
@@ -364,6 +371,7 @@ class BatchVerifier:
         self._hash = hash_function
         self._max_cached = max_cached_roots
         self._cache: Dict[Tuple[int, bytes, bytes], bool] = {}
+        self._plain: Dict[Tuple[bytes, bytes], bool] = {}
         self.name = f"batch+{signer.name}"
         self.signature_size = signer.signature_size
         self.root_verifies = 0
@@ -371,6 +379,7 @@ class BatchVerifier:
         self.decode_failures = 0
         self.proof_failures = 0
         self.passthrough_verifies = 0
+        self.passthrough_cache_hits = 0
 
     def sign(self, message: bytes) -> bytes:
         raise CryptoError("BatchVerifier is verify-only; sign with a "
@@ -381,7 +390,14 @@ class BatchVerifier:
             return False
         if not is_batch_attachment(signature):
             self.passthrough_verifies += 1
-            return self._signer.verify(message, signature)
+            key = (message, signature)
+            verdict = self._plain.get(key)
+            if verdict is None:
+                verdict = self._signer.verify(message, signature)
+                self._remember(self._plain, key, verdict)
+            else:
+                self.passthrough_cache_hits += 1
+            return verdict
         try:
             attachment = decode_batch_attachment(signature)
         except Exception:
@@ -395,14 +411,18 @@ class BatchVerifier:
                 _root_message(attachment.leaf_count, root),
                 attachment.root_signature)
             self.root_verifies += 1
-            if len(self._cache) >= self._max_cached:
-                self._cache.pop(next(iter(self._cache)))
-            self._cache[key] = verdict
+            self._remember(self._cache, key, verdict)
         else:
             self.cache_hits += 1
         if not verdict:
             self.proof_failures += 1
         return verdict
+
+    def _remember(self, cache: dict, key: tuple, verdict: bool) -> None:
+        """Store ``verdict``, evicting the oldest entry when ``cache`` is full."""
+        if len(cache) >= self._max_cached:
+            cache.pop(next(iter(cache)))
+        cache[key] = verdict
 
     def _walk(self, leaf: bytes, proof: MerkleProof) -> bytes:
         current = self._hash.digest(b"\x00" + leaf)

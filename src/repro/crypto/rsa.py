@@ -9,9 +9,9 @@ module implements RSA end to end:
 
 * Miller–Rabin probabilistic primality testing,
 * random prime generation with a small-prime sieve prefilter,
-* key generation (two distinct primes, ``e = 65537``, CRT parameters),
+* key generation (two distinct primes, ``e = 65537``),
 * deterministic PKCS#1 v1.5-style signature padding over SHA-256,
-* sign (with CRT speedup) and verify.
+* sign (with CRT parameters computed once per key) and verify.
 
 This is a faithful *functional* substitute, not a hardened production
 implementation — no blinding or constant-time arithmetic — which is
@@ -21,8 +21,10 @@ loss, not side channels.
 
 from __future__ import annotations
 
+import math
 import secrets
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 from repro.crypto.hashing import HashFunction, sha256
@@ -102,27 +104,6 @@ def _random_prime(bits: int) -> int:
             return candidate
 
 
-def _extended_gcd(a: int, b: int) -> Tuple[int, int, int]:
-    """Return ``(g, x, y)`` such that ``a*x + b*y == g == gcd(a, b)``."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
-def _mod_inverse(a: int, m: int) -> int:
-    """Modular inverse of ``a`` mod ``m``; raises if not coprime."""
-    g, x, _ = _extended_gcd(a % m, m)
-    if g != 1:
-        raise CryptoError("modular inverse does not exist")
-    return x % m
-
-
 def _pad_digest(digest: bytes, size: int) -> int:
     """EMSA-PKCS1-v1_5 encoding of a SHA-256 ``digest`` into ``size`` bytes."""
     payload = _SHA256_DIGEST_INFO + digest
@@ -183,13 +164,17 @@ class RsaPrivateKey:
         """Size of the modulus (and thus of signatures) in bytes."""
         return (self.n.bit_length() + 7) // 8
 
+    @cached_property
+    def _crt(self) -> Tuple[int, int, int]:
+        """``(d mod (p-1), d mod (q-1), q^-1 mod p)``, computed once per key."""
+        return (self.d % (self.p - 1), self.d % (self.q - 1),
+                pow(self.q, -1, self.p))
+
     def sign(self, message: bytes, hash_function: HashFunction = sha256) -> bytes:
         """Produce a deterministic PKCS#1 v1.5 signature of ``message``."""
         m = _pad_digest(hash_function.digest(message), self.size_bytes)
         # CRT: compute m^d mod p and mod q separately, then recombine.
-        dp = self.d % (self.p - 1)
-        dq = self.d % (self.q - 1)
-        q_inv = _mod_inverse(self.q, self.p)
+        dp, dq, q_inv = self._crt
         sp = pow(m % self.p, dp, self.p)
         sq = pow(m % self.q, dq, self.q)
         h = (q_inv * (sp - sq)) % self.p
@@ -226,11 +211,10 @@ def generate_keypair(bits: int = 1024, e: int = 65537,
                 raise CryptoError("p and q must be distinct")
             continue
         phi = (p - 1) * (q - 1)
-        g, _, _ = _extended_gcd(e, phi)
-        if g != 1:
+        if math.gcd(e, phi) != 1:
             if _primes is not None:
                 raise CryptoError("e shares a factor with phi(n)")
             continue
         n = p * q
-        d = _mod_inverse(e, phi)
+        d = pow(e, -1, phi)
         return RsaPrivateKey(n=n, e=e, d=d, p=p, q=q)

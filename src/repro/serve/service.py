@@ -489,9 +489,10 @@ def run_live_session(config: ServeConfig,
         # controller can actually serve from.
         health.configure_envelope(controller.lattice_top())
     # Receivers always verify through a BatchVerifier: plain signatures
-    # pass straight through to the inner signer, batch attachments get
-    # the proof walk plus one cached root verification per batch.  The
-    # pool shares one session signer, so the root cache is shared too.
+    # go to the inner signer once per distinct (message, signature)
+    # pair, batch attachments get the proof walk plus one cached root
+    # verification per batch.  The pool shares this one instance, so
+    # both verdict maps are shared too.
     batch_verifier = BatchVerifier(signer)
     pool = ReceiverPool(initial_ids, batch_verifier,
                         subtree_of=subtree_of)
@@ -558,6 +559,8 @@ def run_live_session(config: ServeConfig,
                        batch_verifier.proof_failures)
         registry.count("serve.batch.passthrough_verifies",
                        batch_verifier.passthrough_verifies)
+        registry.count("serve.batch.passthrough_cache_hits",
+                       batch_verifier.passthrough_cache_hits)
     manifest = manifest_clock.finish(registry if registry.enabled else None)
     manifest.parameters["adaptation"] = [
         event.to_dict() for event in controller.events]

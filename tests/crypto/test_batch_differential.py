@@ -1,6 +1,6 @@
 """Differential tests: batch signing vs the code it replaces.
 
-Two claims, both byte-level:
+Three claims, all byte-level:
 
 * a batch-signed live session is *indistinguishable on the receive
   side* from a per-block-signed session on the same seed — identical
@@ -10,10 +10,15 @@ Two claims, both byte-level:
   the right way — every single-bit mutation of an attachment (proof
   path, side flags, leaf index, root signature, length fields) either
   fails the strict decode or fails verification.  No mutation may
-  verify.
+  verify; and
+* the verifier's plain-signature verdict map is invisible except in
+  work done — every call returns what the bare signer would, one
+  inner verification per distinct ``(message, signature)`` pair.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.batch import (
     BatchSigner,
@@ -162,3 +167,128 @@ class TestVerifierCache:
             HmacStubSigner(key=b"x", signature_size=64), sha256)
         with pytest.raises(CryptoError):
             verifier.sign(b"nope")
+
+
+class _CountingSigner:
+    """``HmacStubSigner`` that counts the verifications it performs."""
+
+    def __init__(self, key=b"verdict-suite"):
+        self.inner = HmacStubSigner(key=key, signature_size=64)
+        self.name = self.inner.name
+        self.signature_size = self.inner.signature_size
+        self.verifies = 0
+
+    def sign(self, message):
+        return self.inner.sign(message)
+
+    def verify(self, message, signature):
+        self.verifies += 1
+        return self.inner.verify(message, signature)
+
+
+class TestPlainVerdictCache:
+    def test_same_pair_twice_costs_one_verification(self):
+        signer = _CountingSigner()
+        verifier = BatchVerifier(signer, sha256)
+        signature = signer.sign(b"P_sign")
+        assert verifier.verify(b"P_sign", signature)
+        assert verifier.verify(b"P_sign", signature)
+        assert signer.verifies == 1
+        assert verifier.passthrough_verifies == 2
+        assert verifier.passthrough_cache_hits == 1
+        assert verifier.root_verifies == 0
+        assert verifier.cache_hits == 0
+
+    def test_cached_genuine_pair_does_not_vouch_for_another_message(self):
+        signer = _CountingSigner()
+        verifier = BatchVerifier(signer, sha256)
+        signature = signer.sign(b"genuine block")
+        assert verifier.verify(b"genuine block", signature)
+        assert not verifier.verify(b"forged block", signature)
+        assert not verifier.verify(b"forged block", signature)
+        assert signer.verifies == 2
+
+    @pytest.mark.parametrize("genuine_first", [True, False])
+    def test_tampered_signatures_stay_rejected_in_either_order(
+            self, genuine_first):
+        signer = _CountingSigner()
+        verifier = BatchVerifier(signer, sha256)
+        message = b"victim block"
+        signature = signer.sign(message)
+        flipped = bytearray(signature)
+        flipped[3] ^= 0x10
+        bad = [bytes(flipped), signature[:-1], signature + b"\x00"]
+        calls = [(signature, True)] + [(sig, False) for sig in bad]
+        if not genuine_first:
+            calls.reverse()
+        for _ in range(2):
+            for sig, expected in calls:
+                assert verifier.verify(message, sig) is expected
+        assert signer.verifies == len(calls)
+
+    def test_map_stays_bounded_and_correct_past_its_capacity(self):
+        signer = _CountingSigner()
+        verifier = BatchVerifier(signer, sha256, max_cached_roots=4)
+        pairs = [(b"m%d" % i, signer.sign(b"m%d" % i)) for i in range(10)]
+        for round_ in range(3):
+            for index, (message, signature) in enumerate(pairs):
+                assert verifier.verify(message, signature)
+                other = pairs[(index + 1) % len(pairs)][1]
+                assert not verifier.verify(message, other)
+                assert len(verifier._plain) <= 4
+        # 20 distinct pairs cycling through 4 slots: nothing survives a
+        # whole round, so every call is a real verification.
+        assert signer.verifies == 3 * 20
+        assert verifier.passthrough_cache_hits == 0
+
+    def test_plain_traffic_never_evicts_a_root_verdict(self):
+        signer = _CountingSigner()
+        batch = BatchSigner(signer, sha256)
+        messages = [b"batched-%d" % i for i in range(4)]
+        for message in messages:
+            batch.append(message)
+        attachments = batch.flush()
+        verifier = BatchVerifier(signer, sha256, max_cached_roots=8)
+        for i in range(2000):
+            message = b"plain-%d" % i
+            forged = b"\x00" * 64 if i % 2 else signer.sign(message)
+            assert verifier.verify(message, forged) is (i % 2 == 0)
+            if i % 500 == 0:
+                blob = attachments[(i // 500) % len(attachments)]
+                assert verifier.verify(
+                    messages[(i // 500) % len(attachments)], blob)
+        assert verifier.root_verifies == 1
+        assert verifier.cache_hits == 3
+        assert len(verifier._plain) <= 8
+        assert len(verifier._cache) == 1
+
+
+_KINDS = st.sampled_from(["genuine", "flipped", "short", "foreign",
+                          "swapped"])
+
+
+class TestPlainVerdictCacheProperty:
+    @given(st.lists(st.tuples(st.integers(0, 5), _KINDS), min_size=1,
+                    max_size=60),
+           st.integers(1, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_cached_verifier_agrees_with_the_bare_signer(self, calls,
+                                                          capacity):
+        signer = HmacStubSigner(key=b"verdict-prop", signature_size=64)
+        foreign = HmacStubSigner(key=b"someone-else", signature_size=64)
+        verifier = BatchVerifier(signer, sha256,
+                                 max_cached_roots=capacity)
+        for index, kind in calls:
+            message = b"block-%d" % index
+            signature = signer.sign(message)
+            if kind == "flipped":
+                signature = bytes([signature[0] ^ 1]) + signature[1:]
+            elif kind == "short":
+                signature = signature[:-1]
+            elif kind == "foreign":
+                signature = foreign.sign(message)
+            elif kind == "swapped":
+                signature = signer.sign(b"block-%d" % ((index + 1) % 6))
+            assert (verifier.verify(message, signature)
+                    is signer.verify(message, signature))
+            assert len(verifier._plain) <= capacity

@@ -1,5 +1,7 @@
 """Unit tests for the from-scratch RSA implementation."""
 
+import hashlib
+
 import pytest
 
 from repro.crypto.rsa import (
@@ -79,6 +81,11 @@ class TestKeyGeneration:
         key2 = generate_keypair(512, _primes=(P_256, Q_256))
         assert key1 == key2
 
+    def test_rejects_exponent_sharing_a_factor_with_phi(self):
+        # 13 divides (P_256 - 1) * (Q_256 - 1).
+        with pytest.raises(CryptoError):
+            generate_keypair(512, e=13, _primes=(P_256, Q_256))
+
 
 class TestSignVerify:
     def test_roundtrip(self, keypair):
@@ -122,3 +129,17 @@ class TestSignVerify:
     def test_large_message(self, keypair):
         message = b"x" * 100_000
         assert keypair.public_key.verify(message, keypair.sign(message))
+
+    @pytest.mark.parametrize("message", [b"", b"m", b"block-7" * 40])
+    def test_crt_sign_matches_textbook_exponentiation(self, message):
+        key = generate_keypair(512, _primes=(P_256, Q_256))
+        size = key.size_bytes
+        digest_info = bytes.fromhex(
+            "3031300d060960864801650304020105000420"
+        ) + hashlib.sha256(message).digest()
+        padded = (b"\x00\x01" + b"\xff" * (size - len(digest_info) - 3)
+                  + b"\x00" + digest_info)
+        textbook = pow(int.from_bytes(padded, "big"), key.d, key.n)
+        assert key.sign(message) == textbook.to_bytes(size, "big")
+        # The second call runs on the cached CRT parameters.
+        assert key.sign(message) == textbook.to_bytes(size, "big")

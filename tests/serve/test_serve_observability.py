@@ -155,6 +155,17 @@ class TestPromCoverage:
             r"repro_serve_batch_root_verifies_total (\d+)", text).group(1))
         assert roots > 0
 
+    def test_plain_serve_counts_shared_signature_verdicts(self, tmp_path):
+        text = self._prom(tmp_path, "shared-verdicts")
+        calls = int(re.search(
+            r"repro_serve_batch_passthrough_verifies_total (\d+)",
+            text).group(1))
+        hits = int(re.search(
+            r"repro_serve_batch_passthrough_cache_hits_total (\d+)",
+            text).group(1))
+        # Two receivers, six blocks, one real verification per block.
+        assert (calls, hits) == (12, 6)
+
     def test_table_serve_exposes_design_series(self, tmp_path):
         from repro.design.table import DesignTable, TableSpec
         table = DesignTable.build(
