@@ -115,7 +115,7 @@ def test_bench_churn(benchmark, show):
 
 @pytest.fixture(scope="module")
 def rsa_signer():
-    """One RSA-2048 key pair shared by both arms of the comparison."""
+    """One ``RSA_BITS``-bit key pair shared by both arms of the comparison."""
     return RsaSigner.generate(RSA_BITS)
 
 
@@ -129,10 +129,12 @@ def _batch_config(batch_size):
 def test_serve_batch_signing_speedup(benchmark, show, rsa_signer):
     """>= 3x pkts/sec at 64 receivers with batch 8 vs per-block RSA.
 
-    Per-block signing pays one RSA signature per block plus one RSA
-    verification per (receiver, block); batch signing pays one
-    signature per 8 blocks and — through the shared verifier cache —
-    one real verification per batch for the whole pool.  Both arms
+    Per-block signing pays one RSA signature per block; the pool's
+    shared verifier caches each plain signature's verdict, so it also
+    pays one real RSA verification per block for the whole pool, not
+    one per (receiver, block).  Batch signing pays one signature per 8
+    blocks and, through the same shared verifier, one real
+    verification per batch for the whole pool.  Both arms
     must produce byte-identical receiver transcripts: the speedup may
     not change a single verdict.
     """

@@ -16,13 +16,28 @@ Two encodings are defined:
 * :meth:`Packet.to_wire` / :func:`packet_from_wire` — full
   serialization including the signature, used for byte-accurate
   overhead accounting and loopback tests.
+
+**One encoding per packet.**  A packet is immutable, so its
+``auth_bytes()`` string is computed at most once: the first call keeps
+it in a private attribute that is not a dataclass field (``==``,
+``hash``, ``repr`` and pickling ignore it).  Packetizing, the sender's
+digest map, :meth:`Packet.to_wire`, receiver ingest and the soundness
+audit all reuse that one copy.  :meth:`Packet.with_send_time` and
+:meth:`Packet.with_signature` change only fields outside ``auth_bytes``
+and so share it; ``dataclasses.replace`` builds a fresh packet that
+encodes anew.  A decoded packet takes its encoding straight from the
+wire (the bytes after the header, up to the signature blob).  That is
+sound only because :func:`packet_from_wire` is canonical: it accepts
+exactly the buffers ``to_wire`` produces, so the ``auth_bytes`` section
+of an accepted buffer is byte for byte what the decoded fields encode
+to.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.exceptions import (
@@ -45,6 +60,9 @@ __all__ = [
 
 _HEADER = struct.Struct(">IIQdB")  # seq, block_id, flags/reserved, send_time, has_sig
 _U32 = struct.Struct(">I")
+_IDS = struct.Struct(">II")           # auth_bytes' seq, block_id
+_IDS_BLOB = struct.Struct(">III")     # ... plus the payload length
+_PAIR = struct.Struct(">II")          # carried target, hash length
 _U32_MAX = 0xFFFFFFFF
 
 #: Hard cap on any length-prefixed field (payload, digest, extra,
@@ -60,13 +78,6 @@ MAX_CARRIED_HASHES = 1 << 16
 #: :meth:`Packet.auth_bytes` starts).  Fault models that must corrupt
 #: only *authenticated* bytes key off this offset.
 WIRE_HEADER_SIZE = _HEADER.size
-
-
-def _encode_blob(data: bytes) -> bytes:
-    if len(data) > MAX_BLOB_BYTES:
-        raise PacketFormatError(
-            f"blob of {len(data)} bytes exceeds the wire cap {MAX_BLOB_BYTES}")
-    return _U32.pack(len(data)) + data
 
 
 @dataclass(frozen=True)
@@ -100,6 +111,10 @@ class Packet:
     signature: Optional[bytes] = None
     extra: bytes = b""
     send_time: float = 0.0
+
+    # The cached auth_bytes() string.  Not annotated, so not a field:
+    # instances that have encoded shadow it in their __dict__.
+    _auth = None
 
     def __post_init__(self) -> None:
         if self.seq < 1:
@@ -157,28 +172,43 @@ class Packet:
         this string.  The signature field itself is excluded (it cannot
         sign itself); everything else — including the carried hashes —
         is covered so that authenticating a packet authenticates the
-        hashes it carries.
+        hashes it carries.  The send time is excluded too: it is
+        transport metadata.  Computed on first use and kept.
         """
-        parts = [
-            struct.pack(">II", self.seq, self.block_id),
-            _encode_blob(self.payload),
-            _U32.pack(len(self.carried)),
-        ]
+        auth = self._auth
+        if auth is None:
+            auth = self.__dict__["_auth"] = self._encode_auth()
+        return auth
+
+    def _encode_auth(self) -> bytes:
+        # Field caps were checked at construction, so every length fits.
+        parts = [_IDS_BLOB.pack(self.seq, self.block_id, len(self.payload)),
+                 self.payload, _U32.pack(len(self.carried))]
         for target, digest in self.carried:
-            parts.append(_U32.pack(target))
-            parts.append(_encode_blob(digest))
-        parts.append(_encode_blob(self.extra))
+            parts.append(_PAIR.pack(target, len(digest)))
+            parts.append(digest)
+        parts.append(_U32.pack(len(self.extra)))
+        parts.append(self.extra)
         return b"".join(parts)
 
     def to_wire(self) -> bytes:
         """Full serialization, signature included."""
-        signature = self.signature if self.signature is not None else b""
-        return (
+        signature = self.signature
+        return b"".join((
             _HEADER.pack(self.seq, self.block_id, 0, self.send_time,
-                         1 if self.signature is not None else 0)
-            + self.auth_bytes()
-            + _encode_blob(signature)
-        )
+                         0 if signature is None else 1),
+            self.auth_bytes(),
+            _U32.pack(0 if signature is None else len(signature)),
+            signature or b"",
+        ))
+
+    def __getstate__(self) -> dict:
+        # Pickle the fields only: the kept encoding is derived from them.
+        state = self.__dict__
+        if "_auth" in state:
+            state = dict(state)
+            del state["_auth"]
+        return state
 
     # ------------------------------------------------------------------
     # Derived quantities
@@ -202,32 +232,59 @@ class Packet:
         """Whether this packet carries a digital signature."""
         return self.signature is not None
 
+    def _copy_with(self, name: str, value) -> "Packet":
+        """A copy with one field outside ``auth_bytes`` changed.
+
+        The copy shares this packet's encoding; the caller has checked
+        ``value``, and no other field needs checking again.
+        """
+        clone = object.__new__(type(self))
+        state = clone.__dict__
+        state.update(self.__dict__)
+        state[name] = value
+        return clone
+
     def with_send_time(self, when: float) -> "Packet":
-        """A copy stamped with a transmit time."""
-        return replace(self, send_time=when)
+        """A copy stamped with a transmit time.
+
+        Equal to ``dataclasses.replace(self, send_time=when)``, but it
+        checks only ``when`` and shares this packet's encoding.
+        """
+        if not math.isfinite(when):
+            raise PacketFormatError(f"send time must be finite, got {when}")
+        return self._copy_with("send_time", when)
+
+    def with_signature(self, signature: Optional[bytes]) -> "Packet":
+        """A copy carrying ``signature``; it shares this packet's encoding.
+
+        Equal to ``dataclasses.replace(self, signature=signature)``.
+        """
+        if signature is not None and len(signature) > MAX_BLOB_BYTES:
+            raise PacketFormatError(
+                f"signature of {len(signature)} bytes exceeds the wire cap")
+        return self._copy_with("signature", signature)
 
 
-def _take(data: bytes, offset: int, count: int, what: str):
-    """Slice ``count`` bytes at ``offset`` or raise the truncation error."""
-    end = offset + count
-    if end > len(data):
-        raise TruncatedPacketError(
-            f"truncated {what}: need {count} bytes at offset {offset}, "
-            f"buffer holds {len(data) - offset}")
-    return bytes(data[offset:end]), end
+def _truncated(what: str, count: int, offset: int,
+               size: int) -> TruncatedPacketError:
+    return TruncatedPacketError(
+        f"truncated {what}: need {count} bytes at offset {offset}, "
+        f"buffer holds {size - offset}")
 
 
-def _take_u32(data: bytes, offset: int, what: str):
-    raw, end = _take(data, offset, 4, what)
-    return _U32.unpack(raw)[0], end
-
-
-def _take_blob(data: bytes, offset: int, what: str):
-    length, offset = _take_u32(data, offset, f"{what} length")
+def _blob(data: bytes, offset: int, size: int, what: str):
+    """The length-prefixed blob at ``offset`` and the offset after it."""
+    if offset + 4 > size:
+        raise _truncated(f"{what} length", 4, offset, size)
+    (length,) = _U32.unpack_from(data, offset)
     if length > MAX_BLOB_BYTES:
         raise OverlongBlobError(
             f"{what} declares {length} bytes, cap is {MAX_BLOB_BYTES}")
-    return _take(data, offset, length, what)
+    offset += 4
+    end = offset + length
+    if end > size:
+        raise _truncated(what, length, offset, size)
+    return data[offset:end], end
 
 
 def packet_from_wire(data: bytes) -> Packet:
@@ -240,6 +297,13 @@ def packet_from_wire(data: bytes) -> Packet:
     allocation or loop, and no trailing bytes may remain — so a
     successful decode re-encodes to the identical input, and random
     corruption cannot alias one valid packet into another layout.
+    Canonicality is also what lets the decoded packet keep the buffer's
+    ``auth_bytes`` section as its encoding instead of re-encoding.
+
+    The buffer is read in one pass of ``struct.unpack_from`` calls at a
+    running offset: one for the header, one for the body ids with the
+    payload length, one per carried ``(target, length)`` pair, and one
+    slice per blob.
 
     Raises
     ------
@@ -250,8 +314,12 @@ def packet_from_wire(data: bytes) -> Packet:
         subclasses, so older ``except SimulationError`` sites still
         catch them.
     """
-    header, offset = _take(data, 0, _HEADER.size, "packet header")
-    seq, block_id, reserved, send_time, has_sig = _HEADER.unpack(header)
+    if type(data) is not bytes:
+        data = bytes(data)
+    size = len(data)
+    if size < WIRE_HEADER_SIZE:
+        raise _truncated("packet header", WIRE_HEADER_SIZE, 0, size)
+    seq, block_id, reserved, send_time, has_sig = _HEADER.unpack_from(data)
     if reserved != 0:
         raise HeaderFormatError(f"nonzero reserved field: {reserved:#x}")
     if has_sig not in (0, 1):
@@ -259,42 +327,63 @@ def packet_from_wire(data: bytes) -> Packet:
     if not math.isfinite(send_time):
         raise HeaderFormatError(f"non-finite send time: {send_time}")
     # The auth_bytes section repeats seq/block_id for injectivity.
-    body_ids, offset = _take(data, offset, 8, "body sequence fields")
-    seq2, block2 = struct.unpack(">II", body_ids)
-    if (seq2, block2) != (seq, block_id):
+    offset = WIRE_HEADER_SIZE
+    if offset + _IDS_BLOB.size > size:
+        # Report what a field-by-field read meets first: short ids,
+        # then an id mismatch, then a short payload length.
+        if offset + _IDS.size > size:
+            raise _truncated("body sequence fields", _IDS.size, offset, size)
+        if _IDS.unpack_from(data, offset) != (seq, block_id):
+            raise HeaderFormatError("header/body sequence mismatch")
+        raise _truncated("payload length", 4, offset + _IDS.size, size)
+    seq2, block2, length = _IDS_BLOB.unpack_from(data, offset)
+    if seq2 != seq or block2 != block_id:
         raise HeaderFormatError("header/body sequence mismatch")
-    payload, offset = _take_blob(data, offset, "payload")
-    carried_count, offset = _take_u32(data, offset, "carried-hash count")
-    if carried_count > MAX_CARRIED_HASHES:
+    if length > MAX_BLOB_BYTES:
         raise OverlongBlobError(
-            f"{carried_count} carried hashes declared, cap is "
-            f"{MAX_CARRIED_HASHES}")
+            f"payload declares {length} bytes, cap is {MAX_BLOB_BYTES}")
+    offset += _IDS_BLOB.size
+    end = offset + length
+    if end > size:
+        raise _truncated("payload", length, offset, size)
+    payload = data[offset:end]
+    offset = end
+    if offset + 4 > size:
+        raise _truncated("carried-hash count", 4, offset, size)
+    (count,) = _U32.unpack_from(data, offset)
+    if count > MAX_CARRIED_HASHES:
+        raise OverlongBlobError(
+            f"{count} carried hashes declared, cap is {MAX_CARRIED_HASHES}")
+    offset += 4
     carried = []
-    for index in range(carried_count):
-        target, offset = _take_u32(data, offset,
-                                   f"carried target #{index + 1}")
-        digest, offset = _take_blob(data, offset,
-                                    f"carried hash #{index + 1}")
-        carried.append((target, digest))
-    extra, offset = _take_blob(data, offset, "extra blob")
-    signature, offset = _take_blob(data, offset, "signature")
+    for index in range(count):
+        if offset + _PAIR.size > size:
+            raise _truncated(f"carried hash #{index + 1} header", _PAIR.size,
+                             offset, size)
+        target, length = _PAIR.unpack_from(data, offset)
+        if length > MAX_BLOB_BYTES:
+            raise OverlongBlobError(
+                f"carried hash #{index + 1} declares {length} bytes, cap is "
+                f"{MAX_BLOB_BYTES}")
+        offset += _PAIR.size
+        end = offset + length
+        if end > size:
+            raise _truncated(f"carried hash #{index + 1}", length, offset,
+                             size)
+        carried.append((target, data[offset:end]))
+        offset = end
+    extra, auth_end = _blob(data, offset, size, "extra blob")
+    signature, offset = _blob(data, auth_end, size, "signature")
     if has_sig == 0 and signature:
         raise HeaderFormatError(
             f"{len(signature)} signature bytes present but the signature "
             f"flag is clear")
-    if offset != len(data):
+    if offset != size:
         raise TrailingBytesError(
-            f"{len(data) - offset} trailing bytes after the signature blob")
+            f"{size - offset} trailing bytes after the signature blob")
     try:
-        return Packet(
-            seq=seq,
-            block_id=block_id,
-            payload=payload,
-            carried=tuple(carried),
-            signature=signature if has_sig else None,
-            extra=extra,
-            send_time=send_time,
-        )
+        packet = Packet(seq, block_id, payload, tuple(carried),
+                        signature if has_sig else None, extra, send_time)
     except WireDecodeError:
         raise
     except SimulationError as exc:
@@ -302,3 +391,5 @@ def packet_from_wire(data: bytes) -> Packet:
         # folded into the decode taxonomy: a buffer that cannot yield a
         # valid Packet is undecodable, whatever the reason.
         raise HeaderFormatError(f"invalid packet fields: {exc}") from exc
+    packet.__dict__["_auth"] = data[WIRE_HEADER_SIZE:auth_end]
+    return packet

@@ -306,13 +306,7 @@ class BlockPlan:
             )
             auth = packet.auth_bytes()
             if vertex == self.root:
-                packet = Packet(
-                    seq=packet.seq,
-                    block_id=block_id,
-                    payload=packet.payload,
-                    carried=carried,
-                    signature=signer.sign(auth),
-                )
+                packet = packet.with_signature(signer.sign(auth))
             hashes[vertex] = digest(auth)
             packets[vertex - 1] = packet
         return packets

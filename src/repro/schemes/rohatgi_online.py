@@ -102,11 +102,8 @@ def _chain_block(payloads: Sequence[bytes], signer: Signer,
             extra = _encode_extra(next_fingerprint, b"")
             unsigned = Packet(seq=seq, block_id=block_id,
                               payload=bytes(payload), extra=extra)
-            packets.append(Packet(
-                seq=seq, block_id=block_id, payload=bytes(payload),
-                extra=extra,
-                signature=signer.sign(unsigned.auth_bytes()),
-            ))
+            packets.append(unsigned.with_signature(
+                signer.sign(unsigned.auth_bytes())))
         else:
             ots_signature = keypairs[index].sign(body)
             packets.append(Packet(
@@ -265,10 +262,8 @@ class OnlineChainVerifier(Verifier):
                 self.forged_rejected += 1
                 continue
             if position == 0:
-                unsigned = Packet(seq=packet.seq, block_id=packet.block_id,
-                                  payload=packet.payload, extra=packet.extra)
                 ok = (packet.signature is not None
-                      and self._signer.verify(unsigned.auth_bytes(),
+                      and self._signer.verify(packet.auth_bytes(),
                                               packet.signature))
             else:
                 keypair = self._keypairs[position]

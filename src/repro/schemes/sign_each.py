@@ -51,12 +51,8 @@ class SignEachScheme(Scheme):
                 block_id=block_id,
                 payload=bytes(payload),
             )
-            packets.append(Packet(
-                seq=unsigned.seq,
-                block_id=unsigned.block_id,
-                payload=unsigned.payload,
-                signature=signer.sign(unsigned.auth_bytes()),
-            ))
+            packets.append(unsigned.with_signature(
+                signer.sign(unsigned.auth_bytes())))
         return packets
 
     def new_trial(self, signer: Signer, block_size: int, blocks: int, *,
@@ -90,14 +86,8 @@ def verify_sign_each_packet(packet: Packet, signer: Signer) -> bool:
     """Verify a sign-each packet in isolation."""
     if packet.signature is None:
         return False
-    unsigned = Packet(
-        seq=packet.seq,
-        block_id=packet.block_id,
-        payload=packet.payload,
-        carried=packet.carried,
-        extra=packet.extra,
-    )
-    return signer.verify(unsigned.auth_bytes(), packet.signature)
+    # auth_bytes excludes the signature: it is what was signed.
+    return signer.verify(packet.auth_bytes(), packet.signature)
 
 
 class IndividualVerifier(Verifier):

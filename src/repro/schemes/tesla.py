@@ -309,11 +309,8 @@ class TeslaSender:
             seq=self._take_seq(), block_id=block_id,
             payload=b"", extra=info.encode(),
         )
-        return Packet(
-            seq=unsigned.seq, block_id=unsigned.block_id,
-            payload=unsigned.payload, extra=unsigned.extra,
-            signature=self.signer.sign(unsigned.auth_bytes()),
-        )
+        return unsigned.with_signature(
+            self.signer.sign(unsigned.auth_bytes()))
 
     def send(self, payload: bytes, sender_time: float,
              block_id: int = 0) -> Packet:
@@ -407,11 +404,8 @@ class TeslaReceiver:
     def __init__(self, bootstrap: Packet, signer: Signer,
                  mac: Mac = hmac_sha256, clock_offset: float = 0.0,
                  clock: Optional["Clock"] = None) -> None:
-        unsigned = Packet(seq=bootstrap.seq, block_id=bootstrap.block_id,
-                          payload=bootstrap.payload, carried=bootstrap.carried,
-                          extra=bootstrap.extra)
         if bootstrap.signature is None or not signer.verify(
-                unsigned.auth_bytes(), bootstrap.signature):
+                bootstrap.auth_bytes(), bootstrap.signature):
             raise SimulationError("bootstrap packet signature invalid")
         info = BootstrapInfo.decode(bootstrap.extra)
         self.parameters = info.parameters

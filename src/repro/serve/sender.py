@@ -25,7 +25,7 @@ accounting is integer.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.crypto.batch import BatchSigner
@@ -301,8 +301,8 @@ class SenderService:
                                  bounds=_PROOF_BYTES_BOUNDS)
         for (packets, k_index), attachment in zip(signature_slots,
                                                   attachments):
-            packets.stamped[k_index] = replace(packets.stamped[k_index],
-                                               signature=attachment)
+            packets.stamped[k_index] = packets.stamped[k_index].with_signature(
+                attachment)
         for pending in pending_blocks:
             await self._transmit_block(pending)
         return [pending.block_id for pending in pending_blocks]

@@ -43,14 +43,14 @@ from repro.schemes.base import Verifier
 __all__ = ["PacketOutcome", "ChainReceiver"]
 
 #: Content-keyed decode memo shared by receivers of one stream: wire
-#: bytes -> ``(packet, auth_bytes, auth digest)``, or
-#: :data:`_UNDECODABLE` for bytes the strict decoder rejected.  Every
-#: value is a pure function of the key, so sharing it cannot change a
-#: verdict (see :meth:`ChainReceiver.ingest_wire`).
-WireMemo = Dict[bytes, Tuple[Optional[Packet], Optional[bytes],
-                             Optional[bytes]]]
+#: bytes -> ``(packet, auth digest)``, or :data:`_UNDECODABLE` for
+#: bytes the strict decoder rejected.  The packet keeps its encoding
+#: (see :mod:`repro.packets`), so ``auth_bytes`` needs no slot of its
+#: own.  Every value is a pure function of the key, so sharing it
+#: cannot change a verdict (see :meth:`ChainReceiver.ingest_wire`).
+WireMemo = Dict[bytes, Tuple[Optional[Packet], Optional[bytes]]]
 
-_UNDECODABLE = (None, None, None)
+_UNDECODABLE = (None, None)
 
 #: Buffered same-sequence candidates kept per slot on the defensive
 #: path.  The eavesdrop-and-inject adversary sends forgeries *after*
@@ -217,12 +217,17 @@ class ChainReceiver(Verifier):
         garbage) are counted in :attr:`undecodable` and discarded —
         they cannot crash the receiver or consume buffer space.
 
-        With a shared wire memo, the decode, ``auth_bytes`` and digest
-        of each distinct buffer are computed once and reused by every
-        receiver that gets the same bytes.  The decoder is canonical (a
-        successful decode re-encodes to the identical input), so a
-        tampered or forged frame is a different key and can never hit
-        an entry made for a genuine one.
+        The decoded packet keeps the buffer's ``auth_bytes`` section
+        as its encoding, so nothing on this path encodes a packet
+        again.  That is sound because the decoder is canonical: a
+        successful decode re-encodes to the identical input, so those
+        bytes are exactly what the decoded fields encode to.
+
+        With a shared wire memo, the decode and digest of each distinct
+        buffer are computed once and reused by every receiver that gets
+        the same bytes.  By the same canonicality, a tampered or forged
+        frame is a different key and can never hit an entry made for a
+        genuine one.
         """
         memo = self._wire_memo
         entry = memo.get(data) if memo is not None else None
@@ -232,20 +237,18 @@ class ChainReceiver(Verifier):
             except WireDecodeError:
                 entry = _UNDECODABLE
             else:
-                auth = packet.auth_bytes()
-                entry = (packet, auth, self._hash.digest(auth))
+                entry = (packet, self._hash.digest(packet.auth_bytes()))
             if memo is not None:
                 memo[data] = entry
-        packet, auth, digest = entry
+        packet, digest = entry
         if packet is None:
             self.undecodable += 1
             self.last_ingest = "undecodable"
             self.last_ingest_packet = None
             return None
-        return self.ingest(packet, arrival_time, auth, digest)
+        return self.ingest(packet, arrival_time, digest)
 
     def ingest(self, packet: Packet, arrival_time: float,
-               auth: Optional[bytes] = None,
                digest: Optional[bytes] = None) -> Optional[PacketOutcome]:
         """Defensively ingest one decoded packet.
 
@@ -263,15 +266,14 @@ class ChainReceiver(Verifier):
           resolves to whichever candidate matches once the covering
           hash arrives, regardless of arrival order.
 
-        ``auth`` and ``digest`` are the packet's ``auth_bytes()`` and
-        their hash when the caller already has them (the wire path);
-        omitted, they are computed here.
+        ``digest`` is the hash of the packet's ``auth_bytes()`` when
+        the caller already has it (the wire path); omitted, it is
+        computed here.
         """
         seq = packet.seq
         outcome = self.outcomes.get(seq)
-        if auth is None:
-            auth = packet.auth_bytes()
-            digest = self._hash.digest(auth)
+        if digest is None:
+            digest = self._hash.digest(packet.auth_bytes())
         self.last_ingest_packet = packet
         if outcome is not None and outcome.verified:
             if self._accepted.get(seq) == digest:
@@ -282,7 +284,7 @@ class ChainReceiver(Verifier):
                 self.last_ingest = "forged-reject"
             return outcome
         if packet.signature is not None:
-            if self._signer.verify(auth, packet.signature):
+            if self._signer.verify(packet.auth_bytes(), packet.signature):
                 outcome = self._ensure_outcome(seq, arrival_time)
                 self._mark_verified(packet, arrival_time, digest)
                 self.last_ingest = "verified"

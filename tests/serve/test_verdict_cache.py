@@ -48,11 +48,10 @@ def _counted_run(monkeypatch, config):
         asked.append((message, signature))
         return pool_verify(verifier, message, signature)
 
-    def recorded_ingest(receiver, packet, arrival_time, auth=None,
-                        digest=None):
+    def recorded_ingest(receiver, packet, arrival_time, digest=None):
         if packet.signature is not None:
-            delivered.append((auth or packet.auth_bytes(), packet.signature))
-        return ingest(receiver, packet, arrival_time, auth, digest)
+            delivered.append((packet.auth_bytes(), packet.signature))
+        return ingest(receiver, packet, arrival_time, digest)
 
     with monkeypatch.context() as patch:
         patch.setattr(HmacStubSigner, "verify", counted_hmac_verify)
