@@ -37,7 +37,9 @@ receivers and re-designs its dependence graph on the fly:
   a :class:`~repro.obs.RunManifest` and per-phase
   :class:`~repro.simulation.stats.SimulationStats`;
 * :mod:`repro.serve.loadgen` — soak-run driver behind the
-  ``repro-experiments loadgen`` CLI and the CI soak job.
+  ``repro-experiments loadgen`` CLI;
+* :mod:`repro.serve.soak` — :data:`SOAKS`, the table of named soak
+  configs and their checks, run by ``python -m repro.serve.soak``.
 
 Determinism contract: with the local transport every source of time
 is a :class:`~repro.network.clock.VirtualClock`, every RNG seed is

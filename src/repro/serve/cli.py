@@ -3,10 +3,11 @@
 Both build a :class:`~repro.serve.service.ServeConfig` from flags and
 run one live session; they differ in posture.  ``serve`` is the
 interactive face — run a session, print a readable per-phase summary
-and the adaptation trace.  ``loadgen`` is the soak face CI drives —
-always instrumented, writes a validatable metrics artifact, prints a
+and the adaptation trace.  ``loadgen`` is the soak face — always
+instrumented, writes a validatable metrics artifact, prints a
 machine-readable JSON summary, and exits non-zero the moment any
-attacker content verifies (the ``forged_accepted`` gate).
+attacker content verifies (the ``forged_accepted`` gate).  The named
+soaks in :mod:`repro.serve.soak` run the same session in-process.
 """
 
 from __future__ import annotations

@@ -1,20 +1,21 @@
 """Load generation: instrumented soak runs of the live service.
 
 :func:`run_loadgen` is the programmatic face of ``repro-experiments
-loadgen`` and the CI soak job: it runs one
+loadgen`` and of ``python -m repro.serve.soak``: it runs one
 :func:`~repro.serve.service.run_live_session` under a fresh
 :class:`~repro.obs.MetricsRegistry`, then packages the sealed manifest
 and metrics snapshot into the same ``{"format": 1, "runs": [...]}``
 payload the sweep CLI emits — so the soak artifact validates with
 :func:`~repro.obs.validate_metrics_file` like every other metrics
-file — and distills the numbers the job gates on (``forged_accepted``
+file — and distills the numbers a soak gates on (``forged_accepted``
 above all) into a flat summary dict.
 
 With an :class:`ObsOptions` the run additionally emits the
 deterministic observability artifacts: a packet-lifecycle JSON-lines
 file, a gauge timeseries, a Perfetto/Chrome trace and a Prometheus
 text snapshot.  All of them derive from seeds and virtual time only,
-so CI diffs two runs of the same config byte-for-byte.
+so :mod:`repro.serve.soak` compares two runs of the same config byte
+for byte.
 """
 
 from __future__ import annotations

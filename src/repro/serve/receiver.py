@@ -108,7 +108,6 @@ class ReceiverSession:
                  wire_memo: Optional[WireMemo] = None) -> None:
         self.receiver_id = receiver_id
         self.subtree = subtree if subtree is not None else receiver_id
-        self._hash = hash_function
         self.stream = StreamReceiver(signer, hash_function,
                                      max_buffered=max_buffered,
                                      wire_memo=wire_memo)
@@ -168,14 +167,12 @@ class ReceiverSession:
         tracer.record(self.receiver_id, block_id, seq, "ingest", status,
                       delivery.arrival_time, **attrs)
 
-    def close_block(self, frame: ControlFrame,
-                    now: Optional[float] = None) -> LossReport:
+    def close_block(self, frame: ControlFrame, now: float) -> LossReport:
         """Settle one finished block against its control frame.
 
         ``now`` is the control frame's arrival time; verdicts for
         non-verified slots are stamped with it so lifecycle traces stay
-        monotone.  When omitted (direct harness calls) the latest event
-        time seen inside the block is used instead.
+        monotone.
         """
         verifier = self.stream.verifier
         digests = dict(frame.digests)
@@ -186,14 +183,6 @@ class ReceiverSession:
         events: List[list] = []
         stats = self.stats.setdefault(frame.phase, SimulationStats())
         tracer = get_lifecycle()
-        close_time = now
-        if close_time is None:
-            close_time = 0.0
-            for seq in range(frame.base_seq, frame.last_seq + 1):
-                outcome = verifier.outcomes.get(seq)
-                if outcome is not None:
-                    close_time = max(close_time, outcome.arrival_time,
-                                     outcome.verified_time or 0.0)
         for seq in range(frame.base_seq, frame.last_seq + 1):
             outcome = verifier.outcomes.get(seq)
             verified = outcome is not None and outcome.verified
@@ -234,10 +223,10 @@ class ReceiverSession:
                 elif outcome is not None:
                     attrs = {"forged": True} if outcome.forged else {}
                     tracer.record(self.receiver_id, frame.block_id, seq,
-                                  "verify", "arrived", close_time, **attrs)
+                                  "verify", "arrived", now, **attrs)
                 else:
                     tracer.record(self.receiver_id, frame.block_id, seq,
-                                  "verify", "lost", close_time)
+                                  "verify", "lost", now)
         self.estimator.observe_block(expected - arrived, expected)
         released = self.stream.finish_block(frame.block_id, frame.last_seq)
         self.blocks_closed += 1
