@@ -10,13 +10,13 @@ receivers and re-designs its dependence graph on the fly:
   in-process :class:`LocalTransport` with bounded per-receiver queues
   (deterministic under virtual time, the test substrate) and a real
   :class:`UdpTransport` over asyncio datagram endpoints; both speak
-  :class:`~repro.faults.WireDelivery` plus JSON control frames that
-  can never collide with packet bytes;
+  :class:`~repro.faults.WireDelivery` plus fixed 21-byte block
+  boundaries that can never collide with packet bytes;
 * :mod:`repro.serve.sender` — :class:`SenderService`: packetizes each
   block with the *current* scheme, pushes it through one impairment
   channel per receiver (optionally an
-  :class:`~repro.faults.AdversarialChannel`), and publishes the
-  ground truth the end-to-end soundness audit needs;
+  :class:`~repro.faults.AdversarialChannel`), and hands the pool,
+  in-process, the ground truth the soundness audit needs;
 * :mod:`repro.serve.receiver` — :class:`ReceiverSession` /
   :class:`ReceiverPool`: defensive wire ingestion via
   :meth:`~repro.simulation.stream_receiver.StreamReceiver.ingest_wire`,

@@ -4,8 +4,8 @@ Each :class:`ReceiverSession` consumes one transport subscription,
 feeds data frames through the defensive
 :meth:`~repro.simulation.stream_receiver.StreamReceiver.ingest_wire`
 path, and on every control frame closes out the block: evicts buffers,
-audits what verified against the sender's authentic digests (the
-``forged_accepted`` soundness invariant), tallies per-phase
+audits what verified against the block's in-process :class:`BlockTruth`
+(the ``forged_accepted`` soundness invariant), tallies per-phase
 :class:`~repro.simulation.stats.SimulationStats`, appends a canonical
 transcript line, updates its :class:`~repro.network.loss.LossEstimator`
 and emits a :class:`LossReport` upstream.
@@ -25,7 +25,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import HashFunction, sha256
 from repro.crypto.signatures import Signer
@@ -39,7 +39,27 @@ from repro.simulation.receiver import WireMemo
 from repro.simulation.stats import SimulationStats
 from repro.simulation.stream_receiver import StreamReceiver
 
-__all__ = ["LossReport", "ReceiverSession", "ReceiverPool"]
+__all__ = ["BlockTruth", "LossReport", "ReceiverSession", "ReceiverPool"]
+
+
+@dataclass(frozen=True)
+class BlockTruth:
+    """The harness's ground truth for one (receiver, block) cell.
+
+    ``intact``: the receiver's deliveries the adversary left untampered;
+    ``digests``: every packet's authentic digest (one map per group and
+    block, shared by reference).  Used only for accounting — never for
+    verification, which runs purely on the wire bytes.
+    """
+
+    scheme: str
+    phase: str
+    intact: frozenset
+    digests: Mapping[int, bytes]
+
+
+#: Ground truth of the blocks in flight, keyed by (receiver, block).
+Ledger = Dict[Tuple[str, int], BlockTruth]
 
 
 @dataclass(frozen=True)
@@ -98,6 +118,8 @@ class ReceiverSession:
         Decode memo shared with the other sessions of a
         :class:`ReceiverPool` (see
         :meth:`~repro.simulation.receiver.ChainReceiver.ingest_wire`).
+    ledger:
+        The pool's ground truth, filled in by the sender.
     """
 
     def __init__(self, receiver_id: str, signer: Signer,
@@ -105,8 +127,10 @@ class ReceiverSession:
                  estimator: Optional[LossEstimator] = None,
                  max_buffered: Optional[int] = None,
                  subtree: Optional[str] = None,
-                 wire_memo: Optional[WireMemo] = None) -> None:
+                 wire_memo: Optional[WireMemo] = None,
+                 ledger: Optional[Ledger] = None) -> None:
         self.receiver_id = receiver_id
+        self.ledger = ledger if ledger is not None else {}
         self.subtree = subtree if subtree is not None else receiver_id
         self.stream = StreamReceiver(signer, hash_function,
                                      max_buffered=max_buffered,
@@ -168,20 +192,25 @@ class ReceiverSession:
                       delivery.arrival_time, **attrs)
 
     def close_block(self, frame: ControlFrame, now: float) -> LossReport:
-        """Settle one finished block against its control frame.
+        """Settle one finished block against its ledger entry.
 
         ``now`` is the control frame's arrival time; verdicts for
         non-verified slots are stamped with it so lifecycle traces stay
         monotone.
         """
+        truth = self.ledger.get((self.receiver_id, frame.block_id))
+        if truth is None:
+            raise SimulationError(
+                f"no ground truth for receiver {self.receiver_id!r} "
+                f"block {frame.block_id}")
         verifier = self.stream.verifier
-        digests = dict(frame.digests)
-        intact = set(frame.intact)
+        digests = truth.digests
+        intact = truth.intact
         expected = frame.last_seq - frame.base_seq + 1
         arrived = 0
         verified_count = 0
         events: List[list] = []
-        stats = self.stats.setdefault(frame.phase, SimulationStats())
+        stats = self.stats.setdefault(truth.phase, SimulationStats())
         tracer = get_lifecycle()
         for seq in range(frame.base_seq, frame.last_seq + 1):
             outcome = verifier.outcomes.get(seq)
@@ -191,9 +220,7 @@ class ReceiverSession:
             if verified:
                 verified_count += 1
                 accepted = verifier.accepted_digest(seq)
-                authentic = digests.get(seq)
-                if (accepted is None or authentic is None
-                        or accepted.hex() != authentic):
+                if accepted is None or accepted != digests.get(seq):
                     # Attacker content survived verification: the
                     # invariant every security test keys on.
                     self.forged_accepted += 1
@@ -233,8 +260,8 @@ class ReceiverSession:
         record = {
             "r": self.receiver_id,
             "b": frame.block_id,
-            "phase": frame.phase,
-            "scheme": frame.scheme,
+            "phase": truth.phase,
+            "scheme": truth.scheme,
             "delivered": len(released),
             "events": events,
         }
@@ -317,6 +344,7 @@ class ReceiverPool:
         self._max_buffered = max_buffered
         self._subtree_of = subtree_of if subtree_of is not None else {}
         self._wire_memo: WireMemo = {}
+        self.ledger: Ledger = {}
         self.sessions: Dict[str, ReceiverSession] = {}
         for receiver_id in receiver_ids:
             self.sessions[receiver_id] = self._build_session(receiver_id)
@@ -336,7 +364,7 @@ class ReceiverPool:
             receiver_id, self._signer, self._hash, estimator=estimator,
             max_buffered=self._max_buffered,
             subtree=self._subtree_of.get(receiver_id),
-            wire_memo=self._wire_memo)
+            wire_memo=self._wire_memo, ledger=self.ledger)
 
     def start(self, transport: Transport) -> None:
         """Spawn one task per session (requires a running event loop)."""
@@ -455,7 +483,8 @@ class ReceiverPool:
         settling shrinks it) and races the barrier against session
         failure — a receiver that raises mid-block surfaces here
         instead of deadlocking the loop.  Passing the barrier drops
-        the shared wire memo.
+        the shared wire memo and every ledger entry of the block,
+        crash victims' included.
         """
         self._check_failure()
         self._maybe_release(block_id)
@@ -471,6 +500,8 @@ class ReceiverPool:
                 failed.cancel()
             self._check_failure()
         self._wire_memo.clear()
+        for key in [key for key in self.ledger if key[1] == block_id]:
+            del self.ledger[key]
         self._events.pop(block_id, None)
         reports = self._reports.pop(block_id, {})
         return [reports[receiver_id] for receiver_id in sorted(reports)]

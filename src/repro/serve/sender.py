@@ -9,10 +9,10 @@ fly its own design.  Each block is packetized once per group at one
 shared block id, sequence range and set of send times, then pushed
 through one channel per receiver (the session's topology channel,
 optionally wrapped in an :class:`~repro.faults.AdversarialChannel`)
-and onto the transport, followed by a control frame carrying the
-block's ground truth.  A packet is framed at most once per block,
-on the first channel that delivers it; every other receiver's
-channel reuses those bytes.
+and onto the transport, followed by the block's one shared control
+frame (its ground truth reaches the receiver pool in-process).  A
+packet is framed at most once per block, on the first channel that
+delivers it; every other receiver's channel reuses those bytes.
 
 Every channel is built fresh per (receiver, block) from seeds that
 derive from one root seed (:func:`repro.topology.linkloss.cell_seed`),
@@ -40,6 +40,7 @@ from repro.obs import get_registry
 from repro.obs.lifecycle import NOISE_SEQ, get_lifecycle
 from repro.packets import Packet
 from repro.schemes.base import Scheme
+from repro.serve.receiver import BlockTruth, Ledger
 from repro.serve.transport import ControlFrame, Transport, encode_control
 
 __all__ = ["SenderService"]
@@ -78,7 +79,7 @@ class _GroupPackets:
     scheme_name: str
     phase: str
     stamped: List[Packet]
-    digests: Dict[int, str]
+    digests: Dict[int, bytes]
 
 
 @dataclass
@@ -144,6 +145,9 @@ class SenderService:
         receiver's loss and attack draws are pinned to its identity
         rather than to the shifting roster order.  Only ids in this
         map can ever be subscribed (:meth:`add_receiver`).
+    ledger:
+        The pool's ground truth (:attr:`ReceiverPool.ledger`); a
+        receiver's entry is written before its control frame is sent.
     """
 
     def __init__(self, transport: Transport, receiver_ids: Sequence[str],
@@ -153,8 +157,8 @@ class SenderService:
                  hash_function: HashFunction = sha256,
                  batch_size: int = 1,
                  flush_deadline: Optional[float] = None,
-                 receiver_indices: Optional[Mapping[str, int]] = None
-                 ) -> None:
+                 receiver_indices: Optional[Mapping[str, int]] = None,
+                 ledger: Optional[Ledger] = None) -> None:
         if not receiver_ids:
             raise SimulationError("need at least one receiver")
         if t_transmit <= 0:
@@ -167,6 +171,7 @@ class SenderService:
             raise SimulationError(
                 f"flush_deadline must be > 0, got {flush_deadline}")
         self.transport = transport
+        self.ledger = ledger if ledger is not None else {}
         self.receiver_ids = list(receiver_ids)
         if receiver_indices is None:
             self._index_of = {receiver_id: index
@@ -343,8 +348,7 @@ class SenderService:
                 stamped.append(packet.with_send_time(send_end))
                 send_end += self.t_transmit
             digests = {
-                packet.seq: self.hash_function.digest(
-                    packet.auth_bytes()).hex()
+                packet.seq: self.hash_function.digest(packet.auth_bytes())
                 for packet in stamped
             }
             groups[group] = _GroupPackets(scheme_name=scheme.name,
@@ -364,17 +368,15 @@ class SenderService:
     async def _transmit_to_receiver(self, pending: _PendingBlock,
                                     packets: _GroupPackets,
                                     receiver_id: str,
-                                    frames: Dict[int, bytes]) -> None:
-        """Push one group's packets through one receiver's channel.
+                                    frames: Dict[int, bytes],
+                                    control: WireDelivery) -> None:
+        """Push one group's packets, then the block's control frame.
 
         ``frames`` is the group's shared ``seq -> wire bytes`` map for
         this block (:func:`~repro.faults.channel.frame_once`).
         """
         block_id = pending.block_id
-        base_seq = pending.base_seq
-        last_seq = pending.last_seq
         stamped = packets.stamped
-        digests = packets.digests
         registry = get_registry()
         tracer = get_lifecycle()
         channel = self.channel_factory(self._index_of[receiver_id], block_id,
@@ -428,15 +430,9 @@ class SenderService:
             d.seq_hint for d in deliveries
             if d.kind == "genuine" and d.seq_hint is not None
             and d.seq_hint not in dropped_genuine)
-        frame = ControlFrame(
-            block_id=block_id, base_seq=base_seq, last_seq=last_seq,
+        self.ledger[(receiver_id, block_id)] = BlockTruth(
             scheme=packets.scheme_name, phase=packets.phase,
-            intact=tuple(sorted(intact)),
-            digests=tuple(sorted(digests.items())),
-        )
-        control = WireDelivery(
-            arrival_time=pending.control_time, data=encode_control(frame),
-            kind="control", seq_hint=None)
+            intact=intact, digests=packets.digests)
         await self.transport.send(receiver_id, [control])
         if registry.enabled:
             registry.count("serve.packets.sent", channel.sent)
@@ -453,9 +449,14 @@ class SenderService:
 
         Each group's packets are framed at most once for the whole
         block: the receivers' channels share one lazily filled
-        ``seq -> wire bytes`` map per group.
+        ``seq -> wire bytes`` map per group; one control frame serves all.
         """
         frames: Dict[Optional[str], Dict[int, bytes]] = {}
+        control = WireDelivery(
+            arrival_time=pending.control_time,
+            data=encode_control(ControlFrame(
+                pending.block_id, pending.base_seq, pending.last_seq)),
+            kind="control", seq_hint=None)
         for receiver_id in self.receiver_ids:
             group = pending.group_of.get(receiver_id)
             packets = pending.groups.get(group)
@@ -463,15 +464,15 @@ class SenderService:
                 raise SimulationError(
                     f"receiver {receiver_id!r} has no scheme group")
             await self._transmit_to_receiver(
-                pending, packets, receiver_id, frames.setdefault(group, {}))
+                pending, packets, receiver_id, frames.setdefault(group, {}),
+                control)
 
     async def send_final(self) -> None:
         """End the session: flush any partial batch, then signal EOF."""
         await self.flush_pending()
-        frame = ControlFrame(block_id=-1, base_seq=0, last_seq=0,
-                             scheme="", phase="", final=True)
-        data = encode_control(frame)
+        final = WireDelivery(
+            arrival_time=self._send_clock,
+            data=encode_control(ControlFrame(-1, 0, 0, final=True)),
+            kind="control", seq_hint=None)
         for receiver_id in self.receiver_ids:
-            await self.transport.send(receiver_id, [
-                WireDelivery(arrival_time=self._send_clock, data=data,
-                             kind="control", seq_hint=None)])
+            await self.transport.send(receiver_id, [final])

@@ -504,7 +504,8 @@ def run_live_session(config: ServeConfig,
                            receiver_indices={
                                receiver_id: index
                                for index, receiver_id
-                               in enumerate(member_ids)})
+                               in enumerate(member_ids)},
+                           ledger=pool.ledger)
     parameters = config.to_parameters()
     parameters["topology_detail"] = topology.describe()
     if plan is not None:

@@ -6,13 +6,13 @@ sender to per-receiver subscriptions.  Two frame kinds share the wire:
 * **data frames** — packet bytes exactly as
   :meth:`repro.packets.Packet.to_wire` produced (or as the adversary
   mangled them);
-* **control frames** — JSON block metadata prefixed with
-  :data:`CONTROL_PREFIX`.  A wire packet's header starts with its
-  ``seq`` as a big-endian ``u32`` and ``seq >= 1`` is enforced by the
-  strict decoder, so a prefix of four zero bytes can *never* decode as
-  a packet — control frames are unambiguous without any out-of-band
-  channel, and a truncation or bit-flip fault that mangles one simply
-  yields an undecodable buffer downstream.
+* **control frames** — a fixed 21-byte block boundary: the
+  :data:`CONTROL_PREFIX` then one ``struct``.  A wire packet's header
+  starts with its ``seq`` as a big-endian ``u32`` and ``seq >= 1`` is
+  enforced by the strict decoder, so a prefix of four zero bytes can
+  *never* decode as a packet — control frames are unambiguous without
+  any out-of-band channel, and a truncation or bit-flip fault that
+  mangles one simply yields an undecodable buffer downstream.
 
 :class:`LocalTransport` is the deterministic in-process fabric: one
 bounded :class:`asyncio.Queue` per receiver, drop-newest backpressure
@@ -26,14 +26,14 @@ to the event loop, the drop pattern is a pure function of queue depth
 loopback interface and stamps arrivals from an injectable
 :class:`~repro.network.clock.Clock`; ground-truth ``kind`` tags do not
 survive a real network, so receiver-side deliveries carry
-``kind="unknown"`` and the soundness audit relies on control-frame
-digests instead.
+``kind="unknown"``.  The harness's ground truth crosses neither: it
+reaches the pool in-process (:class:`~repro.serve.receiver.BlockTruth`).
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
+import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import AsyncIterator, Dict, List, Optional, Sequence, Tuple
@@ -58,6 +58,9 @@ __all__ = [
 #: packet decoder rejects unconditionally — followed by a magic tag so
 #: random garbage starting with zeros is not mistaken for control.
 CONTROL_PREFIX = b"\x00\x00\x00\x00RSRV"
+#: What follows the prefix: block id (-1 on the final frame), first and
+#: last seq, final flag.
+_CONTROL = struct.Struct(">iII?")
 
 #: Queue-depth histogram buckets (shared so shard merges never see
 #: mismatched bounds).
@@ -67,66 +70,32 @@ QUEUE_DEPTH_BOUNDS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0,
 
 @dataclass(frozen=True)
 class ControlFrame:
-    """Block-boundary metadata the sender publishes to each receiver.
+    """A block boundary: the sequence range of block ``block_id``.
 
-    ``intact`` and ``digests`` are the *trusted side channel* of the
-    simulation harness: which of this receiver's deliveries left the
-    adversary untampered, and the authentic digest of every packet the
-    sender emitted.  Receivers use them only for ground-truth
-    accounting (loss tallies, the ``forged_accepted`` audit) — never
-    for verification, which runs purely on the wire bytes.
-
-    A frame with ``final=True`` ends the subscription; its other
-    fields are ignored.
+    It carries nothing a receiver could not learn from the wire
+    itself; the harness's ground truth for the block travels
+    in-process instead.  A frame with ``final=True`` ends the
+    subscription; its other fields are ignored.
     """
 
     block_id: int
     base_seq: int
     last_seq: int
-    scheme: str
-    phase: str
     final: bool = False
-    intact: Tuple[int, ...] = ()
-    digests: Tuple[Tuple[int, str], ...] = ()
 
 
 def encode_control(frame: ControlFrame) -> bytes:
-    """Canonical byte encoding (sorted keys, no whitespace)."""
-    payload = {
-        "block_id": frame.block_id,
-        "base_seq": frame.base_seq,
-        "last_seq": frame.last_seq,
-        "scheme": frame.scheme,
-        "phase": frame.phase,
-        "final": frame.final,
-        "intact": list(frame.intact),
-        "digests": [list(item) for item in frame.digests],
-    }
-    return CONTROL_PREFIX + json.dumps(
-        payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    """Canonical 21-byte encoding: the prefix, then one fixed struct."""
+    return CONTROL_PREFIX + _CONTROL.pack(
+        frame.block_id, frame.base_seq, frame.last_seq, frame.final)
 
 
 def decode_control(data: bytes) -> Optional[ControlFrame]:
     """Decode a control frame; ``None`` for anything else (data frames)."""
-    if not data.startswith(CONTROL_PREFIX):
-        return None
-    try:
-        payload = json.loads(data[len(CONTROL_PREFIX):].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return None  # mangled control frame: treated as wire garbage
-    try:
-        return ControlFrame(
-            block_id=int(payload["block_id"]),
-            base_seq=int(payload["base_seq"]),
-            last_seq=int(payload["last_seq"]),
-            scheme=str(payload["scheme"]),
-            phase=str(payload["phase"]),
-            final=bool(payload["final"]),
-            intact=tuple(int(s) for s in payload["intact"]),
-            digests=tuple((int(s), str(d)) for s, d in payload["digests"]),
-        )
-    except (KeyError, TypeError, ValueError):
-        return None
+    if (len(data) != len(CONTROL_PREFIX) + _CONTROL.size
+            or not data.startswith(CONTROL_PREFIX)):
+        return None  # a data frame, or a mangled control frame
+    return ControlFrame(*_CONTROL.unpack_from(data, len(CONTROL_PREFIX)))
 
 
 class Transport(ABC):
@@ -212,8 +181,8 @@ class LocalTransport(Transport):
 
     async def close_endpoint(self, receiver_id: str) -> None:
         queue = self._queue(receiver_id)
-        # Same bypass as close(): the sentinel must land even if the
-        # queue is full, or the leaver's task never drains.
+        # Bypass maxsize: the sentinel must land even if the queue is
+        # full, or the subscriber's task never drains.
         queue._queue.append(_CLOSE)  # noqa: SLF001 (stdlib deque)
         queue._wakeup_next(queue._getters)  # noqa: SLF001
 
@@ -268,10 +237,8 @@ class LocalTransport(Transport):
         if self._closed:
             return
         self._closed = True
-        for queue in self._queues.values():
-            # Bypass maxsize so close always lands even on full queues.
-            queue._queue.append(_CLOSE)  # noqa: SLF001 (stdlib deque)
-            queue._wakeup_next(queue._getters)  # noqa: SLF001
+        for receiver_id in self._queues:
+            await self.close_endpoint(receiver_id)
 
     def queue_drops(self, receiver_id: str) -> int:
         return self._drops.get(receiver_id, 0)
@@ -384,8 +351,8 @@ class UdpTransport(Transport):
             raise SimulationError(f"unknown receiver {receiver_id!r}")
         for delivery in deliveries:
             self._sender.sendto(delivery.data, address)
-        # Let the loop run the receiving protocols before piling on.
-        await asyncio.sleep(0)
+            # Yield per datagram, or a block overflows the socket buffer.
+            await asyncio.sleep(0)
         return []
 
     async def subscribe(self, receiver_id: str

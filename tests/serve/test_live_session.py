@@ -115,6 +115,18 @@ class TestUdpTransport:
         for transcript in result.transcripts.values():
             assert len(transcript.decode("utf-8").splitlines()) == 3
 
+    def test_udp_session_with_1000_packet_blocks(self):
+        # A whole block sent in one burst used to overflow the loopback
+        # socket buffer and drop the block's closing control frame, so
+        # the barrier never released; a 1,000-packet block's old JSON
+        # control frame was also larger than any UDP datagram.
+        config = ServeConfig(receivers=1, blocks=2, block_size=1000,
+                             transport="udp", seed=3, timeout_s=60.0)
+        result = run_live_session(config)
+        assert result.forged_accepted == 0
+        (transcript,) = result.transcripts.values()
+        assert len(transcript.decode("utf-8").splitlines()) == 2
+
 
 class TestModelConformance:
     def test_adapted_q_profile_within_3_se(self, session):

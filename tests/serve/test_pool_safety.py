@@ -16,17 +16,22 @@ import pytest
 from repro.crypto.signatures import HmacStubSigner
 from repro.exceptions import SimulationError
 from repro.faults import WireDelivery
-from repro.serve.receiver import ReceiverPool
+from repro.serve.receiver import BlockTruth, ReceiverPool
 from repro.serve.transport import ControlFrame, LocalTransport, encode_control
 
 IDS = ["r00", "r01", "r02"]
 TIMEOUT = 5.0
 
 
-def _control(block_id, final=False):
+def _control(pool, block_id, final=False):
+    """A block boundary, its ground truth already in the pool's ledger."""
+    if not final:
+        for receiver_id in pool.sessions:
+            pool.ledger[(receiver_id, block_id)] = BlockTruth(
+                scheme="sign-each", phase="test", intact=frozenset(),
+                digests={})
     frame = ControlFrame(block_id=block_id, base_seq=1, last_seq=2,
-                         scheme="sign-each", phase="test", intact=(),
-                         digests=(), final=final)
+                         final=final)
     return WireDelivery(arrival_time=0.0, data=encode_control(frame),
                         kind="control", seq_hint=None)
 
@@ -52,7 +57,7 @@ class TestFailureSafety:
             transport, pool = await _pool()
             _poison(pool, "r01")
             for receiver_id in IDS:
-                await transport.send(receiver_id, [_control(0)])
+                await transport.send(receiver_id, [_control(pool, 0)])
             # r01 never reports block 0, so without the failure race
             # this barrier would wait forever.
             with pytest.raises(RuntimeError, match="session exploded"):
@@ -68,7 +73,7 @@ class TestFailureSafety:
         async def run():
             transport, pool = await _pool()
             _poison(pool, "r01")
-            await transport.send("r01", [_control(0)])
+            await transport.send("r01", [_control(pool, 0)])
             with pytest.raises(RuntimeError, match="session exploded"):
                 await asyncio.wait_for(pool.join(), timeout=TIMEOUT)
             await transport.close()
@@ -78,7 +83,7 @@ class TestFailureSafety:
         async def run():
             transport, pool = await _pool()
             _poison(pool, "r01")
-            await transport.send("r01", [_control(0)])
+            await transport.send("r01", [_control(pool, 0)])
             with pytest.raises(RuntimeError):
                 await asyncio.wait_for(pool.wait_block(0), timeout=TIMEOUT)
             with pytest.raises(RuntimeError):
@@ -90,12 +95,13 @@ class TestFailureSafety:
         async def run():
             transport, pool = await _pool()
             for receiver_id in IDS:
-                await transport.send(receiver_id, [_control(0)])
+                await transport.send(receiver_id, [_control(pool, 0)])
             reports = await asyncio.wait_for(pool.wait_block(0),
                                              timeout=TIMEOUT)
             assert [r.receiver_id for r in reports] == IDS
             for receiver_id in IDS:
-                await transport.send(receiver_id, [_control(-1, final=True)])
+                await transport.send(receiver_id,
+                                     [_control(pool, -1, final=True)])
             await asyncio.wait_for(pool.join(), timeout=TIMEOUT)
             await transport.close()
         asyncio.run(run())
@@ -105,8 +111,8 @@ class TestMembershipMechanics:
     def test_crash_shrinks_the_barrier_set(self):
         async def run():
             transport, pool = await _pool()
-            await transport.send("r00", [_control(0)])
-            await transport.send("r02", [_control(0)])
+            await transport.send("r00", [_control(pool, 0)])
+            await transport.send("r02", [_control(pool, 0)])
             await pool.crash("r01")
             assert pool.active_ids == ["r00", "r02"]
             # The barrier releases on the survivors alone — the dead
@@ -114,8 +120,10 @@ class TestMembershipMechanics:
             reports = await asyncio.wait_for(pool.wait_block(0),
                                              timeout=TIMEOUT)
             assert [r.receiver_id for r in reports] == ["r00", "r02"]
-            # The victim's record survives for the session audit.
+            # The victim's record survives for the session audit, and
+            # its unread ground truth left the ledger with the block.
             assert "r01" in pool.sessions
+            assert pool.ledger == {}
             await transport.close()
         asyncio.run(run())
 
@@ -126,7 +134,7 @@ class TestMembershipMechanics:
             pool.admit("r03")
             assert "r03" in pool.active_ids
             for receiver_id in IDS + ["r03"]:
-                await transport.send(receiver_id, [_control(0)])
+                await transport.send(receiver_id, [_control(pool, 0)])
             reports = await asyncio.wait_for(pool.wait_block(0),
                                              timeout=TIMEOUT)
             assert [r.receiver_id for r in reports] == IDS + ["r03"]
@@ -154,7 +162,7 @@ class TestMembershipMechanics:
     def test_retire_finished_session_is_quiet(self):
         async def run():
             transport, pool = await _pool()
-            await transport.send("r01", [_control(-1, final=True)])
+            await transport.send("r01", [_control(pool, -1, final=True)])
             for _ in range(3):
                 await asyncio.sleep(0)
             assert "r01" not in pool.active_ids

@@ -3,6 +3,8 @@
 import asyncio
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import SimulationError
 from repro.faults import WireDelivery
@@ -24,15 +26,11 @@ def _data(payload, seq=None):
 
 class TestControlFrames:
     def test_round_trip(self):
-        frame = ControlFrame(block_id=3, base_seq=10, last_seq=21,
-                             scheme="emss(2,1)", phase="emss(2,1)@p=0.1",
-                             intact=(10, 12, 21),
-                             digests=((10, "ab"), (12, "cd")))
+        frame = ControlFrame(block_id=3, base_seq=10, last_seq=21)
         assert decode_control(encode_control(frame)) == frame
 
     def test_final_frame_round_trip(self):
-        frame = ControlFrame(block_id=-1, base_seq=0, last_seq=0,
-                             scheme="", phase="", final=True)
+        frame = ControlFrame(block_id=-1, base_seq=0, last_seq=0, final=True)
         decoded = decode_control(encode_control(frame))
         assert decoded.final
 
@@ -43,13 +41,48 @@ class TestControlFrames:
         assert decode_control(b"arbitrary bytes") is None
 
     def test_mangled_control_payload_is_garbage(self):
-        valid = encode_control(ControlFrame(1, 1, 5, "emss(1,1)", "x"))
+        valid = encode_control(ControlFrame(1, 1, 5))
         assert decode_control(valid[:-4]) is None
+        assert decode_control(valid + b"\x00") is None
         assert decode_control(CONTROL_PREFIX + b"\xff\xfe") is None
 
     def test_encoding_is_canonical(self):
-        frame = ControlFrame(1, 1, 5, "emss(1,1)", "x", intact=(1, 2))
+        frame = ControlFrame(1, 1, 5)
         assert encode_control(frame) == encode_control(frame)
+
+    def test_fixed_size_whatever_the_block(self):
+        # The frame no longer grows with the block or the receiver.
+        sizes = {len(encode_control(ControlFrame(b, 1, 1 + n, final)))
+                 for b, n, final in ((0, 1, False), (7, 1999, False),
+                                     (2**31 - 1, 2**32 - 2, False),
+                                     (-1, 0, True))}
+        assert sizes == {21}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=64))
+    def test_random_bytes_never_raise(self, data):
+        frame = decode_control(data)
+        assert frame is None or isinstance(frame, ControlFrame)
+        frame = decode_control(CONTROL_PREFIX + data)
+        assert frame is None or isinstance(frame, ControlFrame)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(-2**31, 2**31 - 1), st.integers(0, 2**32 - 1),
+           st.integers(0, 2**32 - 1), st.booleans(), st.binary(max_size=8))
+    def test_every_mutation_of_a_frame_decodes_or_is_none(
+            self, block_id, base_seq, last_seq, final, tail):
+        valid = encode_control(ControlFrame(block_id, base_seq, last_seq,
+                                            final))
+        assert decode_control(valid) == ControlFrame(block_id, base_seq,
+                                                     last_seq, final)
+        mutants = [valid[:cut] for cut in range(len(valid))]
+        mutants.append(valid + (tail or b"\x00"))
+        mutants += [valid[:i] + bytes([valid[i] ^ (1 << bit)]) + valid[i + 1:]
+                    for i in range(len(valid)) for bit in range(8)]
+        for mutant in mutants:
+            frame = decode_control(mutant)
+            assert frame is None or isinstance(frame, ControlFrame)
+        assert all(decode_control(m) is None for m in mutants[:len(valid) + 1])
 
 
 class TestLocalTransport:
@@ -96,7 +129,7 @@ class TestLocalTransport:
         async def scenario():
             transport = LocalTransport(queue_size=1)
             await transport.start(["r0"])
-            control = encode_control(ControlFrame(0, 1, 3, "emss(1,1)", "x"))
+            control = encode_control(ControlFrame(0, 1, 3))
             fills = [_data(b"\x00\x00\x00\x01fill", 1)]
             await transport.send("r0", fills)
 
