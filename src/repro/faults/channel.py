@@ -13,7 +13,10 @@ what it observed, and replay copies.  Receivers downstream see only
 Determinism: deliveries are processed in the honest channel's arrival
 order and fault models are consulted in plan order, so the byte stream
 depends only on the channel and plan seeds — attacked trials shard
-across workers bit-for-bit like passive ones.
+across workers bit-for-bit like passive ones.  Each model is consulted
+only for the hooks it overrides (:class:`~repro.faults.plan.AttackPlan`
+records them); the base no-ops draw nothing, so skipping them moves no
+stream.
 """
 
 from __future__ import annotations
@@ -111,42 +114,44 @@ class AdversarialChannel:
         either way, so every draw is unchanged.
         """
         staged: List[tuple] = []
-
-        def stage(arrival: float, data: bytes, kind: str,
-                  seq_hint: Optional[int], block_hint: Optional[int]) -> None:
-            staged.append((arrival, len(staged), data, kind, seq_hint,
-                           block_hint))
-
+        plan = self.plan
+        jitterers, corrupters, injectors = (plan.jitterers, plan.corrupters,
+                                            plan.injectors)
+        protect = self.channel.protect_signature_packets
         for delivery in self.channel.transmit(packets):
             packet = delivery.packet
-            protected = (self.channel.protect_signature_packets
-                         and packet.is_signature_packet)
+            block_id = packet.block_id
             arrival = delivery.arrival_time
-            for fault in self.plan.faults:
+            for fault in jitterers:
                 arrival += fault.jitter()
             wire = (packet.to_wire() if frames is None
                     else frame_once(packet, frames))
             tampered = False
-            for fault in self.plan.faults:
-                mutated = fault.corrupt(wire)
-                if protected:
-                    continue  # drawn but discarded, like protected loss
-                if mutated is not None and mutated != wire:
-                    wire = mutated
-                    tampered = True
+            if corrupters:
+                protected = protect and packet.is_signature_packet
+                for fault in corrupters:
+                    mutated = fault.corrupt(wire)
+                    if protected:
+                        continue  # drawn but discarded, like protected loss
+                    if mutated is not None and mutated != wire:
+                        wire = mutated
+                        tampered = True
             if tampered:
                 self.corrupted += 1
-            stage(arrival, wire, "corrupted" if tampered else "genuine",
-                  packet.seq, packet.block_id)
-            for fault in self.plan.faults:
-                for offset, forged_wire in fault.forge(packet):
-                    self.injected += 1
-                    stage(arrival + offset, forged_wire, "forged", None,
-                          packet.block_id)
-                for offset in fault.replay(wire):
-                    self.replayed += 1
-                    stage(arrival + offset, wire, "replayed", packet.seq,
-                          packet.block_id)
+            staged.append((arrival, len(staged), wire,
+                           "corrupted" if tampered else "genuine",
+                           packet.seq, block_id))
+            for fault, forges, replays in injectors:
+                if forges:
+                    for offset, forged_wire in fault.forge(packet):
+                        self.injected += 1
+                        staged.append((arrival + offset, len(staged),
+                                       forged_wire, "forged", None, block_id))
+                if replays:
+                    for offset in fault.replay(wire):
+                        self.replayed += 1
+                        staged.append((arrival + offset, len(staged), wire,
+                                       "replayed", packet.seq, block_id))
         staged.sort(key=lambda item: (item[0], item[1]))
         return [WireDelivery(arrival_time=arrival, data=data, kind=kind,
                              seq_hint=seq_hint, block_hint=block_hint)

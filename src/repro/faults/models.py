@@ -65,19 +65,23 @@ class FaultModel(ABC):
     """One adversarial action stream; see the module docstring."""
 
     _rng: random.Random
+    #: RNG key; ``None`` (unseeded) until a constructor or
+    #: :meth:`reseed` sets it.
+    _seed: Optional[int] = None
 
     def reset(self) -> None:
         """Return to the initial RNG state (new trial)."""
-        self._rng = random.Random(getattr(self, "_seed", None))
+        self._rng = random.Random(self._seed)
 
     def reseed(self, seed: Optional[int]) -> None:
         """Re-key the model's private RNG, then :meth:`reset`.
 
         Mirrors :meth:`repro.network.loss.LossModel.reseed`: attacked
-        Monte-Carlo drivers pin per-trial fault randomness with it.
+        Monte-Carlo trial runners pin per-trial fault randomness with
+        it, and the serve layer pins each receiver's reused plan per
+        cell.
         """
-        if hasattr(self, "_seed"):
-            self._seed = seed
+        self._seed = seed
         self.reset()
 
     # -- hooks, all optional ------------------------------------------------

@@ -24,6 +24,11 @@ __all__ = ["AttackPlan"]
 _FAULT_SEED_STRIDE = 15485863
 
 
+def _overrides(fault: FaultModel, hook: str) -> bool:
+    """Does ``fault``'s class replace the base no-op ``hook``?"""
+    return getattr(type(fault), hook) is not getattr(FaultModel, hook)
+
+
 @dataclass
 class AttackPlan:
     """Per-slot fault schedule: the models applied to every delivery.
@@ -31,6 +36,13 @@ class AttackPlan:
     Models are applied in tuple order by
     :class:`~repro.faults.channel.AdversarialChannel` — corruption
     models compose left to right, injections and replays accumulate.
+
+    Construction also records, once, which members override which
+    :class:`~repro.faults.models.FaultModel` hook, in plan order:
+    :attr:`jitterers`, :attr:`corrupters`, and :attr:`injectors` —
+    ``(model, forges, replays)`` for every member overriding ``forge``
+    or ``replay``.  The channel calls only those; the base-class hooks
+    are no-ops with no draw, so skipping them changes nothing.
     """
 
     faults: Tuple[FaultModel, ...] = ()
@@ -42,6 +54,14 @@ class AttackPlan:
                 raise SimulationError(
                     f"attack plan members must be FaultModels, got "
                     f"{type(fault).__name__}")
+        self.jitterers = tuple(fault for fault in self.faults
+                               if _overrides(fault, "jitter"))
+        self.corrupters = tuple(fault for fault in self.faults
+                                if _overrides(fault, "corrupt"))
+        stagers = [(fault, _overrides(fault, "forge"),
+                    _overrides(fault, "replay")) for fault in self.faults]
+        self.injectors = tuple(hooks for hooks in stagers
+                               if hooks[1] or hooks[2])
 
     def reset(self) -> None:
         """Reset every member model (new trial, same seeds)."""

@@ -69,11 +69,15 @@ class Channel:
         """Send ``packets`` (already stamped with ``send_time``).
 
         Returns deliveries sorted by arrival time; ties broken by send
-        order to keep results deterministic.
+        order to keep results deterministic.  The block's loss slots
+        are drawn in one :meth:`~repro.network.loss.LossModel.sample`
+        call; loss and delay models own separate RNGs, so drawing the
+        losses first moves neither stream.
         """
+        packets = list(packets)
+        losses = self.loss.sample(len(packets))
         heap: List[Tuple[float, int, int, Packet]] = []
-        for index, packet in enumerate(packets):
-            lost = self.loss.is_lost()
+        for index, (packet, lost) in enumerate(zip(packets, losses)):
             dropped = lost and not (self.protect_signature_packets
                                     and packet.is_signature_packet)
             self.estimator.observe(dropped)

@@ -379,6 +379,8 @@ class SenderService:
         stamped = packets.stamped
         registry = get_registry()
         tracer = get_lifecycle()
+        # No await between building the channel and transmitting on it:
+        # the factory reuses one attack plan per receiver across cells.
         channel = self.channel_factory(self._index_of[receiver_id], block_id,
                                        pending.loss_rate)
         if isinstance(channel, AdversarialChannel):

@@ -75,7 +75,12 @@ def topology_channel_factory(seed: int, topology: Topology,
     edges), and an attack plan, when a factory is supplied, is
     reseeded per cell with :func:`~repro.topology.linkloss.attack_seed`
     and wrapped around the channel as an
-    :class:`~repro.faults.AdversarialChannel`.
+    :class:`~repro.faults.AdversarialChannel`.  Each receiver's plan
+    is built once, on its first cell, and reused: a reseed pins every
+    member's stream, so a reused plan draws exactly what a fresh one
+    would.  The caller must finish transmitting on a cell's channel
+    before asking for that receiver's next cell (the serve sender
+    transmits right after building, with no ``await`` between).
 
     ``receiver_index`` indexes ``topology.leaves`` — the factory is
     only valid for the leaf ordering the topology was built with.
@@ -92,6 +97,7 @@ def topology_channel_factory(seed: int, topology: Topology,
     paths_by_leaf: Dict[str, Tuple[Tuple[int, ...], ...]] = {
         leaf: union_paths(trees, leaf) for leaf in topology.leaves
     }
+    plans: Dict[int, AttackPlan] = {}
 
     def build(receiver_index: int, block_id: int, loss_rate: float):
         try:
@@ -104,7 +110,9 @@ def topology_channel_factory(seed: int, topology: Topology,
         channel = TopologyChannel(loss, leaf)
         if attack_plan_factory is None:
             return channel
-        plan = attack_plan_factory()
+        plan = plans.get(receiver_index)
+        if plan is None:
+            plan = plans[receiver_index] = attack_plan_factory()
         plan.reseed(attack_seed(seed, receiver_index, block_id))
         return AdversarialChannel(channel, plan)
 

@@ -240,8 +240,8 @@ def sibling_delivery_correlation(topology: Topology,
     bank = EdgeLossBank(topology, seed)
     loss_a = PathLoss(bank, 0, paths_a, base_rate)
     loss_b = PathLoss(bank, 0, paths_b, base_rate)
-    draws_a = [not loss_a.is_lost() for _ in range(packets)]
-    draws_b = [not loss_b.is_lost() for _ in range(packets)]
+    draws_a = [not lost for lost in loss_a.sample(packets)]
+    draws_b = [not lost for lost in loss_b.sample(packets)]
     mean_a = sum(draws_a) / packets
     mean_b = sum(draws_b) / packets
     cov_hat = sum((a - mean_a) * (b - mean_b)

@@ -12,7 +12,7 @@ from repro.faults import (
     ReplayDuplication,
     TruncationCorruption,
 )
-from repro.faults.models import FRESH_SEQ_OFFSET
+from repro.faults.models import FRESH_SEQ_OFFSET, FaultModel
 from repro.packets import WIRE_HEADER_SIZE, Packet, packet_from_wire
 from repro.schemes.rohatgi import RohatgiScheme
 from repro.simulation.sender import make_payloads
@@ -153,6 +153,25 @@ class TestReseed:
         first = [model.corrupt(wire) for _ in range(20)]
         model.reset()
         assert [model.corrupt(wire) for _ in range(20)] == first
+
+    def test_hook_only_subclass_reseeds_deterministically(self):
+        # A subclass that sets no seed of its own must still be pinned
+        # by reseed: the serve layer reuses one plan per receiver and
+        # relies on the per-cell reseed alone.
+        class Nudge(FaultModel):
+            def jitter(self):
+                return self._rng.random()
+
+        model = Nudge()
+        model.reseed(5)
+        first = model.jitter()
+        model.reseed(5)
+        assert model.jitter() == first
+        plan = AttackPlan((Nudge(),))
+        plan.reseed(5)
+        again = plan.faults[0].jitter()
+        plan.reseed(5)
+        assert plan.faults[0].jitter() == again
 
 
 class TestAttackPlan:
