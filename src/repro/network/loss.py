@@ -378,25 +378,6 @@ class LossEstimator:
         self._recent_lost = 0
         self._ewma = None
 
-    def forget_oldest(self, count: Optional[int] = None) -> int:
-        """Age the oldest ``count`` window samples out (all if ``None``).
-
-        The explicit purge for membership changes: samples leave the
-        window (and its rate) immediately instead of waiting to be
-        displaced, while the lifetime counters and the EWMA keep their
-        history.  Returns how many samples were actually dropped.
-        """
-        if count is None:
-            count = len(self._recent)
-        if count < 0:
-            raise SimulationError(f"count must be >= 0, got {count}")
-        dropped = 0
-        while dropped < count and self._recent:
-            if self._recent.popleft():
-                self._recent_lost -= 1
-            dropped += 1
-        return dropped
-
     @property
     def lifetime_rate(self) -> float:
         """Lost/observed since construction (0.0 before any observation)."""

@@ -30,7 +30,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import partial
-from typing import (Callable, ClassVar, Dict, List, Mapping, Optional,
+from itertools import islice
+from typing import (Callable, ClassVar, Dict, Iterator, List, Optional,
                     Sequence, Tuple)
 
 from repro.core.graph import DependenceGraph
@@ -41,7 +42,8 @@ from repro.exceptions import (AnalysisError, SchemeParameterError,
                                WireDecodeError)
 from repro.packets import Packet, packet_from_wire
 
-__all__ = ["Scheme", "BlockPlan", "build_block", "Trial", "Verifier"]
+__all__ = ["Scheme", "BlockPlan", "build_block", "Trial", "Verifier",
+           "PacketOutcome"]
 
 
 class Scheme(ABC):
@@ -312,6 +314,24 @@ class BlockPlan:
         return packets
 
 
+@dataclass
+class PacketOutcome:
+    """A verifier's record of one received sequence number."""
+
+    seq: int
+    arrival_time: float
+    verified: bool = False
+    forged: bool = False
+    verified_time: Optional[float] = None
+
+    @property
+    def delay(self) -> Optional[float]:
+        """Wait between arrival and verification (None if never verified)."""
+        if self.verified_time is None:
+            return None
+        return self.verified_time - self.arrival_time
+
+
 class Verifier(ABC):
     """Receiver side of one trial: the protocol every scheme's verifier speaks.
 
@@ -319,9 +339,9 @@ class Verifier(ABC):
     parsed packets off a loss-only channel) or :meth:`ingest_wire` (the
     defensive path: raw bytes off an attacked channel).  After the last
     delivery, :meth:`finish` settles anything held back, and
-    :meth:`verdict` answers per sequence number.  The counters follow
-    :class:`~repro.simulation.stats.SimulationStats`: ``forged`` counts
-    rejections on the trusting path, ``undecodable``,
+    :meth:`verdict` answers with a :class:`PacketOutcome`.  The
+    counters follow :class:`~repro.simulation.stats.SimulationStats`:
+    ``forged`` counts rejections on the trusting path, ``undecodable``,
     ``forged_rejected`` and ``replays_dropped`` the defensive path's.
     For the soundness audit, :meth:`accepted_digests` must match the
     :meth:`content_digest` of the packet sent under each sequence number.
@@ -333,6 +353,7 @@ class Verifier(ABC):
     replays_dropped = 0
     message_buffer_peak = 0
     hash_buffer_peak = 0
+    _audited = 0
 
     def __init__(self, hash_function: HashFunction = sha256) -> None:
         self._hash = hash_function
@@ -358,16 +379,26 @@ class Verifier(ABC):
         """Settle anything held back once the last delivery is in."""
 
     @abstractmethod
-    def verdict(self, seq: int) -> Tuple[bool, Optional[float]]:
-        """``(verified, delay)`` for sequence number ``seq``."""
+    def verdict(self, seq: int) -> Optional[PacketOutcome]:
+        """The record of ``seq``; ``None`` when nothing arrived for it."""
 
     @abstractmethod
-    def accepted_digests(self) -> Mapping[int, bytes]:
-        """:meth:`content_digest` of every accepted packet, by sequence."""
+    def accepted_digests(self) -> Dict[int, bytes]:
+        """:meth:`content_digest` of every accepted packet, by sequence.
 
-    def accepted_digest(self, seq: int) -> Optional[bytes]:
-        """:meth:`content_digest` of the packet accepted for ``seq``."""
-        return self.accepted_digests().get(seq)
+        A verifier settled more than once keeps it in acceptance order
+        and never drops an entry (see :meth:`fresh_accepted`).
+        """
+
+    def fresh_accepted(self) -> Iterator[Tuple[int, bytes]]:
+        """The :meth:`accepted_digests` entries new since the last call.
+
+        Read newest first, so the cost is theirs alone.
+        """
+        accepted = self.accepted_digests()
+        fresh = len(accepted) - self._audited
+        self._audited = len(accepted)
+        return islice(reversed(accepted.items()), fresh)
 
     def content_digest(self, packet: Packet) -> bytes:
         """Digest of everything verification authenticates in ``packet``."""

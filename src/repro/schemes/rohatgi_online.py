@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache, partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.metrics import GraphMetrics
 from repro.crypto.hashing import HashFunction, sha256
@@ -34,7 +34,7 @@ from repro.crypto.lamport import LamportKeyPair
 from repro.crypto.signatures import Signer
 from repro.exceptions import SchemeParameterError, SimulationError
 from repro.packets import Packet
-from repro.schemes.base import Scheme, Trial, Verifier
+from repro.schemes.base import PacketOutcome, Scheme, Trial, Verifier
 from repro.schemes.rohatgi import RohatgiScheme
 
 __all__ = ["OnlineRohatgiScheme", "OnlineChainVerifier"]
@@ -224,7 +224,7 @@ class OnlineChainVerifier(Verifier):
         self._block_size = block_size
         self._slots = block_size * blocks
         self._candidates: Dict[int, Packet] = {}
-        self._verified: Dict[int, bool] = {}
+        self._records: Dict[int, PacketOutcome] = {}
 
     def receive(self, packet: Packet, arrival_time: float) -> None:
         """Hold ``packet`` as its slot's candidate, if the slot is free."""
@@ -234,6 +234,8 @@ class OnlineChainVerifier(Verifier):
         held = self._candidates.get(packet.seq)
         if held is None:
             self._candidates[packet.seq] = packet
+            self._records[packet.seq] = PacketOutcome(packet.seq,
+                                                      arrival_time)
         elif self.content_digest(held) == self.content_digest(packet):
             self.replays_dropped += 1
         else:
@@ -272,13 +274,14 @@ class OnlineChainVerifier(Verifier):
                 ok = (expected is not None
                       and keypair.public_fingerprint() == expected
                       and keypair.verify(body, ots_signature))
-            self._verified[seq] = ok
+            self._records[seq].verified = ok
             expected = fingerprint if ok else None
             position += 1
 
-    def verdict(self, seq: int) -> Tuple[bool, Optional[float]]:
-        return bool(self._verified.get(seq)), None
+    def verdict(self, seq: int) -> Optional[PacketOutcome]:
+        """Verification is not timed: ``verified_time`` stays ``None``."""
+        return self._records.get(seq)
 
     def accepted_digests(self) -> Dict[int, bytes]:
         return {seq: self.content_digest(self._candidates[seq])
-                for seq, ok in self._verified.items() if ok}
+                for seq, record in self._records.items() if record.verified}

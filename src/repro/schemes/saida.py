@@ -31,7 +31,7 @@ import itertools
 import math
 import struct
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.graph import DependenceGraph
 from repro.core.metrics import GraphMetrics
@@ -40,7 +40,7 @@ from repro.crypto.reed_solomon import rs_decode, rs_encode
 from repro.crypto.signatures import Signer
 from repro.exceptions import SchemeParameterError, SimulationError
 from repro.packets import Packet
-from repro.schemes.base import Scheme, Trial, Verifier
+from repro.schemes.base import PacketOutcome, Scheme, Trial, Verifier
 
 __all__ = ["SaidaScheme", "SaidaReceiver"]
 
@@ -202,6 +202,7 @@ class SaidaReceiver(Verifier):
         self._hash_lists: Dict[int, List[bytes]] = {}
         self._failed_blocks: set = set()
         self.verified: Dict[int, bool] = {}
+        self._arrivals: Dict[int, float] = {}
         self._accepted: Dict[int, Packet] = {}
         self.duplicate_shares = 0
         self.rejected_shares = 0
@@ -294,6 +295,7 @@ class SaidaReceiver(Verifier):
 
     def receive(self, packet: Packet, arrival_time: float = 0.0) -> None:
         """Process one arriving SAIDA packet."""
+        self._arrivals.setdefault(packet.seq, arrival_time)
         self._take(packet)
         self.message_buffer_peak = max(self.message_buffer_peak,
                                        self.pending_count)
@@ -367,8 +369,12 @@ class SaidaReceiver(Verifier):
         """Duplicate shares and re-received sequence numbers."""
         return self.duplicate_shares
 
-    def verdict(self, seq: int) -> Tuple[bool, Optional[float]]:
-        return bool(self.verified.get(seq)), None
+    def verdict(self, seq: int) -> Optional[PacketOutcome]:
+        """Verification is not timed: ``verified_time`` stays ``None``."""
+        arrival = self._arrivals.get(seq)
+        if arrival is None:
+            return None
+        return PacketOutcome(seq, arrival, bool(self.verified.get(seq)))
 
     def accepted_digests(self) -> Dict[int, bytes]:
         return {seq: self.content_digest(packet)

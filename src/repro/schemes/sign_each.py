@@ -18,7 +18,7 @@ from repro.crypto.hashing import HashFunction, sha256
 from repro.crypto.signatures import Signer
 from repro.exceptions import SchemeParameterError
 from repro.packets import Packet
-from repro.schemes.base import Scheme, Trial, Verifier
+from repro.schemes.base import PacketOutcome, Scheme, Trial, Verifier
 
 __all__ = ["SignEachScheme", "IndividualVerifier", "verify_sign_each_packet"]
 
@@ -96,14 +96,14 @@ class IndividualVerifier(Verifier):
     ``check(packet)`` decides each packet on its own.  The first packet
     to arrive under a sequence number is decided; a later one with the
     same content is a replay, any other a forgery.  Verified packets
-    have zero delay.
+    verify on arrival, with zero delay.
     """
 
     def __init__(self, check: Callable[[Packet], bool],
                  hash_function: HashFunction = sha256) -> None:
         super().__init__(hash_function)
         self._check = check
-        self._decided: Dict[int, Tuple[bytes, bool]] = {}
+        self._decided: Dict[int, Tuple[bytes, PacketOutcome]] = {}
 
     def receive(self, packet: Packet, arrival_time: float) -> bool:
         """Decide ``packet``; ``True`` when it verified."""
@@ -116,18 +116,18 @@ class IndividualVerifier(Verifier):
                 self.forged_rejected += 1
             return False
         ok = self._check(packet)
-        self._decided[packet.seq] = (digest, ok)
+        self._decided[packet.seq] = (digest, PacketOutcome(
+            packet.seq, arrival_time, verified=ok, forged=not ok,
+            verified_time=arrival_time if ok else None))
         if not ok:
             self.forged += 1
             self.forged_rejected += 1
         return ok
 
-    def verdict(self, seq: int) -> Tuple[bool, Optional[float]]:
+    def verdict(self, seq: int) -> Optional[PacketOutcome]:
         decided = self._decided.get(seq)
-        if decided is None or not decided[1]:
-            return False, None
-        return True, 0.0
+        return None if decided is None else decided[1]
 
     def accepted_digests(self) -> Dict[int, bytes]:
-        return {seq: digest for seq, (digest, ok) in self._decided.items()
-                if ok}
+        return {seq: digest for seq, (digest, outcome) in self._decided.items()
+                if outcome.verified}

@@ -39,7 +39,7 @@ from repro.crypto.signatures import Signer
 from repro.exceptions import SchemeParameterError, SimulationError
 from repro.network.clock import Clock
 from repro.packets import Packet
-from repro.schemes.base import Scheme, Trial, Verifier
+from repro.schemes.base import PacketOutcome, Scheme, Trial, Verifier
 
 __all__ = [
     "TeslaParameters",
@@ -358,21 +358,15 @@ class TeslaSender:
 
 
 @dataclass
-class TeslaVerdict:
-    """Outcome of one data packet at the receiver."""
+class TeslaVerdict(PacketOutcome):
+    """Outcome of one data packet at the receiver.
 
-    seq: int
-    interval: int
-    status: str  # "verified", "unsafe", "bad-mac", "pending", "bad-key"
-    arrival_time: float = 0.0
-    verified_time: Optional[float] = None
+    ``verified`` holds exactly when ``status`` is "verified";
+    ``verified_time`` is when the MAC was checked, whatever the result.
+    """
 
-    @property
-    def delay(self) -> Optional[float]:
-        """Verification delay, when verified."""
-        if self.verified_time is None:
-            return None
-        return self.verified_time - self.arrival_time
+    interval: int = 0
+    status: str = "pending"  # or "verified", "unsafe", "bad-mac", "bad-key"
 
 
 class TeslaReceiver:
@@ -471,6 +465,7 @@ class TeslaReceiver:
                 payload_ok = key is not None and self.mac.verify(
                     key, message, tag)
                 verdict.status = "verified" if payload_ok else "bad-mac"
+                verdict.verified = payload_ok
                 verdict.verified_time = receiver_time
 
     def _tag_of(self, packet: Packet) -> bytes:
@@ -623,18 +618,15 @@ class TeslaVerifier(Verifier):
         replays = self._receiver.replays_dropped if self._receiver else 0
         return self._replays + replays
 
-    def verdict(self, seq: int) -> Tuple[bool, Optional[float]]:
-        verdict = self._receiver.verdicts.get(seq) if self._receiver else None
-        if verdict is None or verdict.status != "verified":
-            return False, None
-        return True, verdict.delay
+    def verdict(self, seq: int) -> Optional[TeslaVerdict]:
+        return self._receiver.verdicts.get(seq) if self._receiver else None
 
     def accepted_digests(self) -> Dict[int, bytes]:
         if self._receiver is None:
             return {}
         return {seq: self.content_digest(self._judged[seq])
                 for seq, verdict in self._receiver.verdicts.items()
-                if verdict.status == "verified"}
+                if verdict.verified}
 
     def content_digest(self, packet: Packet) -> bytes:
         """Digest of the payload under its sequence number.

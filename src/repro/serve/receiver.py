@@ -3,12 +3,13 @@
 Each :class:`ReceiverSession` consumes one transport subscription,
 feeds data frames through the defensive
 :meth:`~repro.simulation.stream_receiver.StreamReceiver.ingest_wire`
-path, and on every control frame closes out the block: evicts buffers,
-audits what verified against the block's in-process :class:`BlockTruth`
-(the ``forged_accepted`` soundness invariant), tallies per-phase
-:class:`~repro.simulation.stats.SimulationStats`, appends a canonical
-transcript line, updates its :class:`~repro.network.loss.LossEstimator`
-and emits a :class:`LossReport` upstream.
+path, and on every control frame closes out the block: settles it
+against its in-process :class:`BlockTruth` through the trial kernel's
+:func:`~repro.simulation.trials.settle` (per-phase tallies and the
+``forged_accepted`` audit), appends a canonical transcript line from
+the verdict records, evicts buffers, updates its
+:class:`~repro.network.loss.LossEstimator` and emits a
+:class:`LossReport` upstream.
 
 Transcript lines are canonical JSON (sorted keys, fixed separators)
 over values that derive only from seeds and virtual time — the
@@ -27,7 +28,6 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.crypto.hashing import HashFunction, sha256
 from repro.crypto.signatures import Signer
 from repro.exceptions import SimulationError
 from repro.faults import ATTACK_KINDS, WireDelivery
@@ -38,6 +38,7 @@ from repro.serve.transport import ControlFrame, Transport, decode_control
 from repro.simulation.receiver import WireMemo
 from repro.simulation.stats import SimulationStats
 from repro.simulation.stream_receiver import StreamReceiver
+from repro.simulation.trials import settle
 
 __all__ = ["BlockTruth", "LossReport", "ReceiverSession", "ReceiverPool"]
 
@@ -81,17 +82,8 @@ class LossReport:
     block_id: int
     expected: int
     received: int
-    window_rate: float
-    ewma_rate: float
     subtree: str = ""
     verified: int = 0
-
-    @property
-    def block_loss_rate(self) -> float:
-        """Fraction of this block's packets that never arrived."""
-        if self.expected == 0:
-            return 0.0
-        return 1.0 - self.received / self.expected
 
 
 class ReceiverSession:
@@ -103,13 +95,6 @@ class ReceiverSession:
         Stable identity used in reports and transcripts.
     signer:
         Verifier for block signatures (public part suffices).
-    hash_function:
-        Must match the sender's.
-    estimator:
-        Loss estimator fed one observation per expected packet slot;
-        a fresh default-window estimator if omitted.
-    max_buffered:
-        DoS cap forwarded to the underlying verifier.
     subtree:
         Distribution-tree branch label stamped on every
         :class:`LossReport`; defaults to the receiver id (independent
@@ -123,23 +108,17 @@ class ReceiverSession:
     """
 
     def __init__(self, receiver_id: str, signer: Signer,
-                 hash_function: HashFunction = sha256,
-                 estimator: Optional[LossEstimator] = None,
-                 max_buffered: Optional[int] = None,
                  subtree: Optional[str] = None,
                  wire_memo: Optional[WireMemo] = None,
                  ledger: Optional[Ledger] = None) -> None:
         self.receiver_id = receiver_id
         self.ledger = ledger if ledger is not None else {}
         self.subtree = subtree if subtree is not None else receiver_id
-        self.stream = StreamReceiver(signer, hash_function,
-                                     max_buffered=max_buffered,
-                                     wire_memo=wire_memo)
-        self.estimator = estimator if estimator is not None else LossEstimator()
+        self.stream = StreamReceiver(signer, wire_memo=wire_memo)
+        self.estimator = LossEstimator()
         self.transcript: List[str] = []
         self.stats: Dict[str, SimulationStats] = {}
         self.reports: List[LossReport] = []
-        self.forged_accepted = 0
         self.blocks_closed = 0
 
     async def run(self, transport: Transport,
@@ -203,57 +182,36 @@ class ReceiverSession:
             raise SimulationError(
                 f"no ground truth for receiver {self.receiver_id!r} "
                 f"block {frame.block_id}")
-        verifier = self.stream.verifier
-        digests = truth.digests
-        intact = truth.intact
-        expected = frame.last_seq - frame.base_seq + 1
-        arrived = 0
+        base = frame.base_seq
+        seqs = range(base, frame.last_seq + 1)
+        stats = self.stats.setdefault(truth.phase, SimulationStats())
+        records = settle(self.stream.verifier,
+                         {seq: seq - base + 1 for seq in seqs},
+                         truth.intact, truth.digests, stats)
         verified_count = 0
         events: List[list] = []
-        stats = self.stats.setdefault(truth.phase, SimulationStats())
         tracer = get_lifecycle()
-        for seq in range(frame.base_seq, frame.last_seq + 1):
-            outcome = verifier.outcomes.get(seq)
-            verified = outcome is not None and outcome.verified
-            if outcome is not None:
-                arrived += 1
-            if verified:
+        for seq, outcome in zip(seqs, records):
+            if outcome is None:
+                events.append([seq, "l", None])
+                if tracer.enabled:
+                    tracer.record(self.receiver_id, frame.block_id, seq,
+                                  "verify", "lost", now)
+            elif outcome.verified:
                 verified_count += 1
-                accepted = verifier.accepted_digest(seq)
-                if accepted is None or accepted != digests.get(seq):
-                    # Attacker content survived verification: the
-                    # invariant every security test keys on.
-                    self.forged_accepted += 1
-                    stats.forged_accepted += 1
-            position = seq - frame.base_seq + 1
-            # Adversarial tally convention (the trial kernel's):
-            # "received" means the authentic bytes made it through
-            # untampered, or the slot verified anyway.
-            received_for_stats = seq in intact or verified
-            delay = outcome.delay if verified else None
-            stats.record(position, received_for_stats, verified, delay)
-            if verified:
-                status = "v"
-                when = outcome.verified_time
-            elif outcome is not None:
-                status = "a"
-                when = None
-            else:
-                status = "l"
-                when = None
-            events.append([seq, status, when])
-            if tracer.enabled:
-                if verified:
+                events.append([seq, "v", outcome.verified_time])
+                if tracer.enabled:
                     tracer.record(self.receiver_id, frame.block_id, seq,
                                   "verify", "verified",
                                   outcome.verified_time, delay=outcome.delay)
-                elif outcome is not None:
+            else:
+                events.append([seq, "a", None])
+                if tracer.enabled:
                     attrs = {"forged": True} if outcome.forged else {}
                     tracer.record(self.receiver_id, frame.block_id, seq,
                                   "verify", "arrived", now, **attrs)
-                else:
-                    tracer.record(self.receiver_id, frame.block_id, seq,
-                                  "verify", "lost", now)
+        arrived = len(records) - records.count(None)
+        expected = len(seqs)
         self.estimator.observe_block(expected - arrived, expected)
         released = self.stream.finish_block(frame.block_id, frame.last_seq)
         self.blocks_closed += 1
@@ -269,10 +227,7 @@ class ReceiverSession:
             json.dumps(record, sort_keys=True, separators=(",", ":")))
         report = LossReport(
             receiver_id=self.receiver_id, block_id=frame.block_id,
-            expected=expected, received=arrived,
-            window_rate=self.estimator.window_rate,
-            ewma_rate=self.estimator.ewma_rate,
-            subtree=self.subtree,
+            expected=expected, received=arrived, subtree=self.subtree,
             verified=verified_count,
         )
         self.reports.append(report)
@@ -283,6 +238,11 @@ class ReceiverSession:
                            len(released))
             registry.count(f"serve.{self.receiver_id}.arrived", arrived)
         return report
+
+    @property
+    def forged_accepted(self) -> int:
+        """Attacker content this receiver accepted, over every phase."""
+        return sum(stats.forged_accepted for stats in self.stats.values())
 
     def transcript_bytes(self) -> bytes:
         """The canonical transcript: one JSON line per closed block."""
@@ -318,10 +278,6 @@ class ReceiverPool:
         Initial session identities, one task each.
     signer:
         Shared verifier (stateless verification; safe to share).
-    hash_function, estimator_factory, max_buffered:
-        Forwarded to each session (including later admissions);
-        ``estimator_factory`` builds one private estimator per
-        receiver.
     subtree_of:
         Receiver id -> distribution-tree branch label; receivers not
         in the mapping (or all of them, when it is omitted) report
@@ -329,19 +285,12 @@ class ReceiverPool:
     """
 
     def __init__(self, receiver_ids: Sequence[str], signer: Signer,
-                 hash_function: HashFunction = sha256,
-                 estimator_factory: Optional[
-                     Callable[[], LossEstimator]] = None,
-                 max_buffered: Optional[int] = None,
                  subtree_of: Optional[Mapping[str, str]] = None) -> None:
         if not receiver_ids:
             raise SimulationError("need at least one receiver")
         if len(set(receiver_ids)) != len(receiver_ids):
             raise SimulationError("receiver ids must be unique")
         self._signer = signer
-        self._hash = hash_function
-        self._estimator_factory = estimator_factory
-        self._max_buffered = max_buffered
         self._subtree_of = subtree_of if subtree_of is not None else {}
         self._wire_memo: WireMemo = {}
         self.ledger: Ledger = {}
@@ -357,12 +306,8 @@ class ReceiverPool:
         self._failed = asyncio.Event()
 
     def _build_session(self, receiver_id: str) -> ReceiverSession:
-        estimator = (self._estimator_factory()
-                     if self._estimator_factory is not None
-                     else LossEstimator())
         return ReceiverSession(
-            receiver_id, self._signer, self._hash, estimator=estimator,
-            max_buffered=self._max_buffered,
+            receiver_id, self._signer,
             subtree=self._subtree_of.get(receiver_id),
             wire_memo=self._wire_memo, ledger=self.ledger)
 

@@ -119,7 +119,9 @@ def replay_golden(name: str, trace: SessionTrace) -> Dict[str, object]:
     trace.replay(verifier.receive)
     verifier.finish()
     received = [record.packet.seq for record in trace]
-    verified = {seq for seq in received if verifier.verdict(seq)[0]}
+    verdicts = [verifier.verdict(seq) for seq in received]
+    verified = {record.seq for record in verdicts
+                if record is not None and record.verified}
     return {
         "scheme": golden_scheme(name).name,
         "block_size": GOLDEN_BLOCK,

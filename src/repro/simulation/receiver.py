@@ -31,14 +31,13 @@ bounded memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.crypto.hashing import HashFunction, sha256
 from repro.crypto.signatures import Signer
 from repro.exceptions import WireDecodeError
 from repro.packets import Packet, packet_from_wire
-from repro.schemes.base import Verifier
+from repro.schemes.base import PacketOutcome, Verifier
 
 __all__ = ["PacketOutcome", "ChainReceiver"]
 
@@ -57,24 +56,6 @@ _UNDECODABLE = (None, None)
 #: the genuine packet, so slot 1 suffices for it; the margin covers
 #: blind pre-emptive collisions without unbounding memory.
 DEFAULT_MAX_CANDIDATES = 4
-
-
-@dataclass
-class PacketOutcome:
-    """Lifecycle record of one received packet."""
-
-    seq: int
-    arrival_time: float
-    verified: bool = False
-    forged: bool = False
-    verified_time: Optional[float] = None
-
-    @property
-    def delay(self) -> Optional[float]:
-        """Wait between arrival and verification (None if never verified)."""
-        if self.verified_time is None:
-            return None
-        return self.verified_time - self.arrival_time
 
 
 class ChainReceiver(Verifier):
@@ -429,25 +410,17 @@ class ChainReceiver(Verifier):
 
     # ------------------------------------------------------------------
 
-    def accepted_digest(self, seq: int) -> Optional[bytes]:
-        """Auth digest of the packet that verified for ``seq``, if any.
-
-        Ground-truth audits compare this against the digest of what the
-        sender actually sent — the soundness check that no forged or
-        corrupted content was ever accepted.
-        """
-        return self._accepted.get(seq)
-
     def accepted_digests(self) -> Dict[int, bytes]:
-        """Auth digest of every packet that verified, by sequence."""
+        """Auth digest of every packet that verified, by sequence.
+
+        A sequence number verifies at most once, so the map only grows,
+        in acceptance order: what the soundness audit reads.
+        """
         return self._accepted
 
-    def verdict(self, seq: int) -> Tuple[bool, Optional[float]]:
-        """``(verified, delay)`` for ``seq``."""
-        outcome = self.outcomes.get(seq)
-        if outcome is None or not outcome.verified:
-            return False, None
-        return True, outcome.delay
+    def verdict(self, seq: int) -> Optional[PacketOutcome]:
+        """The live outcome record of ``seq``, if anything arrived."""
+        return self.outcomes.get(seq)
 
     @property
     def forged(self) -> int:

@@ -3,12 +3,10 @@
 A trial packetizes once (:meth:`~repro.schemes.base.Scheme.new_trial`),
 fans the packets out to every receiver's channel and checks each
 receiver's deliveries with a fresh verifier of the scheme's own
-(:class:`~repro.schemes.base.Verifier`).  The tally is the same for
-every scheme: a position counts as received when its packet arrived
-intact or verified anyway — on a passive channel, exactly the
-delivered packets — and as verified by the verifier's verdict.
-
-With ``attack`` set, deliveries cross an
+(:class:`~repro.schemes.base.Verifier`).  :func:`settle` tallies and
+audits it, for every scheme and for the live receiver alike: a
+position counts as received when its packet arrived intact or
+verified anyway.  With ``attack`` set, deliveries cross an
 :class:`~repro.faults.channel.AdversarialChannel` as wire bytes, take
 the verifier's defensive path, and every accepted packet is audited
 against the packet sent under its sequence number:
@@ -23,7 +21,7 @@ result exactly (:func:`repro.parallel.parallel_trials`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, List, Optional, Tuple
+from typing import AbstractSet, ClassVar, List, Mapping, Optional, Tuple
 
 from repro.crypto.hashing import HashFunction, sha256
 from repro.crypto.signatures import Signer, default_signer
@@ -33,10 +31,11 @@ from repro.network.delay import DelayModel, GaussianDelay
 from repro.network.loss import BernoulliLoss, LossModel
 from repro.obs.registry import get_registry
 from repro.obs.spans import span
-from repro.schemes.base import Scheme
+from repro.schemes.base import PacketOutcome, Scheme, Verifier
 from repro.simulation.stats import SimulationStats
 
-__all__ = ["SeededChannels", "FixedChannels", "run_trials", "run_session"]
+__all__ = ["SeededChannels", "FixedChannels", "run_trials", "run_session",
+           "settle"]
 
 #: Per-trial seed strides, all prime.  Untimed schemes draw loss at
 #: ``LOSS_STRIDE``; timed schemes (TESLA) at ``TIMED_LOSS_STRIDE``, with
@@ -163,6 +162,7 @@ def run_trials(scheme: Scheme, block_size: int, first_trial: int,
                                     hash_function=hash_function,
                                     t_transmit=t_transmit,
                                     seed=channels.seed)
+            authentic = None
             for receiver, stats in enumerate(results):
                 verifier = sent.new_verifier(**caps)
                 channel = channels(trial, receiver)
@@ -173,6 +173,10 @@ def run_trials(scheme: Scheme, block_size: int, first_trial: int,
                                          delivery.arrival_time)
                     intact = {delivery.packet.seq for delivery in deliveries}
                 else:
+                    if authentic is None:
+                        authentic = {
+                            packet.seq: verifier.content_digest(packet)
+                            for packet in sent.packets}
                     channel = attack(channel, trial)
                     deliveries = channel.transmit_wire(sent.packets)
                     for delivery in deliveries:
@@ -181,10 +185,7 @@ def run_trials(scheme: Scheme, block_size: int, first_trial: int,
                     intact = {delivery.seq_hint for delivery in deliveries
                               if delivery.kind == "genuine"}
                 verifier.finish()
-                for seq, position in sent.positions.items():
-                    verified, delay = verifier.verdict(seq)
-                    stats.record(position, verified or seq in intact,
-                                 verified, delay)
+                settle(verifier, sent.positions, intact, authentic, stats)
                 stats.sent += channel.sent
                 stats.dropped += channel.dropped
                 stats.merge_buffer_peaks(verifier.message_buffer_peak,
@@ -192,24 +193,45 @@ def run_trials(scheme: Scheme, block_size: int, first_trial: int,
                 if attack is None:
                     stats.forged += verifier.forged
                 else:
-                    _audit(stats, channel, verifier, sent.packets)
+                    stats.corrupted += channel.corrupted
+                    stats.injected += channel.injected
+                    stats.replayed += channel.replayed
+                    stats.undecodable += verifier.undecodable
+                    stats.forged_rejected += verifier.forged_rejected
+                    stats.replays_dropped += verifier.replays_dropped
     _count(results, trial_count, attack is not None)
     return results
 
 
-def _audit(stats: SimulationStats, channel, verifier, packets) -> None:
-    """Fold one attacked receiver's counters; check what it accepted."""
-    stats.corrupted += channel.corrupted
-    stats.injected += channel.injected
-    stats.replayed += channel.replayed
-    stats.undecodable += verifier.undecodable
-    stats.forged_rejected += verifier.forged_rejected
-    stats.replays_dropped += verifier.replays_dropped
-    genuine = {packet.seq: verifier.content_digest(packet)
-               for packet in packets}
-    for seq, digest in verifier.accepted_digests().items():
-        if genuine.get(seq) != digest:
-            stats.forged_accepted += 1
+def settle(verifier: Verifier, positions: Mapping[int, int],
+           intact: AbstractSet[int],
+           authentic: Optional[Mapping[int, bytes]],
+           stats: SimulationStats) -> List[Optional[PacketOutcome]]:
+    """Tally ``positions`` (seq -> position) and audit ``verifier``.
+
+    A position counts as received when its seq is ``intact`` or
+    verified.  Every digest accepted since the verifier's previous
+    settle, under any seq, that differs from ``authentic`` (seq ->
+    :meth:`~repro.schemes.base.Verifier.content_digest` of what was
+    sent) counts in ``stats.forged_accepted``.  A loss-only channel
+    hands the verifier the sent packets themselves, so there is
+    nothing to audit: pass ``authentic=None``.  Returns each
+    position's verdict record, in ``positions`` order.
+    """
+    records = []
+    for seq, position in positions.items():
+        record = verifier.verdict(seq)
+        verified = record is not None and record.verified
+        stats.record(position, verified or seq in intact, verified,
+                     record.delay if verified else None)
+        records.append(record)
+    if authentic is not None:
+        for seq, digest in verifier.fresh_accepted():
+            if authentic.get(seq) != digest:
+                # Attacker content survived verification: the invariant
+                # every security test keys on.
+                stats.forged_accepted += 1
+    return records
 
 
 def _count(results: List[SimulationStats], trials: int,

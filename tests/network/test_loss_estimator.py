@@ -117,55 +117,6 @@ class TestRates:
         assert estimator.ewma_rate == 0.0
 
 
-class TestForgetOldest:
-    def test_purges_window_keeps_lifetime(self):
-        estimator = LossEstimator(window=8, alpha=0.5)
-        estimator.observe_block(lost=4, total=8)
-        ewma_before = estimator.ewma_rate
-        purged = estimator.forget_oldest()
-        assert purged == 8
-        assert estimator.window_rate == 0.0
-        assert estimator.window_lost == 0
-        # Lifetime and EWMA are history, not window state.
-        assert estimator.lost == 4
-        assert estimator.observed == 8
-        assert estimator.ewma_rate == ewma_before
-
-    def test_partial_purge_drops_oldest_first(self):
-        estimator = LossEstimator(window=8)
-        estimator.observe(True)
-        estimator.observe(False)
-        estimator.observe(False)
-        assert estimator.forget_oldest(1) == 1
-        # The loss was oldest, so the window is clean now.
-        assert estimator.window_lost == 0
-        assert estimator.window_rate == 0.0
-
-    def test_purge_beyond_fill_stops_at_empty(self):
-        estimator = LossEstimator(window=8)
-        estimator.observe(True)
-        assert estimator.forget_oldest(5) == 1
-        assert estimator.window_rate == 0.0
-
-    def test_negative_count_rejected(self):
-        estimator = LossEstimator()
-        with pytest.raises(SimulationError):
-            estimator.forget_oldest(-1)
-
-    def test_window_straddling_membership_change(self):
-        # A window filled by two members' blocks: purging the first
-        # member's share leaves exactly the second member's fates, as
-        # if the survivor had been alone all along.
-        merged = LossEstimator(window=16)
-        merged.observe_block(lost=5, total=6)   # the lossy leaver
-        merged.observe_block(lost=1, total=6)   # the healthy survivor
-        alone = LossEstimator(window=16)
-        alone.observe_block(lost=1, total=6)
-        merged.forget_oldest(6)
-        assert list(merged._recent) == list(alone._recent)
-        assert merged.window_rate == alone.window_rate
-
-
 class TestPooledLossEstimator:
     def test_per_member_windows_merge(self):
         pool = PooledLossEstimator(window=8)

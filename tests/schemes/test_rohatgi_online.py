@@ -27,7 +27,7 @@ def _verdicts(trial, packets, verifier=None):
     for packet in packets:
         verifier.receive(packet, 0.0)
     verifier.finish()
-    return [verifier.verdict(packet.seq)[0] for packet in packets]
+    return [verifier.verdict(packet.seq).verified for packet in packets]
 
 
 class TestStructure:

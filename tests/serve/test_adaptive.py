@@ -9,8 +9,7 @@ from repro.serve.receiver import LossReport
 
 def _report(block_id, lost, total, receiver_id="r00"):
     return LossReport(receiver_id=receiver_id, block_id=block_id,
-                      expected=total, received=total - lost,
-                      window_rate=0.0, ewma_rate=0.0)
+                      expected=total, received=total - lost)
 
 
 class TestQuantization:

@@ -235,8 +235,7 @@ class TestLeaverFolding:
     @staticmethod
     def _report(receiver_id, block_id, received, expected=10):
         return LossReport(receiver_id=receiver_id, block_id=block_id,
-                          expected=expected, received=received,
-                          window_rate=0.0, ewma_rate=0.0)
+                          expected=expected, received=received)
 
     def test_retired_member_folds_out_of_the_design_estimate(self):
         controller = AdaptiveController(block_size=8, membership_aware=True)

@@ -4,8 +4,9 @@ The sender hands each receiver's ground truth for a block (its intact
 set and the block's authentic digests) to the receiver pool as a
 :class:`~repro.serve.receiver.BlockTruth`.  Every serve test asserts
 ``forged_accepted == 0``; these show that the audit can fire at all,
-that a missing ledger entry fails the session loudly, and that the
-ledger only ever holds the blocks in flight.
+that it covers every acceptance since the previous close (not only the
+block's own slots), that a missing ledger entry fails the session
+loudly, and that the ledger only ever holds the blocks in flight.
 """
 
 import dataclasses
@@ -49,6 +50,35 @@ def test_tampered_authentic_digest_counts_one_forgery(monkeypatch):
     _before_close(monkeypatch, tamper)
     result = run_live_session(CONFIG)
     (phase,) = tampered
+    assert result.forged_accepted == 1
+    assert result.stats[phase].forged_accepted == 1
+
+
+def test_verified_seq_outside_the_frame_is_still_audited(monkeypatch):
+    """The audit covers every acceptance since the previous close.
+
+    One block's frame is cut one seq short and that seq's digest is
+    taken out of the ledger: the seq verified, so the audit must flag
+    it even though no slot of the block names it.
+    """
+    close_block = ReceiverSession.close_block
+    cut = []
+
+    def hooked(session, frame, now):
+        key = (session.receiver_id, frame.block_id)
+        if key == ("r01", 2):
+            seq = frame.last_seq
+            assert session.stream.verifier.outcomes[seq].verified
+            truth = session.ledger[key]
+            digests = {s: d for s, d in truth.digests.items() if s != seq}
+            session.ledger[key] = dataclasses.replace(truth, digests=digests)
+            frame = dataclasses.replace(frame, last_seq=seq - 1)
+            cut.append(truth.phase)
+        return close_block(session, frame, now)
+
+    monkeypatch.setattr(ReceiverSession, "close_block", hooked)
+    result = run_live_session(CONFIG)
+    (phase,) = cut
     assert result.forged_accepted == 1
     assert result.stats[phase].forged_accepted == 1
 
