@@ -31,6 +31,24 @@ sound only because :func:`packet_from_wire` is canonical: it accepts
 exactly the buffers ``to_wire`` produces, so the ``auth_bytes`` section
 of an accepted buffer is byte for byte what the decoded fields encode
 to.
+
+A packet built by a compiled block plan
+(:meth:`repro.schemes.base.BlockPlan.packetize`) is born with its
+encoding: ``Packet._from_plan`` writes it in the same pass that makes
+the packet, and runs no constructor.  The constructor's checks still
+all hold, each run where it first can:
+
+* when the plan is made — each vertex carries at most
+  :data:`MAX_CARRIED_HASHES` hashes, of distinct vertices in the block
+  other than itself;
+* once per block, before anything is signed — the first sequence
+  number is at least 1, the last fits 32 bits and ``0 <= block_id <
+  2**32``, with the exception types the constructor raises;
+* per packet — the payload is within :data:`MAX_BLOB_BYTES`, and each
+  carried digest is non-empty and within it, checked as it is written.
+
+The layout itself is written in one place, ``_encode_fields``, for
+both paths.
 """
 
 from __future__ import annotations
@@ -80,6 +98,34 @@ MAX_CARRIED_HASHES = 1 << 16
 WIRE_HEADER_SIZE = _HEADER.size
 
 
+def _encode_fields(seq: int, block_id: int, payload: bytes,
+                   carried: Tuple[Tuple[int, bytes], ...],
+                   extra: bytes) -> bytes:
+    """The ``auth_bytes()`` layout; the one place it is written.
+
+    Each carried digest is checked (non-empty, under the blob cap) as
+    it is written; every other length was checked by the caller.
+    """
+    parts = [_IDS_BLOB.pack(seq, block_id, len(payload)), payload,
+             _U32.pack(len(carried))]
+    for target, digest in carried:
+        if not digest or len(digest) > MAX_BLOB_BYTES:
+            raise _digest_error(target, digest)
+        parts.append(_PAIR.pack(target, len(digest)))
+        parts.append(digest)
+    parts.append(_U32.pack(len(extra)))
+    parts.append(extra)
+    return b"".join(parts)
+
+
+def _digest_error(target: int, digest: bytes) -> SimulationError:
+    """Why a carried ``digest`` failed the non-empty, capped check."""
+    if not digest:
+        return SimulationError(f"empty hash carried for seq {target}")
+    return PacketFormatError(
+        f"carried hash of {len(digest)} bytes exceeds the wire cap")
+
+
 @dataclass(frozen=True)
 class Packet:
     """One multicast packet with its authentication data.
@@ -117,16 +163,7 @@ class Packet:
     _auth = None
 
     def __post_init__(self) -> None:
-        if self.seq < 1:
-            raise SimulationError(f"sequence numbers are 1-based, got {self.seq}")
-        if self.seq > _U32_MAX:
-            raise PacketFormatError(
-                f"sequence {self.seq} exceeds the 32-bit wire field")
-        if self.block_id < 0:
-            raise SimulationError(f"negative block id: {self.block_id}")
-        if self.block_id > _U32_MAX:
-            raise PacketFormatError(
-                f"block id {self.block_id} exceeds the 32-bit wire field")
+        self._check_ids(self.block_id, self.seq, self.seq)
         if len(self.payload) > MAX_BLOB_BYTES:
             raise PacketFormatError(
                 f"payload of {len(self.payload)} bytes exceeds the wire cap")
@@ -154,12 +191,54 @@ class Packet:
                 raise SimulationError("packet cannot carry its own hash")
             if target in seen:
                 raise SimulationError(f"duplicate carried hash for seq {target}")
-            if not digest:
-                raise SimulationError(f"empty hash carried for seq {target}")
-            if len(digest) > MAX_BLOB_BYTES:
-                raise PacketFormatError(
-                    f"carried hash of {len(digest)} bytes exceeds the wire cap")
+            if not digest or len(digest) > MAX_BLOB_BYTES:
+                raise _digest_error(target, digest)
             seen.add(target)
+
+    @staticmethod
+    def _check_ids(block_id: int, first_seq: int, last_seq: int) -> None:
+        """The wire-range checks on a block id and a run of sequences."""
+        if first_seq < 1:
+            raise SimulationError(
+                f"sequence numbers are 1-based, got {first_seq}")
+        if last_seq > _U32_MAX:
+            raise PacketFormatError(
+                f"sequence {last_seq} exceeds the 32-bit wire field")
+        if block_id < 0:
+            raise SimulationError(f"negative block id: {block_id}")
+        if block_id > _U32_MAX:
+            raise PacketFormatError(
+                f"block id {block_id} exceeds the 32-bit wire field")
+
+    @classmethod
+    def _from_plan(cls, seq: int, block_id: int, payload: bytes,
+                   carried: Tuple[Tuple[int, bytes], ...]) -> "Packet":
+        """An unsigned packet built by a compiled block plan, encoded once.
+
+        Trusted constructor for :meth:`repro.schemes.base.BlockPlan.packetize`:
+        the plan has checked its carried targets (in the block, distinct,
+        never the packet itself, within the count cap) and the block's
+        ``block_id`` and sequence range, so only the payload and digest
+        sizes are checked here.  The packet is born with its
+        ``auth_bytes()`` string, written by the same encoder as
+        :meth:`auth_bytes`.
+        """
+        if len(payload) > MAX_BLOB_BYTES:
+            raise PacketFormatError(
+                f"payload of {len(payload)} bytes exceeds the wire cap")
+        packet = object.__new__(cls)
+        # Item by item, in field order: cheaper than the frozen
+        # __init__'s object.__setattr__ calls or a keyword update().
+        state = packet.__dict__
+        state["seq"] = seq
+        state["block_id"] = block_id
+        state["payload"] = payload
+        state["carried"] = carried
+        state["signature"] = None
+        state["extra"] = b""
+        state["send_time"] = 0.0
+        state["_auth"] = _encode_fields(seq, block_id, payload, carried, b"")
+        return packet
 
     # ------------------------------------------------------------------
     # Canonical encodings
@@ -181,15 +260,8 @@ class Packet:
         return auth
 
     def _encode_auth(self) -> bytes:
-        # Field caps were checked at construction, so every length fits.
-        parts = [_IDS_BLOB.pack(self.seq, self.block_id, len(self.payload)),
-                 self.payload, _U32.pack(len(self.carried))]
-        for target, digest in self.carried:
-            parts.append(_PAIR.pack(target, len(digest)))
-            parts.append(digest)
-        parts.append(_U32.pack(len(self.extra)))
-        parts.append(self.extra)
-        return b"".join(parts)
+        return _encode_fields(self.seq, self.block_id, self.payload,
+                              self.carried, self.extra)
 
     def to_wire(self) -> bytes:
         """Full serialization, signature included."""

@@ -38,9 +38,10 @@ from repro.core.graph import DependenceGraph
 from repro.core.metrics import GraphMetrics, compute_metrics
 from repro.crypto.hashing import HashFunction, sha256
 from repro.crypto.signatures import Signer
-from repro.exceptions import (AnalysisError, SchemeParameterError,
+from repro.exceptions import (AnalysisError, PacketFormatError,
+                               SchemeParameterError, SimulationError,
                                WireDecodeError)
-from repro.packets import Packet, packet_from_wire
+from repro.packets import MAX_CARRIED_HASHES, Packet, packet_from_wire
 
 __all__ = ["Scheme", "BlockPlan", "build_block", "Trial", "Verifier",
            "PacketOutcome"]
@@ -243,13 +244,24 @@ def build_block(graph: DependenceGraph, payloads: Sequence[bytes],
         In send order.  Every packet's carried hashes match the graph's
         out-edges; the root packet is signed.
 
+    Raises
+    ------
+    SimulationError, PacketFormatError
+        For what :class:`~repro.packets.Packet` would refuse: a
+        sequence below 1, a sequence or ``block_id`` outside 32 bits,
+        a negative ``block_id``, a payload over the blob cap.
+
     Notes
     -----
     A packet's hash covers the hashes it carries, so hashes must be
     computed in *reverse* topological order of the dependence relation
     (leaves first).  The dependence-graph being acyclic guarantees this
     order exists; :meth:`DependenceGraph.topological_order` supplies it.
-    Compiling the graph (:meth:`BlockPlan.compile`) validates it.
+    Compiling the graph (:meth:`BlockPlan.compile`) validates it, and
+    so what the packet constructor would re-check on every carried
+    hash is checked once: each packet is then built in one pass, born
+    with its ``auth_bytes()`` encoding, which is hashed once (see
+    :mod:`repro.packets`).
     """
     return BlockPlan.compile(graph).packetize(
         payloads, signer, hash_function,
@@ -264,12 +276,36 @@ class BlockPlan:
     ``order`` (reverse topological order, so every vertex comes after
     the vertices whose hashes it carries) and ``successors[v - 1]``,
     the sorted vertices whose hashes vertex ``v`` carries.
+
+    A plan is checked once, when it is made, for what every packet of
+    every block would otherwise re-check: each vertex carries at most
+    :data:`~repro.packets.MAX_CARRIED_HASHES` hashes, of distinct
+    vertices in the block other than itself.  :meth:`packetize` then
+    checks the block's ids once and each packet's sizes only.
     """
 
     n: int
     root: int
     order: Tuple[int, ...]
     successors: Tuple[Tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        for vertex, targets in enumerate(self.successors, start=1):
+            if len(targets) > MAX_CARRIED_HASHES:
+                raise PacketFormatError(
+                    f"vertex {vertex} carries {len(targets)} hashes, over "
+                    f"the cap {MAX_CARRIED_HASHES}")
+            if len(set(targets)) != len(targets):
+                raise SimulationError(
+                    f"vertex {vertex} carries a hash twice: {targets}")
+            for target in targets:
+                if target == vertex:
+                    raise SimulationError(
+                        f"vertex {vertex} cannot carry its own hash")
+                if not 1 <= target <= self.n:
+                    raise SimulationError(
+                        f"vertex {vertex} carries a hash of {target}, "
+                        f"outside the block of {self.n}")
 
     @classmethod
     def compile(cls, graph: DependenceGraph) -> BlockPlan:
@@ -286,26 +322,28 @@ class BlockPlan:
     def packetize(self, payloads: Sequence[bytes], signer: Signer,
                   hash_function: HashFunction = sha256,
                   block_id: int = 0, base_seq: int = 1) -> List[Packet]:
-        """Build the packets of one block; see :func:`build_block`."""
+        """Build the packets of one block; see :func:`build_block`.
+
+        Each packet is made once, with its ``auth_bytes()`` string,
+        which is then hashed (and, for the root, signed).
+        """
         n = len(payloads)
         if n != self.n:
             raise SchemeParameterError(
                 f"graph is over {self.n} packets but {n} payloads given"
             )
         offset = base_seq - 1
+        Packet._check_ids(block_id, base_seq, offset + n)
         successors = self.successors
         digest = hash_function.digest
+        from_plan = Packet._from_plan
         hashes: List[Optional[bytes]] = [None] * (n + 1)
         packets: List[Optional[Packet]] = [None] * n
         for vertex in self.order:
-            carried = tuple((offset + target, hashes[target])
-                            for target in successors[vertex - 1])
-            packet = Packet(
-                seq=offset + vertex,
-                block_id=block_id,
-                payload=bytes(payloads[vertex - 1]),
-                carried=carried,
-            )
+            packet = from_plan(
+                offset + vertex, block_id, bytes(payloads[vertex - 1]),
+                tuple([(offset + target, hashes[target])
+                       for target in successors[vertex - 1]]))
             auth = packet.auth_bytes()
             if vertex == self.root:
                 packet = packet.with_signature(signer.sign(auth))

@@ -8,7 +8,8 @@ clock that the paper's Eq. 4 measures receiver delay in.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence
+from functools import lru_cache
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from repro.crypto.hashing import HashFunction, sha256
 from repro.crypto.signatures import Signer
@@ -47,14 +48,23 @@ def replicate_signature_packets(packets: Sequence[Packet],
 
 
 def make_payloads(count: int, size: int = 32, tag: bytes = b"pkt") -> List[bytes]:
-    """Deterministic distinct payloads for simulations and tests."""
+    """Deterministic distinct payloads for simulations and tests.
+
+    Each argument set is formatted once; every call returns a fresh
+    list, which the caller may change.
+    """
+    return list(_payloads(count, size, tag))
+
+
+@lru_cache(maxsize=32)
+def _payloads(count: int, size: int, tag: bytes) -> Tuple[bytes, ...]:
     if count < 0 or size < 8:
         raise SimulationError("need count >= 0 and size >= 8")
     payloads = []
     for index in range(count):
         head = b"%s-%08d-" % (tag, index)
         payloads.append((head * (size // len(head) + 1))[:size])
-    return payloads
+    return tuple(payloads)
 
 
 class StreamSender:

@@ -2,18 +2,20 @@
 
 A packet keeps its first ``auth_bytes()`` string (see
 :mod:`repro.packets`).  The sender encodes each packet while it
-packetizes the block, and every later step reuses that copy: the send
-stamp, the sender's digest map and ``to_wire``.  Each receiver takes the
-encoding straight from the wire buffer it decoded.  Fresh encodings
-(cache misses) are counted here by wrapping ``Packet._encode_auth``, and
-sorted by whether ``SenderService._packetize`` was running at the time.
+packetizes the block — a plan-built packet is born with its encoding —
+and every later step reuses that copy: the send stamp, the sender's
+digest map and ``to_wire``.  Each receiver takes the encoding straight
+from the wire buffer it decoded.  Fresh encodings are counted here by
+wrapping ``repro.packets._encode_fields``, the one encoder behind both
+``Packet._from_plan`` and an ``auth_bytes()`` cache miss, and sorted by
+whether ``SenderService._packetize`` was running at the time.
 """
 
 from collections import Counter
 
 import pytest
 
-from repro.packets import Packet
+from repro import packets
 from repro.serve.sender import SenderService
 from repro.serve.service import ServeConfig, run_live_session
 
@@ -30,13 +32,13 @@ def counts():
     packetized = []             # every stamped packet the sender built
     packetizing = [False]
 
-    encode = Packet._encode_auth
+    encode = packets._encode_fields
     packetize = SenderService._packetize
 
-    def counted_encode(packet):
+    def counted_encode(seq, block_id, *fields):
         tally = inside if packetizing[0] else outside
-        tally[packet.block_id, packet.seq] += 1
-        return encode(packet)
+        tally[block_id, seq] += 1
+        return encode(seq, block_id, *fields)
 
     def flagged_packetize(sender, *args, **kwargs):
         packetizing[0] = True
@@ -48,7 +50,7 @@ def counts():
             packetized.extend(group.stamped)
         return pending
 
-    monkeypatch.setattr(Packet, "_encode_auth", counted_encode)
+    monkeypatch.setattr(packets, "_encode_fields", counted_encode)
     monkeypatch.setattr(SenderService, "_packetize", flagged_packetize)
     try:
         result = run_live_session(CONFIG)

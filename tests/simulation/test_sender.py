@@ -24,6 +24,15 @@ class TestMakePayloads:
         payloads = make_payloads(100)
         assert len(set(payloads)) == 100
 
+    def test_each_call_returns_a_fresh_list(self):
+        first = make_payloads(5, tag=b"fresh")
+        second = make_payloads(5, tag=b"fresh")
+        assert first == second
+        assert first is not second
+        first.append(b"mutated")
+        first[0] = b"changed"
+        assert make_payloads(5, tag=b"fresh") == second
+
     def test_validation(self):
         with pytest.raises(SimulationError):
             make_payloads(-1)
