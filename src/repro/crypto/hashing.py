@@ -31,7 +31,7 @@ __all__ = [
     "truncated",
 ]
 
-_DigestFactory = Callable[[], "hashlib._Hash"]
+_DigestFactory = Callable[[bytes], "hashlib._Hash"]
 
 
 @dataclass(frozen=True)
@@ -47,18 +47,28 @@ class HashFunction:
         Size of the produced digest in bytes.  For truncated variants
         this is the truncated size.
     _factory:
-        Zero-argument callable returning a hashlib-style object.
+        Callable with hashlib's constructor signature, ``factory(data)``,
+        returning a hashlib-style object already fed ``data`` (e.g.
+        ``hashlib.sha256``).
+
+    :meth:`digest` is one ``factory(data).digest()`` call; only a
+    variant shorter than the factory's own digest slices the result.
     """
 
     name: str
     digest_size: int
     _factory: _DigestFactory
 
+    def __post_init__(self) -> None:
+        # Not a field: equality, hashing and repr ignore it.
+        whole = len(self._factory(b"").digest()) <= self.digest_size
+        object.__setattr__(self, "_whole", whole)
+
     def digest(self, data: bytes) -> bytes:
         """Return the (possibly truncated) digest of ``data``."""
-        h = self._factory()
-        h.update(data)
-        return h.digest()[: self.digest_size]
+        if self._whole:
+            return self._factory(data).digest()
+        return self._factory(data).digest()[: self.digest_size]
 
     def hexdigest(self, data: bytes) -> str:
         """Return the digest of ``data`` as a hex string."""
@@ -71,10 +81,7 @@ class HashFunction:
         Section 2.2: the hash of a packet is computed over its payload
         concatenated with the hashes it carries.
         """
-        h = self._factory()
-        for part in parts:
-            h.update(part)
-        return h.digest()[: self.digest_size]
+        return self.digest(b"".join(parts))
 
     def truncated(self, size: int) -> "HashFunction":
         """Return a truncated variant of this hash function.

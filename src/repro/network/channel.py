@@ -10,7 +10,6 @@ emerges naturally from delay jitter.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple
 
@@ -71,29 +70,35 @@ class Channel:
         Returns deliveries sorted by arrival time; ties broken by send
         order to keep results deterministic.  The block's loss slots
         are drawn in one :meth:`~repro.network.loss.LossModel.sample`
-        call; loss and delay models own separate RNGs, so drawing the
-        losses first moves neither stream.
+        call and folded into the estimator in one
+        :meth:`~repro.network.loss.LossEstimator.observe_many` call;
+        loss and delay models own separate RNGs, so drawing the losses
+        first moves neither stream.
         """
         packets = list(packets)
         losses = self.loss.sample(len(packets))
-        heap: List[Tuple[float, int, int, Packet]] = []
-        for index, (packet, lost) in enumerate(zip(packets, losses)):
-            dropped = lost and not (self.protect_signature_packets
-                                    and packet.is_signature_packet)
-            self.estimator.observe(dropped)
-            if dropped:
+        if self.protect_signature_packets:
+            dropped = [lost and not packet.is_signature_packet
+                       for packet, lost in zip(packets, losses)]
+        else:
+            dropped = losses
+        self.estimator.observe_many(dropped)
+        arrivals: List[Tuple[float, int, int, Packet]] = []
+        sample_delay = self.delay.sample
+        for index, packet in enumerate(packets):
+            if dropped[index]:
                 continue
-            arrival = packet.send_time + self.delay.sample()
-            if arrival < packet.send_time:
+            send_time = packet.send_time
+            arrival = send_time + sample_delay()
+            if arrival < send_time:
                 raise SimulationError("delay model produced time travel")
             # seq then transmission index break ties deterministically
             # (retransmitted copies share a seq).
-            heapq.heappush(heap, (arrival, packet.seq, index, packet))
-        deliveries = []
-        while heap:
-            arrival, _, _, packet = heapq.heappop(heap)
-            deliveries.append(Delivery(arrival_time=arrival, packet=packet))
-        return deliveries
+            arrivals.append((arrival, packet.seq, index, packet))
+        # The index is unique, so the sort never compares two packets.
+        arrivals.sort()
+        return [Delivery(arrival_time=arrival, packet=packet)
+                for arrival, _, _, packet in arrivals]
 
     def stream(self, packets: Iterable[Packet]) -> Iterator[Delivery]:
         """Iterator form of :meth:`transmit`."""

@@ -13,7 +13,8 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence
+from functools import lru_cache
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -99,6 +100,13 @@ class BernoulliLoss(LossModel):
 
     def is_lost(self) -> bool:
         return self._rng.random() < self.p
+
+    def sample(self, count: int) -> List[bool]:
+        """``count`` draws in :meth:`is_lost` order, the RNG bound once."""
+        if count < 0:
+            raise SimulationError(f"count must be >= 0, got {count}")
+        draw, p = self._rng.random, self.p
+        return [draw() < p for _ in range(count)]
 
     def reset(self) -> None:
         self._rng = random.Random(self._seed)
@@ -290,6 +298,20 @@ class TraceLoss(LossModel):
         return sum(self._trace) / len(self._trace)
 
 
+@lru_cache(maxsize=256)
+def _spread(lost: int, total: int) -> Tuple[bool, ...]:
+    """``lost`` losses centered in their strides over ``total`` slots.
+
+    Slot ``i`` is lost iff ``(2*i*lost + total) // (2*total)`` advances
+    at ``i + 1`` (see :meth:`LossEstimator.observe_block`).
+    """
+    if not total:
+        return ()
+    marks = [(2 * index * lost + total) // (2 * total)
+             for index in range(total + 1)]
+    return tuple(after > before for before, after in zip(marks, marks[1:]))
+
+
 class LossEstimator:
     """Windowed loss-rate estimation from observed packet fates.
 
@@ -334,20 +356,39 @@ class LossEstimator:
 
     def observe(self, lost: bool) -> None:
         """Record one packet slot's fate (``True`` = the packet was lost)."""
-        lost = bool(lost)
-        self.observed += 1
-        if lost:
-            self.lost += 1
-        if len(self._recent) == self.window and self._recent[0]:
-            self._recent_lost -= 1
-        self._recent.append(lost)
-        if lost:
-            self._recent_lost += 1
-        value = 1.0 if lost else 0.0
-        if self._ewma is None:
-            self._ewma = value
-        else:
-            self._ewma += self.alpha * (value - self._ewma)
+        self.observe_many((lost,))
+
+    def observe_many(self, flags: Sequence[bool]) -> None:
+        """Record a run of packet slots' fates, in order, in one pass.
+
+        Slot by slot: the counts and the window move by one slot, and
+        the EWMA steps ``ewma += alpha * (value - ewma)`` (seeded by
+        the first value), so a run gives exactly the state that
+        observing its slots one at a time does.
+        """
+        recent = self._recent
+        window = self.window
+        alpha = self.alpha
+        ewma = self._ewma
+        recent_lost = self._recent_lost
+        lost_count = 0
+        for lost in flags:
+            lost = bool(lost)
+            if len(recent) == window and recent[0]:
+                recent_lost -= 1
+            recent.append(lost)
+            value = 1.0 if lost else 0.0
+            if lost:
+                recent_lost += 1
+                lost_count += 1
+            if ewma is None:
+                ewma = value
+            else:
+                ewma += alpha * (value - ewma)
+        self.observed += len(flags)
+        self.lost += lost_count
+        self._recent_lost = recent_lost
+        self._ewma = ewma
 
     def observe_block(self, lost: int, total: int) -> None:
         """Fold an aggregate report: ``lost`` of ``total`` packets lost.
@@ -365,10 +406,7 @@ class LossEstimator:
         if total < 0 or not 0 <= lost <= total:
             raise SimulationError(
                 f"need 0 <= lost <= total, got lost={lost}, total={total}")
-        for index in range(total):
-            before = (2 * index * lost + total) // (2 * total)
-            after = (2 * (index + 1) * lost + total) // (2 * total)
-            self.observe(after > before)
+        self.observe_many(_spread(lost, total))
 
     def reset(self) -> None:
         """Forget everything (new trial)."""

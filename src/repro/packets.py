@@ -49,6 +49,13 @@ all hold, each run where it first can:
 
 The layout itself is written in one place, ``_encode_fields``, for
 both paths.
+
+A decoded packet is likewise built once, by ``Packet._from_wire``: the
+parse has already bounded every id, length and count and checked the
+send time, so only the checks a parse cannot make run there — ``seq
+>= 1``, and each carried target at least 1, not ``seq`` and not
+repeated, with a non-empty digest — in the constructor's order and
+with its messages.
 """
 
 from __future__ import annotations
@@ -65,7 +72,6 @@ from repro.exceptions import (
     SimulationError,
     TrailingBytesError,
     TruncatedPacketError,
-    WireDecodeError,
 )
 
 __all__ = [
@@ -126,6 +132,31 @@ def _digest_error(target: int, digest: bytes) -> SimulationError:
         f"carried hash of {len(digest)} bytes exceeds the wire cap")
 
 
+def _carried_error(seq: int, carried: Tuple[Tuple[int, bytes], ...]
+                   ) -> Optional[SimulationError]:
+    """The first fault among a packet's carried hashes, or ``None``.
+
+    Per pair, in order: the target is at least 1, fits 32 bits, is not
+    ``seq`` itself and has not been carried before; the digest is
+    non-empty and within :data:`MAX_BLOB_BYTES`.
+    """
+    seen = set()
+    for target, digest in carried:
+        if target < 1:
+            return SimulationError(f"carried hash for invalid seq {target}")
+        if target > _U32_MAX:
+            return PacketFormatError(
+                f"carried seq {target} exceeds the 32-bit wire field")
+        if target == seq:
+            return SimulationError("packet cannot carry its own hash")
+        if target in seen:
+            return SimulationError(f"duplicate carried hash for seq {target}")
+        if not digest or len(digest) > MAX_BLOB_BYTES:
+            return _digest_error(target, digest)
+        seen.add(target)
+    return None
+
+
 @dataclass(frozen=True)
 class Packet:
     """One multicast packet with its authentication data.
@@ -180,20 +211,9 @@ class Packet:
         if not math.isfinite(self.send_time):
             raise PacketFormatError(
                 f"send time must be finite, got {self.send_time}")
-        seen = set()
-        for target, digest in self.carried:
-            if target < 1:
-                raise SimulationError(f"carried hash for invalid seq {target}")
-            if target > _U32_MAX:
-                raise PacketFormatError(
-                    f"carried seq {target} exceeds the 32-bit wire field")
-            if target == self.seq:
-                raise SimulationError("packet cannot carry its own hash")
-            if target in seen:
-                raise SimulationError(f"duplicate carried hash for seq {target}")
-            if not digest or len(digest) > MAX_BLOB_BYTES:
-                raise _digest_error(target, digest)
-            seen.add(target)
+        error = _carried_error(self.seq, self.carried)
+        if error is not None:
+            raise error
 
     @staticmethod
     def _check_ids(block_id: int, first_seq: int, last_seq: int) -> None:
@@ -238,6 +258,44 @@ class Packet:
         state["extra"] = b""
         state["send_time"] = 0.0
         state["_auth"] = _encode_fields(seq, block_id, payload, carried, b"")
+        return packet
+
+    @classmethod
+    def _from_wire(cls, seq: int, block_id: int, payload: bytes,
+                   carried: Tuple[Tuple[int, bytes], ...],
+                   signature: Optional[bytes], extra: bytes,
+                   send_time: float, auth: bytes) -> "Packet":
+        """A packet parsed by :func:`packet_from_wire`, built once.
+
+        Trusted constructor for the decoder, which has already checked
+        every id range, blob cap, the carried count and the send time.
+        Only the field checks the parse cannot make run here, in the
+        constructor's order: ``seq >= 1``, then each carried target
+        (at least 1, not ``seq``, not repeated) and digest (non-empty).
+        A failure raises :class:`HeaderFormatError` with the text the
+        constructor's error would carry.  ``auth`` is the buffer's
+        ``auth_bytes`` section, kept as the packet's encoding.
+        """
+        if seq < 1:
+            # The constructor's message (``Packet._check_ids``).
+            raise HeaderFormatError(
+                f"invalid packet fields: sequence numbers are 1-based, "
+                f"got {seq}")
+        if carried:
+            error = _carried_error(seq, carried)
+            if error is not None:
+                raise HeaderFormatError(
+                    f"invalid packet fields: {error}") from error
+        packet = object.__new__(cls)
+        state = packet.__dict__
+        state["seq"] = seq
+        state["block_id"] = block_id
+        state["payload"] = payload
+        state["carried"] = carried
+        state["signature"] = signature
+        state["extra"] = extra
+        state["send_time"] = send_time
+        state["_auth"] = auth
         return packet
 
     # ------------------------------------------------------------------
@@ -453,15 +511,9 @@ def packet_from_wire(data: bytes) -> Packet:
     if offset != size:
         raise TrailingBytesError(
             f"{size - offset} trailing bytes after the signature blob")
-    try:
-        packet = Packet(seq, block_id, payload, tuple(carried),
-                        signature if has_sig else None, extra, send_time)
-    except WireDecodeError:
-        raise
-    except SimulationError as exc:
-        # Field validation (zero seq, duplicate carried targets, ...)
-        # folded into the decode taxonomy: a buffer that cannot yield a
-        # valid Packet is undecodable, whatever the reason.
-        raise HeaderFormatError(f"invalid packet fields: {exc}") from exc
-    packet.__dict__["_auth"] = data[WIRE_HEADER_SIZE:auth_end]
-    return packet
+    # Field validation (zero seq, duplicate carried targets, ...) is
+    # folded into the decode taxonomy: a buffer that cannot yield a
+    # valid Packet is undecodable, whatever the reason.
+    return Packet._from_wire(seq, block_id, payload, tuple(carried),
+                             signature if has_sig else None, extra,
+                             send_time, data[WIRE_HEADER_SIZE:auth_end])

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -40,7 +41,47 @@ from repro.simulation.stats import SimulationStats
 from repro.simulation.stream_receiver import StreamReceiver
 from repro.simulation.trials import settle
 
-__all__ = ["BlockTruth", "LossReport", "ReceiverSession", "ReceiverPool"]
+__all__ = ["BlockTruth", "LossReport", "ReceiverSession", "ReceiverPool",
+           "transcript_line"]
+
+
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _json_time(when: object) -> str:
+    """``json.dumps(when)``: a finite float is its ``repr``."""
+    if type(when) is float and math.isfinite(when):
+        return float.__repr__(when)
+    return json.dumps(when)
+
+
+def transcript_line(receiver_id: str, block_id: int, phase: str,
+                    scheme: str, delivered: int,
+                    events: Sequence[Tuple[int, str, object]]) -> str:
+    """One transcript line, written directly.
+
+    Byte for byte ``json.dumps(record, sort_keys=True,
+    separators=(",", ":"))`` of the record ``{"r": receiver_id, "b":
+    block_id, "phase": phase, "scheme": scheme, "delivered": delivered,
+    "events": [[seq, code, time], ...]}``.  ``code`` is a one-letter
+    tag (``l`` lost, ``v`` verified, ``a`` arrived); ``time`` is
+    ``None`` or a number.  The slots of a block mostly verify on one
+    ingest and so share one time object, whose text is kept between
+    events.
+    """
+    parts = []
+    last = last_text = None
+    for seq, code, when in events:
+        if when is None:
+            parts.append(f'[{seq},"{code}",null]')
+            continue
+        if when is not last:
+            last, last_text = when, _json_time(when)
+        parts.append(f'[{seq},"{code}",{last_text}]')
+    return (f'{{"b":{block_id},"delivered":{delivered},'
+            f'"events":[{",".join(parts)}],"phase":{_json_string(phase)},'
+            f'"r":{_json_string(receiver_id)},'
+            f'"scheme":{_json_string(scheme)}}}')
 
 
 @dataclass(frozen=True)
@@ -189,23 +230,23 @@ class ReceiverSession:
                          {seq: seq - base + 1 for seq in seqs},
                          truth.intact, truth.digests, stats)
         verified_count = 0
-        events: List[list] = []
+        events: List[Tuple[int, str, Optional[float]]] = []
         tracer = get_lifecycle()
         for seq, outcome in zip(seqs, records):
             if outcome is None:
-                events.append([seq, "l", None])
+                events.append((seq, "l", None))
                 if tracer.enabled:
                     tracer.record(self.receiver_id, frame.block_id, seq,
                                   "verify", "lost", now)
             elif outcome.verified:
                 verified_count += 1
-                events.append([seq, "v", outcome.verified_time])
+                events.append((seq, "v", outcome.verified_time))
                 if tracer.enabled:
                     tracer.record(self.receiver_id, frame.block_id, seq,
                                   "verify", "verified",
                                   outcome.verified_time, delay=outcome.delay)
             else:
-                events.append([seq, "a", None])
+                events.append((seq, "a", None))
                 if tracer.enabled:
                     attrs = {"forged": True} if outcome.forged else {}
                     tracer.record(self.receiver_id, frame.block_id, seq,
@@ -215,16 +256,9 @@ class ReceiverSession:
         self.estimator.observe_block(expected - arrived, expected)
         released = self.stream.finish_block(frame.block_id, frame.last_seq)
         self.blocks_closed += 1
-        record = {
-            "r": self.receiver_id,
-            "b": frame.block_id,
-            "phase": truth.phase,
-            "scheme": truth.scheme,
-            "delivered": len(released),
-            "events": events,
-        }
-        self.transcript.append(
-            json.dumps(record, sort_keys=True, separators=(",", ":")))
+        self.transcript.append(transcript_line(
+            self.receiver_id, frame.block_id, truth.phase, truth.scheme,
+            len(released), events))
         report = LossReport(
             receiver_id=self.receiver_id, block_id=frame.block_id,
             expected=expected, received=arrived, subtree=self.subtree,

@@ -15,9 +15,12 @@ sender to per-receiver subscriptions.  Two frame kinds share the wire:
   mangles one simply yields an undecodable buffer downstream.
 
 :class:`LocalTransport` is the deterministic in-process fabric: one
-bounded :class:`asyncio.Queue` per receiver, drop-newest backpressure
-for data frames (counted per receiver), lossless blocking delivery
-for control frames (block boundaries must arrive or the session
+queue per receiver with one entry per :meth:`~Transport.send` call (a
+cell's data frames are one entry, its control frame a second) and
+capacity counted in frames by a depth counter that falls as the
+subscriber takes each frame.  Data frames beyond capacity are dropped
+newest-first (counted per receiver); control frames are never dropped
+and wait for room (block boundaries must arrive or the session
 stalls).  Because the sender enqueues a whole block without yielding
 to the event loop, the drop pattern is a pure function of queue depth
 — bit-for-bit reproducible.
@@ -35,8 +38,10 @@ from __future__ import annotations
 import asyncio
 import struct
 from abc import ABC, abstractmethod
+from collections import deque
 from dataclasses import dataclass
-from typing import AsyncIterator, Dict, List, Optional, Sequence, Tuple
+from typing import (AsyncIterator, Deque, Dict, List, Optional, Sequence,
+                    Tuple)
 
 from repro.exceptions import SimulationError
 from repro.faults import WireDelivery
@@ -146,8 +151,42 @@ class Transport(ABC):
 _CLOSE = object()  # subscription sentinel
 
 
+def _wake_first(waiters: Deque["asyncio.Future"]) -> None:
+    """Resolve the oldest still-pending future in ``waiters``."""
+    while waiters:
+        waiter = waiters.popleft()
+        if not waiter.done():
+            waiter.set_result(None)
+            break
+
+
+class _Inbox:
+    """One receiver's queue: entries of frames, depth counted in frames.
+
+    ``entries`` holds one slice of frames per accepted run of a
+    :meth:`LocalTransport.send` call (and :data:`_CLOSE`); ``depth``
+    is the number of frames queued and not yet yielded; ``putters``
+    are control sends waiting for ``depth`` to fall below capacity.
+    """
+
+    __slots__ = ("entries", "depth", "putters")
+
+    def __init__(self) -> None:
+        self.entries: asyncio.Queue = asyncio.Queue()
+        self.depth = 0
+        self.putters: Deque[asyncio.Future] = deque()
+
+
 class LocalTransport(Transport):
-    """Deterministic in-process transport over bounded asyncio queues.
+    """Deterministic in-process transport over bounded per-receiver queues.
+
+    Each :meth:`send` call puts one queue entry per run of data frames
+    and one per control frame — a live cell (one receiver in one
+    block) is two entries, not one per frame.  Capacity is still
+    counted in frames: a per-receiver depth counter rises as frames
+    are accepted and falls as :meth:`subscribe` yields each one, so
+    drops, blocking, ``serve.queue_depth`` and the lifecycle
+    ``enqueue`` events are exactly those of a bounded queue of frames.
 
     Parameters
     ----------
@@ -164,7 +203,7 @@ class LocalTransport(Transport):
             raise SimulationError(
                 f"queue size must be >= 1, got {queue_size}")
         self.queue_size = queue_size
-        self._queues: Dict[str, asyncio.Queue] = {}
+        self._inboxes: Dict[str, _Inbox] = {}
         self._drops: Dict[str, int] = {}
         self._closed = False
 
@@ -173,71 +212,118 @@ class LocalTransport(Transport):
             await self.open_endpoint(receiver_id)
 
     async def open_endpoint(self, receiver_id: str) -> None:
-        if receiver_id in self._queues:
+        if receiver_id in self._inboxes:
             raise SimulationError(
                 f"duplicate receiver id {receiver_id!r}")
-        self._queues[receiver_id] = asyncio.Queue(maxsize=self.queue_size)
+        self._inboxes[receiver_id] = _Inbox()
         self._drops[receiver_id] = 0
 
     async def close_endpoint(self, receiver_id: str) -> None:
-        queue = self._queue(receiver_id)
-        # Bypass maxsize: the sentinel must land even if the queue is
-        # full, or the subscriber's task never drains.
-        queue._queue.append(_CLOSE)  # noqa: SLF001 (stdlib deque)
-        queue._wakeup_next(queue._getters)  # noqa: SLF001
+        # The sentinel is not a frame: it lands even at full depth, or
+        # the subscriber's task never drains.
+        self._inbox(receiver_id).entries.put_nowait(_CLOSE)
 
-    def _queue(self, receiver_id: str) -> asyncio.Queue:
-        queue = self._queues.get(receiver_id)
-        if queue is None:
+    def _inbox(self, receiver_id: str) -> _Inbox:
+        inbox = self._inboxes.get(receiver_id)
+        if inbox is None:
             raise SimulationError(f"unknown receiver {receiver_id!r}")
-        return queue
+        return inbox
 
     async def send(self, receiver_id: str,
                    deliveries: Sequence[WireDelivery]) -> List[WireDelivery]:
-        queue = self._queue(receiver_id)
-        registry = get_registry()
-        tracer = get_lifecycle()
+        inbox = self._inbox(receiver_id)
         dropped: List[WireDelivery] = []
-        for delivery in deliveries:
-            if delivery.data.startswith(CONTROL_PREFIX):
-                await queue.put(delivery)  # backpressure, never dropped
+        run_start = 0
+        for index, delivery in enumerate(deliveries):
+            if not delivery.data.startswith(CONTROL_PREFIX):
                 continue
-            try:
-                queue.put_nowait(delivery)
-                status = "queued"
-            except asyncio.QueueFull:
-                dropped.append(delivery)
-                status = "queue-drop"
-            if tracer.enabled and delivery.block_hint is not None:
-                seq = (delivery.seq_hint if delivery.seq_hint is not None
-                       else NOISE_SEQ)
-                tracer.record(receiver_id, delivery.block_hint, seq,
-                              "enqueue", status, delivery.arrival_time)
+            if run_start < index:
+                self._accept(receiver_id, inbox, deliveries, run_start,
+                             index, dropped)
+            run_start = index + 1
+            # Backpressure: a control frame is never dropped.
+            while inbox.depth >= self.queue_size:
+                await self._wait_for_room(inbox)
+            inbox.depth += 1
+            inbox.entries.put_nowait((delivery,))
+        if run_start < len(deliveries):
+            self._accept(receiver_id, inbox, deliveries, run_start,
+                         len(deliveries), dropped)
         if dropped:
             self._drops[receiver_id] += len(dropped)
+        registry = get_registry()
         if registry.enabled:
             registry.count("serve.transport.frames",
                            len(deliveries) - len(dropped))
             if dropped:
                 registry.count("serve.transport.queue_drops", len(dropped))
-            registry.observe("serve.queue_depth", queue.qsize(),
+            registry.observe("serve.queue_depth", inbox.depth,
                              QUEUE_DEPTH_BOUNDS)
         return dropped
 
+    def _accept(self, receiver_id: str, inbox: _Inbox,
+                deliveries: Sequence[WireDelivery], start: int, stop: int,
+                dropped: List[WireDelivery]) -> None:
+        """Queue the data frames ``deliveries[start:stop]`` as one entry.
+
+        Nothing yields inside a run, so the oldest frames that fit are
+        kept and the rest dropped (newest-dropped).
+        """
+        cut = min(stop, start + max(self.queue_size - inbox.depth, 0))
+        if cut > start:
+            inbox.depth += cut - start
+            inbox.entries.put_nowait(deliveries[start:cut])
+        if cut < stop:
+            dropped.extend(deliveries[cut:stop])
+        tracer = get_lifecycle()
+        if tracer.enabled:
+            for index in range(start, stop):
+                delivery = deliveries[index]
+                if delivery.block_hint is None:
+                    continue
+                seq = (delivery.seq_hint if delivery.seq_hint is not None
+                       else NOISE_SEQ)
+                tracer.record(receiver_id, delivery.block_hint, seq,
+                              "enqueue",
+                              "queued" if index < cut else "queue-drop",
+                              delivery.arrival_time)
+
+    async def _wait_for_room(self, inbox: _Inbox) -> None:
+        """Wait until a subscriber takes a frame, as ``asyncio.Queue.put``."""
+        putter = asyncio.get_running_loop().create_future()
+        inbox.putters.append(putter)
+        try:
+            await putter
+        except BaseException:
+            putter.cancel()
+            try:
+                inbox.putters.remove(putter)
+            except ValueError:
+                pass
+            if inbox.depth < self.queue_size and not putter.cancelled():
+                _wake_first(inbox.putters)
+            raise
+
     async def subscribe(self, receiver_id: str
                         ) -> AsyncIterator[WireDelivery]:
-        queue = self._queue(receiver_id)
+        inbox = self._inbox(receiver_id)
+        entries = inbox.entries
+        putters = inbox.putters
         while True:
-            item = await queue.get()
-            if item is _CLOSE:
+            entry = await entries.get()
+            if entry is _CLOSE:
                 return
-            yield item
+            for delivery in entry:
+                inbox.depth -= 1
+                if putters:
+                    _wake_first(putters)
+                yield delivery
 
     async def close(self) -> None:
         if self._closed:
             return
         self._closed = True
-        for receiver_id in self._queues:
+        for receiver_id in self._inboxes:
             await self.close_endpoint(receiver_id)
 
     def queue_drops(self, receiver_id: str) -> int:

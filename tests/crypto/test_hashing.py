@@ -96,7 +96,11 @@ class TestRegistry:
         assert table["sha1"] == 20
 
     def test_register_custom(self):
+        # A factory takes hashlib's constructor signature, factory(data).
         custom = HashFunction("sha256d", 32,
-                              lambda: hashlib.sha256(b"prefix"))
+                              lambda data: hashlib.sha256(b"prefix" + data))
         register_hash(custom)
         assert get_hash("sha256d") is custom
+        assert custom.digest(b"x") == hashlib.sha256(b"prefixx").digest()
+        assert get_hash("sha256d/8").digest(b"x") == (
+            hashlib.sha256(b"prefixx").digest()[:8])

@@ -1,6 +1,10 @@
 """Unit tests for the lossy, delaying channel."""
 
+import heapq
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.network.channel import Channel
 from repro.network.delay import GaussianDelay
@@ -92,3 +96,53 @@ class TestReset:
         assert channel.dropped == 0
         second = {d.packet.seq for d in channel.transmit(_packets(20))}
         assert first == second
+
+
+def _transmit_reference(channel, packets):
+    """The per-packet channel: observe each slot, then a heap of arrivals.
+
+    Test-only reference for :meth:`Channel.transmit`, which folds the
+    block's losses in one pass and sorts the arrivals once.
+    """
+    packets = list(packets)
+    losses = channel.loss.sample(len(packets))
+    heap = []
+    for index, (packet, lost) in enumerate(zip(packets, losses)):
+        dropped = lost and not (channel.protect_signature_packets
+                                and packet.is_signature_packet)
+        channel.estimator.observe(dropped)
+        if dropped:
+            continue
+        arrival = packet.send_time + channel.delay.sample()
+        heapq.heappush(heap, (arrival, packet.seq, index, packet))
+    return [heapq.heappop(heap)[::3] for _ in range(len(heap))]
+
+
+class TestOnePassTransmit:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 6), st.integers(0, 3),
+                              st.booleans()), max_size=40),
+           st.floats(0.0, 0.9), st.integers(0, 2 ** 16), st.booleans())
+    def test_matches_per_packet_heap(self, specs, p, seed, protect):
+        # Few distinct seqs and send times, and a delay floor most
+        # draws clamp to, so arrival ties are common.
+        packets = [Packet(seq=seq, block_id=0, payload=b"x",
+                          signature=b"s" if signed else None,
+                          send_time=when * 0.01)
+                   for seq, when, signed in specs]
+
+        def channel():
+            return Channel(loss=BernoulliLoss(p, seed=seed),
+                           delay=GaussianDelay(0.0, 0.02, floor=0.01,
+                                               seed=seed + 1),
+                           protect_signature_packets=protect)
+
+        fast, slow = channel(), channel()
+        got = [(d.arrival_time, d.packet) for d in fast.transmit(packets)]
+        expected = _transmit_reference(slow, packets)
+        assert [(t, id(q)) for t, q in got] == [
+            (t, id(q)) for t, q in expected]
+        for name in ("observed", "lost", "window_fill", "window_lost",
+                     "ewma_rate"):
+            assert getattr(fast.estimator, name) == getattr(
+                slow.estimator, name)

@@ -1,6 +1,8 @@
 """Unit tests for the windowed loss estimator."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import SimulationError
 from repro.network.channel import Channel
@@ -183,3 +185,76 @@ class TestChannelIntegration:
         assert channel.sent == 0
         assert channel.dropped == 0
         assert channel.observed_loss_rate == 0.0
+
+
+class _SlotReference:
+    """The per-slot estimator arithmetic, one observation at a time.
+
+    Test-only reference for :meth:`LossEstimator.observe_many`, which
+    must reach the very same state (floats compared exactly).
+    """
+
+    def __init__(self, window, alpha):
+        self.window, self.alpha = window, alpha
+        self.observed = self.lost = self.recent_lost = 0
+        self.recent = []
+        self.ewma = None
+
+    def observe(self, lost):
+        lost = bool(lost)
+        self.observed += 1
+        self.lost += lost
+        if len(self.recent) == self.window and self.recent[0]:
+            self.recent_lost -= 1
+        self.recent = (self.recent + [lost])[-self.window:]
+        self.recent_lost += lost
+        value = 1.0 if lost else 0.0
+        if self.ewma is None:
+            self.ewma = value
+        else:
+            self.ewma += self.alpha * (value - self.ewma)
+
+    def state(self):
+        return (self.observed, self.lost, len(self.recent),
+                self.recent_lost, self.ewma if self.ewma is not None else 0.0)
+
+
+def _state(estimator):
+    return (estimator.observed, estimator.lost, estimator.window_fill,
+            estimator.window_lost, estimator.ewma_rate)
+
+
+class TestOnePass:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40), st.floats(0.01, 1.0),
+           st.lists(st.lists(st.booleans(), max_size=30), max_size=8))
+    def test_observe_many_matches_slot_by_slot(self, window, alpha, runs):
+        estimator = LossEstimator(window=window, alpha=alpha)
+        reference = _SlotReference(window, alpha)
+        for run in runs:
+            estimator.observe_many(run)
+            for lost in run:
+                reference.observe(lost)
+            assert _state(estimator) == reference.state()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 300), st.data())
+    def test_observe_block_matches_the_stride_formula(self, window, data):
+        estimator = LossEstimator(window=window)
+        reference = _SlotReference(window, estimator.alpha)
+        for _ in range(data.draw(st.integers(1, 4))):
+            total = data.draw(st.integers(0, 140))
+            lost = data.draw(st.integers(0, total))
+            estimator.observe_block(lost, total)
+            for index in range(total):
+                before = (2 * index * lost + total) // (2 * total)
+                after = (2 * (index + 1) * lost + total) // (2 * total)
+                reference.observe(after > before)
+            assert _state(estimator) == reference.state()
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(0.0, 1.0), st.integers(0, 2 ** 32), st.integers(0, 60))
+    def test_bernoulli_sample_draws_as_is_lost(self, p, seed, count):
+        model = BernoulliLoss(p, seed=seed)
+        expected = [model.is_lost() for _ in range(count)]
+        assert BernoulliLoss(p, seed=seed).sample(count) == expected

@@ -129,24 +129,27 @@ class TestLocalTransport:
         async def scenario():
             transport = LocalTransport(queue_size=1)
             await transport.start(["r0"])
-            control = encode_control(ControlFrame(0, 1, 3))
+            control = WireDelivery(0.0, encode_control(ControlFrame(0, 1, 3)),
+                                   "control", None)
             fills = [_data(b"\x00\x00\x00\x01fill", 1)]
             await transport.send("r0", fills)
-
-            async def drain_one():
+            # Queue is full: the control send must block until a frame
+            # is drained, and must never be dropped.
+            send = asyncio.create_task(transport.send("r0", [control]))
+            for _ in range(5):
                 await asyncio.sleep(0)
-                gen = transport.subscribe("r0")
-                return await gen.__anext__()
+            waited = not send.done()
+            gen = transport.subscribe("r0")
+            first = await gen.__anext__()
+            dropped = await send
+            second = await gen.__anext__()
+            return waited, first, dropped, second
 
-            drain = asyncio.create_task(drain_one())
-            # Queue is full: the control send must block until the
-            # drain task frees a slot, and must never be dropped.
-            dropped = await transport.send(
-                "r0", [WireDelivery(0.0, control, "control", None)])
-            await drain
-            return dropped
-
-        assert asyncio.run(scenario()) == []
+        waited, first, dropped, second = asyncio.run(scenario())
+        assert waited
+        assert first.seq_hint == 1
+        assert dropped == []
+        assert second.kind == "control"
 
     def test_unknown_receiver_rejected(self):
         async def scenario():
