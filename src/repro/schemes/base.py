@@ -31,8 +31,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from typing import (Callable, ClassVar, Dict, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import (TYPE_CHECKING, Callable, ClassVar, Dict, Iterator, List,
+                    Optional, Sequence, Tuple)
 
 from repro.core.graph import DependenceGraph
 from repro.core.metrics import GraphMetrics, compute_metrics
@@ -42,6 +42,9 @@ from repro.exceptions import (AnalysisError, PacketFormatError,
                                SchemeParameterError, SimulationError,
                                WireDecodeError)
 from repro.packets import MAX_CARRIED_HASHES, Packet, packet_from_wire
+
+if TYPE_CHECKING:
+    from repro.faults.channel import WireDelivery
 
 __all__ = ["Scheme", "BlockPlan", "build_block", "Trial", "Verifier",
            "PacketOutcome"]
@@ -370,16 +373,23 @@ class PacketOutcome:
         return self.verified_time - self.arrival_time
 
 
+#: ``on_ingest(delivery)``: called by :meth:`Verifier.ingest_run` after
+#: each delivery of a run is ingested.
+IngestHook = Callable[["WireDelivery"], None]
+
+
 class Verifier(ABC):
     """Receiver side of one trial: the protocol every scheme's verifier speaks.
 
     Deliveries arrive through :meth:`receive` (the trusting path:
-    parsed packets off a loss-only channel) or :meth:`ingest_wire` (the
-    defensive path: raw bytes off an attacked channel).  After the last
-    delivery, :meth:`finish` settles anything held back, and
-    :meth:`verdict` answers with a :class:`PacketOutcome`.  The
-    counters follow :class:`~repro.simulation.stats.SimulationStats`:
-    ``forged`` counts rejections on the trusting path, ``undecodable``,
+    parsed packets off a loss-only channel) or :meth:`ingest_run` (the
+    defensive path: a run of raw wire deliveries off an attacked
+    channel, one :meth:`ingest_wire` each unless the verifier loops
+    over the run itself).  After the last delivery, :meth:`finish`
+    settles anything held back, and :meth:`verdict` answers with a
+    :class:`PacketOutcome`.  The counters follow
+    :class:`~repro.simulation.stats.SimulationStats`: ``forged`` counts
+    rejections on the trusting path, ``undecodable``,
     ``forged_rejected`` and ``replays_dropped`` the defensive path's.
     For the soundness audit, :meth:`accepted_digests` must match the
     :meth:`content_digest` of the packet sent under each sequence number.
@@ -412,6 +422,17 @@ class Verifier(ABC):
             self.undecodable += 1
             return None
         return self.ingest(packet, arrival_time)
+
+    def ingest_run(self, deliveries: Sequence["WireDelivery"],
+                   on_ingest: Optional[IngestHook] = None) -> None:
+        """:meth:`ingest_wire` each delivery of a run, in order.
+
+        ``on_ingest(delivery)``, when given, is called after each one.
+        """
+        for delivery in deliveries:
+            self.ingest_wire(delivery.data, delivery.arrival_time)
+            if on_ingest is not None:
+                on_ingest(delivery)
 
     def finish(self) -> None:
         """Settle anything held back once the last delivery is in."""

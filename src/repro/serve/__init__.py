@@ -11,15 +11,16 @@ receivers and re-designs its dependence graph on the fly:
   (deterministic under virtual time, the test substrate) and a real
   :class:`UdpTransport` over asyncio datagram endpoints; both speak
   :class:`~repro.faults.WireDelivery` plus fixed 21-byte block
-  boundaries that can never collide with packet bytes;
+  boundaries that can never collide with packet bytes, and deliver
+  them in runs (only data frames, or one control frame);
 * :mod:`repro.serve.sender` — :class:`SenderService`: packetizes each
   block with the *current* scheme, pushes it through one impairment
   channel per receiver (optionally an
   :class:`~repro.faults.AdversarialChannel`), and hands the pool,
   in-process, the ground truth the soundness audit needs;
 * :mod:`repro.serve.receiver` — :class:`ReceiverSession` /
-  :class:`ReceiverPool`: defensive wire ingestion via
-  :meth:`~repro.simulation.stream_receiver.StreamReceiver.ingest_wire`,
+  :class:`ReceiverPool`: defensive wire ingestion, a run at a time,
+  via :meth:`~repro.simulation.stream_receiver.StreamReceiver.ingest_run`,
   per-block loss reports through a
   :class:`~repro.network.loss.LossEstimator`, canonical JSON-line
   transcripts;

@@ -1,10 +1,11 @@
 """The receiving half of a live session.
 
-Each :class:`ReceiverSession` consumes one transport subscription,
-feeds data frames through the defensive
-:meth:`~repro.simulation.stream_receiver.StreamReceiver.ingest_wire`
-path, and on every control frame closes out the block: settles it
-against its in-process :class:`BlockTruth` through the trial kernel's
+Each :class:`ReceiverSession` consumes one transport subscription a
+run at a time, hands each run of data frames whole to the defensive
+:meth:`~repro.simulation.stream_receiver.StreamReceiver.ingest_run`
+path, and on every control frame (one decode per prefixed run)
+closes out the block: settles it against its in-process
+:class:`BlockTruth` through the trial kernel's
 :func:`~repro.simulation.trials.settle` (per-phase tallies and the
 ``forged_accepted`` audit), appends a canonical transcript line from
 the verdict records, evicts buffers, updates its
@@ -35,7 +36,8 @@ from repro.faults import ATTACK_KINDS, WireDelivery
 from repro.network.loss import LossEstimator
 from repro.obs import get_registry
 from repro.obs.lifecycle import NOISE_SEQ, get_lifecycle
-from repro.serve.transport import ControlFrame, Transport, decode_control
+from repro.serve.transport import (CONTROL_PREFIX, ControlFrame, Transport,
+                                   decode_control)
 from repro.simulation.receiver import WireMemo
 from repro.simulation.stats import SimulationStats
 from repro.simulation.stream_receiver import StreamReceiver
@@ -143,7 +145,7 @@ class ReceiverSession:
     wire_memo:
         Decode memo shared with the other sessions of a
         :class:`ReceiverPool` (see
-        :meth:`~repro.simulation.receiver.ChainReceiver.ingest_wire`).
+        :meth:`~repro.simulation.receiver.ChainReceiver.ingest_run`).
     ledger:
         The pool's ground truth, filled in by the sender.
     """
@@ -165,16 +167,25 @@ class ReceiverSession:
     async def run(self, transport: Transport,
                   report_sink: Callable[[LossReport], "asyncio.Future"]
                   ) -> None:
-        """Consume the subscription until the final control frame."""
-        async for delivery in transport.subscribe(self.receiver_id):
-            frame = decode_control(delivery.data)
-            if frame is None:
-                self._ingest_data(delivery)
-                continue
-            if frame.final:
-                break
-            report = self.close_block(frame, now=delivery.arrival_time)
-            await report_sink(report)
+        """Consume the subscription until the final control frame.
+
+        A run of data frames is ingested whole; a prefixed run holds
+        one frame, decoded once, and ingested as data if it is not a
+        control frame after all (a mangled one).
+        """
+        async for run in transport.subscribe(self.receiver_id):
+            first = run[0]
+            if first.data.startswith(CONTROL_PREFIX):
+                frame = decode_control(first.data)
+                if frame is not None:
+                    if frame.final:
+                        break
+                    await report_sink(
+                        self.close_block(frame, now=first.arrival_time))
+                    continue
+            tracer = get_lifecycle()
+            self.stream.ingest_run(
+                run, self._trace_ingest if tracer.enabled else None)
 
     #: Verifier ingest taxonomy -> lifecycle ``ingest`` stage status.
     _INGEST_STATUS = {
@@ -186,12 +197,8 @@ class ReceiverSession:
         "undecodable": "undecodable",
     }
 
-    def _ingest_data(self, delivery: WireDelivery) -> None:
-        """Defensive ingest of one data frame, with lifecycle tracing."""
-        self.stream.ingest_wire(delivery.data, delivery.arrival_time)
-        tracer = get_lifecycle()
-        if not tracer.enabled:
-            return
+    def _trace_ingest(self, delivery: WireDelivery) -> None:
+        """The lifecycle ``ingest`` event of one just-ingested frame."""
         verifier = self.stream.verifier
         status = self._INGEST_STATUS.get(verifier.last_ingest)
         if status is None:
@@ -208,8 +215,8 @@ class ReceiverSession:
             attrs["kind"] = delivery.kind
         if verifier.last_ingest == "slot-reject":
             attrs["detail"] = "slot-full"
-        tracer.record(self.receiver_id, block_id, seq, "ingest", status,
-                      delivery.arrival_time, **attrs)
+        get_lifecycle().record(self.receiver_id, block_id, seq, "ingest",
+                               status, delivery.arrival_time, **attrs)
 
     def close_block(self, frame: ControlFrame, now: float) -> LossReport:
         """Settle one finished block against its ledger entry.
@@ -441,7 +448,7 @@ class ReceiverPool:
 
     def _maybe_release(self, block_id: int) -> None:
         per_block = self._reports.get(block_id, {})
-        if self._active and set(self._active) <= set(per_block):
+        if self._active and self._active.keys() <= per_block.keys():
             self._event(block_id).set()
 
     def _event(self, block_id: int) -> asyncio.Event:

@@ -14,22 +14,29 @@ sender to per-receiver subscriptions.  Two frame kinds share the wire:
   any out-of-band channel, and a truncation or bit-flip fault that
   mangles one simply yields an undecodable buffer downstream.
 
+:meth:`Transport.subscribe` yields *runs*: sequences of deliveries
+that hold either only data frames or exactly one frame starting with
+:data:`CONTROL_PREFIX`, so a receiver decodes control once per
+prefixed run and hands a data run to its verifier whole.
+
 :class:`LocalTransport` is the deterministic in-process fabric: one
-queue per receiver with one entry per :meth:`~Transport.send` call (a
-cell's data frames are one entry, its control frame a second) and
-capacity counted in frames by a depth counter that falls as the
-subscriber takes each frame.  Data frames beyond capacity are dropped
-newest-first (counted per receiver); control frames are never dropped
-and wait for room (block boundaries must arrive or the session
-stalls).  Because the sender enqueues a whole block without yielding
-to the event loop, the drop pattern is a pure function of queue depth
-— bit-for-bit reproducible.
+queue per receiver with one entry per run of a :meth:`~Transport.send`
+call (a cell's data frames are one entry, its control frame a second),
+yielded as it is, and capacity counted in frames by a depth counter
+that falls by a run's length as the subscriber takes it.  Data frames
+beyond capacity are dropped newest-first (counted per receiver);
+control frames are never dropped while the subscriber lives and wait
+for room (block boundaries must arrive or the session stalls).
+Because the sender enqueues a whole block without yielding to the
+event loop, the drop pattern is a pure function of queue depth —
+bit-for-bit reproducible.
 
 :class:`UdpTransport` binds one datagram endpoint per receiver on the
 loopback interface and stamps arrivals from an injectable
 :class:`~repro.network.clock.Clock`; ground-truth ``kind`` tags do not
 survive a real network, so receiver-side deliveries carry
-``kind="unknown"``.  The harness's ground truth crosses neither: it
+``kind="unknown"``; a run is whatever one wake-up drained, split at
+prefixed frames.  The harness's ground truth crosses neither: it
 reaches the pool in-process (:class:`~repro.serve.receiver.BlockTruth`).
 """
 
@@ -136,8 +143,14 @@ class Transport(ABC):
         """
 
     @abstractmethod
-    def subscribe(self, receiver_id: str) -> AsyncIterator[WireDelivery]:
-        """Async iteration over one receiver's arriving deliveries."""
+    def subscribe(self, receiver_id: str
+                  ) -> AsyncIterator[Sequence[WireDelivery]]:
+        """Async iteration over one receiver's arriving deliveries, in runs.
+
+        Each run is a non-empty sequence of deliveries in arrival
+        order, holding either only data frames or exactly one frame
+        that starts with :data:`CONTROL_PREFIX`.
+        """
 
     @abstractmethod
     async def close(self) -> None:
@@ -166,15 +179,18 @@ class _Inbox:
     ``entries`` holds one slice of frames per accepted run of a
     :meth:`LocalTransport.send` call (and :data:`_CLOSE`); ``depth``
     is the number of frames queued and not yet yielded; ``putters``
-    are control sends waiting for ``depth`` to fall below capacity.
+    are control sends waiting for ``depth`` to fall below capacity;
+    ``dead`` is set once the subscriber is gone, after which nothing
+    drains the queue.
     """
 
-    __slots__ = ("entries", "depth", "putters")
+    __slots__ = ("entries", "depth", "putters", "dead")
 
     def __init__(self) -> None:
         self.entries: asyncio.Queue = asyncio.Queue()
         self.depth = 0
         self.putters: Deque[asyncio.Future] = deque()
+        self.dead = False
 
 
 class LocalTransport(Transport):
@@ -182,11 +198,14 @@ class LocalTransport(Transport):
 
     Each :meth:`send` call puts one queue entry per run of data frames
     and one per control frame — a live cell (one receiver in one
-    block) is two entries, not one per frame.  Capacity is still
-    counted in frames: a per-receiver depth counter rises as frames
-    are accepted and falls as :meth:`subscribe` yields each one, so
-    drops, blocking, ``serve.queue_depth`` and the lifecycle
-    ``enqueue`` events are exactly those of a bounded queue of frames.
+    block) is two entries, not one per frame — and :meth:`subscribe`
+    yields each entry as it is.  Capacity is still counted in frames:
+    a per-receiver depth counter rises as frames are accepted and
+    falls by a run's length as :meth:`subscribe` yields it, waking one
+    waiting control send per frame, so drops, blocking,
+    ``serve.queue_depth`` and the lifecycle ``enqueue`` events are
+    exactly those of a bounded queue of frames whose subscriber takes
+    a run without pausing.
 
     Parameters
     ----------
@@ -195,7 +214,10 @@ class LocalTransport(Transport):
         capacity are dropped (newest-dropped policy) and counted;
         control frames block the sender instead — explicit
         backpressure, because a lost block boundary would wedge the
-        session's barrier.
+        session's barrier.  Once a subscriber is gone (its task
+        crashed, or its endpoint closed) nothing drains its queue, so
+        a control frame that finds it full is dropped and counted at
+        once instead of waiting forever.
     """
 
     def __init__(self, queue_size: int = 256) -> None:
@@ -241,11 +263,15 @@ class LocalTransport(Transport):
                 self._accept(receiver_id, inbox, deliveries, run_start,
                              index, dropped)
             run_start = index + 1
-            # Backpressure: a control frame is never dropped.
-            while inbox.depth >= self.queue_size:
+            # Backpressure: a control frame waits for room while its
+            # subscriber lives, and is never dropped unless it is gone.
+            while inbox.depth >= self.queue_size and not inbox.dead:
                 await self._wait_for_room(inbox)
-            inbox.depth += 1
-            inbox.entries.put_nowait((delivery,))
+            if inbox.depth < self.queue_size:
+                inbox.depth += 1
+                inbox.entries.put_nowait((delivery,))
+            else:
+                dropped.append(delivery)
         if run_start < len(deliveries):
             self._accept(receiver_id, inbox, deliveries, run_start,
                          len(deliveries), dropped)
@@ -305,19 +331,29 @@ class LocalTransport(Transport):
             raise
 
     async def subscribe(self, receiver_id: str
-                        ) -> AsyncIterator[WireDelivery]:
+                        ) -> AsyncIterator[Sequence[WireDelivery]]:
         inbox = self._inbox(receiver_id)
         entries = inbox.entries
         putters = inbox.putters
-        while True:
-            entry = await entries.get()
-            if entry is _CLOSE:
-                return
-            for delivery in entry:
-                inbox.depth -= 1
-                if putters:
+        try:
+            while True:
+                entry = await entries.get()
+                if entry is _CLOSE:
+                    return
+                inbox.depth -= len(entry)
+                # One wake per frame taken, oldest first, as a queue of
+                # frames would.
+                for _ in range(len(entry)):
+                    if not putters:
+                        break
                     _wake_first(putters)
-                yield delivery
+                yield entry
+        finally:
+            # Closed, or the subscriber's task was cancelled (a crash):
+            # nothing drains this inbox again, so no send may wait on it.
+            inbox.dead = True
+            while putters:
+                _wake_first(putters)
 
     async def close(self) -> None:
         if self._closed:
@@ -442,15 +478,31 @@ class UdpTransport(Transport):
         return []
 
     async def subscribe(self, receiver_id: str
-                        ) -> AsyncIterator[WireDelivery]:
+                        ) -> AsyncIterator[Sequence[WireDelivery]]:
         queue = self._queues.get(receiver_id)
         if queue is None:
             raise SimulationError(f"unknown receiver {receiver_id!r}")
         while True:
-            item = await queue.get()
-            if item is _CLOSE:
-                return
-            yield item
+            # One wake-up drains everything queued, split into runs at
+            # each prefixed frame.
+            drained = [await queue.get()]
+            while not queue.empty():
+                drained.append(queue.get_nowait())
+            run: List[WireDelivery] = []
+            for item in drained:
+                if item is _CLOSE:
+                    if run:
+                        yield run
+                    return
+                if item.data.startswith(CONTROL_PREFIX):
+                    if run:
+                        yield run
+                        run = []
+                    yield (item,)
+                else:
+                    run.append(item)
+            if run:
+                yield run
 
     async def close(self) -> None:
         if self._closed:

@@ -17,13 +17,15 @@ which may release buffered packets, recursively.
 Two entry points feed the engine.  :meth:`ChainReceiver.receive` is
 the trusting path for simulations that deliver parsed packets over a
 loss-only channel (first delivery per sequence wins, as before).
-:meth:`ChainReceiver.ingest_wire` is the defensive path for
-adversarial channels: it decodes raw bytes (counting undecodable
-buffers), detects replays by content digest, rejects forgeries
-without letting them claim a sequence slot, and keeps several
-same-sequence candidates buffered so a forged packet can never evict
-the genuine one from contention — no crash, no trust-state pollution,
-bounded memory.
+:meth:`ChainReceiver.ingest_run` is the defensive path for
+adversarial channels: one loop over a run of wire deliveries (a live
+transport's queue entry, or a trial's whole attacked delivery list)
+that decodes raw bytes (counting undecodable buffers), detects
+replays by content digest, rejects forgeries without letting them
+claim a sequence slot, and keeps several same-sequence candidates
+buffered so a forged packet can never evict the genuine one from
+contention — no crash, no trust-state pollution, bounded memory.
+:meth:`ChainReceiver.ingest_wire` is the same path for one buffer.
 
 :class:`ChainReceiver` is the hash-chained schemes' trial
 :class:`~repro.schemes.base.Verifier`.
@@ -31,13 +33,14 @@ bounded memory.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import HashFunction, sha256
 from repro.crypto.signatures import Signer
 from repro.exceptions import WireDecodeError
+from repro.faults.channel import WireDelivery
 from repro.packets import Packet, packet_from_wire
-from repro.schemes.base import PacketOutcome, Verifier
+from repro.schemes.base import IngestHook, PacketOutcome, Verifier
 
 __all__ = ["PacketOutcome", "ChainReceiver"]
 
@@ -46,7 +49,7 @@ __all__ = ["PacketOutcome", "ChainReceiver"]
 #: bytes the strict decoder rejected.  The packet keeps its encoding
 #: (see :mod:`repro.packets`), so ``auth_bytes`` needs no slot of its
 #: own.  Every value is a pure function of the key, so sharing it
-#: cannot change a verdict (see :meth:`ChainReceiver.ingest_wire`).
+#: cannot change a verdict (see :meth:`ChainReceiver.ingest_run`).
 WireMemo = Dict[bytes, Tuple[Optional[Packet], Optional[bytes]]]
 
 _UNDECODABLE = (None, None)
@@ -85,7 +88,7 @@ class ChainReceiver(Verifier):
         builds ordered delivery on.
     wire_memo:
         Optional :data:`WireMemo` shared with other receivers of the
-        same stream (and hash function): :meth:`ingest_wire` decodes
+        same stream (and hash function): :meth:`ingest_run` decodes
         and hashes each distinct buffer once for all of them.  Only
         the pure functions of the bytes are shared; verdicts, buffers
         and counters stay per receiver.
@@ -141,7 +144,7 @@ class ChainReceiver(Verifier):
         #: Taxonomy of the most recent defensive ingest — one of
         #: "undecodable", "replay-drop", "forged-reject", "slot-reject",
         #: "verified", "buffered" — plus the decoded packet (None when
-        #: decoding failed).  Written by :meth:`ingest_wire`/:meth:`ingest`
+        #: decoding failed).  Written by :meth:`ingest_run`/:meth:`ingest`
         #: so lifecycle tracing can attribute the event without decoding
         #: the wire bytes a second time.  Always this receiver's own
         #: verdict: with a shared wire memo the packet object may be
@@ -190,13 +193,16 @@ class ChainReceiver(Verifier):
     # Defensive path: raw bytes from an adversarial channel
     # ------------------------------------------------------------------
 
-    def ingest_wire(self, data: bytes,
-                    arrival_time: float) -> Optional[PacketOutcome]:
-        """Decode and ingest one wire buffer; ``None`` if undecodable.
+    def ingest_run(self, deliveries: Sequence[WireDelivery],
+                   on_ingest: Optional[IngestHook] = None) -> None:
+        """Decode and ingest a run of wire deliveries, in order.
 
         Undecodable buffers (truncation, bit flips that break framing,
         garbage) are counted in :attr:`undecodable` and discarded —
         they cannot crash the receiver or consume buffer space.
+        ``on_ingest(delivery)``, when given, is called after each
+        delivery with :attr:`last_ingest` describing it (lifecycle
+        tracing).
 
         The decoded packet keeps the buffer's ``auth_bytes`` section
         as its encoding, so nothing on this path encodes a packet
@@ -211,23 +217,40 @@ class ChainReceiver(Verifier):
         genuine one.
         """
         memo = self._wire_memo
-        entry = memo.get(data) if memo is not None else None
-        if entry is None:
-            try:
-                packet = packet_from_wire(data)
-            except WireDecodeError:
-                entry = _UNDECODABLE
+        digest_of = self._hash.digest
+        ingest = self.ingest
+        for delivery in deliveries:
+            data = delivery.data
+            entry = memo.get(data) if memo is not None else None
+            if entry is None:
+                try:
+                    packet = packet_from_wire(data)
+                except WireDecodeError:
+                    entry = _UNDECODABLE
+                else:
+                    entry = (packet, digest_of(packet.auth_bytes()))
+                if memo is not None:
+                    memo[data] = entry
+            packet, digest = entry
+            if packet is None:
+                self.undecodable += 1
+                self.last_ingest = "undecodable"
+                self.last_ingest_packet = None
             else:
-                entry = (packet, self._hash.digest(packet.auth_bytes()))
-            if memo is not None:
-                memo[data] = entry
-        packet, digest = entry
-        if packet is None:
-            self.undecodable += 1
-            self.last_ingest = "undecodable"
-            self.last_ingest_packet = None
-            return None
-        return self.ingest(packet, arrival_time, digest)
+                ingest(packet, delivery.arrival_time, digest)
+            if on_ingest is not None:
+                on_ingest(delivery)
+
+    def ingest_wire(self, data: bytes,
+                    arrival_time: float) -> Optional[PacketOutcome]:
+        """:meth:`ingest_run` over one buffer; ``None`` if undecodable.
+
+        Returns the outcome record of the decoded packet's sequence
+        number, if it has one.
+        """
+        self.ingest_run((WireDelivery(arrival_time, data, "unknown"),))
+        packet = self.last_ingest_packet
+        return None if packet is None else self.outcomes.get(packet.seq)
 
     def ingest(self, packet: Packet, arrival_time: float,
                digest: Optional[bytes] = None) -> Optional[PacketOutcome]:
@@ -290,17 +313,19 @@ class ChainReceiver(Verifier):
                     outcome.forged = True
             return outcome
         # No verdict possible yet: buffer as a candidate for this slot.
-        for _held, _arrival, held_digest in self._buffered.get(seq, ()):
-            if held_digest == digest:
-                self.replays_dropped += 1
-                self.last_ingest = "replay-drop"
+        candidates = self._buffered.get(seq)
+        if candidates:
+            for _held, _arrival, held_digest in candidates:
+                if held_digest == digest:
+                    self.replays_dropped += 1
+                    self.last_ingest = "replay-drop"
+                    return outcome
+            if len(candidates) >= self._max_candidates:
+                # Slot contention exhausted; drop the newcomer
+                # determinately.
+                self.forged_rejected += 1
+                self.last_ingest = "slot-reject"
                 return outcome
-        candidates = self._buffered.get(seq, [])
-        if len(candidates) >= self._max_candidates:
-            # Slot contention exhausted; drop the newcomer determinately.
-            self.forged_rejected += 1
-            self.last_ingest = "slot-reject"
-            return outcome
         outcome = self._ensure_outcome(seq, arrival_time)
         self._buffer_candidate(packet, arrival_time, digest)
         self.last_ingest = "buffered"
@@ -311,7 +336,7 @@ class ChainReceiver(Verifier):
     def _ensure_outcome(self, seq: int, arrival_time: float) -> PacketOutcome:
         outcome = self.outcomes.get(seq)
         if outcome is None:
-            outcome = PacketOutcome(seq=seq, arrival_time=arrival_time)
+            outcome = PacketOutcome(seq, arrival_time)
             self.outcomes[seq] = outcome
             if seq in self._trusted:
                 self._pending_hashes -= 1

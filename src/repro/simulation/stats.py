@@ -11,11 +11,15 @@ how the paper's per-packet probabilities are indexed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.exceptions import SimulationError
 
 __all__ = ["PositionTally", "SimulationStats"]
+
+#: One packet's fate for :meth:`SimulationStats.record_block`:
+#: ``(position, received, verified, delay)``.
+Fate = Tuple[int, bool, bool, Optional[float]]
 
 
 @dataclass
@@ -67,6 +71,32 @@ class SimulationStats:
             tally.verified += 1
             if delay is not None:
                 self.delays.append(delay)
+
+    def record_block(self, fates: Iterable[Fate]) -> None:
+        """:meth:`record` each ``(position, received, verified, delay)``.
+
+        One call per block; the checks, tallies and ``delays`` order
+        are exactly those of calling :meth:`record` on each fate in
+        turn.
+        """
+        tallies = self.tallies
+        delays = self.delays
+        for position, received, verified, delay in fates:
+            if position < 1:
+                raise SimulationError(
+                    f"positions are 1-based, got {position}")
+            if verified and not received:
+                raise SimulationError(
+                    "verified packets must have been received")
+            tally = tallies.get(position)
+            if tally is None:
+                tally = tallies[position] = PositionTally()
+            if received:
+                tally.received += 1
+            if verified:
+                tally.verified += 1
+                if delay is not None:
+                    delays.append(delay)
 
     # ------------------------------------------------------------------
 

@@ -20,11 +20,13 @@ them automatically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.crypto.hashing import HashFunction, sha256
 from repro.crypto.signatures import Signer
+from repro.faults.channel import WireDelivery
 from repro.packets import Packet
+from repro.schemes.base import IngestHook
 from repro.simulation.receiver import ChainReceiver, WireMemo
 
 __all__ = ["DeliveredPayload", "StreamReceiver"]
@@ -77,13 +79,12 @@ class StreamReceiver:
     # ------------------------------------------------------------------
 
     def _note_verified(self, packet: Packet, when: float) -> None:
-        if packet.payload:
-            self._ready[packet.seq] = DeliveredPayload(
-                seq=packet.seq, block_id=packet.block_id,
-                payload=packet.payload, verified_time=when,
-            )
-        else:
-            self._ready[packet.seq] = None
+        # Positional: one of these per verified data packet, and the
+        # frozen __init__ parses keywords slower.
+        self._ready[packet.seq] = (
+            DeliveredPayload(packet.seq, packet.block_id, packet.payload,
+                             when)
+            if packet.payload else None)
 
     def receive(self, packet: Packet,
                 arrival_time: float) -> List[DeliveredPayload]:
@@ -95,18 +96,19 @@ class StreamReceiver:
         self._verifier.receive(packet, arrival_time)
         return self._release()
 
-    def ingest_wire(self, data: bytes,
-                    arrival_time: float) -> List[DeliveredPayload]:
-        """Defensive counterpart of :meth:`receive` for raw wire bytes.
+    def ingest_run(self, deliveries: Sequence[WireDelivery],
+                   on_ingest: Optional[IngestHook] = None
+                   ) -> List[DeliveredPayload]:
+        """Defensive counterpart of :meth:`receive` for a run of wire frames.
 
-        Routes through
-        :meth:`~repro.simulation.receiver.ChainReceiver.ingest_wire`,
-        so undecodable buffers, replays and forgeries degrade the
-        verifier's counters instead of the stream state; whatever the
-        ingest verifies is released in order exactly like the trusting
-        path.
+        Routes the run through
+        :meth:`~repro.simulation.receiver.ChainReceiver.ingest_run`
+        (``on_ingest`` included), so undecodable buffers, replays and
+        forgeries degrade the verifier's counters instead of the stream
+        state; whatever the run verifies is released in order exactly
+        like the trusting path.
         """
-        self._verifier.ingest_wire(data, arrival_time)
+        self._verifier.ingest_run(deliveries, on_ingest)
         return self._release()
 
     # ------------------------------------------------------------------

@@ -179,9 +179,7 @@ def run_trials(scheme: Scheme, block_size: int, first_trial: int,
                             for packet in sent.packets}
                     channel = attack(channel, trial)
                     deliveries = channel.transmit_wire(sent.packets)
-                    for delivery in deliveries:
-                        verifier.ingest_wire(delivery.data,
-                                             delivery.arrival_time)
+                    verifier.ingest_run(deliveries)
                     intact = {delivery.seq_hint for delivery in deliveries
                               if delivery.kind == "genuine"}
                 verifier.finish()
@@ -218,13 +216,13 @@ def settle(verifier: Verifier, positions: Mapping[int, int],
     nothing to audit: pass ``authentic=None``.  Returns each
     position's verdict record, in ``positions`` order.
     """
-    records = []
-    for seq, position in positions.items():
-        record = verifier.verdict(seq)
-        verified = record is not None and record.verified
-        stats.record(position, verified or seq in intact, verified,
-                     record.delay if verified else None)
-        records.append(record)
+    verdict = verifier.verdict
+    records = [verdict(seq) for seq in positions]
+    stats.record_block([
+        (position, True, True, record.delay)
+        if record is not None and record.verified
+        else (position, seq in intact, False, None)
+        for (seq, position), record in zip(positions.items(), records)])
     if authentic is not None:
         for seq, digest in verifier.fresh_accepted():
             if authentic.get(seq) != digest:

@@ -78,9 +78,8 @@ class TestHashBufferLevel:
                     stream.receive(packet, 0.0)
                     check()
             else:
-                for delivery in channel.transmit_wire(arrivals):
-                    stream.ingest_wire(delivery.data, delivery.arrival_time)
-                    check()
+                stream.ingest_run(channel.transmit_wire(arrivals),
+                                  lambda _delivery: check())
             base_seq += n
             stream.finish_block(block_id, base_seq - 1)
             check()

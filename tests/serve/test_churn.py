@@ -325,3 +325,43 @@ class TestSenderRoster:
         sender.remove_receiver("r01")
         sender.add_receiver("r01")
         assert sender.receiver_ids == ["r00", "r01", "r02"]
+
+
+#: Crash storms whose victims' block plus control frame outgrows the
+#: queue: nobody drains a dead receiver's queue, so its control frame
+#: once waited for room forever.  A small ``timeout_s`` makes a
+#: regression fail fast instead of hanging.
+WEDGES = {
+    "queue-8": ServeConfig(seed=7, receivers=8, blocks=12, block_size=12,
+                           queue_size=8, churn="storm:0,0,2", timeout_s=3),
+    "block-300": ServeConfig(seed=7, receivers=8, blocks=12,
+                             block_size=300, churn="storm:0,0,2",
+                             timeout_s=3),
+}
+
+
+class TestCrashedReceiverNeverWedges:
+    @pytest.mark.parametrize("name", sorted(WEDGES))
+    def test_session_finishes_soundly(self, name):
+        config = WEDGES[name]
+        assert config.block_size + 1 > config.queue_size
+        result = run_live_session(config)
+        assert result.forged_accepted == 0
+        plan = MembershipPlan.from_spec(config.churn, config.receivers,
+                                        config.blocks, config.seed)
+        crashes = {e.receiver_id: e.block for e in plan.events
+                   if e.kind == "crash"}
+        assert crashes, "the config must crash a receiver"
+        for receiver_id, transcript in result.transcripts.items():
+            last = crashes.get(receiver_id, config.blocks) - 1
+            assert _blocks_settled(transcript) == list(range(last + 1))
+        # Nothing drained a victim's queue after its crash.
+        for receiver_id in crashes:
+            assert result.queue_drops[receiver_id] > 0
+
+    @pytest.mark.parametrize("name", sorted(WEDGES))
+    def test_session_is_deterministic(self, name):
+        one = run_live_session(WEDGES[name])
+        two = run_live_session(WEDGES[name])
+        assert one.transcripts == two.transcripts
+        assert one.queue_drops == two.queue_drops

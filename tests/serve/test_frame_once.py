@@ -39,7 +39,7 @@ def counts():
     decode = receiver_module.packet_from_wire
     transmit = Channel.transmit
     transmit_block = SenderService._transmit_block
-    ingest_wire = receiver_module.ChainReceiver.ingest_wire
+    ingest_run = receiver_module.ChainReceiver.ingest_run
     wait_block = ReceiverPool.wait_block
 
     def counted_to_wire(packet):
@@ -62,9 +62,9 @@ def counts():
                 stamped[id(packet)] = (pending.block_id, packet)
         return await transmit_block(sender, pending)
 
-    def recorded_ingest_wire(verifier, data, arrival_time):
-        ingested[0].add(data)
-        return ingest_wire(verifier, data, arrival_time)
+    def recorded_ingest_run(verifier, deliveries, on_ingest=None):
+        ingested[0].update(delivery.data for delivery in deliveries)
+        return ingest_run(verifier, deliveries, on_ingest)
 
     async def segmented_wait_block(pool, block_id):
         reports = await wait_block(pool, block_id)
@@ -78,8 +78,8 @@ def counts():
     monkeypatch.setattr(Channel, "transmit", recorded_transmit)
     monkeypatch.setattr(SenderService, "_transmit_block",
                         recorded_transmit_block)
-    monkeypatch.setattr(receiver_module.ChainReceiver, "ingest_wire",
-                        recorded_ingest_wire)
+    monkeypatch.setattr(receiver_module.ChainReceiver, "ingest_run",
+                        recorded_ingest_run)
     monkeypatch.setattr(ReceiverPool, "wait_block", segmented_wait_block)
     try:
         result = run_live_session(CONFIG)

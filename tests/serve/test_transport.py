@@ -1,6 +1,7 @@
 """Transports: control-frame encoding, backpressure, UDP loopback."""
 
 import asyncio
+import contextlib
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,25 @@ from repro.serve.transport import (
 def _data(payload, seq=None):
     return WireDelivery(arrival_time=0.0, data=payload, kind="genuine",
                         seq_hint=seq)
+
+
+def _control(block_id, final=False):
+    return WireDelivery(0.0, encode_control(ControlFrame(block_id, 1, 3,
+                                                         final)),
+                        "control", None)
+
+
+async def _frames(subscription):
+    """Every frame of a subscription, its runs flattened."""
+    return [delivery async for run in subscription for delivery in run]
+
+
+def _assert_pure(runs):
+    """Each run is only data frames, or exactly one prefixed frame."""
+    for run in runs:
+        assert run
+        prefixed = [d.data.startswith(CONTROL_PREFIX) for d in run]
+        assert not any(prefixed) or prefixed == [True]
 
 
 class TestControlFrames:
@@ -93,7 +113,8 @@ class TestLocalTransport:
             await transport.send("r0", [_data(b"\x00\x00\x00\x01a", 1),
                                         _data(b"\x00\x00\x00\x02b", 2)])
             await transport.close()
-            return [d.seq_hint async for d in transport.subscribe("r0")]
+            frames = await _frames(transport.subscribe("r0"))
+            return [d.seq_hint for d in frames]
 
         assert asyncio.run(scenario()) == [1, 2]
 
@@ -140,9 +161,9 @@ class TestLocalTransport:
                 await asyncio.sleep(0)
             waited = not send.done()
             gen = transport.subscribe("r0")
-            first = await gen.__anext__()
+            first = (await gen.__anext__())[0]
             dropped = await send
-            second = await gen.__anext__()
+            second = (await gen.__anext__())[0]
             return waited, first, dropped, second
 
         waited, first, dropped, second = asyncio.run(scenario())
@@ -150,6 +171,76 @@ class TestLocalTransport:
         assert first.seq_hint == 1
         assert dropped == []
         assert second.kind == "control"
+
+    def test_runs_never_mix_data_and_control(self):
+        data = [_data(bytes([0, 0, 0, seq]) + b"local", seq)
+                for seq in range(1, 4)]
+        sent = (data[:2] + [_control(0), _control(1)] + data[2:]
+                + [_control(2)])
+
+        async def scenario():
+            transport = LocalTransport(queue_size=64)
+            await transport.start(["r0"])
+            await transport.send("r0", sent[:4])
+            await transport.send("r0", sent[4:])
+            await transport.close()
+            return [list(run) async for run in transport.subscribe("r0")]
+
+        runs = asyncio.run(scenario())
+        _assert_pure(runs)
+        assert [d for run in runs for d in run] == sent
+        # One run per queue entry, yielded as it is.
+        assert [len(run) for run in runs] == [2, 1, 1, 1, 1]
+
+    def test_control_frame_to_a_crashed_full_inbox_returns_at_once(self):
+        async def scenario():
+            transport = LocalTransport(queue_size=1)
+            await transport.start(["r0"])
+
+            async def consume():
+                async for _run in transport.subscribe("r0"):
+                    pass
+
+            # A crash cancels the subscriber while it waits for frames.
+            task = asyncio.create_task(consume())
+            await asyncio.sleep(0)
+            task.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await task
+            fill = [_data(b"\x00\x00\x00\x01fill", 1)]
+            assert await transport.send("r0", fill) == []
+            control = [_control(0)]
+            dropped = await asyncio.wait_for(transport.send("r0", control),
+                                             timeout=1.0)
+            return dropped == control, transport.queue_drops("r0")
+
+        assert asyncio.run(scenario()) == (True, 1)
+
+    def test_waiting_control_send_is_released_when_its_subscriber_dies(self):
+        async def scenario():
+            transport = LocalTransport(queue_size=1)
+            await transport.start(["r0"])
+            stalled = asyncio.Event()
+
+            async def consume():
+                async for _run in transport.subscribe("r0"):
+                    await stalled.wait()  # never set: nothing drains
+
+            task = asyncio.create_task(consume())
+            await transport.send("r0", [_data(b"\x00\x00\x00\x01a", 1)])
+            await asyncio.sleep(0)
+            await transport.send("r0", [_data(b"\x00\x00\x00\x02b", 2)])
+            send = asyncio.create_task(transport.send("r0", [_control(0)]))
+            for _ in range(5):
+                await asyncio.sleep(0)
+            waited = not send.done()
+            task.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await task
+            dropped = await asyncio.wait_for(send, timeout=1.0)
+            return waited, [d.kind for d in dropped]
+
+        assert asyncio.run(scenario()) == (True, ["control"])
 
     def test_unknown_receiver_rejected(self):
         async def scenario():
@@ -166,7 +257,8 @@ class TestLocalTransport:
             await transport.start(["r0"])
             await transport.send("r0", [_data(b"\x00\x00\x00\x01z", 1)])
             await transport.close()
-            return [d.seq_hint async for d in transport.subscribe("r0")]
+            frames = await _frames(transport.subscribe("r0"))
+            return [d.seq_hint for d in frames]
 
         assert asyncio.run(scenario()) == [1]
 
@@ -181,7 +273,7 @@ class TestUdpTransport:
 
             async def first():
                 gen = transport.subscribe("r0")
-                return await gen.__anext__()
+                return (await gen.__anext__())[0]
 
             delivery = await asyncio.wait_for(first(), timeout=5.0)
             await transport.close()
@@ -191,6 +283,36 @@ class TestUdpTransport:
         assert delivery.data == b"\x00\x00\x00\x01udp-payload"
         assert delivery.kind == "unknown"
         assert delivery.arrival_time >= 0.0
+
+    def test_runs_split_at_control_frames(self):
+        data = [_data(bytes([0, 0, 0, seq]) + b"udp", seq)
+                for seq in range(1, 6)]
+        sent = (data[:2] + [_control(0)] + data[2:]
+                + [_control(1), _control(-1, final=True)])
+
+        async def scenario():
+            transport = UdpTransport(MonotonicClock())
+            await transport.start(["r0"])
+            await transport.send("r0", sent)
+            # Let every datagram land first, so one wake-up drains
+            # them all.
+            queue = transport._queues["r0"]  # noqa: SLF001
+            for _ in range(500):
+                if queue.qsize() == len(sent):
+                    break
+                await asyncio.sleep(0.01)
+            runs = []
+            async for run in transport.subscribe("r0"):
+                runs.append(list(run))
+                if sum(map(len, runs)) == len(sent):
+                    break
+            await transport.close()
+            return runs
+
+        runs = asyncio.run(scenario())
+        _assert_pure(runs)
+        assert [d.data for run in runs for d in run] == [d.data for d in sent]
+        assert [len(run) for run in runs] == [2, 1, 3, 1, 1]
 
     def test_send_before_start_rejected(self):
         async def scenario():

@@ -2,10 +2,14 @@
 
 :class:`~repro.serve.transport.LocalTransport` puts one queue entry per
 run of data frames and one per control frame, and counts capacity in
-frames with a depth counter.  :class:`PerFrameLocalTransport` below is
-the earlier design, kept here as a test-only oracle: one bounded
-``asyncio.Queue`` of frames per receiver, one put and one get per
-frame.
+frames with a depth counter; its subscription yields each entry as
+one run.  :class:`PerFrameLocalTransport` below is the earlier design,
+kept here as a test-only oracle: one bounded ``asyncio.Queue`` of
+frames per receiver, one put and one get per frame.  Each frame is
+tagged with the send run it came from, and the oracle's subscription
+gets a run's frames back to back (one ``get`` each) and yields them
+together — a subscriber that takes a run without pausing, which is
+what a run-wise subscriber is.
 
 Random scripts of sends (data and control frames mixed, any
 ``queue_size``) and drains run against both, each in its own event
@@ -16,6 +20,7 @@ histogram included) and the lifecycle ``enqueue`` events.
 """
 
 import asyncio
+import itertools
 from typing import AsyncIterator, Dict, List, Sequence
 
 from hypothesis import given, settings
@@ -49,6 +54,7 @@ class PerFrameLocalTransport(Transport):
         self._queues: Dict[str, asyncio.Queue] = {}
         self._drops: Dict[str, int] = {}
         self._closed = False
+        self._runs = itertools.count()
 
     async def start(self, receiver_ids: Sequence[str]) -> None:
         for receiver_id in receiver_ids:
@@ -78,12 +84,15 @@ class PerFrameLocalTransport(Transport):
         registry = get_registry()
         tracer = get_lifecycle()
         dropped: List[WireDelivery] = []
+        run = next(self._runs)
         for delivery in deliveries:
             if delivery.data.startswith(CONTROL_PREFIX):
-                await queue.put(delivery)  # backpressure, never dropped
+                # Backpressure, never dropped; a run of its own.
+                await queue.put((next(self._runs), delivery))
+                run = next(self._runs)
                 continue
             try:
-                queue.put_nowait(delivery)
+                queue.put_nowait((run, delivery))
                 status = "queued"
             except asyncio.QueueFull:
                 dropped.append(delivery)
@@ -105,13 +114,19 @@ class PerFrameLocalTransport(Transport):
         return dropped
 
     async def subscribe(self, receiver_id: str
-                        ) -> AsyncIterator[WireDelivery]:
+                        ) -> AsyncIterator[List[WireDelivery]]:
         queue = self._queue(receiver_id)
+        pending = queue._queue  # noqa: SLF001 (stdlib deque)
         while True:
             item = await queue.get()
             if item is _CLOSE:
                 return
-            yield item
+            run, delivery = item
+            frames = [delivery]
+            while (pending and pending[0] is not _CLOSE
+                   and pending[0][0] == run):
+                frames.append(queue.get_nowait()[1])
+            yield frames
 
     async def close(self) -> None:
         if self._closed:
@@ -184,12 +199,13 @@ def _run(transport_type, queue_size: int, script) -> dict:
         gates = {r: asyncio.Event() for r in RECEIVERS}
 
         async def consume(receiver_id):
-            async for delivery in transport.subscribe(receiver_id):
-                log.append(("got", receiver_id, delivery.data))
-                while credits[receiver_id] == 0:
-                    gates[receiver_id].clear()
-                    await gates[receiver_id].wait()
-                credits[receiver_id] -= 1
+            async for run in transport.subscribe(receiver_id):
+                for delivery in run:
+                    log.append(("got", receiver_id, delivery.data))
+                    while credits[receiver_id] == 0:
+                        gates[receiver_id].clear()
+                        await gates[receiver_id].wait()
+                    credits[receiver_id] -= 1
 
         async def send(receiver_id, deliveries, index):
             dropped = await transport.send(receiver_id, deliveries)

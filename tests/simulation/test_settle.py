@@ -148,8 +148,7 @@ def test_kernel_and_live_receiver_agree_on_a_polluted_block():
         intact=frozenset(d.seq_hint for d in deliveries
                          if d.kind == "genuine"),
         digests=_authentic(sent.packets))
-    for delivery in deliveries:
-        session.stream.ingest_wire(delivery.data, delivery.arrival_time)
+    session.stream.ingest_run(deliveries)
     session.close_block(ControlFrame(0, min(sent.positions),
                                      max(sent.positions)), now=10.0)
     live = session.stats["polluted"]
@@ -158,3 +157,63 @@ def test_kernel_and_live_receiver_agree_on_a_polluted_block():
     assert live.delays == kernel.delays
     assert live.forged_accepted == kernel.forged_accepted == 0
     assert sum(t.verified for t in kernel.tallies.values()) > 0
+
+
+def _per_position_settle(verifier, positions, intact, authentic, stats):
+    """The per-position settle: one ``SimulationStats.record`` per seq."""
+    records = []
+    for seq, position in positions.items():
+        record = verifier.verdict(seq)
+        verified = record is not None and record.verified
+        stats.record(position, verified or seq in intact, verified,
+                     record.delay if verified else None)
+        records.append(record)
+    if authentic is not None:
+        for seq, digest in verifier.fresh_accepted():
+            if authentic.get(seq) != digest:
+                stats.forged_accepted += 1
+    return records
+
+
+def _fields(record):
+    if record is None:
+        return None
+    return (record.seq, record.verified, record.forged,
+            record.arrival_time, record.verified_time)
+
+
+@pytest.mark.parametrize("name", ["emss(2,1)", "ac(2,1)", "saida(0.5)",
+                                  "rohatgi-online", "sign-each"])
+def test_block_tally_matches_the_per_position_oracle(name):
+    scheme = make_scheme(name)
+    channels = SeededChannels.for_scheme(scheme, 0.2, seed=29)
+    audited = 0
+    for trial in range(4):
+        sent = scheme.new_trial(SIGNER, 8, 2, seed=channels.seed)
+        channel = AttackSchedule(attack_mix("pollution"), 29)(
+            channels(trial), trial)
+        deliveries = channel.transmit_wire(sent.packets)
+        intact = {d.seq_hint for d in deliveries if d.kind == "genuine"}
+        verifiers = [sent.new_verifier(), sent.new_verifier()]
+        authentic = {packet.seq: verifiers[0].content_digest(packet)
+                     for packet in sent.packets}
+        # Misstate every third digest, so the audit has work to do.
+        for seq in list(authentic)[::3]:
+            authentic[seq] = b"misstated"
+        results = []
+        for verifier, settle_with in zip(verifiers,
+                                         (settle, _per_position_settle)):
+            verifier.ingest_run(deliveries)
+            verifier.finish()
+            stats = SimulationStats()
+            records = [settle_with(verifier, sent.positions, intact,
+                                   authentic, stats) for _ in range(2)]
+            results.append(([[_fields(r) for r in block]
+                             for block in records], stats))
+        (got_records, got), (expected_records, expected) = results
+        assert got_records == expected_records
+        assert got.tallies == expected.tallies
+        assert got.delays == expected.delays
+        assert got.forged_accepted == expected.forged_accepted
+        audited += got.forged_accepted
+    assert audited > 0

@@ -1,6 +1,8 @@
 """Unit tests for simulation statistics aggregation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import SimulationError
 from repro.simulation.stats import PositionTally, SimulationStats
@@ -81,3 +83,41 @@ class TestAggregates:
 
     def test_mean_delay_empty(self):
         assert SimulationStats().mean_delay == 0.0
+
+
+_fates = st.lists(
+    st.tuples(st.integers(1, 6), st.booleans(), st.booleans(),
+              st.one_of(st.none(), st.floats(0.0, 5.0)))
+    .map(lambda f: (f[0], f[1] or f[2], f[2], f[3])),
+    max_size=30)
+
+
+class TestRecordBlock:
+    """One call per block against the per-position :meth:`record`."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_fates, max_size=4))
+    def test_matches_record_per_position(self, blocks):
+        oracle, block_wise = SimulationStats(), SimulationStats()
+        for fates in blocks:
+            for fate in fates:
+                oracle.record(*fate)
+            block_wise.record_block(fates)
+        assert block_wise.tallies == oracle.tallies
+        assert block_wise.delays == oracle.delays
+
+    @pytest.mark.parametrize("bad", [(0, True, True, None),
+                                     (-3, False, False, None),
+                                     (2, False, True, 0.5)])
+    def test_keeps_records_checks(self, bad):
+        fates = [(1, True, True, 0.25), bad, (3, True, False, None)]
+        oracle, block_wise = SimulationStats(), SimulationStats()
+        with pytest.raises(SimulationError) as expected:
+            for fate in fates:
+                oracle.record(*fate)
+        with pytest.raises(SimulationError) as got:
+            block_wise.record_block(fates)
+        assert str(got.value) == str(expected.value)
+        # Fates before the bad one are tallied, as record would have.
+        assert block_wise.tallies == oracle.tallies
+        assert block_wise.delays == oracle.delays == [0.25]
