@@ -1,21 +1,24 @@
-"""Exact offset-set oracle: the frontier engine vs the dictionary walk.
+"""Exact offset-set profiles under the frontier engine.
 
 The ``test_exact_periodic_reach12_n400`` hot spot (~2.3 s under the
 dictionary walk) is the workload benchmarked here under the shipping
 frontier engine (:mod:`repro.analysis.frontier`) over the compiled
 ``offsets(1,5,12)`` graph; the speedup assertion keeps the engine from
 silently regressing to per-state Python, and the cross-check keeps it
-honest against the reference walk.
+honest against the reference walk.  ``E_{4,4}`` at n = 128 times the
+root split: four width-4 walks where one walk would need 16 bits.
 """
 
 import time
 
 import pytest
 
-from repro.analysis.exact_periodic import exact_periodic_q_profile_reference
-from repro.analysis.frontier import frontier_q_profile
+from repro.analysis.exact_chain import exact_q_profile
+from repro.analysis.frontier import frontier_q_profile, frontier_width
 from repro.experiments.common import ExperimentResult
-from repro.schemes.emss import GenericOffsetScheme
+from repro.schemes.emss import EmssScheme, GenericOffsetScheme
+
+from tests.oracles import exact_periodic_q_profile_reference
 
 N = 400
 OFFSETS = (1, 5, 12)
@@ -65,3 +68,16 @@ def test_bench_exact_periodic_oracle(benchmark, show):
     result.note("frontier engine over the compiled graph vs the "
                 "dictionary walk; both exact to 1e-12")
     show(result)
+
+
+def test_bench_exact_emss44_n128(benchmark):
+    n = 128
+    plan = EmssScheme(4, 4).block_plan(n)
+    assert frontier_width(plan) == 4
+    profile = benchmark(frontier_q_profile, plan, LOSS_RATE)
+
+    # Each component is an E_{4,1} chain; P_s sits ceil((n - s) / 4)
+    # hops from P_sign in its own.
+    chain = exact_q_profile(n // 4 + 1, 4, LOSS_RATE)
+    for s, got in profile.items():
+        assert got == pytest.approx(chain[-((s - n) // 4)], abs=1e-12)

@@ -125,9 +125,13 @@ def test_exact_periodic_reach12_n400(benchmark):
 
 
 def test_exact_markov_n1000(benchmark):
-    from repro.analysis.exact_chain_markov import gilbert_elliott_q_min
+    from repro.analysis.frontier import frontier_q_profile
+    from repro.network.loss import GilbertElliottLoss
+    from repro.schemes.emss import EmssScheme
 
-    value = benchmark(gilbert_elliott_q_min, 1000, 2, 0.1, 4.0)
+    plan = EmssScheme(2, 1).block_plan(1000)
+    model = GilbertElliottLoss.from_rate_and_burst(0.1, 4.0)
+    value = benchmark(lambda: min(frontier_q_profile(plan, model).values()))
     assert 0.0 <= value < 1.0
 
 

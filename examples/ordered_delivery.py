@@ -47,17 +47,17 @@ def main() -> None:
         last_seq = packets[-1].seq
         receiver.finish_block(packets[0].block_id, last_seq)
         print(f"block {block_index}: release batches {batch_sizes}, "
-              f"delivered so far {len(receiver.delivered)}, "
+              f"delivered so far {receiver.delivered}, "
               f"skipped {receiver.skipped}")
 
     print()
     print(f"sent {sent} packets; application received "
-          f"{len(receiver.delivered)} verified payloads in order, "
+          f"{receiver.delivered} verified payloads in order, "
           f"{receiver.skipped} skipped as lost/unverifiable")
     assert delivered_log == sorted(delivered_log), "ordering violated!"
     print("delivery order is strictly increasing - no reordering, no "
           "unverified data, ever")
-    print(f"effective goodput: {len(receiver.delivered)}/{sent} "
+    print(f"effective goodput: {receiver.delivered}/{sent} "
           f"data packets (signature packets carry data too; "
           f"{receiver.skipped} casualties of loss and broken dependence)")
 

@@ -5,8 +5,6 @@ from repro.analysis import (
     delay,
     emss,
     exact_chain,
-    exact_chain_markov,
-    exact_periodic,
     frontier,
     rohatgi,
     saida,
@@ -32,8 +30,6 @@ __all__ = [
     "delay",
     "emss",
     "exact_chain",
-    "exact_chain_markov",
-    "exact_periodic",
     "frontier",
     "rohatgi",
     "saida",

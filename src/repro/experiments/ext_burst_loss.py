@@ -15,7 +15,7 @@ the same mean rate *helps* once the spread exceeds the burst length
 
 from __future__ import annotations
 
-from repro.analysis.exact_chain_markov import gilbert_elliott_q_min
+from repro.analysis.frontier import frontier_q_profile
 from repro.analysis.montecarlo import graph_monte_carlo, graph_monte_carlo_model
 from repro.experiments.common import ExperimentResult
 from repro.network.loss import GilbertElliottLoss
@@ -56,11 +56,13 @@ def run(fast: bool = False) -> ExperimentResult:
             "iid q_min": iid,
             f"burst={bursts[-1]} q_min": ys[-1],
         })
-    # E_{2,1} admits an exact Markov-loss analysis (the paper's future
-    # work solved in closed form); cross-check it against the MC curve.
+    # The frontier engine is exact under Markov loss (the paper's future
+    # work) for E_{2,1}; cross-check it against the MC curve.
     emss_series = result.series["emss(2,1)"]
+    plan = EmssScheme(2, 1).block_plan(n)
     exact_curve = [
-        gilbert_elliott_q_min(n, 2, rate, max(burst, 1.0001))
+        min(frontier_q_profile(plan, GilbertElliottLoss.from_rate_and_burst(
+            rate, max(burst, 1.0001))).values())
         for burst in emss_series.x
     ]
     result.add_series("emss(2,1) exact analytic", list(emss_series.x),

@@ -65,6 +65,16 @@ class LossModel(ABC):
     def mean_loss_rate(self) -> float:
         """Long-run fraction of packets lost."""
 
+    @property
+    def chain(self) -> Optional[Tuple[List[List[float]], List[float]]]:
+        """The Markov chain behind the losses, if there is one.
+
+        The row-stochastic transition matrix and each state's loss
+        rate; a packet's loss is drawn in the current state, then the
+        state moves.  ``None`` when the model is no such chain.
+        """
+        return None
+
 
 class NoLoss(LossModel):
     """Lossless channel (sanity baselines)."""
@@ -198,6 +208,13 @@ class GilbertElliottLoss(LossModel):
         pi_bad = self.p_good_to_bad / total
         return pi_bad * self.loss_in_bad + (1.0 - pi_bad) * self.loss_in_good
 
+    @property
+    def chain(self) -> Tuple[List[List[float]], List[float]]:
+        """States GOOD, BAD."""
+        g2b, b2g = self.p_good_to_bad, self.p_bad_to_good
+        return ([[1.0 - g2b, g2b], [b2g, 1.0 - b2g]],
+                [self.loss_in_good, self.loss_in_bad])
+
 
 class MarkovLoss(LossModel):
     """General m-state Markov loss — the paper's named future work.
@@ -274,6 +291,10 @@ class MarkovLoss(LossModel):
         b[-1] = 1.0
         pi, *_ = np.linalg.lstsq(a, b, rcond=None)
         return float(pi @ np.array(self._loss_rates))
+
+    @property
+    def chain(self) -> Tuple[List[List[float]], List[float]]:
+        return [list(row) for row in self._transition], list(self._loss_rates)
 
 
 class TraceLoss(LossModel):

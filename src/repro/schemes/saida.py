@@ -114,7 +114,9 @@ class SaidaScheme(Scheme):
             raise SchemeParameterError("GF(256) limits blocks to 255 packets")
         hash_function = hash_function or self.hash_function
         k = self.threshold(n)
-        hashes = [hash_function.digest(bytes(p)) for p in payloads]
+        hashes = [hash_function.digest(Packet(
+            base_seq + index, block_id, bytes(payload)).auth_bytes())
+            for index, payload in enumerate(payloads)]
         signature = signer.sign(_signed_portion(block_id, hashes))
         shares = rs_encode(_blob(block_id, hashes, signature), n, k)
         packets = []
@@ -284,7 +286,7 @@ class SaidaReceiver(Verifier):
         hashes = self._hash_lists[packet.block_id]
         if not 0 <= base_index < len(hashes):
             return False
-        return self._hash.digest(packet.payload) == hashes[base_index]
+        return self.content_digest(packet) == hashes[base_index]
 
     def _finish_block(self, block_id: int) -> None:
         self._shapes.pop(block_id, None)
@@ -383,8 +385,9 @@ class SaidaReceiver(Verifier):
     def content_digest(self, packet: Packet) -> bytes:
         """Digest of the payload under its sequence number.
 
-        That is what the signed hash list binds; a packet whose share
-        was tampered with still verifies through the other shares.
+        That is what the signed hash list holds, so a payload verifies
+        only under the seq it was sent with; a packet whose share was
+        tampered with still verifies through the other shares.
         """
         return self._hash.digest(
             Packet(packet.seq, packet.block_id, packet.payload).auth_bytes())

@@ -101,15 +101,17 @@ class WongLamScheme(Scheme):
                    block_id: int = 0, base_seq: int = 1) -> List[Packet]:
         """Build packets each carrying the signed root and its own proof.
 
-        The tree is built over the payloads; each packet's ``extra``
-        holds the root and its authentication path, and every packet
-        carries the root signature (``signature`` field), making it
-        self-contained.
+        The tree's leaves are the payloads under their sequence
+        numbers (:func:`_leaf`); each packet's ``extra`` holds the root
+        and its authentication path, and every packet carries the root
+        signature (``signature`` field), making it self-contained.
         """
         if not payloads:
             raise SchemeParameterError("empty block")
         hash_function = hash_function or self.hash_function
-        tree = MerkleTree([bytes(p) for p in payloads], hash_function)
+        tree = MerkleTree([_leaf(base_seq + index, block_id, bytes(payload))
+                           for index, payload in enumerate(payloads)],
+                          hash_function)
         signature = signer.sign(tree.root)
         packets = []
         for index, payload in enumerate(payloads):
@@ -167,8 +169,8 @@ def verify_wong_lam_packet(packet: Packet, signer: Signer,
     """Receiver-side verification of a Wong–Lam packet in isolation.
 
     Checks the root signature, then the authentication path from the
-    payload to the root.  Returns ``False`` on any mismatch or
-    malformed proof.
+    payload under ``packet.seq`` to the root.  Returns ``False`` on any
+    mismatch or malformed proof.
     """
     if packet.signature is None:
         return False
@@ -182,7 +184,13 @@ def verify_wong_lam_packet(packet: Packet, signer: Signer,
         return False
     if not signer.verify(root, packet.signature):
         return False
-    return MerkleTree.verify_static(packet.payload, proof, root, hash_function)
+    leaf = _leaf(packet.seq, packet.block_id, packet.payload)
+    return MerkleTree.verify_static(leaf, proof, root, hash_function)
+
+
+def _leaf(seq: int, block_id: int, payload: bytes) -> bytes:
+    """A Merkle leaf: the payload bound to its seq and block."""
+    return Packet(seq, block_id, payload).auth_bytes()
 
 
 def _verify_in_stream(packet: Packet, signer: Signer,

@@ -248,7 +248,7 @@ def _gauge_rows(pool: ReceiverPool, controller,
             "r": receiver_id,
             "buffered": verifier.buffered_count,
             "pending": session.stream.pending,
-            "delivered": len(session.stream.delivered),
+            "delivered": session.stream.delivered,
             "window_rate": session.estimator.window_rate,
             "ewma_rate": session.estimator.ewma_rate,
             "forged_rejected": verifier.forged_rejected,
@@ -598,5 +598,5 @@ def run_live_session(config: ServeConfig,
         result.transcripts[receiver_id] = session_obj.transcript_bytes()
         result.reports[receiver_id] = list(session_obj.reports)
         result.queue_drops[receiver_id] = transport.queue_drops(receiver_id)
-        result.delivered += len(session_obj.stream.delivered)
+        result.delivered += session_obj.stream.delivered
     return result

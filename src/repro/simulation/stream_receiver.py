@@ -53,7 +53,9 @@ class StreamReceiver:
         Must match the sender's.
     on_deliver:
         Optional callback invoked with each :class:`DeliveredPayload`
-        as it is released (in sequence order).
+        as it is released (in sequence order).  The receiver keeps
+        only the count, :attr:`delivered`; an application that wants
+        the payloads keeps them here.
     max_buffered:
         Passed through to the underlying verifier (DoS cap).
     wire_memo:
@@ -74,7 +76,8 @@ class StreamReceiver:
         self._ready: Dict[int, Optional[DeliveredPayload]] = {}
         self._next_seq = 1
         self._skipped = 0
-        self.delivered: List[DeliveredPayload] = []
+        #: Payloads released to the application so far.
+        self.delivered = 0
 
     # ------------------------------------------------------------------
 
@@ -121,7 +124,7 @@ class StreamReceiver:
             if item is None:
                 continue  # verified signature-only packet: no app data
             released.append(item)
-            self.delivered.append(item)
+            self.delivered += 1
             if self._on_deliver is not None:
                 self._on_deliver(item)
         return released
@@ -144,7 +147,7 @@ class StreamReceiver:
             if item is None:
                 continue
             released.append(item)
-            self.delivered.append(item)
+            self.delivered += 1
             if self._on_deliver is not None:
                 self._on_deliver(item)
         self._next_seq = through_seq + 1

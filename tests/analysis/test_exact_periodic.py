@@ -12,7 +12,6 @@ import pytest
 
 from repro.analysis.conformance import analytic_q_profile
 from repro.analysis.exact_chain import exact_q_profile
-from repro.analysis.exact_periodic import exact_periodic_q_profile_reference
 from repro.analysis.frontier import frontier_q_profile
 from repro.analysis.montecarlo import graph_monte_carlo
 from repro.core.graph import DependenceGraph
@@ -20,6 +19,8 @@ from repro.core.recurrence import solve_recurrence
 from repro.exceptions import AnalysisError, SchemeParameterError
 from repro.schemes.base import BlockPlan
 from repro.schemes.emss import GenericOffsetScheme
+
+from tests.oracles import exact_periodic_q_profile_reference
 
 
 def exact_periodic_q_profile(n: int, offsets: Sequence[int],

@@ -5,17 +5,17 @@ random instances through every pairwise agreement and ordering that
 must hold between them and the paper's recurrence.
 """
 
-from typing import List, Sequence
+from typing import List, Sequence, Union
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.exact_chain import exact_q_profile
-from repro.analysis.exact_chain_markov import markov_chain_q_profile
 from repro.analysis.frontier import frontier_q_profile
 from repro.core.graph import DependenceGraph
 from repro.core.recurrence import solve_recurrence
+from repro.network.loss import LossModel, MarkovLoss
 from repro.schemes.base import BlockPlan
 
 _loss = st.floats(min_value=0.0, max_value=0.95)
@@ -24,7 +24,7 @@ _small_offsets = st.lists(st.integers(min_value=1, max_value=10),
 
 
 def exact_periodic_q_profile(n: int, offsets: Sequence[int],
-                             p: float) -> List[float]:
+                             p: Union[float, LossModel]) -> List[float]:
     """The frontier engine's ``[q_1 .. q_n]`` for offset set ``A``.
 
     Signature-rooted: ``P_1 = P_sign``, packet ``i`` relies on
@@ -53,7 +53,8 @@ class TestEvaluatorAgreement:
     @settings(max_examples=80, deadline=None)
     def test_single_state_markov_equals_iid(self, n, m, p):
         iid = exact_q_profile(n, m, p)
-        markov = markov_chain_q_profile(n, m, [[1.0]], [p])
+        markov = exact_periodic_q_profile(n, list(range(1, m + 1)),
+                                          MarkovLoss([[1.0]], [p]))
         for a, b in zip(iid, markov):
             assert a == pytest.approx(b, abs=1e-10)
 

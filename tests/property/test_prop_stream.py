@@ -30,14 +30,16 @@ class TestStreamReceiverProperties:
         n, order = case
         payloads = make_payloads(n)
         packets = EmssScheme(2, 1).make_block(payloads, _SIGNER)
-        receiver = StreamReceiver(_SIGNER)
+        released = []
+        receiver = StreamReceiver(_SIGNER, on_deliver=released.append)
         for index in order:
             receiver.receive(packets[index], 0.0)
         receiver.skip_gap(n)
-        seqs = [d.seq for d in receiver.delivered]
+        seqs = [d.seq for d in released]
         # Strictly increasing, no duplicates, payloads authentic.
         assert seqs == sorted(set(seqs))
-        for delivered in receiver.delivered:
+        assert receiver.delivered == len(released)
+        for delivered in released:
             assert delivered.payload == payloads[delivered.seq - 1]
 
     @given(delivery_orders())
@@ -49,7 +51,7 @@ class TestStreamReceiverProperties:
         for index in order:
             receiver.receive(packets[index], 0.0)
         receiver.skip_gap(n)
-        assert len(receiver.delivered) + receiver.skipped == n
+        assert receiver.delivered + receiver.skipped == n
         assert receiver.pending == 0
 
     @given(delivery_orders())
@@ -57,16 +59,18 @@ class TestStreamReceiverProperties:
     def test_arrival_order_never_changes_the_verified_set(self, case):
         n, order = case
         packets = EmssScheme(2, 1).make_block(make_payloads(n), _SIGNER)
-        in_order = StreamReceiver(_SIGNER)
+        in_order_seqs, shuffled_seqs = set(), set()
+        in_order = StreamReceiver(
+            _SIGNER, on_deliver=lambda d: in_order_seqs.add(d.seq))
         for index in sorted(order):
             in_order.receive(packets[index], 0.0)
-        shuffled = StreamReceiver(_SIGNER)
+        shuffled = StreamReceiver(
+            _SIGNER, on_deliver=lambda d: shuffled_seqs.add(d.seq))
         for index in order:
             shuffled.receive(packets[index], 0.0)
         in_order.skip_gap(n)
         shuffled.skip_gap(n)
-        assert {d.seq for d in in_order.delivered} == \
-            {d.seq for d in shuffled.delivered}
+        assert in_order_seqs == shuffled_seqs
 
 
 class TestTeslaProperties:

@@ -194,14 +194,17 @@ class _Recorder:
         self.events.append((args, sorted(attrs.items())))
 
 
-def _session(memo, max_buffered: Optional[int]) -> ReceiverSession:
+def _session(memo, max_buffered: Optional[int]):
+    """A receiver session, and the payloads its stream releases."""
     session = ReceiverSession("r0", _SIGNER, wire_memo=memo)
+    released: list = []
     session.stream = StreamReceiver(_SIGNER, max_buffered=max_buffered,
-                                    wire_memo=memo)
-    return session
+                                    wire_memo=memo,
+                                    on_deliver=released.append)
+    return session, released
 
 
-def _observe(session, recorder):
+def _observe(session, released, recorder):
     verifier = session.stream.verifier
     return {
         "outcomes": [(seq, o.verified, o.forged, o.arrival_time,
@@ -214,7 +217,7 @@ def _observe(session, recorder):
                      verifier.pending_hash_count),
         "peaks": (verifier.message_buffer_peak, verifier.hash_buffer_peak),
         "last": (verifier.last_ingest, verifier.last_ingest_packet),
-        "delivered": list(session.stream.delivered),
+        "delivered": (session.stream.delivered, released),
         "lifecycle": None if recorder is None else recorder.events,
     }
 
@@ -226,7 +229,7 @@ def _play(runs, shared_memo, max_buffered, traced, run_wise):
     sessions = [_session(memo, max_buffered) for _ in range(2)]
     previous = set_lifecycle(recorder) if traced else None
     try:
-        for index, session in enumerate(sessions):
+        for index, (session, _) in enumerate(sessions):
             script = runs if index == 0 else runs[::-1]
             if run_wise:
                 asyncio.run(session.run(_Scripted(script), _no_report))
@@ -235,7 +238,8 @@ def _play(runs, shared_memo, max_buffered, traced, run_wise):
     finally:
         if traced:
             set_lifecycle(previous)
-    return [_observe(session, recorder) for session in sessions]
+    return [_observe(session, released, recorder)
+            for session, released in sessions]
 
 
 async def _no_report(report):

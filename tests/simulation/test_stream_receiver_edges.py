@@ -34,12 +34,12 @@ class TestSkipGapEdges:
         receiver = StreamReceiver(signer)
         for packet in packets:
             receiver.receive(packet, 0.0)
-        delivered_before = len(receiver.delivered)
+        delivered_before = receiver.delivered
         # Everything through seq 4 is already released; skipping "past"
         # it must not double-deliver or inflate the skipped counter.
         assert receiver.skip_gap(4) == []
         assert receiver.skipped == 0
-        assert len(receiver.delivered) == delivered_before
+        assert receiver.delivered == delivered_before
 
     def test_gap_at_block_boundary_releases_next_block(self, signer):
         first = _block(signer, 3, block_id=0, base_seq=1)
@@ -49,7 +49,7 @@ class TestSkipGapEdges:
         # held back by the boundary gap.
         for packet in second:
             receiver.receive(packet, 1.0)
-        assert receiver.delivered == []
+        assert receiver.delivered == 0
         assert receiver.pending == 3
         released = receiver.finish_block(0, last_seq=3)
         assert [d.seq for d in released] == [4, 5, 6]
@@ -62,7 +62,7 @@ class TestSkipGapEdges:
         receiver = StreamReceiver(signer)
         for packet in packets[2:]:
             receiver.receive(packet, 0.0)
-        assert receiver.delivered == []
+        assert receiver.delivered == 0
         released = receiver.skip_gap(2)
         assert [d.seq for d in released] == [3, 4]
         assert receiver.skipped == 2
@@ -92,8 +92,10 @@ class TestEmptyBlock:
         assert receiver._next_seq == 6
 
     def test_stream_recovers_after_empty_block(self, signer):
-        receiver = StreamReceiver(signer)
+        seen = []
+        receiver = StreamReceiver(signer, on_deliver=seen.append)
         receiver.finish_block(0, last_seq=3)
         for packet in _block(signer, 2, block_id=1, base_seq=4):
             receiver.receive(packet, 2.0)
-        assert [d.seq for d in receiver.delivered] == [4, 5]
+        assert [d.seq for d in seen] == [4, 5]
+        assert receiver.delivered == 2
