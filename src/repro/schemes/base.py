@@ -381,16 +381,20 @@ IngestHook = Callable[["WireDelivery"], None]
 class Verifier(ABC):
     """Receiver side of one trial: the protocol every scheme's verifier speaks.
 
-    Deliveries arrive through :meth:`receive` (the trusting path:
-    parsed packets off a loss-only channel) or :meth:`ingest_run` (the
-    defensive path: a run of raw wire deliveries off an attacked
-    channel, one :meth:`ingest_wire` each unless the verifier loops
-    over the run itself).  After the last delivery, :meth:`finish`
-    settles anything held back, and :meth:`verdict` answers with a
-    :class:`PacketOutcome`.  The counters follow
-    :class:`~repro.simulation.stats.SimulationStats`: ``forged`` counts
-    rejections on the trusting path, ``undecodable``,
-    ``forged_rejected`` and ``replays_dropped`` the defensive path's.
+    Deliveries arrive through :meth:`receive`, one decoded packet at a
+    time, or :meth:`ingest_run`, a run of raw wire deliveries (one
+    :meth:`ingest_wire` each unless the verifier loops over the run
+    itself).  After the last delivery, :meth:`finish` settles anything
+    held back, and :meth:`verdict` answers with a
+    :class:`PacketOutcome`.  Every delivery takes the same path, so a
+    loss-only channel and an attacked one differ only in what arrives:
+    a repeated copy of content already taken counts in
+    ``replays_dropped``, a decodable packet that fails the
+    authentication checks in ``forged_rejected`` (and never verifies;
+    the hash-chain verifier also never lets it claim its slot), and a
+    buffer the strict decoder refuses in ``undecodable``.  ``forged``
+    counts the records flagged forged, as
+    :class:`~repro.simulation.stats.SimulationStats` does.
     For the soundness audit, :meth:`accepted_digests` must match the
     :meth:`content_digest` of the packet sent under each sequence number.
     """
@@ -410,18 +414,14 @@ class Verifier(ABC):
     def receive(self, packet: Packet, arrival_time: float) -> object:
         """Take one delivered packet."""
 
-    def ingest(self, packet: Packet, arrival_time: float) -> object:
-        """Take one decoded packet off an attacked channel."""
-        return self.receive(packet, arrival_time)
-
     def ingest_wire(self, data: bytes, arrival_time: float) -> object:
-        """Decode one wire buffer strictly, then :meth:`ingest` it."""
+        """Decode one wire buffer strictly, then :meth:`receive` it."""
         try:
             packet = packet_from_wire(data)
         except WireDecodeError:
             self.undecodable += 1
             return None
-        return self.ingest(packet, arrival_time)
+        return self.receive(packet, arrival_time)
 
     def ingest_run(self, deliveries: Sequence["WireDelivery"],
                    on_ingest: Optional[IngestHook] = None) -> None:

@@ -38,7 +38,7 @@ from repro.core.metrics import GraphMetrics
 from repro.crypto.hashing import HashFunction, sha256
 from repro.crypto.reed_solomon import rs_decode, rs_encode
 from repro.crypto.signatures import Signer
-from repro.exceptions import SchemeParameterError, SimulationError
+from repro.exceptions import SchemeParameterError
 from repro.packets import Packet
 from repro.schemes.base import PacketOutcome, Scheme, Trial, Verifier
 
@@ -302,13 +302,6 @@ class SaidaReceiver(Verifier):
         self.message_buffer_peak = max(self.message_buffer_peak,
                                        self.pending_count)
 
-    def ingest(self, packet: Packet, arrival_time: float) -> None:
-        """:meth:`receive`, counting unparsable share headers as forgeries."""
-        try:
-            self.receive(packet, arrival_time)
-        except SimulationError:
-            self._malformed += 1
-
     def _settle(self, packet: Packet, ok: bool) -> None:
         self.verified[packet.seq] = ok
         if ok:
@@ -320,8 +313,10 @@ class SaidaReceiver(Verifier):
         try:
             index, k, n, signature_length = _EXTRA.unpack_from(
                 packet.extra, 0)
-        except struct.error as exc:
-            raise SimulationError(f"malformed SAIDA packet: {exc}") from exc
+        except struct.error:
+            # An unparsable share header counts as a forgery.
+            self._malformed += 1
+            return
         if packet.seq in self.verified:
             # Verdicts are final: replays and seq-colliding forgeries
             # cannot overwrite an earlier decision.

@@ -9,7 +9,8 @@ set):
 
 * transmits real wire bytes through an
   :class:`~repro.faults.channel.AdversarialChannel`;
-* verifies them on the scheme verifier's defensive path (undecodable
+* decodes and verifies them with the scheme verifier's
+  :meth:`~repro.schemes.base.Verifier.ingest_run` (undecodable
   buffers are counted and discarded, never crash the receiver);
 * tallies the usual per-position ``q_i`` statistics against the
   attacker's **ground truth** (a corrupted delivery counts as lost —

@@ -47,8 +47,9 @@ class SimulationStats:
     hash_buffer_peak: int = 0
     sent: int = 0
     dropped: int = 0
-    forged: int = 0
-    # Adversarial accounting (all zero in passive loss-only runs).
+    forged: int = 0          # records flagged forged on a loss-only channel
+    # Adversarial accounting: all zero in passive loss-only runs, but
+    # replays_dropped, which there counts replicated P_sign copies.
     corrupted: int = 0       # deliveries tampered on the wire
     injected: int = 0        # forged packets the attacker added
     replayed: int = 0        # duplicate deliveries the attacker added

@@ -102,14 +102,14 @@ class StreamReceiver:
     def ingest_run(self, deliveries: Sequence[WireDelivery],
                    on_ingest: Optional[IngestHook] = None
                    ) -> List[DeliveredPayload]:
-        """Defensive counterpart of :meth:`receive` for a run of wire frames.
+        """:meth:`receive` for a run of wire frames.
 
         Routes the run through
         :meth:`~repro.simulation.receiver.ChainReceiver.ingest_run`
         (``on_ingest`` included), so undecodable buffers, replays and
         forgeries degrade the verifier's counters instead of the stream
-        state; whatever the run verifies is released in order exactly
-        like the trusting path.
+        state; whatever the run verifies is released in order, as
+        :meth:`receive` releases it.
         """
         self._verifier.ingest_run(deliveries, on_ingest)
         return self._release()

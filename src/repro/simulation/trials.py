@@ -6,11 +6,14 @@ receiver's deliveries with a fresh verifier of the scheme's own
 (:class:`~repro.schemes.base.Verifier`).  :func:`settle` tallies and
 audits it, for every scheme and for the live receiver alike: a
 position counts as received when its packet arrived intact or
-verified anyway.  With ``attack`` set, deliveries cross an
-:class:`~repro.faults.channel.AdversarialChannel` as wire bytes, take
-the verifier's defensive path, and every accepted packet is audited
-against the packet sent under its sequence number:
-``forged_accepted`` must stay 0.
+verified anyway.  Every delivery takes the verifier's one
+:meth:`~repro.schemes.base.Verifier.receive` path, and its rejection
+and replay counters are folded the same way on every channel.  With
+``attack`` set, deliveries cross an
+:class:`~repro.faults.channel.AdversarialChannel` as wire bytes
+(:meth:`~repro.schemes.base.Verifier.ingest_run` decodes them), and
+every accepted packet is audited against the packet sent under its
+sequence number: ``forged_accepted`` must stay 0.
 
 Channels come from picklable factories called with the *global* trial
 index, so trial ``t`` sees the same randomness wherever it runs and
@@ -188,15 +191,17 @@ def run_trials(scheme: Scheme, block_size: int, first_trial: int,
                 stats.dropped += channel.dropped
                 stats.merge_buffer_peaks(verifier.message_buffer_peak,
                                          verifier.hash_buffer_peak)
+                stats.undecodable += verifier.undecodable
+                stats.forged_rejected += verifier.forged_rejected
+                stats.replays_dropped += verifier.replays_dropped
                 if attack is None:
+                    # Nothing on a loss-only channel can fail a check:
+                    # ``forged`` is that invariant and must read 0.
                     stats.forged += verifier.forged
                 else:
                     stats.corrupted += channel.corrupted
                     stats.injected += channel.injected
                     stats.replayed += channel.replayed
-                    stats.undecodable += verifier.undecodable
-                    stats.forged_rejected += verifier.forged_rejected
-                    stats.replays_dropped += verifier.replays_dropped
     _count(results, trial_count, attack is not None)
     return results
 

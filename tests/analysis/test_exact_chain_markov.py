@@ -119,6 +119,22 @@ class TestValidation:
         with pytest.raises(AnalysisError):
             markov_chain_q_profile(10, 2, [[1.0]], [0.1], initial=[0.4])
 
+    def test_non_reversible_chain_refused(self):
+        # The three-state cycle of test_frontier.py: GOOD -> LOSSY ->
+        # OUTAGE -> GOOD, never back, so the forward walk is wrong.
+        cycle = [[0.8, 0.2, 0.0], [0.0, 0.5, 0.5], [0.6, 0.0, 0.4]]
+        with pytest.raises(AnalysisError, match="detailed balance"):
+            markov_chain_q_profile(9, 2, cycle, [0.0, 0.6, 1.0])
+
+    @pytest.mark.parametrize("burst", [1.0001, 2.0, 16.0])
+    @pytest.mark.parametrize("rate", [0.05, 0.3])
+    def test_gilbert_elliott_chains_pass(self, rate, burst):
+        model = GilbertElliottLoss.from_rate_and_burst(rate, burst)
+        transition = [[1.0 - model.p_good_to_bad, model.p_good_to_bad],
+                      [model.p_bad_to_good, 1.0 - model.p_bad_to_good]]
+        assert len(markov_chain_q_profile(9, 2, transition,
+                                          [0.0, 1.0])) == 9
+
     def test_bad_sizes(self):
         with pytest.raises(AnalysisError):
             markov_chain_q_profile(0, 2, [[1.0]], [0.1])

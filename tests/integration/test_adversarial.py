@@ -61,14 +61,23 @@ class TestChainForgery:
         receiver.receive(block_a[0], 0.0)
         # Replay block B's second packet renumbered into block A's slot.
         foreign = replace(block_b[1], seq=2, block_id=0)
-        outcome = receiver.receive(foreign, 0.0)
-        assert not outcome.verified
+        assert receiver.receive(foreign, 0.0) is None
+        assert receiver.verdict(2) is None
+        assert receiver.forged_rejected == 1
+        assert receiver.receive(block_a[1], 0.5).verified
+        assert receiver.accepted_digests()[2] == \
+            receiver.content_digest(block_a[1])
 
     def test_unsigned_root_claim_rejected(self, signer):
         packets = RohatgiScheme().make_block(make_payloads(3), signer)
         stripped = replace(packets[0], signature=b"\x00" * 128)
         receiver = ChainReceiver(signer)
-        assert receiver.receive(stripped, 0.0).forged
+        assert receiver.receive(stripped, 0.0) is None
+        assert receiver.verdict(1) is None
+        assert receiver.forged_rejected == 1
+        for packet in packets:
+            receiver.receive(packet, 0.5)
+        assert receiver.verified_count() == 3
 
 
 class TestWongLamForgery:

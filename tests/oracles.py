@@ -1,8 +1,9 @@
-"""Exact ``q_i`` oracles the frontier engine is tested against.
+"""Independent implementations the library is tested against.
 
-Both walks used to ship in ``repro.analysis``; the engine
-(:mod:`repro.analysis.frontier`) now computes every profile they do,
-and they stay here as independent implementations to check it by.
+The two exact ``q_i`` walks used to ship in ``repro.analysis``; the
+engine (:mod:`repro.analysis.frontier`) now computes every profile
+they do, and they stay here to check it by.  The trusting receiver
+checks the hash-chain receiver on loss-only input.
 
 * :func:`exact_periodic_q_profile_reference` — the original offset-set
   bitmask walk under iid loss.  Offset set ``A`` in signature-rooted
@@ -15,24 +16,37 @@ and they stay here as independent implementations to check it by.
   loss channel, as the pair (channel state, current run of
   unverifiable packets), walked away from ``P_sign`` in ``O(n · s · m)``.
   It steps the *forward* kernel although EMSS sends ``P_sign`` last, so
-  it is exact only for reversible chains; Gilbert–Elliott channels
-  (two states) always are, and those are the only ones it checks.
+  it is exact only for reversible chains, and it raises
+  :class:`~repro.exceptions.AnalysisError` on a chain that fails
+  detailed balance; Gilbert–Elliott channels (two states) always pass.
+* :class:`TrustingChainReceiver` — a hash-chain receiver that trusts
+  its channel to be loss-only: the first delivery per sequence claims
+  the slot, a mismatch flags it forged, a repeated sequence is
+  ignored.  On loss-only input
+  :class:`~repro.simulation.receiver.ChainReceiver`, which defends
+  against forgeries and replays, must agree with it on every verdict,
+  buffer and count.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.crypto.hashing import HashFunction, sha256
+from repro.crypto.signatures import Signer
 from repro.exceptions import AnalysisError
 from repro.network.loss import GilbertElliottLoss
+from repro.packets import Packet
+from repro.schemes.base import PacketOutcome
 
 __all__ = [
     "exact_periodic_q_profile_reference",
     "markov_chain_q_profile",
     "markov_chain_q_min",
     "gilbert_elliott_q_min",
+    "TrustingChainReceiver",
 ]
 
 _MAX_REACH = 16
@@ -141,6 +155,11 @@ def markov_chain_q_profile(n: int, m: int,
         raise AnalysisError("loss rates must lie in [0, 1]")
     if np.any(matrix < 0) or np.any(np.abs(matrix.sum(axis=1) - 1) > 1e-9):
         raise AnalysisError("transition matrix must be row-stochastic")
+    flow = _stationary(matrix)[:, None] * matrix
+    if np.any(np.abs(flow - flow.T) > 1e-10):
+        raise AnalysisError(
+            "transition matrix fails detailed balance: the forward walk "
+            "is exact only for reversible chains")
     if initial is None:
         channel = _stationary(matrix)
     else:
@@ -195,3 +214,95 @@ def gilbert_elliott_q_min(n: int, m: int, loss_rate: float,
         [model.p_bad_to_good, 1.0 - model.p_bad_to_good],
     ]
     return markov_chain_q_min(n, m, transition, [0.0, 1.0])
+
+
+class TrustingChainReceiver:
+    """The hash-chain receiver for loss-only channels, kept as an oracle.
+
+    The first delivery of a sequence number claims its slot; a later
+    one is ignored.  A packet that fails its signature or mismatches
+    its trusted hash flags the slot forged.  One unverifiable packet
+    per slot waits in the message buffer, capped at ``max_buffered``
+    by evicting the lowest buffered sequence.  Buffer peaks,
+    ``evicted``, ``forged`` and :meth:`accepted_digests` follow
+    :class:`~repro.simulation.receiver.ChainReceiver`.
+    """
+
+    def __init__(self, signer: Signer,
+                 hash_function: HashFunction = sha256,
+                 max_buffered: Optional[int] = None) -> None:
+        self._signer = signer
+        self._hash = hash_function
+        self._max_buffered = max_buffered
+        #: seq -> hash trusted for it, first one wins.
+        self.trusted: Dict[int, bytes] = {}
+        self._buffered: Dict[int, Tuple[Packet, bytes]] = {}
+        self._accepted: Dict[int, bytes] = {}
+        self.outcomes: Dict[int, PacketOutcome] = {}
+        self.evicted = 0
+        self.message_buffer_peak = 0
+        self.hash_buffer_peak = 0
+
+    def receive(self, packet: Packet, arrival_time: float) -> PacketOutcome:
+        """Process one arriving packet; returns its (live) outcome record."""
+        outcome = self.outcomes.get(packet.seq)
+        if outcome is not None:
+            return outcome
+        outcome = self.outcomes[packet.seq] = PacketOutcome(packet.seq,
+                                                            arrival_time)
+        auth = packet.auth_bytes()
+        digest = self._hash.digest(auth)
+        if packet.signature is not None:
+            if self._signer.verify(auth, packet.signature):
+                self._verify(packet, arrival_time, digest)
+            else:
+                outcome.forged = True
+            return outcome
+        expected = self.trusted.get(packet.seq)
+        if expected is None:
+            self._buffered[packet.seq] = (packet, digest)
+            if (self._max_buffered is not None
+                    and len(self._buffered) > self._max_buffered):
+                del self._buffered[min(self._buffered)]
+                self.evicted += 1
+            self.message_buffer_peak = max(self.message_buffer_peak,
+                                           len(self._buffered))
+        elif expected == digest:
+            self._verify(packet, arrival_time, digest)
+        else:
+            outcome.forged = True
+        return outcome
+
+    def _verify(self, packet: Packet, now: float, digest: bytes) -> None:
+        """Trust ``packet``, absorb its hashes, release what they cover."""
+        worklist = [(packet, digest)]
+        while worklist:
+            current, current_digest = worklist.pop()
+            outcome = self.outcomes[current.seq]
+            outcome.verified = True
+            outcome.verified_time = now
+            self._accepted[current.seq] = current_digest
+            for target, carried_digest in current.carried:
+                if self.trusted.setdefault(target,
+                                            carried_digest) != carried_digest:
+                    continue  # the first trusted hash stands
+                held = self._buffered.pop(target, None)
+                if held is None:
+                    continue
+                if held[1] == carried_digest:
+                    worklist.append(held)
+                else:
+                    self.outcomes[target].forged = True
+            pending = sum(1 for seq in self.trusted
+                          if seq not in self.outcomes)
+            self.hash_buffer_peak = max(self.hash_buffer_peak, pending)
+
+    def verdict(self, seq: int) -> Optional[PacketOutcome]:
+        return self.outcomes.get(seq)
+
+    def accepted_digests(self) -> Dict[int, bytes]:
+        return self._accepted
+
+    @property
+    def forged(self) -> int:
+        return sum(1 for o in self.outcomes.values() if o.forged)

@@ -53,8 +53,12 @@ class TestReceiverFuzz:
         receiver = ChainReceiver(signer)
         packet = Packet(seq=seq, block_id=0, payload=payload, extra=extra,
                         signature=b"\x00" * 16)
-        outcome = receiver.receive(packet, 0.0)
-        assert outcome.forged or not outcome.verified
+        assert receiver.receive(packet, 0.0) is None
+        assert receiver.verdict(seq) is None
+        assert receiver.forged_rejected == 1
+        assert not receiver.accepted_digests()
+        genuine = packet.with_signature(signer.sign(packet.auth_bytes()))
+        assert receiver.receive(genuine, 1.0).verified
 
     @given(st.binary(max_size=100))
     @settings(max_examples=100, deadline=None)

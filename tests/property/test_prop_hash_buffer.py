@@ -4,8 +4,8 @@
 whose packet has not arrived — as a running count.  The reference
 here is the brute-force scan it replaced.  Multi-block EMSS and
 augmented-chain streams with random loss and reordering go through
-one ``StreamReceiver``, on the trusting path and on the defensive wire
-path under the pollution and dos attack mixes; after every call the
+one ``StreamReceiver``, as parsed packets off a loss-only channel and
+as wire frames under the pollution and dos attack mixes; after every call the
 count must equal the scan and the recorded peak the scan's maximum.
 """
 

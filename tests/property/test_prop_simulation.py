@@ -83,7 +83,7 @@ class TestCascadeSoundnessAndCompleteness:
         expected = self._expected_verifiable(graph, received)
         actual = {seq for seq, o in receiver.outcomes.items() if o.verified}
         assert actual == expected
-        assert receiver.forged_count() == 0
+        assert receiver.forged == 0
 
 
 class TestMonteCarloProperties:

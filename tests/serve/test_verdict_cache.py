@@ -4,7 +4,7 @@ Every receiver of a pool verifies through the one shared
 ``BatchVerifier``, whose plain-signature map runs the session signer
 once per distinct ``(auth_bytes, signature)`` pair.  Counted here by
 wrapping ``HmacStubSigner.verify`` (the default session signer), the
-pool verifier's ``verify`` and ``ChainReceiver.ingest``.  The reference
+pool verifier's ``verify`` and ``ChainReceiver.receive``.  The reference
 runs replace the passthrough branch with a direct call to the bare
 signer, so every receiver pays its own verification, and must produce
 the same transcripts.  Signature packets are loss- and
@@ -38,7 +38,7 @@ def _counted_run(monkeypatch, config):
     delivered = []
     hmac_verify = HmacStubSigner.verify
     pool_verify = BatchVerifier.verify
-    ingest = ChainReceiver.ingest
+    receive = ChainReceiver.receive
 
     def counted_hmac_verify(signer, message, signature):
         inner[0] += 1
@@ -48,15 +48,15 @@ def _counted_run(monkeypatch, config):
         asked.append((message, signature))
         return pool_verify(verifier, message, signature)
 
-    def recorded_ingest(receiver, packet, arrival_time, digest=None):
+    def recorded_receive(receiver, packet, arrival_time, digest=None):
         if packet.signature is not None:
             delivered.append((packet.auth_bytes(), packet.signature))
-        return ingest(receiver, packet, arrival_time, digest)
+        return receive(receiver, packet, arrival_time, digest)
 
     with monkeypatch.context() as patch:
         patch.setattr(HmacStubSigner, "verify", counted_hmac_verify)
         patch.setattr(BatchVerifier, "verify", recorded_pool_verify)
-        patch.setattr(ChainReceiver, "ingest", recorded_ingest)
+        patch.setattr(ChainReceiver, "receive", recorded_receive)
         result = run_live_session(config)
     return result, inner[0], asked, delivered
 

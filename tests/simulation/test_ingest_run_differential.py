@@ -116,7 +116,7 @@ def _split(deliveries, cuts) -> List[List[WireDelivery]]:
 # -- the per-frame oracle ------------------------------------------------
 
 def _per_frame_ingest_wire(verifier, data, arrival_time):
-    """The per-frame defensive decode: memo, strict decoder, ingest."""
+    """The per-frame decode: memo, strict decoder, receive."""
     memo = verifier._wire_memo  # noqa: SLF001
     entry = memo.get(data) if memo is not None else None
     if entry is None:
@@ -135,7 +135,7 @@ def _per_frame_ingest_wire(verifier, data, arrival_time):
         verifier.last_ingest = "undecodable"
         verifier.last_ingest_packet = None
         return None
-    return verifier.ingest(packet, arrival_time, digest)
+    return verifier.receive(packet, arrival_time, digest)
 
 
 def _per_frame_ingest_data(session, delivery):

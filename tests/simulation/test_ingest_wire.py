@@ -1,4 +1,4 @@
-"""Defensive wire ingestion: ChainReceiver.ingest_wire / ingest.
+"""Defensive wire ingestion: ChainReceiver.ingest_wire / receive.
 
 The adversarial channel hands the receiver raw bytes; these tests pin
 the degradation contract — undecodable buffers are counted and

@@ -99,26 +99,38 @@ class TestAdversarial:
         receiver = ChainReceiver(signer)
         receiver.receive(packets[0], 0.0)
         forged = replace(packets[1], payload=b"evil")
-        outcome = receiver.receive(forged, 0.0)
-        assert outcome.forged
-        assert not outcome.verified
+        assert receiver.receive(forged, 0.0) is None
+        assert receiver.verdict(2) is None
+        assert receiver.forged_rejected == 1
+        # The slot stays free: the genuine packet still verifies.
+        assert receiver.receive(packets[1], 1.0).verified
+        assert receiver.accepted_digests()[2] == \
+            receiver.content_digest(packets[1])
 
     def test_bad_signature_flagged(self, signer):
         packets = _block(RohatgiScheme(), 2, signer)
         bad = replace(packets[0], signature=b"\x00" * 128)
         receiver = ChainReceiver(signer)
-        outcome = receiver.receive(bad, 0.0)
-        assert outcome.forged
+        assert receiver.receive(bad, 0.0) is None
+        assert receiver.verdict(1) is None
+        assert receiver.forged_rejected == 1
+        outcome = receiver.receive(packets[0], 1.0)
+        assert outcome.verified and outcome.arrival_time == 1.0
 
     def test_forged_packet_does_not_poison_chain(self, signer):
         packets = _block(RohatgiScheme(), 4, signer)
         receiver = ChainReceiver(signer)
         receiver.receive(packets[0], 0.0)
         receiver.receive(replace(packets[1], payload=b"evil"), 0.0)
-        # The genuine packet 2 can no longer verify (its slot burned),
-        # but nothing downstream is marked verified either.
-        assert receiver.forged_count() == 1
-        assert receiver.verified_count() == 1
+        # The forgery burned nothing: the genuine packet 2 and the
+        # chain behind it all verify.
+        for packet in packets[1:]:
+            receiver.receive(packet, 1.0)
+        assert receiver.forged_rejected == 1
+        assert receiver.forged == 0
+        assert receiver.verified_count() == 4
+        assert receiver.accepted_digests() == {
+            packet.seq: receiver.content_digest(packet) for packet in packets}
 
     def test_duplicate_delivery_ignored(self, signer):
         packets = _block(RohatgiScheme(), 3, signer)
