@@ -13,6 +13,7 @@ build instead of silently corrupting the benchmark trajectory.
 from __future__ import annotations
 
 import datetime
+import functools
 import os
 import subprocess
 import time
@@ -48,11 +49,22 @@ _REQUIRED_FIELDS = {
 
 
 def git_sha(root: Optional[str] = None) -> Optional[str]:
-    """Short git SHA of the working tree, or ``None`` outside a repo."""
+    """Short git SHA of the working tree, or ``None`` outside a repo.
+
+    Resolved once per directory for the life of the process: the code
+    a process runs is the code it started with, so a later commit in
+    the same tree must not relabel its manifests, and only the first
+    session forks ``git``.
+    """
+    return _git_sha_at(os.path.realpath(root or os.getcwd()))
+
+
+@functools.lru_cache(maxsize=None)
+def _git_sha_at(root: str) -> Optional[str]:
     try:
         completed = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
-            cwd=root or os.getcwd(), capture_output=True, text=True,
+            cwd=root, capture_output=True, text=True,
             timeout=5, check=False,
         )
     except (OSError, subprocess.SubprocessError):

@@ -47,7 +47,7 @@ if TYPE_CHECKING:
     from repro.faults.channel import WireDelivery
 
 __all__ = ["Scheme", "BlockPlan", "build_block", "Trial", "Verifier",
-           "PacketOutcome"]
+           "PacketOutcome", "DEFAULT_MAX_CANDIDATES"]
 
 
 class Scheme(ABC):
@@ -355,6 +355,13 @@ class BlockPlan:
         return packets
 
 
+#: Same-sequence candidates a verifier holds per slot.  The
+#: eavesdrop-and-inject adversary sends forgeries *after* the genuine
+#: packet, so slot 1 suffices for it; the margin covers blind
+#: pre-emptive collisions without unbounding memory.
+DEFAULT_MAX_CANDIDATES = 4
+
+
 @dataclass
 class PacketOutcome:
     """A verifier's record of one received sequence number."""
@@ -390,8 +397,8 @@ class Verifier(ABC):
     loss-only channel and an attacked one differ only in what arrives:
     a repeated copy of content already taken counts in
     ``replays_dropped``, a decodable packet that fails the
-    authentication checks in ``forged_rejected`` (and never verifies;
-    the hash-chain verifier also never lets it claim its slot), and a
+    authentication checks in ``forged_rejected`` (it never verifies,
+    and never keeps the genuine packet from claiming its slot), and a
     buffer the strict decoder refuses in ``undecodable``.  ``forged``
     counts the records flagged forged, as
     :class:`~repro.simulation.stats.SimulationStats` does.

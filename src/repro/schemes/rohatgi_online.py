@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache, partial
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.metrics import GraphMetrics
 from repro.crypto.hashing import HashFunction, sha256
@@ -34,7 +34,13 @@ from repro.crypto.lamport import LamportKeyPair
 from repro.crypto.signatures import Signer
 from repro.exceptions import SchemeParameterError, SimulationError
 from repro.packets import Packet
-from repro.schemes.base import PacketOutcome, Scheme, Trial, Verifier
+from repro.schemes.base import (
+    DEFAULT_MAX_CANDIDATES,
+    PacketOutcome,
+    Scheme,
+    Trial,
+    Verifier,
+)
 from repro.schemes.rohatgi import RohatgiScheme
 
 __all__ = ["OnlineRohatgiScheme", "OnlineChainVerifier"]
@@ -209,10 +215,13 @@ class OnlineChainVerifier(Verifier):
     deployment it rides in the packet (the simulated wire format leaves
     it out for clarity and the trial hands the key pairs over out of
     band, since only their *size* matters for the paper's metrics).
-    The chain is strictly positional, so each sequence number holds one
-    candidate — the first delivery; a later copy is a replay or a
-    forgery, a number outside the stream a forgery — and :meth:`finish`
-    verifies the candidates in sequence order.
+    The chain is strictly positional and is only checked at
+    :meth:`finish`, so each sequence number holds its distinct
+    candidates in arrival order (at most
+    :data:`~repro.schemes.base.DEFAULT_MAX_CANDIDATES`; a number
+    outside the stream is a forgery) and :meth:`finish` takes the first
+    that verifies.  A failed candidate leaves the slot claimable, so a
+    forgery that arrives first cannot lock the genuine packet out.
     """
 
     def __init__(self, signer: Signer, keypairs: Sequence[LamportKeyPair],
@@ -223,65 +232,102 @@ class OnlineChainVerifier(Verifier):
         self._keypairs = keypairs
         self._block_size = block_size
         self._slots = block_size * blocks
-        self._candidates: Dict[int, Packet] = {}
+        # seq -> content digest -> [packet, first arrival, copies]
+        self._candidates: Dict[int, Dict[bytes, list]] = {}
         self._records: Dict[int, PacketOutcome] = {}
+        self._accepted: Dict[int, bytes] = {}
 
     def receive(self, packet: Packet, arrival_time: float) -> None:
-        """Hold ``packet`` as its slot's candidate, if the slot is free."""
+        """Hold ``packet`` as a candidate for its slot (counted at finish)."""
         if not 1 <= packet.seq <= self._slots:
             self.forged_rejected += 1
             return
-        held = self._candidates.get(packet.seq)
-        if held is None:
-            self._candidates[packet.seq] = packet
-            self._records[packet.seq] = PacketOutcome(packet.seq,
-                                                      arrival_time)
-        elif self.content_digest(held) == self.content_digest(packet):
-            self.replays_dropped += 1
+        held = self._candidates.setdefault(packet.seq, {})
+        digest = self.content_digest(packet)
+        candidate = held.get(digest)
+        if candidate is not None:
+            candidate[2] += 1
+        elif len(held) < DEFAULT_MAX_CANDIDATES:
+            held[digest] = [packet, arrival_time, 1]
         else:
             self.forged_rejected += 1
 
     def finish(self) -> None:
-        """Verify every block's candidates in sequence order.
+        """Verify every block's slots in sequence order.
 
-        The chain is strictly sequential: the candidate in position
-        ``i`` is checked against the ``i``-th one-time key and the
-        fingerprint its predecessor committed to, so a missing or
-        failed slot breaks everything after it, exactly as the paper
-        says.
+        The chain is strictly sequential: a slot's candidate is checked
+        against the slot's one-time key and the fingerprint its
+        predecessor committed to, so a missing or failed slot breaks
+        everything after it, exactly as the paper says.  The slot takes
+        its first candidate that verifies, or else its first arrival.
+        Copies of the first arrival or of the taken candidate count in
+        ``replays_dropped``; every other copy, and a rejected first
+        arrival, in ``forged_rejected``.
         """
         block = position = expected = None
         for seq in sorted(self._candidates):
-            packet = self._candidates[seq]
+            held = list(self._candidates[seq].values())
             if (seq - 1) // self._block_size != block:
                 block = (seq - 1) // self._block_size
                 position, expected = 0, None
-            try:
-                fingerprint, ots_signature = _decode_extra(packet.extra)
-            except SimulationError:
+            taken = fingerprint = None
+            first_decodes = False
+            for index, (packet, _arrival, _copies) in enumerate(held):
+                decodes, fingerprint = self._link(packet, position, expected)
+                if index == 0:
+                    first_decodes = decodes
+                if fingerprint is not None:
+                    taken = index
+                    break
+            slot = taken or 0
+            for index, (_packet, _arrival, copies) in enumerate(held):
+                if index == slot:
+                    self.replays_dropped += copies - 1
+                elif index == 0:
+                    self.forged_rejected += 1
+                    self.replays_dropped += copies - 1
+                else:
+                    self.forged_rejected += copies
+            packet, arrival, _copies = held[slot]
+            record = self._records[seq] = PacketOutcome(seq, arrival)
+            if taken is None and not first_decodes:
                 # Decodes as a packet but not as an online-chain packet:
                 # the slot stays empty, breaking the chain like a loss.
                 self.forged_rejected += 1
                 continue
-            if position == 0:
-                ok = (packet.signature is not None
-                      and self._signer.verify(packet.auth_bytes(),
-                                              packet.signature))
-            else:
-                keypair = self._keypairs[position]
-                body = _packet_body(packet.seq, packet.block_id,
-                                    packet.payload, fingerprint)
-                ok = (expected is not None
-                      and keypair.public_fingerprint() == expected
-                      and keypair.verify(body, ots_signature))
-            self._records[seq].verified = ok
-            expected = fingerprint if ok else None
+            record.verified = taken is not None
+            if record.verified:
+                self._accepted[seq] = self.content_digest(packet)
+            expected = fingerprint
             position += 1
+
+    def _link(self, packet: Packet, position: int,
+              expected: Optional[bytes]) -> Tuple[bool, Optional[bytes]]:
+        """Check ``packet`` as the chain's link at ``position``.
+
+        Returns whether its ``extra`` decodes, and the fingerprint it
+        commits to the next link if it verifies (else ``None``).
+        """
+        try:
+            fingerprint, ots_signature = _decode_extra(packet.extra)
+        except SimulationError:
+            return False, None
+        if position == 0:
+            ok = (packet.signature is not None
+                  and self._signer.verify(packet.auth_bytes(),
+                                          packet.signature))
+        else:
+            keypair = self._keypairs[position]
+            body = _packet_body(packet.seq, packet.block_id,
+                                packet.payload, fingerprint)
+            ok = (expected is not None
+                  and keypair.public_fingerprint() == expected
+                  and keypair.verify(body, ots_signature))
+        return True, fingerprint if ok else None
 
     def verdict(self, seq: int) -> Optional[PacketOutcome]:
         """Verification is not timed: ``verified_time`` stays ``None``."""
         return self._records.get(seq)
 
     def accepted_digests(self) -> Dict[int, bytes]:
-        return {seq: self.content_digest(self._candidates[seq])
-                for seq, record in self._records.items() if record.verified}
+        return self._accepted

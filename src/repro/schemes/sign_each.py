@@ -93,33 +93,50 @@ def verify_sign_each_packet(packet: Packet, signer: Signer) -> bool:
 class IndividualVerifier(Verifier):
     """Verifier for individually verifiable schemes (sign-each, Wong–Lam).
 
-    ``check(packet)`` decides each packet on its own.  The first packet
-    to arrive under a sequence number is decided; a later one with the
-    same content is a replay, any other a forgery.  Verified packets
-    verify on arrival, with zero delay.
+    ``check(packet)`` decides each packet on its own, with zero delay.
+    The first packet to arrive under a sequence number makes its
+    record; a later copy of its content, or of the content that
+    verified there, is a replay.  Any other packet is a forgery unless
+    the slot has not verified yet and it passes ``check``: a packet
+    that failed its check leaves the slot claimable, so a forgery that
+    arrives first cannot lock the genuine packet out.
     """
 
     def __init__(self, check: Callable[[Packet], bool],
                  hash_function: HashFunction = sha256) -> None:
         super().__init__(hash_function)
         self._check = check
+        # seq -> (digest of the first arrival, the slot's record)
         self._decided: Dict[int, Tuple[bytes, PacketOutcome]] = {}
+        self._accepted: Dict[int, bytes] = {}
 
     def receive(self, packet: Packet, arrival_time: float) -> bool:
         """Decide ``packet``; ``True`` when it verified."""
+        seq = packet.seq
         digest = self.content_digest(packet)
-        decided = self._decided.get(packet.seq)
+        decided = self._decided.get(seq)
         if decided is not None:
-            if decided[0] == digest:
+            first, outcome = decided
+            if digest == first or digest == self._accepted.get(seq):
                 self.replays_dropped += 1
-            else:
+                return False
+            if outcome.verified or not self._check(packet):
                 self.forged_rejected += 1
-            return False
+                return False
+            # The first arrival failed its check: this packet takes the
+            # slot, keeping the record's forged flag.
+            self._decided[seq] = (first, PacketOutcome(
+                seq, arrival_time, verified=True, forged=True,
+                verified_time=arrival_time))
+            self._accepted[seq] = digest
+            return True
         ok = self._check(packet)
-        self._decided[packet.seq] = (digest, PacketOutcome(
-            packet.seq, arrival_time, verified=ok, forged=not ok,
+        self._decided[seq] = (digest, PacketOutcome(
+            seq, arrival_time, verified=ok, forged=not ok,
             verified_time=arrival_time if ok else None))
-        if not ok:
+        if ok:
+            self._accepted[seq] = digest
+        else:
             self.forged += 1
             self.forged_rejected += 1
         return ok
@@ -129,5 +146,4 @@ class IndividualVerifier(Verifier):
         return None if decided is None else decided[1]
 
     def accepted_digests(self) -> Dict[int, bytes]:
-        return {seq: digest for seq, (digest, outcome) in self._decided.items()
-                if outcome.verified}
+        return self._accepted

@@ -308,10 +308,15 @@ class ReceiverPool:
     session loudly instead of hanging the barrier.
 
     Shared decode: every session ingests through one content-keyed
-    wire memo owned by the pool, so each distinct data buffer is
-    decoded and hashed once however many receivers get it.  The memo
-    is dropped at every barrier, which bounds it to the blocks in
-    flight.
+    wire memo owned by the pool, :attr:`wire_memo`.  The sender fills
+    it as it frames (``SenderService(wire_memo=...)``), so a genuine
+    frame is never decoded or hashed by any receiver; a buffer the
+    sender did not frame (tampered, truncated, forged) is decoded and
+    hashed once, by the first receiver that gets it, for all of them.
+    Every entry is a pure function of its key either way: the codec is
+    canonical, so the sender's packet and digest are exactly what
+    decoding the bytes and hashing them would give.  The memo is
+    dropped at every barrier, which bounds it to the blocks in flight.
 
     Parameters
     ----------
@@ -333,7 +338,7 @@ class ReceiverPool:
             raise SimulationError("receiver ids must be unique")
         self._signer = signer
         self._subtree_of = subtree_of if subtree_of is not None else {}
-        self._wire_memo: WireMemo = {}
+        self.wire_memo: WireMemo = {}
         self.ledger: Ledger = {}
         self.sessions: Dict[str, ReceiverSession] = {}
         for receiver_id in receiver_ids:
@@ -350,7 +355,7 @@ class ReceiverPool:
         return ReceiverSession(
             receiver_id, self._signer,
             subtree=self._subtree_of.get(receiver_id),
-            wire_memo=self._wire_memo, ledger=self.ledger)
+            wire_memo=self.wire_memo, ledger=self.ledger)
 
     def start(self, transport: Transport) -> None:
         """Spawn one task per session (requires a running event loop)."""
@@ -485,7 +490,7 @@ class ReceiverPool:
                 barrier.cancel()
                 failed.cancel()
             self._check_failure()
-        self._wire_memo.clear()
+        self.wire_memo.clear()
         for key in [key for key in self.ledger if key[1] == block_id]:
             del self.ledger[key]
         self._events.pop(block_id, None)

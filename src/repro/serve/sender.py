@@ -42,6 +42,7 @@ from repro.packets import Packet
 from repro.schemes.base import Scheme
 from repro.serve.receiver import BlockTruth, Ledger
 from repro.serve.transport import ControlFrame, Transport, encode_control
+from repro.simulation.receiver import WireMemo
 
 __all__ = ["SenderService"]
 
@@ -80,6 +81,28 @@ class _GroupPackets:
     phase: str
     stamped: List[Packet]
     digests: Dict[int, bytes]
+
+
+class _GroupFrames(dict):
+    """One group's ``seq -> wire bytes`` map for one block.
+
+    :func:`~repro.faults.channel.frame_once` stores a packet's bytes
+    here the first time any channel delivers it; storing them also
+    puts ``wire -> (packet, digest)`` in the decode memo, so the entry
+    exists before the frame is queued to any receiver.  ``packet`` is
+    the final stamped object (after any batch flush) and ``digest`` its
+    ledger digest, the hash of its own ``auth_bytes()``.
+    """
+
+    def __init__(self, packets: _GroupPackets, memo: WireMemo) -> None:
+        super().__init__()
+        self._by_seq = {packet.seq: packet for packet in packets.stamped}
+        self._digests = packets.digests
+        self._memo = memo
+
+    def __setitem__(self, seq: int, wire: bytes) -> None:
+        super().__setitem__(seq, wire)
+        self._memo[wire] = (self._by_seq[seq], self._digests[seq])
 
 
 @dataclass
@@ -130,7 +153,10 @@ class SenderService:
         Seconds between consecutive packet transmissions (Eq. 4's
         clock unit).
     hash_function:
-        Must match the receivers'.
+        Must match the receivers' (``sha256`` in
+        :func:`~repro.serve.service.run_live_session`): the digests in
+        ``ledger`` and ``wire_memo`` are its hashes, and receivers
+        compare them with their own.
     batch_size:
         Blocks amortized per root signature; ``1`` (default) signs
         every block directly, exactly as before.
@@ -148,6 +174,14 @@ class SenderService:
     ledger:
         The pool's ground truth (:attr:`ReceiverPool.ledger`); a
         receiver's entry is written before its control frame is sent.
+    wire_memo:
+        The pool's decode memo (:attr:`ReceiverPool.wire_memo`).  The
+        first framing of a packet in a block also stores
+        ``wire -> (packet, digest)``, before the frame is queued to any
+        receiver, so no receiver decodes or hashes a genuine frame.
+        The codec is canonical, so the entry is exactly what decoding
+        and hashing ``wire`` would give: a pure function of its key,
+        as every memo entry must be.
     """
 
     def __init__(self, transport: Transport, receiver_ids: Sequence[str],
@@ -158,7 +192,8 @@ class SenderService:
                  batch_size: int = 1,
                  flush_deadline: Optional[float] = None,
                  receiver_indices: Optional[Mapping[str, int]] = None,
-                 ledger: Optional[Ledger] = None) -> None:
+                 ledger: Optional[Ledger] = None,
+                 wire_memo: Optional[WireMemo] = None) -> None:
         if not receiver_ids:
             raise SimulationError("need at least one receiver")
         if t_transmit <= 0:
@@ -172,6 +207,7 @@ class SenderService:
                 f"flush_deadline must be > 0, got {flush_deadline}")
         self.transport = transport
         self.ledger = ledger if ledger is not None else {}
+        self.wire_memo = wire_memo if wire_memo is not None else {}
         self.receiver_ids = list(receiver_ids)
         if receiver_indices is None:
             self._index_of = {receiver_id: index
@@ -373,7 +409,8 @@ class SenderService:
         """Push one group's packets, then the block's control frame.
 
         ``frames`` is the group's shared ``seq -> wire bytes`` map for
-        this block (:func:`~repro.faults.channel.frame_once`).
+        this block (:func:`~repro.faults.channel.frame_once`), which
+        fills the decode memo as it frames.
         """
         block_id = pending.block_id
         stamped = packets.stamped
@@ -453,7 +490,7 @@ class SenderService:
         block: the receivers' channels share one lazily filled
         ``seq -> wire bytes`` map per group; one control frame serves all.
         """
-        frames: Dict[Optional[str], Dict[int, bytes]] = {}
+        frames: Dict[Optional[str], _GroupFrames] = {}
         control = WireDelivery(
             arrival_time=pending.control_time,
             data=encode_control(ControlFrame(
@@ -465,9 +502,12 @@ class SenderService:
             if packets is None:
                 raise SimulationError(
                     f"receiver {receiver_id!r} has no scheme group")
+            group_frames = frames.get(group)
+            if group_frames is None:
+                group_frames = frames[group] = _GroupFrames(packets,
+                                                            self.wire_memo)
             await self._transmit_to_receiver(
-                pending, packets, receiver_id, frames.setdefault(group, {}),
-                control)
+                pending, packets, receiver_id, group_frames, control)
 
     async def send_final(self) -> None:
         """End the session: flush any partial batch, then signal EOF."""

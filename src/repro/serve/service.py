@@ -505,7 +505,7 @@ def run_live_session(config: ServeConfig,
                                receiver_id: index
                                for index, receiver_id
                                in enumerate(member_ids)},
-                           ledger=pool.ledger)
+                           ledger=pool.ledger, wire_memo=pool.wire_memo)
     parameters = config.to_parameters()
     parameters["topology_detail"] = topology.describe()
     if plan is not None:

@@ -42,7 +42,12 @@ from repro.crypto.signatures import Signer
 from repro.exceptions import WireDecodeError
 from repro.faults.channel import WireDelivery
 from repro.packets import Packet, packet_from_wire
-from repro.schemes.base import IngestHook, PacketOutcome, Verifier
+from repro.schemes.base import (
+    DEFAULT_MAX_CANDIDATES,
+    IngestHook,
+    PacketOutcome,
+    Verifier,
+)
 
 __all__ = ["PacketOutcome", "ChainReceiver"]
 
@@ -50,17 +55,15 @@ __all__ = ["PacketOutcome", "ChainReceiver"]
 #: bytes -> ``(packet, auth digest)``, or :data:`_UNDECODABLE` for
 #: bytes the strict decoder rejected.  The packet keeps its encoding
 #: (see :mod:`repro.packets`), so ``auth_bytes`` needs no slot of its
-#: own.  Every value is a pure function of the key, so sharing it
+#: own.  Two writers fill it: :meth:`ChainReceiver.ingest_run` on a
+#: miss, and a live sender as it frames (the packet it encoded and
+#: the hash of that packet's own ``auth_bytes()``).  The codec is
+#: canonical, so both write exactly what decoding and hashing the key
+#: give: every value is a pure function of the key, and sharing it
 #: cannot change a verdict (see :meth:`ChainReceiver.ingest_run`).
 WireMemo = Dict[bytes, Tuple[Optional[Packet], Optional[bytes]]]
 
 _UNDECODABLE = (None, None)
-
-#: Buffered same-sequence candidates kept per slot.  The
-#: eavesdrop-and-inject adversary sends forgeries *after* the genuine
-#: packet, so slot 1 suffices for it; the margin covers blind
-#: pre-emptive collisions without unbounding memory.
-DEFAULT_MAX_CANDIDATES = 4
 
 
 class ChainReceiver(Verifier):

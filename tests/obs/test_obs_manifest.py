@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import repro.obs.manifest as manifest_module
 from repro.analysis.conformance import attack_mix, default_scheme, wire_q_stats
 from repro.exceptions import AnalysisError
 from repro.obs.manifest import (
@@ -67,6 +68,38 @@ def test_git_sha_inside_repo():
     # tests run inside the repo checkout, so a short SHA is expected
     assert sha is None or (len(sha) >= 7 and all(
         c in "0123456789abcdef" for c in sha))
+
+
+@pytest.fixture
+def counted_git(monkeypatch):
+    """Count ``git`` forks, starting from an empty per-process cache."""
+    calls = []
+    run = manifest_module.subprocess.run
+
+    def counted_run(args, **kwargs):
+        calls.append(kwargs["cwd"])
+        return run(args, **kwargs)
+
+    manifest_module._git_sha_at.cache_clear()
+    monkeypatch.setattr(manifest_module.subprocess, "run", counted_run)
+    yield calls
+    manifest_module._git_sha_at.cache_clear()
+
+
+def test_git_sha_runs_git_once_per_process(counted_git):
+    first = RunManifest.start("serve", "a").finish().git_sha
+    second = RunManifest.start("serve", "b").finish().git_sha
+    assert first == second == git_sha()
+    assert len(counted_git) == 1
+
+
+def test_git_sha_outside_a_repo_is_none(counted_git, tmp_path,
+                                         monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+    assert git_sha() is None
+    assert RunManifest.start("serve", "c").finish().git_sha is None
+    assert counted_git == [str(tmp_path.resolve())]
 
 
 def test_validate_rejects_missing_and_mistyped_fields():

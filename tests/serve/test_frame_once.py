@@ -1,10 +1,12 @@
-"""Work counts of a live session: frame once per block, decode once per buffer.
+"""Work counts of a live session: frame once per block, decode what it did not frame.
 
 The sender encodes each stamped packet at most once per block and only
-if some receiver's channel delivers it; the receiver pool decodes each
-distinct data buffer once per block however many receivers get it.
-Both are counted here by wrapping ``Packet.to_wire`` and the decoder
-the receivers look up (``repro.simulation.receiver.packet_from_wire``).
+if some receiver's channel delivers it, and puts each frame it encodes
+in the pool's decode memo; the receiver pool decodes every other
+distinct data buffer once per block however many receivers get it, and
+never a buffer the sender framed.  Both are counted here by wrapping
+``Packet.to_wire`` and the decoder the receivers look up
+(``repro.simulation.receiver.packet_from_wire``).
 """
 
 from collections import Counter
@@ -33,7 +35,9 @@ def counts():
     delivered = set()           # id(packet) of channel deliveries
     decodes = [0]
     ingested = [set()]          # distinct data buffers, per block
-    per_block = []              # (decodes, distinct buffers) per block
+    framed = [set()]            # genuine frames the sender encoded, per block
+    decoded = set()             # every buffer the receivers decoded
+    per_block = []              # (decodes, distinct buffers, framed) per block
 
     to_wire = Packet.to_wire
     decode = receiver_module.packet_from_wire
@@ -45,10 +49,14 @@ def counts():
     def counted_to_wire(packet):
         alive.append(packet)
         encodes[id(packet)] += 1
-        return to_wire(packet)
+        wire = to_wire(packet)
+        if id(packet) in stamped:
+            framed[0].add(wire)
+        return wire
 
     def counted_decode(data):
         decodes[0] += 1
+        decoded.add(data)
         return decode(data)
 
     def recorded_transmit(channel, packets):
@@ -68,9 +76,10 @@ def counts():
 
     async def segmented_wait_block(pool, block_id):
         reports = await wait_block(pool, block_id)
-        per_block.append((decodes[0], len(ingested[0])))
+        per_block.append((decodes[0], ingested[0], framed[0]))
         decodes[0] = 0
         ingested[0] = set()
+        framed[0] = set()
         return reports
 
     monkeypatch.setattr(Packet, "to_wire", counted_to_wire)
@@ -85,7 +94,7 @@ def counts():
         result = run_live_session(CONFIG)
     finally:
         monkeypatch.undo()
-    return result, encodes, stamped, delivered, per_block
+    return result, encodes, stamped, delivered, per_block, decoded
 
 
 def test_session_is_sound(counts):
@@ -96,13 +105,24 @@ def test_session_is_sound(counts):
 def test_one_decode_per_distinct_buffer_per_block(counts):
     per_block = counts[4]
     assert len(per_block) == CONFIG.blocks
-    for decodes, distinct in per_block:
-        assert distinct > 0
-        assert decodes == distinct
+    for decodes, ingested, framed in per_block:
+        assert framed & ingested
+        # A framed packet whose every delivery was bit-flipped is framed
+        # but never ingested: its receivers get (and decode) other bytes.
+        unframed = ingested - framed
+        assert unframed, "nothing forged or corrupted reached a receiver"
+        assert decodes == len(unframed)
+
+
+def test_no_framed_buffer_is_ever_decoded(counts):
+    per_block, decoded = counts[4], counts[5]
+    framed = set().union(*(block[2] for block in per_block))
+    assert framed
+    assert not framed & decoded
 
 
 def test_each_delivered_packet_is_framed_once_per_block(counts):
-    _, encodes, stamped, delivered, _ = counts
+    _, encodes, stamped, delivered, _, _ = counts
     genuine = {key: encodes[key] for key in stamped if key in encodes}
     assert genuine, "no genuine packet was framed"
     assert max(genuine.values()) == 1
@@ -114,7 +134,7 @@ def test_each_delivered_packet_is_framed_once_per_block(counts):
 
 
 def test_forgeries_are_still_framed_per_receiver(counts):
-    _, encodes, stamped, _, _ = counts
+    _, encodes, stamped, _, _, _ = counts
     forged = sum(count for key, count in encodes.items()
                  if key not in stamped)
     assert forged > 0
