@@ -45,7 +45,13 @@ class Signer(Protocol):
     signature_size: int
 
     def sign(self, message: bytes) -> bytes:
-        """Sign ``message``; the result has length ``signature_size``."""
+        """Sign ``message``; the result has length ``signature_size``.
+
+        The result must be a deterministic function of ``message``: a
+        compiled block plan keeps the packets of its last block and
+        hands them out again for the same block and signer object
+        (:meth:`repro.schemes.base.BlockPlan.packetize`).
+        """
         ...
 
     def verify(self, message: bytes, signature: bytes) -> bool:

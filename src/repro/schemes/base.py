@@ -13,7 +13,9 @@ hash-chained (sign-each, Wong–Lam, TESLA) override packetization.
 The graph depends only on the scheme and the block size, so each
 scheme compiles it once per ``n`` into a :class:`BlockPlan` — plain
 integers, validated and topologically sorted at compile time — and
-every later block of that size reuses it.
+every later block of that size reuses it.  A plan also keeps the
+packets of the last block it built, so the trials of a Monte Carlo
+run, which send one block over many loss draws, hash and sign it once.
 
 A scheme also owns its receiver side.  :meth:`Scheme.new_trial`
 packetizes one trial into a :class:`Trial` — the sent packets, each
@@ -28,7 +30,7 @@ front doors call.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
 from typing import (TYPE_CHECKING, Callable, ClassVar, Dict, Iterator, List,
@@ -102,8 +104,9 @@ class Scheme(ABC):
         """Build the authenticated packets for one block, in send order.
 
         The default implementation runs this scheme's compiled
-        :meth:`block_plan`; individually-verifiable schemes must
-        override.
+        :meth:`block_plan`, which reuses the packets of its last block
+        when the same block comes again (:meth:`BlockPlan.packetize`);
+        individually-verifiable schemes must override.
         """
         return self.block_plan(len(payloads)).packetize(
             payloads, signer, hash_function,
@@ -285,12 +288,21 @@ class BlockPlan:
     :data:`~repro.packets.MAX_CARRIED_HASHES` hashes, of distinct
     vertices in the block other than itself.  :meth:`packetize` then
     checks the block's ids once and each packet's sizes only.
+
+    A plan also remembers the last block it packetized, so the trials
+    of a Monte Carlo run, which send the same block over fresh loss
+    draws, hash and sign it once.  The memo holds one block and is
+    not pickled or copied.
     """
 
     n: int
     root: int
     order: Tuple[int, ...]
     successors: Tuple[Tuple[int, ...], ...]
+    #: ``(signer, hash_function, (block_id, base_seq, payloads),
+    #: packets)`` of the last :meth:`packetize` call.
+    _last: Optional[tuple] = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def __post_init__(self) -> None:
         for vertex, targets in enumerate(self.successors, start=1):
@@ -309,6 +321,11 @@ class BlockPlan:
                     raise SimulationError(
                         f"vertex {vertex} carries a hash of {target}, "
                         f"outside the block of {self.n}")
+
+    def __getstate__(self) -> dict:
+        state = dict(vars(self))
+        state["_last"] = None
+        return state
 
     @classmethod
     def compile(cls, graph: DependenceGraph) -> BlockPlan:
@@ -329,6 +346,15 @@ class BlockPlan:
 
         Each packet is made once, with its ``auth_bytes()`` string,
         which is then hashed (and, for the root, signed).
+
+        A call with the same ``block_id``, ``base_seq`` and payload
+        bytes as the previous one, and the same ``signer`` and
+        ``hash_function`` objects, returns a new list of that call's
+        packets and hashes and signs nothing.  The packets are
+        immutable and a pure function of that key, given a
+        deterministic signer (:class:`~repro.crypto.signatures.Signer`).
+        The payloads are keyed as the ``bytes`` the packets hold, so a
+        buffer changed after a call cannot hit.
         """
         n = len(payloads)
         if n != self.n:
@@ -337,6 +363,12 @@ class BlockPlan:
             )
         offset = base_seq - 1
         Packet._check_ids(block_id, base_seq, offset + n)
+        key = (block_id, base_seq, tuple(map(bytes, payloads)))
+        last = self._last
+        if (last is not None and last[0] is signer
+                and last[1] is hash_function and last[2] == key):
+            return list(last[3])
+        contents = key[2]
         successors = self.successors
         digest = hash_function.digest
         from_plan = Packet._from_plan
@@ -344,7 +376,7 @@ class BlockPlan:
         packets: List[Optional[Packet]] = [None] * n
         for vertex in self.order:
             packet = from_plan(
-                offset + vertex, block_id, bytes(payloads[vertex - 1]),
+                offset + vertex, block_id, contents[vertex - 1],
                 tuple([(offset + target, hashes[target])
                        for target in successors[vertex - 1]]))
             auth = packet.auth_bytes()
@@ -352,6 +384,8 @@ class BlockPlan:
                 packet = packet.with_signature(signer.sign(auth))
             hashes[vertex] = digest(auth)
             packets[vertex - 1] = packet
+        object.__setattr__(self, "_last",
+                           (signer, hash_function, key, tuple(packets)))
         return packets
 
 

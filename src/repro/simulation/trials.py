@@ -1,12 +1,17 @@
 """The trial kernel: one loop behind every offline driver.
 
-A trial packetizes once (:meth:`~repro.schemes.base.Scheme.new_trial`),
-fans the packets out to every receiver's channel and checks each
-receiver's deliveries with a fresh verifier of the scheme's own
-(:class:`~repro.schemes.base.Verifier`).  :func:`settle` tallies and
-audits it, for every scheme and for the live receiver alike: a
-position counts as received when its packet arrived intact or
-verified anyway.  Every delivery takes the verifier's one
+A trial packetizes once for all its receivers
+(:meth:`~repro.schemes.base.Scheme.new_trial`), fans the packets out
+to every receiver's channel and checks each receiver's deliveries with
+a fresh verifier of the scheme's own
+(:class:`~repro.schemes.base.Verifier`).  Every trial of a run sends
+the same payloads under the same ids, so the trials of a single-block
+run share the packets of the scheme's kept plan, which hashes and
+signs the block once per run
+(:meth:`~repro.schemes.base.BlockPlan.packetize`).  :func:`settle`
+tallies and audits it, for every scheme and for the live receiver
+alike: a position counts as received when its packet arrived intact
+or verified anyway.  Every delivery takes the verifier's one
 :meth:`~repro.schemes.base.Verifier.receive` path, and its rejection
 and replay counters are folded the same way on every channel.  With
 ``attack`` set, deliveries cross an

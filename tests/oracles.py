@@ -26,6 +26,10 @@ checks the hash-chain receiver on loss-only input.
   :class:`~repro.simulation.receiver.ChainReceiver`, which defends
   against forgeries and replays, must agree with it on every verdict,
   buffer and count.
+* :func:`reference_block` — the per-block builder that
+  :class:`~repro.schemes.base.BlockPlan` replaced: it rebuilds,
+  validates and sorts the scheme's graph on every call, builds every
+  packet through the validating constructor and remembers nothing.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from repro.crypto.signatures import Signer
 from repro.exceptions import AnalysisError
 from repro.network.loss import GilbertElliottLoss
 from repro.packets import Packet
-from repro.schemes.base import PacketOutcome
+from repro.schemes.base import PacketOutcome, Scheme
 
 __all__ = [
     "exact_periodic_q_profile_reference",
@@ -47,6 +51,7 @@ __all__ = [
     "markov_chain_q_min",
     "gilbert_elliott_q_min",
     "TrustingChainReceiver",
+    "reference_block",
 ]
 
 _MAX_REACH = 16
@@ -306,3 +311,36 @@ class TrustingChainReceiver:
     @property
     def forged(self) -> int:
         return sum(1 for o in self.outcomes.values() if o.forged)
+
+
+def reference_block(scheme: Scheme, payloads, signer: Signer,
+                    hash_function: HashFunction = sha256,
+                    block_id: int = 0, base_seq: int = 1) -> List[Packet]:
+    """The per-block builder: rebuild, validate and sort every call."""
+    graph = scheme.build_graph(len(payloads))
+    graph.validate()
+    order = graph.topological_order()
+    hashes: Dict[int, bytes] = {}
+    packets: Dict[int, Packet] = {}
+    for vertex in reversed(order):
+        carried = tuple(
+            (base_seq + target - 1, hashes[target])
+            for target in graph.successors(vertex)
+        )
+        packet = Packet(
+            seq=base_seq + vertex - 1,
+            block_id=block_id,
+            payload=bytes(payloads[vertex - 1]),
+            carried=carried,
+        )
+        if vertex == graph.root:
+            packet = Packet(
+                seq=packet.seq,
+                block_id=packet.block_id,
+                payload=packet.payload,
+                carried=packet.carried,
+                signature=signer.sign(packet.auth_bytes()),
+            )
+        hashes[vertex] = hash_function.digest(packet.auth_bytes())
+        packets[vertex] = packet
+    return [packets[v] for v in range(1, len(payloads) + 1)]

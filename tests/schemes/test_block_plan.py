@@ -3,12 +3,12 @@
 ``Scheme.make_block`` compiles each scheme's dependence-graph once per
 block size and reuses the plan, and builds each packet in one pass with
 its encoding already in place (``Packet._from_plan``).  These tests hold
-it to the per-block builder it replaced: a copy of that loop, kept
-here, rebuilds and re-sorts the graph on every call and builds every
-packet through the validating constructor.  Every generic-builder
-scheme in the registry must produce the same packets through both:
-equal as objects, in hash, repr, encoding, pickling and copies, not
-only on the wire.
+it to the per-block builder it replaced: a copy of that loop, kept in
+``tests/oracles.py``, rebuilds and re-sorts the graph on every call
+and builds every packet through the validating constructor.  Every
+generic-builder scheme in the registry must produce the same packets
+through both: equal as objects, in hash, repr, encoding, pickling and
+copies, not only on the wire.
 
 The constructor's per-packet checks moved to plan construction and
 block entry; the parity tests below pin that ``packetize`` still
@@ -18,7 +18,7 @@ test pins that it runs no constructor and no second encoding.
 
 import dataclasses
 import pickle
-from typing import Dict, List
+from typing import List
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +35,7 @@ from repro.schemes.emss import EmssScheme
 from repro.schemes.random_graph import RandomGraphScheme
 from repro.schemes.registry import available_schemes, make_scheme
 from repro.simulation.sender import make_payloads
+from tests.oracles import reference_block
 
 SIGNER = HmacStubSigner(key=b"block-plan")
 
@@ -67,38 +68,6 @@ def _generic(spec: str) -> bool:
 GENERIC = [spec for spec in SPECS.values() if _generic(spec)]
 GRAPHLESS = [spec for spec in SPECS.values()
              if make_scheme(spec).build_graph(4) is None]
-
-
-def reference_block(scheme: Scheme, payloads, signer, hash_function=sha256,
-                    block_id: int = 0, base_seq: int = 1) -> List[Packet]:
-    """The per-block builder: rebuild, validate and sort every call."""
-    graph = scheme.build_graph(len(payloads))
-    graph.validate()
-    order = graph.topological_order()
-    hashes: Dict[int, bytes] = {}
-    packets: Dict[int, Packet] = {}
-    for vertex in reversed(order):
-        carried = tuple(
-            (base_seq + target - 1, hashes[target])
-            for target in graph.successors(vertex)
-        )
-        packet = Packet(
-            seq=base_seq + vertex - 1,
-            block_id=block_id,
-            payload=bytes(payloads[vertex - 1]),
-            carried=carried,
-        )
-        if vertex == graph.root:
-            packet = Packet(
-                seq=packet.seq,
-                block_id=packet.block_id,
-                payload=packet.payload,
-                carried=packet.carried,
-                signature=signer.sign(packet.auth_bytes()),
-            )
-        hashes[vertex] = hash_function.digest(packet.auth_bytes())
-        packets[vertex] = packet
-    return [packets[v] for v in range(1, len(payloads) + 1)]
 
 
 def _wire(packets: List[Packet]) -> List[bytes]:
@@ -152,7 +121,7 @@ def test_plan_matches_per_block_builder(spec, n, block_id, base_seq):
         scheme = make_scheme(spec)
         expected = reference_block(scheme, payloads, SIGNER, hash_function,
                                    block_id=block_id, base_seq=base_seq)
-        # The first call compiles the plan, the second hits the cache.
+        # The first call compiles the plan, the second hits its memo.
         for _ in range(2):
             packets = scheme.make_block(payloads, SIGNER, hash_function,
                                         block_id=block_id,
