@@ -7,7 +7,7 @@ checks them.
 """
 
 from repro.schemes.augmented_chain import AugmentedChainScheme, ac_vertex_coordinates
-from repro.schemes.base import Scheme, Trial, Verifier, build_block
+from repro.schemes.base import ChainEdges, Scheme, Trial, Verifier, build_block
 from repro.schemes.emss import EmssScheme, GenericOffsetScheme
 from repro.schemes.random_graph import RandomGraphScheme
 from repro.schemes.registry import (
@@ -16,16 +16,9 @@ from repro.schemes.registry import (
     paper_comparison_schemes,
 )
 from repro.schemes.rohatgi import RohatgiScheme
-from repro.schemes.rohatgi_online import (
-    OnlineChainVerifier,
-    OnlineRohatgiScheme,
-)
+from repro.schemes.rohatgi_online import OnlineRohatgiScheme
 from repro.schemes.saida import SaidaReceiver, SaidaScheme
-from repro.schemes.sign_each import (
-    IndividualVerifier,
-    SignEachScheme,
-    verify_sign_each_packet,
-)
+from repro.schemes.sign_each import SignEachScheme
 from repro.schemes.tesla import (
     BootstrapInfo,
     TeslaParameters,
@@ -41,6 +34,7 @@ __all__ = [
     "Scheme",
     "Trial",
     "Verifier",
+    "ChainEdges",
     "build_block",
     "AugmentedChainScheme",
     "ac_vertex_coordinates",
@@ -48,13 +42,10 @@ __all__ = [
     "GenericOffsetScheme",
     "RandomGraphScheme",
     "RohatgiScheme",
-    "OnlineChainVerifier",
     "OnlineRohatgiScheme",
     "SaidaReceiver",
     "SaidaScheme",
-    "IndividualVerifier",
     "SignEachScheme",
-    "verify_sign_each_packet",
     "BootstrapInfo",
     "TeslaParameters",
     "TeslaReceiver",

@@ -33,6 +33,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
+from operator import attrgetter
 from typing import (TYPE_CHECKING, Callable, ClassVar, Dict, Iterator, List,
                     Optional, Sequence, Tuple)
 
@@ -49,7 +50,7 @@ if TYPE_CHECKING:
     from repro.faults.channel import WireDelivery
 
 __all__ = ["Scheme", "BlockPlan", "build_block", "Trial", "Verifier",
-           "PacketOutcome", "DEFAULT_MAX_CANDIDATES"]
+           "ChainEdges", "PacketOutcome", "DEFAULT_MAX_CANDIDATES"]
 
 
 class Scheme(ABC):
@@ -419,6 +420,38 @@ class PacketOutcome:
 IngestHook = Callable[["WireDelivery"], None]
 
 
+def _no_match(packet: Packet, token: bytes) -> bool:
+    return False
+
+
+@dataclass(frozen=True)
+class ChainEdges:
+    """How a dependence graph's edges authenticate, beyond hash links.
+
+    The hash-chain receiver
+    (:class:`~repro.simulation.receiver.ChainReceiver`) verifies every
+    dependence-graph scheme: a vertex verifies by its signature, or by
+    matching a token an already verified packet vouched for it.  By
+    default the token is the packet's hash, carried in its parent.  A
+    scheme whose edges are something else says so here:
+
+    ``signed(packet)``
+        The check of a packet that carries a signature; ``None`` keeps
+        ``signer.verify(packet.auth_bytes(), packet.signature)``.
+    ``vouches(packet)``
+        The ``(seq, token)`` pairs a verified packet vouches for; by
+        default the hashes it carries.
+    ``matches(packet, token)``
+        Whether ``packet`` matches the token vouched for its sequence
+        number when the token is not its hash; by default never.
+    """
+
+    signed: Optional[Callable[[Packet], bool]] = None
+    vouches: Callable[[Packet], Sequence[Tuple[int, bytes]]] = attrgetter(
+        "carried")
+    matches: Callable[[Packet, bytes], bool] = _no_match
+
+
 class Verifier(ABC):
     """Receiver side of one trial: the protocol every scheme's verifier speaks.
 
@@ -428,13 +461,24 @@ class Verifier(ABC):
     itself).  After the last delivery, :meth:`finish` settles anything
     held back, and :meth:`verdict` answers with a
     :class:`PacketOutcome`.  Every delivery takes the same path, so a
-    loss-only channel and an attacked one differ only in what arrives:
-    a repeated copy of content already taken counts in
-    ``replays_dropped``, a decodable packet that fails the
-    authentication checks in ``forged_rejected`` (it never verifies,
-    and never keeps the genuine packet from claiming its slot), and a
-    buffer the strict decoder refuses in ``undecodable``.  ``forged``
-    counts the records flagged forged, as
+    loss-only channel and an attacked one differ only in what arrives.
+
+    Every verifier keeps one slot rule for a sequence number:
+
+    * a packet that fails its authentication check never verifies and
+      never claims the slot, so it cannot keep the genuine packet out;
+      it counts in ``forged_rejected`` every time it arrives, and so
+      does any other content arriving for a slot that has verified;
+    * a copy of content the verifier holds (an unverified candidate
+      waiting for its check) or has accepted for that slot counts in
+      ``replays_dropped``;
+    * until its check is possible, a slot holds up to
+      :data:`DEFAULT_MAX_CANDIDATES` distinct candidates, in arrival
+      order, and the first that passes takes it; a further one counts
+      in ``forged_rejected``.
+
+    A buffer the strict decoder refuses counts in ``undecodable``.
+    ``forged`` counts the records flagged forged, as
     :class:`~repro.simulation.stats.SimulationStats` does.
     For the soundness audit, :meth:`accepted_digests` must match the
     :meth:`content_digest` of the packet sent under each sequence number.

@@ -20,6 +20,16 @@ Wire mapping: ``extra`` carries ``fingerprint(pk_{i+1}) || ots_sig_i``;
 the OTS signature covers the packet's :meth:`auth_bytes` *minus* the
 signature itself (the fingerprint is covered, chaining trust forward).
 The RSA/stub signature field is used only on ``P_1``.
+
+The hash-chain receiver (:class:`~repro.simulation.receiver.ChainReceiver`)
+verifies the chain as each packet arrives: it is the offline chain with
+a key fingerprint on each edge instead of a hash
+(:class:`~repro.schemes.base.ChainEdges`).  A verified packet vouches
+for the next position of its block with the fingerprint it commits to,
+and the packet there matches when its one-time key has that
+fingerprint and its one-time signature verifies.  The one-time public
+keys come from the trial, out of band (see
+:meth:`OnlineRohatgiScheme.new_trial`).
 """
 
 from __future__ import annotations
@@ -34,16 +44,10 @@ from repro.crypto.lamport import LamportKeyPair
 from repro.crypto.signatures import Signer
 from repro.exceptions import SchemeParameterError, SimulationError
 from repro.packets import Packet
-from repro.schemes.base import (
-    DEFAULT_MAX_CANDIDATES,
-    PacketOutcome,
-    Scheme,
-    Trial,
-    Verifier,
-)
+from repro.schemes.base import ChainEdges, Scheme, Trial
 from repro.schemes.rohatgi import RohatgiScheme
 
-__all__ = ["OnlineRohatgiScheme", "OnlineChainVerifier"]
+__all__ = ["OnlineRohatgiScheme"]
 
 _FINGERPRINT_SIZE = 32
 _OTS_SIZE = 256 * 32
@@ -160,7 +164,7 @@ class OnlineRohatgiScheme(Scheme):
                   hash_function: HashFunction = sha256,
                   t_transmit: float = 0.01,
                   seed: Optional[int] = None) -> Trial:
-        """Chained blocks and a verifier that holds their key pairs.
+        """Chained blocks, verified by the hash-chain receiver.
 
         Receivers need each packet's one-time public key to check its
         signature against the committed fingerprint; the trial hands
@@ -170,6 +174,7 @@ class OnlineRohatgiScheme(Scheme):
         the run ``seed``, else fresh randomness, and every block of the
         trial uses the same ones.  Packets carry no send times.
         """
+        from repro.simulation.receiver import ChainReceiver
         from repro.simulation.sender import make_payloads
 
         key_seed = self.seed
@@ -183,9 +188,14 @@ class OnlineRohatgiScheme(Scheme):
                                     1 + block * block_size)
         positions = {packet.seq: (packet.seq - 1) % block_size + 1
                      for packet in packets}
+        edges = ChainEdges(
+            vouches=partial(_vouches, positions=positions,
+                            block_size=block_size),
+            matches=partial(_matches, positions=positions,
+                            keypairs=keypairs))
         return Trial(packets, positions,
-                     partial(OnlineChainVerifier, signer, keypairs,
-                             block_size, blocks, hash_function))
+                     partial(ChainReceiver, signer, hash_function,
+                             edges=edges))
 
     def metrics(self, n: int, l_sign: int = 128, l_hash: int = 16,
                 sign_copies: int = 1) -> GraphMetrics:
@@ -208,126 +218,30 @@ class OnlineRohatgiScheme(Scheme):
         )
 
 
-class OnlineChainVerifier(Verifier):
-    """Trial verifier for the online chain.
+def _vouches(packet: Packet, positions: Dict[int, int],
+             block_size: int) -> Tuple[Tuple[int, bytes], ...]:
+    """The next position of ``packet``'s block, and the key it commits to."""
+    if positions.get(packet.seq, block_size) >= block_size:
+        return ()
+    try:
+        fingerprint, _ots_signature = _decode_extra(packet.extra)
+    except SimulationError:
+        return ()
+    return ((packet.seq + 1, fingerprint),)
 
-    Verification needs each packet's full one-time public key; in a
-    deployment it rides in the packet (the simulated wire format leaves
-    it out for clarity and the trial hands the key pairs over out of
-    band, since only their *size* matters for the paper's metrics).
-    The chain is strictly positional and is only checked at
-    :meth:`finish`, so each sequence number holds its distinct
-    candidates in arrival order (at most
-    :data:`~repro.schemes.base.DEFAULT_MAX_CANDIDATES`; a number
-    outside the stream is a forgery) and :meth:`finish` takes the first
-    that verifies.  A failed candidate leaves the slot claimable, so a
-    forgery that arrives first cannot lock the genuine packet out.
-    """
 
-    def __init__(self, signer: Signer, keypairs: Sequence[LamportKeyPair],
-                 block_size: int, blocks: int,
-                 hash_function: HashFunction = sha256) -> None:
-        super().__init__(hash_function)
-        self._signer = signer
-        self._keypairs = keypairs
-        self._block_size = block_size
-        self._slots = block_size * blocks
-        # seq -> content digest -> [packet, first arrival, copies]
-        self._candidates: Dict[int, Dict[bytes, list]] = {}
-        self._records: Dict[int, PacketOutcome] = {}
-        self._accepted: Dict[int, bytes] = {}
-
-    def receive(self, packet: Packet, arrival_time: float) -> None:
-        """Hold ``packet`` as a candidate for its slot (counted at finish)."""
-        if not 1 <= packet.seq <= self._slots:
-            self.forged_rejected += 1
-            return
-        held = self._candidates.setdefault(packet.seq, {})
-        digest = self.content_digest(packet)
-        candidate = held.get(digest)
-        if candidate is not None:
-            candidate[2] += 1
-        elif len(held) < DEFAULT_MAX_CANDIDATES:
-            held[digest] = [packet, arrival_time, 1]
-        else:
-            self.forged_rejected += 1
-
-    def finish(self) -> None:
-        """Verify every block's slots in sequence order.
-
-        The chain is strictly sequential: a slot's candidate is checked
-        against the slot's one-time key and the fingerprint its
-        predecessor committed to, so a missing or failed slot breaks
-        everything after it, exactly as the paper says.  The slot takes
-        its first candidate that verifies, or else its first arrival.
-        Copies of the first arrival or of the taken candidate count in
-        ``replays_dropped``; every other copy, and a rejected first
-        arrival, in ``forged_rejected``.
-        """
-        block = position = expected = None
-        for seq in sorted(self._candidates):
-            held = list(self._candidates[seq].values())
-            if (seq - 1) // self._block_size != block:
-                block = (seq - 1) // self._block_size
-                position, expected = 0, None
-            taken = fingerprint = None
-            first_decodes = False
-            for index, (packet, _arrival, _copies) in enumerate(held):
-                decodes, fingerprint = self._link(packet, position, expected)
-                if index == 0:
-                    first_decodes = decodes
-                if fingerprint is not None:
-                    taken = index
-                    break
-            slot = taken or 0
-            for index, (_packet, _arrival, copies) in enumerate(held):
-                if index == slot:
-                    self.replays_dropped += copies - 1
-                elif index == 0:
-                    self.forged_rejected += 1
-                    self.replays_dropped += copies - 1
-                else:
-                    self.forged_rejected += copies
-            packet, arrival, _copies = held[slot]
-            record = self._records[seq] = PacketOutcome(seq, arrival)
-            if taken is None and not first_decodes:
-                # Decodes as a packet but not as an online-chain packet:
-                # the slot stays empty, breaking the chain like a loss.
-                self.forged_rejected += 1
-                continue
-            record.verified = taken is not None
-            if record.verified:
-                self._accepted[seq] = self.content_digest(packet)
-            expected = fingerprint
-            position += 1
-
-    def _link(self, packet: Packet, position: int,
-              expected: Optional[bytes]) -> Tuple[bool, Optional[bytes]]:
-        """Check ``packet`` as the chain's link at ``position``.
-
-        Returns whether its ``extra`` decodes, and the fingerprint it
-        commits to the next link if it verifies (else ``None``).
-        """
-        try:
-            fingerprint, ots_signature = _decode_extra(packet.extra)
-        except SimulationError:
-            return False, None
-        if position == 0:
-            ok = (packet.signature is not None
-                  and self._signer.verify(packet.auth_bytes(),
-                                          packet.signature))
-        else:
-            keypair = self._keypairs[position]
-            body = _packet_body(packet.seq, packet.block_id,
-                                packet.payload, fingerprint)
-            ok = (expected is not None
-                  and keypair.public_fingerprint() == expected
-                  and keypair.verify(body, ots_signature))
-        return True, fingerprint if ok else None
-
-    def verdict(self, seq: int) -> Optional[PacketOutcome]:
-        """Verification is not timed: ``verified_time`` stays ``None``."""
-        return self._records.get(seq)
-
-    def accepted_digests(self) -> Dict[int, bytes]:
-        return self._accepted
+def _matches(packet: Packet, fingerprint: bytes, positions: Dict[int, int],
+             keypairs: Sequence[LamportKeyPair]) -> bool:
+    """Whether ``packet`` is signed by the one-time key ``fingerprint`` names."""
+    position = positions.get(packet.seq)
+    if position is None:
+        return False
+    try:
+        next_fingerprint, ots_signature = _decode_extra(packet.extra)
+    except SimulationError:
+        return False
+    keypair = keypairs[position - 1]
+    body = _packet_body(packet.seq, packet.block_id, packet.payload,
+                        next_fingerprint)
+    return (keypair.public_fingerprint() == fingerprint
+            and keypair.verify(body, ots_signature))

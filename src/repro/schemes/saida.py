@@ -40,7 +40,8 @@ from repro.crypto.reed_solomon import rs_decode, rs_encode
 from repro.crypto.signatures import Signer
 from repro.exceptions import SchemeParameterError
 from repro.packets import Packet
-from repro.schemes.base import PacketOutcome, Scheme, Trial, Verifier
+from repro.schemes.base import (DEFAULT_MAX_CANDIDATES, PacketOutcome,
+                                Scheme, Trial, Verifier)
 
 __all__ = ["SaidaScheme", "SaidaReceiver"]
 
@@ -178,15 +179,16 @@ class SaidaReceiver(Verifier):
 
     Feed arriving packets to :meth:`receive`; per-seq verdicts appear
     in :attr:`verified` (True/False) once decidable.  Packets of a
-    block arriving after reconstruction verify immediately.  This is
-    SAIDA's trial :class:`~repro.schemes.base.Verifier`.
+    block arriving after reconstruction are checked at once.  This is
+    SAIDA's trial :class:`~repro.schemes.base.Verifier` and keeps its
+    slot rule, holding candidates until their block reconstructs
+    (``False`` in :attr:`verified` records a failed check only).
 
-    The receiver is defensive against active attackers: the first
-    share per ``(block, index)`` wins (duplicates counted in
+    The receiver is defensive against active attackers: for decoding,
+    the first share per ``(block, index)`` wins (later ones counted in
     :attr:`duplicate_shares`), shares whose declared ``(k, n)`` shape
     or index is invalid or disagrees with the block's first share are
-    dropped (:attr:`rejected_shares`), verdicts are final (a forged
-    packet cannot overwrite a ``True``), and when reconstruction fails
+    dropped (:attr:`rejected_shares`), and when reconstruction fails
     it searches ``k``-subsets of the shares in hand (growing-window
     order, failed subsets memoized) — polluted shares cannot poison a
     block while ``k`` clean ones arrived early enough — under a
@@ -198,6 +200,8 @@ class SaidaReceiver(Verifier):
         super().__init__(hash_function)
         self._signer = signer
         self._pending: Dict[int, Dict[int, Packet]] = {}
+        # block -> seq -> held candidates, in arrival order
+        self._candidates: Dict[int, Dict[int, List[Packet]]] = {}
         self._shapes: Dict[int, tuple] = {}
         self._attempts: Dict[int, int] = {}
         self._tried: Dict[int, set] = {}
@@ -205,10 +209,12 @@ class SaidaReceiver(Verifier):
         self._failed_blocks: set = set()
         self.verified: Dict[int, bool] = {}
         self._arrivals: Dict[int, float] = {}
-        self._accepted: Dict[int, Packet] = {}
+        self._accepted: Dict[int, bytes] = {}
         self.duplicate_shares = 0
         self.rejected_shares = 0
         self._malformed = 0
+        self._failed_checks = 0
+        self.replays_dropped = 0
 
     # ------------------------------------------------------------------
 
@@ -282,17 +288,6 @@ class SaidaReceiver(Verifier):
             self._failed_blocks.add(block_id)
         return False
 
-    def _check_payload(self, packet: Packet, base_index: int) -> bool:
-        hashes = self._hash_lists[packet.block_id]
-        if not 0 <= base_index < len(hashes):
-            return False
-        return self.content_digest(packet) == hashes[base_index]
-
-    def _finish_block(self, block_id: int) -> None:
-        self._shapes.pop(block_id, None)
-        self._attempts.pop(block_id, None)
-        self._tried.pop(block_id, None)
-
     # ------------------------------------------------------------------
 
     def receive(self, packet: Packet, arrival_time: float = 0.0) -> None:
@@ -302,12 +297,27 @@ class SaidaReceiver(Verifier):
         self.message_buffer_peak = max(self.message_buffer_peak,
                                        self.pending_count)
 
-    def _settle(self, packet: Packet, ok: bool) -> None:
-        self.verified[packet.seq] = ok
-        if ok:
-            self._accepted[packet.seq] = packet
+    def _judge(self, packet: Packet, index: int) -> None:
+        """Check ``packet`` against its reconstructed block's hash list."""
+        seq = packet.seq
+        digest = self.content_digest(packet)
+        hashes = self._hash_lists.get(packet.block_id, ())
+        accepted = self._accepted.get(seq)
+        if accepted is not None:
+            # The slot has verified: a copy of its content is a replay,
+            # anything else a forgery.
+            if digest == accepted:
+                self.replays_dropped += 1
+            else:
+                self._failed_checks += 1
+        elif 0 <= index < len(hashes) and digest == hashes[index]:
+            self.verified[seq] = True
+            self._accepted[seq] = digest
         else:
-            self._accepted.pop(packet.seq, None)
+            # A failed check records the failure but leaves the slot
+            # claimable.
+            self._failed_checks += 1
+            self.verified[seq] = False
 
     def _take(self, packet: Packet) -> None:
         try:
@@ -317,17 +327,17 @@ class SaidaReceiver(Verifier):
             # An unparsable share header counts as a forgery.
             self._malformed += 1
             return
-        if packet.seq in self.verified:
-            # Verdicts are final: replays and seq-colliding forgeries
-            # cannot overwrite an earlier decision.
-            self.duplicate_shares += 1
-            return
         block_id = packet.block_id
-        if block_id in self._hash_lists:
-            self._settle(packet, self._check_payload(packet, index))
+        if packet.seq in self._accepted or block_id in self._hash_lists:
+            self._judge(packet, index)
             return
         if block_id in self._failed_blocks:
             self.verified[packet.seq] = False
+            return
+        held = self._candidates.get(block_id, {}).get(packet.seq, ())
+        auth = packet.auth_bytes()
+        if any(candidate.auth_bytes() == auth for candidate in held):
+            self.replays_dropped += 1
             return
         shape = self._shapes.get(block_id)
         if shape is None:
@@ -339,32 +349,38 @@ class SaidaReceiver(Verifier):
             if (k, n) != shape or not 0 <= index < n:
                 self.rejected_shares += 1
                 return
+        if len(held) >= DEFAULT_MAX_CANDIDATES:
+            self._failed_checks += 1
+            return
+        self._candidates.setdefault(block_id, {}).setdefault(
+            packet.seq, []).append(packet)
         shares_map = self._pending.setdefault(block_id, {})
         if index in shares_map:
             self.duplicate_shares += 1
             return
         shares_map[index] = packet
         if self._try_reconstruct(block_id, k, n):
-            for held in self._pending.pop(block_id).values():
-                held_index, _, _, _ = _EXTRA.unpack_from(held.extra, 0)
-                self._settle(held, self._check_payload(held, held_index))
-            self._finish_block(block_id)
+            for candidates in self._release(block_id).values():
+                for held_packet in candidates:
+                    self._judge(held_packet,
+                                _EXTRA.unpack_from(held_packet.extra, 0)[0])
         elif block_id in self._failed_blocks:
-            for held in self._pending.pop(block_id, {}).values():
-                self._settle(held, False)
-            self._finish_block(block_id)
+            for seq in self._release(block_id):
+                self.verified[seq] = False
+
+    def _release(self, block_id: int) -> Dict[int, List[Packet]]:
+        """Drop a settled block's shares and state; its held candidates."""
+        for state in (self._pending, self._shapes, self._attempts,
+                      self._tried):
+            state.pop(block_id, None)
+        return self._candidates.pop(block_id, {})
 
     # ------------------------------------------------------------------
 
     @property
     def forged_rejected(self) -> int:
-        """Shares of an invalid shape, plus unparsable share headers."""
-        return self.rejected_shares + self._malformed
-
-    @property
-    def replays_dropped(self) -> int:
-        """Duplicate shares and re-received sequence numbers."""
-        return self.duplicate_shares
+        """Packets that failed their check or carried a bad share header."""
+        return self._failed_checks + self.rejected_shares + self._malformed
 
     def verdict(self, seq: int) -> Optional[PacketOutcome]:
         """Verification is not timed: ``verified_time`` stays ``None``."""
@@ -374,8 +390,7 @@ class SaidaReceiver(Verifier):
         return PacketOutcome(seq, arrival, bool(self.verified.get(seq)))
 
     def accepted_digests(self) -> Dict[int, bytes]:
-        return {seq: self.content_digest(packet)
-                for seq, packet in self._accepted.items()}
+        return self._accepted
 
     def content_digest(self, packet: Packet) -> bytes:
         """Digest of the payload under its sequence number.
@@ -389,8 +404,9 @@ class SaidaReceiver(Verifier):
 
     @property
     def pending_count(self) -> int:
-        """Packets buffered awaiting reconstruction."""
-        return sum(len(v) for v in self._pending.values())
+        """Candidates buffered awaiting reconstruction."""
+        return sum(len(candidates) for held in self._candidates.values()
+                   for candidates in held.values())
 
     def verified_count(self) -> int:
         """Packets verified so far."""

@@ -39,7 +39,8 @@ from repro.crypto.signatures import Signer
 from repro.exceptions import SchemeParameterError, SimulationError
 from repro.network.clock import Clock
 from repro.packets import Packet
-from repro.schemes.base import PacketOutcome, Scheme, Trial, Verifier
+from repro.schemes.base import (DEFAULT_MAX_CANDIDATES, PacketOutcome,
+                                Scheme, Trial, Verifier)
 
 __all__ = [
     "TeslaParameters",
@@ -376,6 +377,12 @@ class TeslaReceiver:
     Feed arriving packets to :meth:`receive`; completed verdicts
     accumulate in :attr:`verdicts`.
 
+    It keeps the slot rule of :class:`~repro.schemes.base.Verifier`,
+    holding candidates until their key is disclosed.  A failed
+    candidate's status (``bad-mac``, ``bad-key``) stays on the record
+    until another arrives; ``unsafe`` is final, because a later copy is
+    later still.
+
     Parameters
     ----------
     bootstrap:
@@ -409,10 +416,16 @@ class TeslaReceiver:
         self._anchor = KeyChainCommitment(0, info.commitment)
         self._mac_keys: Dict[int, bytes] = {}
         self._highest_key = 0
+        # interval -> held candidates, in arrival order
         self._pending: Dict[int, List[Packet]] = {}
+        # seq -> the packet its final verdict judged
+        self._judged: Dict[int, Packet] = {}
         self.verdicts: Dict[int, TeslaVerdict] = {}
-        #: Re-received sequence numbers dropped (verdicts are final).
+        #: Copies of content held or judged for their sequence number.
         self.replays_dropped = 0
+        #: Data packets that failed their check, or arrived for a judged
+        #: slot with other content, or past the candidate cap.
+        self.forged_rejected = 0
         #: Disclosed keys rejected: failed authentication or an index
         #: beyond the committed chain.
         self.rejected_keys = 0
@@ -458,15 +471,32 @@ class TeslaReceiver:
         for interval in sorted(ready):
             key = self._mac_keys.get(interval)
             for packet in self._pending.pop(interval):
-                verdict = self.verdicts[packet.seq]
-                tag = self._tag_of(packet)
-                message = _mac_input(packet.seq, packet.block_id, interval,
+                seq = packet.seq
+                if seq in self._judged:
+                    self._count_copy(packet)
+                    continue
+                verdict = self.verdicts[seq]
+                message = _mac_input(seq, packet.block_id, interval,
                                      packet.payload)
                 payload_ok = key is not None and self.mac.verify(
-                    key, message, tag)
-                verdict.status = "verified" if payload_ok else "bad-mac"
-                verdict.verified = payload_ok
+                    key, message, self._tag_of(packet))
                 verdict.verified_time = receiver_time
+                if payload_ok:
+                    verdict.status = "verified"
+                    verdict.verified = True
+                    self._judged[seq] = packet
+                else:
+                    verdict.status = "bad-mac"
+                    self.forged_rejected += 1
+
+    def _count_copy(self, packet: Packet) -> None:
+        """Count a packet for a judged slot: a replay or a forgery."""
+        judged = self._judged[packet.seq]
+        if (packet.block_id, packet.payload) == (judged.block_id,
+                                                 judged.payload):
+            self.replays_dropped += 1
+        else:
+            self.forged_rejected += 1
 
     def _tag_of(self, packet: Packet) -> bytes:
         _, tag, _, _ = _decode_extra(packet.extra, self.mac.tag_size)
@@ -498,30 +528,52 @@ class TeslaReceiver:
                 if interval == 0:
                     return
         if interval >= 1:
-            if packet.seq in self.verdicts:
-                # Verdicts are final: a replay or seq-colliding forgery
-                # cannot overwrite or resurrect an earlier decision.
-                self.replays_dropped += 1
-            elif interval > self.parameters.chain_length:
-                # No genuine sender can MAC past the committed chain,
-                # and such a key is never disclosed — buffering would
-                # pin the packet (and memory) forever.
-                self.verdicts[packet.seq] = TeslaVerdict(
-                    seq=packet.seq, interval=interval, status="bad-key",
-                    arrival_time=receiver_time,
-                )
-            elif not self._is_safe(interval, receiver_time):
-                self.verdicts[packet.seq] = TeslaVerdict(
-                    seq=packet.seq, interval=interval, status="unsafe",
-                    arrival_time=receiver_time,
-                )
-            else:
-                self.verdicts[packet.seq] = TeslaVerdict(
-                    seq=packet.seq, interval=interval, status="pending",
-                    arrival_time=receiver_time,
-                )
-                self._pending.setdefault(interval, []).append(packet)
+            self._take(packet, interval, receiver_time)
         self._flush_pending(receiver_time)
+
+    def _take(self, packet: Packet, interval: int,
+              receiver_time: float) -> None:
+        """Judge or hold one data packet under the slot rule."""
+        seq = packet.seq
+        verdict = self.verdicts.get(seq)
+        waiting = verdict is not None and verdict.status == "pending"
+        # A candidate's interval is part of its auth bytes: its copies
+        # wait in the same list.
+        held = [candidate for candidate in self._pending.get(interval, ())
+                if candidate.seq == seq]
+        if seq in self._judged:
+            # Verified or unsafe: a replay or seq-colliding forgery
+            # cannot overwrite or resurrect the decision.
+            self._count_copy(packet)
+        elif any(candidate.auth_bytes() == packet.auth_bytes()
+                 for candidate in held):
+            self.replays_dropped += 1
+        elif interval > self.parameters.chain_length:
+            # No genuine sender can MAC past the committed chain, and
+            # such a key is never disclosed — buffering would pin the
+            # packet (and memory) forever.
+            self.forged_rejected += 1
+            self.verdicts.setdefault(seq, TeslaVerdict(
+                seq=seq, interval=interval, status="bad-key",
+                arrival_time=receiver_time))
+        elif not self._is_safe(interval, receiver_time):
+            if waiting:
+                # The slot has candidates in time; this one can never
+                # verify.
+                self.forged_rejected += 1
+            else:
+                self.verdicts[seq] = TeslaVerdict(
+                    seq=seq, interval=interval, status="unsafe",
+                    arrival_time=receiver_time)
+                self._judged[seq] = packet
+        elif len(held) >= DEFAULT_MAX_CANDIDATES:
+            self.forged_rejected += 1
+        else:
+            if not waiting:
+                self.verdicts[seq] = TeslaVerdict(
+                    seq=seq, interval=interval, status="pending",
+                    arrival_time=receiver_time)
+            self._pending.setdefault(interval, []).append(packet)
 
     # ------------------------------------------------------------------
 
@@ -558,8 +610,6 @@ class TeslaVerifier(Verifier):
         self._receiver: Optional[TeslaReceiver] = None
         self._bootstrap: Optional[Packet] = None
         self._early: List[Tuple[Packet, float]] = []
-        # seq -> the packet its verdict judged (the first to get one)
-        self._judged: Dict[int, Packet] = {}
         self._rejected = 0
         self._replays = 0
 
@@ -589,13 +639,10 @@ class TeslaVerifier(Verifier):
 
     def _feed(self, packet: Packet, arrival_time: float) -> None:
         receiver = self._receiver
-        judged = packet.seq in receiver.verdicts
         try:
             receiver.receive(packet, arrival_time)
         except SimulationError:
             self._rejected += 1
-        if not judged and packet.seq in receiver.verdicts:
-            self._judged[packet.seq] = packet
         self.message_buffer_peak = max(self.message_buffer_peak,
                                        receiver.pending_count)
 
@@ -608,9 +655,13 @@ class TeslaVerifier(Verifier):
 
     @property
     def forged_rejected(self) -> int:
-        """Forged bootstraps, unparsable packets and rejected keys."""
-        keys = self._receiver.rejected_keys if self._receiver else 0
-        return self._rejected + keys
+        """Forged bootstraps, unparsable packets, rejected keys and the
+        receiver's rejected data packets."""
+        receiver = self._receiver
+        if receiver is None:
+            return self._rejected
+        return (self._rejected + receiver.rejected_keys
+                + receiver.forged_rejected)
 
     @property
     def replays_dropped(self) -> int:
@@ -624,9 +675,9 @@ class TeslaVerifier(Verifier):
     def accepted_digests(self) -> Dict[int, bytes]:
         if self._receiver is None:
             return {}
-        return {seq: self.content_digest(self._judged[seq])
-                for seq, verdict in self._receiver.verdicts.items()
-                if verdict.verified}
+        return {seq: self.content_digest(packet)
+                for seq, packet in self._receiver._judged.items()
+                if self._receiver.verdicts[seq].verified}
 
     def content_digest(self, packet: Packet) -> bytes:
         """Digest of the payload under its sequence number.

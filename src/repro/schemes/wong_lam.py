@@ -8,7 +8,10 @@ for with ``l_sign + ceil(log2 n)·l_hash`` bytes of overhead on *every*
 packet, the "high amount of overhead" the paper calls out.
 
 There is no inter-packet dependence to draw, so :meth:`build_graph`
-returns ``None`` and the metrics are computed analytically.
+returns ``None`` and the metrics are computed analytically.  As a
+dependence graph every vertex is a ``P_sign`` checked through its
+Merkle path, so the hash-chain receiver verifies it with that check
+(:class:`~repro.schemes.base.ChainEdges`).
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.crypto.signatures import Signer
 from repro.exceptions import SchemeParameterError, VerificationError
 from repro.packets import Packet
-from repro.schemes.base import Scheme, Trial
-from repro.schemes.sign_each import IndividualVerifier
+from repro.schemes.base import ChainEdges, Scheme, Trial
 
 __all__ = ["WongLamScheme", "encode_proof", "decode_proof", "verify_wong_lam_packet"]
 
@@ -132,15 +134,19 @@ class WongLamScheme(Scheme):
                   t_transmit: float = 0.01,
                   seed: Optional[int] = None) -> Trial:
         """Tree-signed blocks, every packet checked on its own."""
+        from repro.simulation.receiver import ChainReceiver
+
         packets, positions = self._send_blocks(signer, block_size, blocks,
                                                hash_function, t_transmit)
         bases: Dict[int, int] = {}
         for packet in packets:
             bases.setdefault(packet.block_id, packet.seq)
-        check = partial(_verify_in_stream, signer=signer,
-                        hash_function=hash_function, bases=bases)
+        edges = ChainEdges(signed=partial(
+            _verify_in_stream, signer=signer, hash_function=hash_function,
+            bases=bases))
         return Trial(packets, positions,
-                     partial(IndividualVerifier, check, hash_function))
+                     partial(ChainReceiver, signer, hash_function,
+                             edges=edges))
 
     def metrics(self, n: int, l_sign: int = 128, l_hash: int = 16,
                 sign_copies: int = 1) -> GraphMetrics:

@@ -4,8 +4,13 @@ The receiver is deliberately *scheme-agnostic*: a hash-chained packet
 stream is self-describing (each packet says which sequence numbers the
 hashes it carries belong to), so one verification engine covers
 Gennaro–Rohatgi, EMSS, augmented chains, generic offset schemes and
-any designed graph.  The engine maintains exactly the two buffers the
-paper's Sec. 3 buffer analysis talks about:
+any designed graph.  A scheme whose edges are not plain hash links
+describes them in a :class:`~repro.schemes.base.ChainEdges`, and the
+same engine verifies it: sign-each (every vertex a ``P_sign``),
+Wong–Lam (every packet signed through its Merkle path) and the online
+Gennaro–Rohatgi chain (a one-time key fingerprint on each edge).  The
+engine maintains exactly the two buffers the paper's Sec. 3 buffer
+analysis talks about:
 
 * a **hash buffer** of trusted hashes for packets not yet arrived, and
 * a **message buffer** of arrived-but-unverifiable packets.
@@ -19,9 +24,10 @@ packet, drops exact duplicates of content already processed (counted
 in ``replays_dropped``), rejects forgeries without letting them claim
 a sequence slot (``forged_rejected``), and keeps several
 same-sequence candidates buffered so a forged packet can never evict
-the genuine one from contention.  On a loss-only channel only the
-duplicate drop can fire (replicated ``P_sign`` copies), so loss-only
-simulations and attacked channels share the one body.
+the genuine one from contention: the slot rule every
+:class:`~repro.schemes.base.Verifier` keeps.  On a loss-only channel
+only the duplicate drop can fire (replicated ``P_sign`` copies), so
+loss-only simulations and attacked channels share the one body.
 :meth:`ChainReceiver.ingest_run` feeds it a run of wire deliveries (a
 live transport's queue entry, or a trial's whole attacked delivery
 list), decoding raw bytes and counting undecodable buffers;
@@ -29,12 +35,13 @@ list), decoding raw bytes and counting undecodable buffers;
 input crashes the receiver, pollutes its trust state or unbounds its
 memory.
 
-:class:`ChainReceiver` is the hash-chained schemes' trial
-:class:`~repro.schemes.base.Verifier`.
+:class:`ChainReceiver` is the trial
+:class:`~repro.schemes.base.Verifier` of every dependence-graph scheme.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import HashFunction, sha256
@@ -44,6 +51,7 @@ from repro.faults.channel import WireDelivery
 from repro.packets import Packet, packet_from_wire
 from repro.schemes.base import (
     DEFAULT_MAX_CANDIDATES,
+    ChainEdges,
     IngestHook,
     PacketOutcome,
     Verifier,
@@ -64,6 +72,10 @@ __all__ = ["PacketOutcome", "ChainReceiver"]
 WireMemo = Dict[bytes, Tuple[Optional[Packet], Optional[bytes]]]
 
 _UNDECODABLE = (None, None)
+
+
+def _signature_ok(signer: Signer, packet: Packet) -> bool:
+    return signer.verify(packet.auth_bytes(), packet.signature)
 
 
 class ChainReceiver(Verifier):
@@ -97,6 +109,12 @@ class ChainReceiver(Verifier):
         and hashes each distinct buffer once for all of them.  Only
         the pure functions of the bytes are shared; verdicts, buffers
         and counters stay per receiver.
+    edges:
+        The scheme's :class:`~repro.schemes.base.ChainEdges`, when its
+        edges are not plain hash links; ``None`` (the default) means
+        they are.  Its ``matches`` is consulted only where a hash
+        comparison failed; with ``None`` a genuine hash-chained packet
+        pays one ``is None`` test for it.
 
     Notes
     -----
@@ -112,18 +130,25 @@ class ChainReceiver(Verifier):
                  max_buffered: Optional[int] = None,
                  max_candidates: int = DEFAULT_MAX_CANDIDATES,
                  on_verified=None,
-                 wire_memo: Optional[WireMemo] = None) -> None:
+                 wire_memo: Optional[WireMemo] = None,
+                 edges: Optional[ChainEdges] = None) -> None:
         if max_buffered is not None and max_buffered < 1:
             raise ValueError(f"max_buffered must be >= 1, got {max_buffered}")
         if max_candidates < 1:
             raise ValueError(
                 f"max_candidates must be >= 1, got {max_candidates}")
-        self._signer = signer
         self._hash = hash_function
         self._max_buffered = max_buffered
         self._max_candidates = max_candidates
         self._on_verified = on_verified
         self._wire_memo = wire_memo
+        #: The scheme's edges, ``None`` for plain hash links.
+        self.edges = edges
+        # Not a bound method: a receiver must not reference itself, or
+        # every dropped one waits for the cyclic collector.
+        self._signed = (partial(_signature_ok, signer)
+                        if edges is None or edges.signed is None
+                        else edges.signed)
         self._trusted: Dict[int, bytes] = {}
         # seq -> [(packet, arrival_time, auth digest), ...] in arrival order
         self._buffered: Dict[int, List[Tuple[Packet, float, bytes]]] = {}
@@ -260,7 +285,7 @@ class ChainReceiver(Verifier):
                 self.last_ingest = "forged-reject"
             return outcome
         if packet.signature is not None:
-            if self._signer.verify(packet.auth_bytes(), packet.signature):
+            if self._signed(packet):
                 outcome = self._ensure_outcome(seq, arrival_time)
                 self._mark_verified(packet, arrival_time, digest)
                 self.last_ingest = "verified"
@@ -274,7 +299,9 @@ class ChainReceiver(Verifier):
             return outcome
         expected = self._trusted.get(seq)
         if expected is not None:
-            if expected == digest:
+            if expected == digest or (self.edges is not None
+                                      and self.edges.matches(packet,
+                                                             expected)):
                 outcome = self._ensure_outcome(seq, arrival_time)
                 self._mark_verified(packet, arrival_time, digest)
                 self.last_ingest = "verified"
@@ -363,6 +390,7 @@ class ChainReceiver(Verifier):
     def _mark_verified(self, packet: Packet, now: float,
                        digest: bytes) -> None:
         """Trust ``packet``, absorb its hashes, cascade to buffered packets."""
+        edges = self.edges
         worklist = [(packet, digest)]
         while worklist:
             current, current_digest = worklist.pop()
@@ -380,7 +408,9 @@ class ChainReceiver(Verifier):
                         self.forged_rejected += 1
             if self._on_verified is not None:
                 self._on_verified(current, now)
-            for target, carried_digest in current.carried:
+            links = (current.carried if edges is None
+                     else edges.vouches(current))
+            for target, carried_digest in links:
                 known = self._trusted.get(target)
                 if known is None:
                     self._trusted[target] = carried_digest
@@ -396,7 +426,9 @@ class ChainReceiver(Verifier):
                 self._buffered_total -= len(held)
                 matched: Optional[Tuple[Packet, bytes]] = None
                 for held_packet, _arrival, held_digest in held:
-                    if held_digest == carried_digest:
+                    if held_digest == carried_digest or (
+                            edges is not None
+                            and edges.matches(held_packet, carried_digest)):
                         if matched is None:
                             matched = (held_packet, held_digest)
                         else:

@@ -22,7 +22,8 @@ checks the hash-chain receiver on loss-only input.
 * :class:`TrustingChainReceiver` — a hash-chain receiver that trusts
   its channel to be loss-only: the first delivery per sequence claims
   the slot, a mismatch flags it forged, a repeated sequence is
-  ignored.  On loss-only input
+  ignored.  It reads a scheme's edges from the same
+  :class:`~repro.schemes.base.ChainEdges` the receiver takes.  On loss-only input
   :class:`~repro.simulation.receiver.ChainReceiver`, which defends
   against forgeries and replays, must agree with it on every verdict,
   buffer and count.
@@ -43,7 +44,7 @@ from repro.crypto.signatures import Signer
 from repro.exceptions import AnalysisError
 from repro.network.loss import GilbertElliottLoss
 from repro.packets import Packet
-from repro.schemes.base import PacketOutcome, Scheme
+from repro.schemes.base import ChainEdges, PacketOutcome, Scheme
 
 __all__ = [
     "exact_periodic_q_profile_reference",
@@ -230,13 +231,19 @@ class TrustingChainReceiver:
     per slot waits in the message buffer, capped at ``max_buffered``
     by evicting the lowest buffered sequence.  Buffer peaks,
     ``evicted``, ``forged`` and :meth:`accepted_digests` follow
-    :class:`~repro.simulation.receiver.ChainReceiver`.
+    :class:`~repro.simulation.receiver.ChainReceiver`, and so do
+    ``edges``: a signed packet passes ``edges.signed`` when given, a
+    packet matches its trusted token when it is the packet's hash or
+    ``edges.matches`` says so, and a verified packet trusts what
+    ``edges.vouches`` names.
     """
 
     def __init__(self, signer: Signer,
                  hash_function: HashFunction = sha256,
-                 max_buffered: Optional[int] = None) -> None:
+                 max_buffered: Optional[int] = None,
+                 edges: Optional[ChainEdges] = None) -> None:
         self._signer = signer
+        self._edges = edges if edges is not None else ChainEdges()
         self._hash = hash_function
         self._max_buffered = max_buffered
         #: seq -> hash trusted for it, first one wins.
@@ -258,7 +265,9 @@ class TrustingChainReceiver:
         auth = packet.auth_bytes()
         digest = self._hash.digest(auth)
         if packet.signature is not None:
-            if self._signer.verify(auth, packet.signature):
+            signed = self._edges.signed
+            if (self._signer.verify(auth, packet.signature)
+                    if signed is None else signed(packet)):
                 self._verify(packet, arrival_time, digest)
             else:
                 outcome.forged = True
@@ -272,7 +281,7 @@ class TrustingChainReceiver:
                 self.evicted += 1
             self.message_buffer_peak = max(self.message_buffer_peak,
                                            len(self._buffered))
-        elif expected == digest:
+        elif expected == digest or self._edges.matches(packet, expected):
             self._verify(packet, arrival_time, digest)
         else:
             outcome.forged = True
@@ -287,14 +296,15 @@ class TrustingChainReceiver:
             outcome.verified = True
             outcome.verified_time = now
             self._accepted[current.seq] = current_digest
-            for target, carried_digest in current.carried:
+            for target, carried_digest in self._edges.vouches(current):
                 if self.trusted.setdefault(target,
                                             carried_digest) != carried_digest:
                     continue  # the first trusted hash stands
                 held = self._buffered.pop(target, None)
                 if held is None:
                     continue
-                if held[1] == carried_digest:
+                if held[1] == carried_digest or self._edges.matches(
+                        held[0], carried_digest):
                     worklist.append(held)
                 else:
                     self.outcomes[target].forged = True

@@ -22,12 +22,17 @@ def scheme():
 
 
 def _verdicts(trial, packets, verifier=None):
-    """Deliver ``packets`` to a fresh verifier; each one's verdict."""
+    """Deliver ``packets`` to a fresh verifier; whether each verified.
+
+    A packet that failed its check leaves no record (it never claims
+    its slot): it reads as not verified.
+    """
     verifier = verifier if verifier is not None else trial.new_verifier()
     for packet in packets:
         verifier.receive(packet, 0.0)
     verifier.finish()
-    return [verifier.verdict(packet.seq).verified for packet in packets]
+    records = [verifier.verdict(packet.seq) for packet in packets]
+    return [record is not None and record.verified for record in records]
 
 
 class TestStructure:
@@ -78,6 +83,13 @@ class TestVerification:
         # Forgery breaks the chain forward too.
         assert _verdicts(trial, [first, forged, third]) == [True, False,
                                                             False]
+        verifier = trial.new_verifier()
+        for packet in (first, forged, third):
+            verifier.receive(packet, 0.0)
+        # Checked on arrival against the key its predecessor committed
+        # to, the forgery never claims the slot.
+        assert verifier.verdict(second.seq) is None
+        assert verifier.forged_rejected == 1
 
     def test_forged_fingerprint_rejected(self, scheme, signer):
         trial = scheme.new_trial(signer, 6, 1)

@@ -2,10 +2,10 @@
 
 The erasure-coded receiver faces an attacker who can inject shares
 with arbitrary indices and shapes; these tests pin the defensive
-contract — first share per (block, index) wins, shapes are validated
-against the block's first share, verdicts are final, and polluted
-shares cannot poison a block while ``k`` clean ones arrived, all under
-a bounded attempt budget.
+contract — first share per (block, index) wins for decoding, shapes
+are validated against the block's first share, a verified slot is
+final, and polluted shares cannot poison a block while ``k`` clean
+ones arrived, all under a bounded attempt budget.
 """
 
 from dataclasses import replace
@@ -79,7 +79,30 @@ class TestDefensiveBookkeeping:
         forged = replace(block[3], payload=b"late forgery")
         receiver.receive(forged)
         assert receiver.verified[block[3].seq] is True
-        assert receiver.duplicate_shares == 1
+        # Other content for a verified slot is a forgery, not a replay.
+        assert receiver.forged_rejected == 1
+        assert receiver.replays_dropped == 0
+        receiver.receive(block[3])
+        assert receiver.replays_dropped == 1
+
+
+    def test_candidates_per_seq_are_capped(self, signer, block):
+        from repro.schemes.base import DEFAULT_MAX_CANDIDATES
+
+        receiver = SaidaReceiver(signer)
+        receiver.receive(block[3])
+        for index in range(DEFAULT_MAX_CANDIDATES):
+            receiver.receive(replace(block[3], payload=b"forged %d" % index))
+        # The genuine packet and three forgeries wait; the fourth is
+        # turned away at once.
+        assert receiver.pending_count == DEFAULT_MAX_CANDIDATES
+        assert receiver.forged_rejected == 1
+        for packet in block:
+            receiver.receive(packet)
+        assert receiver.verified[block[3].seq] is True
+        assert receiver.verified_count() == len(block)
+        assert receiver.forged_rejected == DEFAULT_MAX_CANDIDATES
+        assert receiver.replays_dropped == 1
 
 
 class TestPollutionRescue:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.crypto.signatures import HmacStubSigner
 from repro.exceptions import SchemeParameterError
-from repro.schemes.sign_each import SignEachScheme, verify_sign_each_packet
+from repro.schemes.sign_each import SignEachScheme
 
 
 @pytest.fixture
@@ -30,18 +30,25 @@ class TestScheme:
         assert len({p.signature for p in packets}) == 3
 
     def test_each_verifies_alone(self, scheme, signer):
-        for packet in scheme.make_block([b"x", b"y"], signer):
-            assert verify_sign_each_packet(packet, signer)
+        trial = scheme.new_trial(signer, 2, 1)
+        for packet in trial.packets:
+            verifier = trial.new_verifier()
+            verifier.receive(packet, 0.0)
+            assert verifier.verdict(packet.seq).verified
 
     def test_tampering_rejected(self, scheme, signer):
-        packet = scheme.make_block([b"x"], signer)[0]
-        assert not verify_sign_each_packet(
-            replace(packet, payload=b"evil"), signer)
+        trial = scheme.new_trial(signer, 1, 1)
+        verifier = trial.new_verifier()
+        verifier.receive(replace(trial.packets[0], payload=b"evil"), 0.0)
+        assert verifier.verdict(trial.packets[0].seq) is None
+        assert verifier.forged_rejected == 1
 
     def test_unsigned_rejected(self, scheme, signer):
-        packet = scheme.make_block([b"x"], signer)[0]
-        assert not verify_sign_each_packet(
-            replace(packet, signature=None), signer)
+        trial = scheme.new_trial(signer, 1, 1)
+        verifier = trial.new_verifier()
+        verifier.receive(replace(trial.packets[0], signature=None), 0.0)
+        record = verifier.verdict(trial.packets[0].seq)
+        assert record is not None and not record.verified
 
     def test_empty_block_rejected(self, scheme, signer):
         with pytest.raises(SchemeParameterError):

@@ -67,7 +67,27 @@ class TestReplayFinality:
         forged = replace(packets[2], payload=b"forged payload")
         receiver.receive(forged, 10.0)
         assert receiver.verdicts[packets[2].seq].status == "verified"
-        assert receiver.replays_dropped == 1
+        # Other content for a verified slot is a forgery, not a replay.
+        assert receiver.forged_rejected == 1
+        assert receiver.replays_dropped == 0
+
+
+    def test_forgery_first_leaves_the_slot_to_the_genuine(self, session):
+        sender, receiver = session
+        packets = [sender.send(b"payload %d" % i, 0.01 + 0.05 * i)
+                   for i in range(6)]
+        forged = replace(packets[2], payload=b"forged payload")
+        for packet in packets:
+            if packet is packets[2]:
+                receiver.receive(forged, packet.send_time)
+            receiver.receive(packet, packet.send_time + 0.001)
+        for packet in sender.flush_keys(6):
+            receiver.receive(packet, packet.send_time + 0.001)
+        # Both waited for the key; the forgery failed its MAC and the
+        # genuine packet took the slot.
+        assert receiver.verdicts[packets[2].seq].status == "verified"
+        assert receiver.forged_rejected == 1
+        assert receiver.replays_dropped == 0
 
 
 class TestForgedKeys:

@@ -106,3 +106,18 @@ class TestLegitTrafficSurvives:
         assert receiver.outcomes[block[-1].seq].verified
         assert not all(receiver.outcomes[p.seq].verified
                        for p in block[:-1])
+
+
+@pytest.mark.parametrize("name", ["rohatgi-online", "sign-each", "wong-lam"])
+def test_trial_kernel_caps_every_chain_verified_scheme(name):
+    # These schemes verify through ChainReceiver, so the kernel's
+    # message-buffer cap reaches their verifier too.
+    from repro.analysis.conformance import default_scheme
+    from repro.simulation.trials import SeededChannels, run_trials
+
+    scheme = default_scheme(name)
+    capped, = run_trials(scheme, 8, 0, 3,
+                         SeededChannels.for_scheme(scheme, 0.3, 5),
+                         max_buffered=2)
+    assert capped.message_buffer_peak <= 2
+    assert sum(t.verified for t in capped.tallies.values()) > 0

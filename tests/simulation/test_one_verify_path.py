@@ -1,5 +1,10 @@
 """One verify path: ``ChainReceiver.receive`` against the trusting oracle.
 
+Every registry scheme whose trial verifier is a
+:class:`~repro.simulation.receiver.ChainReceiver` runs here — the
+hash-chained ones, and sign-each, Wong–Lam and the online chain with
+their :class:`~repro.schemes.base.ChainEdges` — each receiver built
+through ``trial.new_verifier()`` so the scheme's own checks apply.
 Every delivery, loss-only or attacked, goes through the same
 defensive ``receive``.  On a loss-only channel its extra checks must
 change nothing: against
@@ -27,20 +32,24 @@ from repro.crypto.signatures import HmacStubSigner
 from repro.network.channel import Channel, Delivery
 from repro.network.delay import GaussianDelay
 from repro.network.loss import BernoulliLoss, GilbertElliottLoss
-from repro.schemes.base import Scheme
 from repro.schemes.registry import make_scheme
 from repro.simulation.receiver import ChainReceiver
-from repro.simulation.sender import (StreamSender, make_payloads,
-                                     replicate_signature_packets)
+from repro.simulation.sender import replicate_signature_packets
 
 from tests.oracles import TrustingChainReceiver
 
 SIGNER = HmacStubSigner(key=b"one-verify-path")
 
-#: Registry schemes verified by the generic hash-chain receiver.
-GRAPH_SPECS = sorted(
-    spec for spec in DEFAULT_SPECS.values()
-    if type(make_scheme(spec)).new_trial is Scheme.new_trial)
+
+
+def _chain_verified(spec):
+    trial = make_scheme(spec).new_trial(SIGNER, 2, 1, seed=0)
+    return isinstance(trial.new_verifier(), ChainReceiver)
+
+
+#: Registry schemes whose trial verifier is the hash-chain receiver.
+GRAPH_SPECS = sorted(spec for spec in DEFAULT_SPECS.values()
+                     if _chain_verified(spec))
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -48,16 +57,20 @@ SETTINGS = settings(max_examples=150, deadline=None,
 
 @st.composite
 def loss_only_streams(draw):
-    """``(sent, deliveries, max_buffered)`` of one loss-only channel."""
+    """``(trial, sent, deliveries, max_buffered)`` of one loss-only channel."""
     scheme = make_scheme(draw(st.sampled_from(GRAPH_SPECS)))
     block_size = draw(st.integers(min_value=2, max_value=10))
     copies = draw(st.integers(min_value=1, max_value=3))
-    sender = StreamSender(scheme, SIGNER, block_size)
-    packets = []
-    for _ in range(draw(st.integers(min_value=1, max_value=3))):
-        packets.extend(replicate_signature_packets(
-            sender.send_block(make_payloads(block_size)), copies))
     seed = draw(st.integers(min_value=0, max_value=2**16))
+    trial = scheme.new_trial(SIGNER, block_size,
+                             draw(st.integers(min_value=1, max_value=3)),
+                             seed=seed)
+    blocks = {}
+    for packet in trial.packets:
+        blocks.setdefault(packet.block_id, []).append(packet)
+    packets = []
+    for block in blocks.values():
+        packets.extend(replicate_signature_packets(block, copies))
     if draw(st.booleans()):
         loss = BernoulliLoss(draw(st.sampled_from([0.0, 0.2, 0.5])),
                              seed=seed)
@@ -68,7 +81,14 @@ def loss_only_streams(draw):
     channel = Channel(loss=loss, delay=delay,
                       protect_signature_packets=False)
     max_buffered = draw(st.sampled_from([None, 1, 2, 4]))
-    return packets, channel.transmit(packets), max_buffered
+    return trial, packets, channel.transmit(packets), max_buffered
+
+
+def _receivers(trial, max_buffered):
+    """The scheme's receiver and the oracle with the same edges."""
+    receiver = trial.new_verifier(max_buffered=max_buffered)
+    return receiver, TrustingChainReceiver(
+        SIGNER, max_buffered=max_buffered, edges=receiver.edges)
 
 
 def _record(outcome):
@@ -96,9 +116,8 @@ def _repeats(deliveries):
 @given(loss_only_streams())
 @SETTINGS
 def test_loss_only_streams_match_the_trusting_oracle(stream):
-    _sent, deliveries, max_buffered = stream
-    oracle = TrustingChainReceiver(SIGNER, max_buffered=max_buffered)
-    receiver = ChainReceiver(SIGNER, max_buffered=max_buffered)
+    trial, _sent, deliveries, max_buffered = stream
+    receiver, oracle = _receivers(trial, max_buffered)
     for delivery in deliveries:
         packet, arrival = delivery.packet, delivery.arrival_time
         assert _record(receiver.receive(packet, arrival)) == \
@@ -117,8 +136,8 @@ def _forge(packet):
 @given(loss_only_streams(), st.data())
 @SETTINGS
 def test_forgeries_never_claim_a_slot(stream, data):
-    sent, deliveries, max_buffered = stream
-    oracle = TrustingChainReceiver(SIGNER, max_buffered=max_buffered)
+    trial, sent, deliveries, max_buffered = stream
+    receiver, oracle = _receivers(trial, max_buffered)
     for delivery in deliveries:
         oracle.receive(delivery.packet, delivery.arrival_time)
     # Forged P_sign copies anywhere in the stream: the signature fails
@@ -140,7 +159,6 @@ def test_forgeries_never_claim_a_slot(stream, data):
                 else packet.signature is not None
                 or packet.seq in oracle.trusted):
             hostile.append(Delivery(end, _forge(packet)))
-    receiver = ChainReceiver(SIGNER, max_buffered=max_buffered)
     for delivery in hostile:
         receiver.receive(delivery.packet, delivery.arrival_time)
     seqs = {packet.seq for packet in sent}
@@ -155,16 +173,18 @@ def test_forgeries_never_claim_a_slot(stream, data):
 @SETTINGS
 def test_slot_contention_is_capped(spec, block_size, max_candidates,
                                    collisions, data):
-    block = make_scheme(spec).make_block(make_payloads(block_size), SIGNER)
-    victim = data.draw(st.sampled_from(
-        [packet for packet in block if packet.signature is None]))
-    receiver = ChainReceiver(SIGNER, max_candidates=max_candidates)
+    trial = make_scheme(spec).new_trial(SIGNER, block_size, 1, seed=1)
+    block = trial.packets
+    victim = data.draw(st.sampled_from(block))
+    receiver = trial.new_verifier(max_candidates=max_candidates)
     for index in range(collisions):
         forged = replace(victim, payload=b"collision-%d" % index)
         receiver.receive(forged, 0.0)
-    # Nothing is trusted yet, so each collision waits as a candidate
+    # A signed collision fails its signature at once.  Otherwise
+    # nothing is trusted yet, so each collision waits as a candidate
     # until the slot is full; the rest are turned away.
-    held = min(collisions, max_candidates)
+    held = (0 if victim.signature is not None
+            else min(collisions, max_candidates))
     assert receiver.buffered_count == held
     assert receiver.message_buffer_peak == held
     assert receiver.forged_rejected == collisions - held
