@@ -8,7 +8,7 @@ then the attack plan gets one shot at every surviving delivery: add
 reorder jitter, tamper the bytes, inject forged packets crafted from
 what it observed, and replay copies.  Receivers downstream see only
 :class:`WireDelivery` blobs and must decode them defensively
-(:meth:`~repro.simulation.receiver.ChainReceiver.ingest_run`).
+(:meth:`~repro.schemes.base.Verifier.ingest_run`).
 
 Determinism: deliveries are processed in the honest channel's arrival
 order and fault models are consulted in plan order, so the byte stream

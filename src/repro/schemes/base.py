@@ -14,8 +14,12 @@ The graph depends only on the scheme and the block size, so each
 scheme compiles it once per ``n`` into a :class:`BlockPlan` — plain
 integers, validated and topologically sorted at compile time — and
 every later block of that size reuses it.  A plan also keeps the
-packets of the last block it built, so the trials of a Monte Carlo
-run, which send one block over many loss draws, hash and sign it once.
+packets of the last block it built (a :class:`LastBlock`), so the
+trials of a Monte Carlo run, which send one block over many loss
+draws, hash and sign it once; sign-each and Wong–Lam keep theirs the
+same way.  The memo also keeps each packet's auth digest and the
+packets stamped with their send times, so a repeated block is born
+stamped (:func:`stamp`) and hands its digests on (:class:`Block`).
 
 A scheme also owns its receiver side.  :meth:`Scheme.new_trial`
 packetizes one trial into a :class:`Trial` — the sent packets, each
@@ -34,8 +38,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
 from operator import attrgetter
-from typing import (TYPE_CHECKING, Callable, ClassVar, Dict, Iterator, List,
-                    Optional, Sequence, Tuple)
+from typing import (TYPE_CHECKING, Callable, ClassVar, Dict, Iterable,
+                    Iterator, List, Optional, Sequence, Tuple)
 
 from repro.core.graph import DependenceGraph
 from repro.core.metrics import GraphMetrics, compute_metrics
@@ -49,8 +53,9 @@ from repro.packets import MAX_CARRIED_HASHES, Packet, packet_from_wire
 if TYPE_CHECKING:
     from repro.faults.channel import WireDelivery
 
-__all__ = ["Scheme", "BlockPlan", "build_block", "Trial", "Verifier",
-           "ChainEdges", "PacketOutcome", "DEFAULT_MAX_CANDIDATES"]
+__all__ = ["Scheme", "BlockPlan", "build_block", "Block", "LastBlock",
+           "stamp", "Trial", "Verifier", "ChainEdges", "PacketOutcome",
+           "DEFAULT_MAX_CANDIDATES"]
 
 
 class Scheme(ABC):
@@ -81,6 +86,9 @@ class Scheme(ABC):
 
     individually_verifiable: ClassVar[bool] = False
     timed: ClassVar[bool] = False
+    #: A scheme that builds its own blocks keeps the last one here
+    #: (sign-each, Wong–Lam); pickling drops it.
+    _last: Optional[LastBlock] = None
 
     @property
     @abstractmethod
@@ -101,8 +109,13 @@ class Scheme(ABC):
 
     def make_block(self, payloads: Sequence[bytes], signer: Signer,
                    hash_function: HashFunction = sha256,
-                   block_id: int = 0, base_seq: int = 1) -> List[Packet]:
+                   block_id: int = 0, base_seq: int = 1, *,
+                   start: float = 0.0, t_transmit: float = 0.0) -> Block:
         """Build the authenticated packets for one block, in send order.
+
+        Packet ``i`` (from 0) is stamped with the send time ``start``
+        plus ``i`` steps of ``t_transmit`` (:func:`stamp`); the
+        defaults leave every send time 0.
 
         The default implementation runs this scheme's compiled
         :meth:`block_plan`, which reuses the packets of its last block
@@ -110,8 +123,8 @@ class Scheme(ABC):
         individually-verifiable schemes must override.
         """
         return self.block_plan(len(payloads)).packetize(
-            payloads, signer, hash_function,
-            block_id=block_id, base_seq=base_seq)
+            payloads, signer, hash_function, block_id=block_id,
+            base_seq=base_seq, start=start, t_transmit=t_transmit)
 
     def block_plan(self, n: int) -> BlockPlan:
         """The compiled dependence-graph for blocks of ``n`` packets.
@@ -150,27 +163,34 @@ class Scheme(ABC):
         # The simulation layer builds on schemes: imported at call time.
         from repro.simulation.receiver import ChainReceiver
 
-        packets, positions = self._send_blocks(signer, block_size, blocks,
-                                               hash_function, t_transmit)
+        packets, positions, digests = self._send_blocks(
+            signer, block_size, blocks, hash_function, t_transmit)
         return Trial(packets, positions,
-                     partial(ChainReceiver, signer, hash_function))
+                     partial(ChainReceiver, signer, hash_function), digests)
 
     def _send_blocks(self, signer: Signer, block_size: int, blocks: int,
                      hash_function: HashFunction, t_transmit: float
-                     ) -> Tuple[List[Packet], Dict[int, int]]:
-        """Stamped blocks in send order, and each packet's block position."""
+                     ) -> Tuple[List[Packet], Dict[int, int],
+                                Optional[List[bytes]]]:
+        """Stamped blocks in send order, each packet's block position,
+        and the packets' auth digests when every block had them."""
         from repro.simulation.sender import StreamSender, make_payloads
 
         sender = StreamSender(self, signer, block_size, t_transmit=t_transmit,
                               hash_function=hash_function)
         packets: List[Packet] = []
         positions: Dict[int, int] = {}
+        digests: Optional[List[bytes]] = []
         for _ in range(blocks):
             block = sender.send_block(make_payloads(block_size))
             for position, packet in enumerate(block, start=1):
                 positions[packet.seq] = position
             packets.extend(block)
-        return packets, positions
+            if digests is not None and block.digests is not None:
+                digests.extend(block.digests)
+            else:
+                digests = None
+        return packets, positions, digests
 
     # ------------------------------------------------------------------
     # Loss models
@@ -223,10 +243,16 @@ class Scheme(ABC):
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"
 
+    def __getstate__(self) -> dict:
+        # The kept block is run state, not part of the scheme.
+        state = dict(vars(self))
+        state.pop("_last", None)
+        return state
+
 
 def build_block(graph: DependenceGraph, payloads: Sequence[bytes],
                 signer: Signer, hash_function: HashFunction = sha256,
-                block_id: int = 0, base_seq: int = 1) -> List[Packet]:
+                block_id: int = 0, base_seq: int = 1) -> Block:
     """Materialize a dependence-graph into authenticated packets.
 
     Parameters
@@ -247,9 +273,10 @@ def build_block(graph: DependenceGraph, payloads: Sequence[bytes],
 
     Returns
     -------
-    list of Packet
-        In send order.  Every packet's carried hashes match the graph's
-        out-edges; the root packet is signed.
+    Block
+        The packets in send order, with their auth digests.  Every
+        packet's carried hashes match the graph's out-edges; the root
+        packet is signed.
 
     Raises
     ------
@@ -275,6 +302,113 @@ def build_block(graph: DependenceGraph, payloads: Sequence[bytes],
         block_id=block_id, base_seq=base_seq)
 
 
+class Block(list):
+    """One block's packets in send order, and their auth digests.
+
+    A list of packets, as :meth:`Scheme.make_block` has always
+    returned, that also carries ``digests``: each packet's
+    ``hash_function.digest(auth_bytes())`` in send order, when the
+    builder computed them (``None`` when it did not).
+    """
+
+    __slots__ = ("digests",)
+
+    def __init__(self, packets: Iterable[Packet] = (),
+                 digests: Optional[Sequence[bytes]] = None) -> None:
+        super().__init__(packets)
+        self.digests = digests
+
+
+def stamp(packets: Sequence[Packet], start: float = 0.0,
+          t_transmit: float = 0.0) -> List[Packet]:
+    """``packets``, built with send time 0, sent one per ``t_transmit``.
+
+    The first is stamped ``start``.  The clock advances by addition,
+    packet by packet, as a sender's clock does, so a stream stamped
+    block by block carries the same floats.  With both times 0 the
+    packets are returned as they are.
+    """
+    if start == 0.0 and t_transmit == 0.0:
+        return list(packets)
+    stamped = []
+    clock = start
+    for packet in packets:
+        stamped.append(packet.with_send_time(clock))
+        clock += t_transmit
+    return stamped
+
+
+#: ``build(contents, signer, hash_function, block_id, base_seq) ->
+#: (packets, digests)``: one block built at send time 0, with each
+#: packet's auth digest (or ``None``).
+BlockBuilder = Callable[[Tuple[bytes, ...], Signer, HashFunction, int, int],
+                        Tuple[Sequence[Packet], Optional[Sequence[bytes]]]]
+
+
+class LastBlock:
+    """The one-entry memo of a block builder: the last block it built.
+
+    The trials of a Monte Carlo run send the same block over fresh
+    loss draws, so a builder that keeps its last block hashes and signs
+    it once per run.  A block plan keeps one (:attr:`BlockPlan._last`),
+    and so do the schemes that build blocks themselves (sign-each,
+    Wong–Lam).
+
+    The key is the block's ``block_id``, ``base_seq`` and payload
+    bytes, and the ``signer`` and ``hash_function`` objects.  The
+    packets are immutable and a pure function of that key, given a
+    deterministic signer (:class:`~repro.crypto.signatures.Signer`).
+    The payloads are keyed as the ``bytes`` the packets hold, so a
+    buffer changed after a call cannot hit.
+
+    Besides the packets as built, it keeps each packet's auth digest
+    and the packets stamped for the last clock asked for (:meth:`sent`),
+    so a block sent again at the same times makes no copies.  Its
+    owner drops it when pickled.
+    """
+
+    __slots__ = ("signer", "hash_function", "key", "packets", "digests",
+                 "_stamp", "_sent")
+
+    def __init__(self, signer: Signer, hash_function: HashFunction,
+                 key: tuple, packets: Tuple[Packet, ...],
+                 digests: Optional[Tuple[bytes, ...]]) -> None:
+        self.signer = signer
+        self.hash_function = hash_function
+        self.key = key
+        self.packets = packets
+        self.digests = digests
+        self._stamp = (0.0, 0.0)
+        self._sent = packets
+
+    @classmethod
+    def recall(cls, last: Optional[LastBlock], build: BlockBuilder,
+               payloads: Sequence[bytes], signer: Signer,
+               hash_function: HashFunction, block_id: int,
+               base_seq: int) -> LastBlock:
+        """``last`` when it holds this block, else the block ``build`` makes."""
+        key = (block_id, base_seq, tuple(map(bytes, payloads)))
+        if (last is not None and last.signer is signer
+                and last.hash_function is hash_function and last.key == key):
+            return last
+        packets, digests = build(key[2], signer, hash_function, block_id,
+                                 base_seq)
+        return cls(signer, hash_function, key, tuple(packets),
+                   None if digests is None else tuple(digests))
+
+    def sent(self, start: float = 0.0, t_transmit: float = 0.0) -> Block:
+        """A new :class:`Block` of the packets stamped from ``start``.
+
+        Stamps (:func:`stamp`) only when the clock differs from the
+        last call's.
+        """
+        clock = (start, t_transmit)
+        if clock != self._stamp:
+            self._sent = tuple(stamp(self.packets, start, t_transmit))
+            self._stamp = clock
+        return Block(self._sent, self.digests)
+
+
 @dataclass(frozen=True)
 class BlockPlan:
     """A dependence-graph compiled for packetization.
@@ -290,20 +424,19 @@ class BlockPlan:
     vertices in the block other than itself.  :meth:`packetize` then
     checks the block's ids once and each packet's sizes only.
 
-    A plan also remembers the last block it packetized, so the trials
-    of a Monte Carlo run, which send the same block over fresh loss
-    draws, hash and sign it once.  The memo holds one block and is
-    not pickled or copied.
+    A plan also remembers the last block it packetized (a
+    :class:`LastBlock`), so the trials of a Monte Carlo run, which send
+    the same block over fresh loss draws, hash and sign it once.  The
+    memo holds one block and is not pickled or copied.
     """
 
     n: int
     root: int
     order: Tuple[int, ...]
     successors: Tuple[Tuple[int, ...], ...]
-    #: ``(signer, hash_function, (block_id, base_seq, payloads),
-    #: packets)`` of the last :meth:`packetize` call.
-    _last: Optional[tuple] = field(default=None, init=False, repr=False,
-                                   compare=False)
+    #: The last block :meth:`packetize` built.
+    _last: Optional[LastBlock] = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self) -> None:
         for vertex, targets in enumerate(self.successors, start=1):
@@ -342,39 +475,40 @@ class BlockPlan:
 
     def packetize(self, payloads: Sequence[bytes], signer: Signer,
                   hash_function: HashFunction = sha256,
-                  block_id: int = 0, base_seq: int = 1) -> List[Packet]:
+                  block_id: int = 0, base_seq: int = 1, *,
+                  start: float = 0.0, t_transmit: float = 0.0) -> Block:
         """Build the packets of one block; see :func:`build_block`.
 
         Each packet is made once, with its ``auth_bytes()`` string,
-        which is then hashed (and, for the root, signed).
+        which is then hashed (and, for the root, signed); the hashes
+        are the block's ``digests``.  Send times are stamped as
+        :meth:`Scheme.make_block` says.
 
         A call with the same ``block_id``, ``base_seq`` and payload
         bytes as the previous one, and the same ``signer`` and
         ``hash_function`` objects, returns a new list of that call's
-        packets and hashes and signs nothing.  The packets are
-        immutable and a pure function of that key, given a
-        deterministic signer (:class:`~repro.crypto.signatures.Signer`).
-        The payloads are keyed as the ``bytes`` the packets hold, so a
-        buffer changed after a call cannot hit.
+        packets and hashes and signs nothing (:class:`LastBlock`).
         """
         n = len(payloads)
         if n != self.n:
             raise SchemeParameterError(
                 f"graph is over {self.n} packets but {n} payloads given"
             )
+        Packet._check_ids(block_id, base_seq, base_seq - 1 + n)
+        last = LastBlock.recall(self._last, self._build, payloads, signer,
+                                hash_function, block_id, base_seq)
+        object.__setattr__(self, "_last", last)
+        return last.sent(start, t_transmit)
+
+    def _build(self, contents: Tuple[bytes, ...], signer: Signer,
+               hash_function: HashFunction, block_id: int, base_seq: int
+               ) -> Tuple[List[Packet], List[bytes]]:
         offset = base_seq - 1
-        Packet._check_ids(block_id, base_seq, offset + n)
-        key = (block_id, base_seq, tuple(map(bytes, payloads)))
-        last = self._last
-        if (last is not None and last[0] is signer
-                and last[1] is hash_function and last[2] == key):
-            return list(last[3])
-        contents = key[2]
         successors = self.successors
         digest = hash_function.digest
         from_plan = Packet._from_plan
-        hashes: List[Optional[bytes]] = [None] * (n + 1)
-        packets: List[Optional[Packet]] = [None] * n
+        hashes: List[Optional[bytes]] = [None] * (self.n + 1)
+        packets: List[Optional[Packet]] = [None] * self.n
         for vertex in self.order:
             packet = from_plan(
                 offset + vertex, block_id, contents[vertex - 1],
@@ -385,9 +519,7 @@ class BlockPlan:
                 packet = packet.with_signature(signer.sign(auth))
             hashes[vertex] = digest(auth)
             packets[vertex - 1] = packet
-        object.__setattr__(self, "_last",
-                           (signer, hash_function, key, tuple(packets)))
-        return packets
+        return packets, hashes[1:]
 
 
 #: Same-sequence candidates a verifier holds per slot.  The
@@ -418,6 +550,13 @@ class PacketOutcome:
 #: ``on_ingest(delivery)``: called by :meth:`Verifier.ingest_run` after
 #: each delivery of a run is ingested.
 IngestHook = Callable[["WireDelivery"], None]
+
+#: Content-keyed decode memo shared by the receivers of one stream:
+#: wire bytes -> ``(packet, content digest)``, or ``(None, None)`` for
+#: bytes the strict decoder rejected.  Every value is a pure function
+#: of the key (the codec is canonical), so sharing it cannot change a
+#: verdict; see :func:`repro.simulation.receiver.ingest_run`.
+WireMemo = Dict[bytes, Tuple[Optional[Packet], Optional[bytes]]]
 
 
 def _no_match(packet: Packet, token: bytes) -> bool:
@@ -456,10 +595,10 @@ class Verifier(ABC):
     """Receiver side of one trial: the protocol every scheme's verifier speaks.
 
     Deliveries arrive through :meth:`receive`, one decoded packet at a
-    time, or :meth:`ingest_run`, a run of raw wire deliveries (one
-    :meth:`ingest_wire` each unless the verifier loops over the run
-    itself).  After the last delivery, :meth:`finish` settles anything
-    held back, and :meth:`verdict` answers with a
+    time, or :meth:`ingest_run`, a run of raw wire deliveries that it
+    decodes (through a decode memo when there is one) and hands to
+    :meth:`receive`.  After the last delivery, :meth:`finish` settles
+    anything held back, and :meth:`verdict` answers with a
     :class:`PacketOutcome`.  Every delivery takes the same path, so a
     loss-only channel and an attacked one differ only in what arrives.
 
@@ -491,13 +630,25 @@ class Verifier(ABC):
     message_buffer_peak = 0
     hash_buffer_peak = 0
     _audited = 0
+    #: The decode memo :meth:`ingest_run` uses when it is given none.
+    _wire_memo: Optional[WireMemo] = None
+    #: What the most recent :meth:`ingest_run` delivery came to, for
+    #: lifecycle tracing: ``"undecodable"`` (and no packet), or the
+    #: taxonomy :meth:`receive` writes, where a verifier keeps one.
+    last_ingest: Optional[str] = None
+    last_ingest_packet: Optional[Packet] = None
 
     def __init__(self, hash_function: HashFunction = sha256) -> None:
         self._hash = hash_function
 
     @abstractmethod
-    def receive(self, packet: Packet, arrival_time: float) -> object:
-        """Take one delivered packet."""
+    def receive(self, packet: Packet, arrival_time: float,
+                digest: Optional[bytes] = None) -> object:
+        """Take one delivered packet.
+
+        ``digest`` is the packet's :meth:`content_digest` when the
+        caller already has it; a verifier may then skip computing it.
+        """
 
     def ingest_wire(self, data: bytes, arrival_time: float) -> object:
         """Decode one wire buffer strictly, then :meth:`receive` it."""
@@ -509,15 +660,20 @@ class Verifier(ABC):
         return self.receive(packet, arrival_time)
 
     def ingest_run(self, deliveries: Sequence["WireDelivery"],
-                   on_ingest: Optional[IngestHook] = None) -> None:
-        """:meth:`ingest_wire` each delivery of a run, in order.
+                   on_ingest: Optional[IngestHook] = None,
+                   memo: Optional[WireMemo] = None) -> None:
+        """Decode and :meth:`receive` a run of wire deliveries, in order.
 
-        ``on_ingest(delivery)``, when given, is called after each one.
+        ``memo`` (else the verifier's own, if it has one) maps wire
+        bytes to their decode and :meth:`content_digest`; see
+        :func:`repro.simulation.receiver.ingest_run`, the one loop
+        behind every verifier.  ``on_ingest(delivery)``, when given, is
+        called after each one.
         """
-        for delivery in deliveries:
-            self.ingest_wire(delivery.data, delivery.arrival_time)
-            if on_ingest is not None:
-                on_ingest(delivery)
+        # The simulation layer builds on schemes: imported at call time.
+        from repro.simulation.receiver import ingest_run
+
+        ingest_run(self, deliveries, on_ingest, memo)
 
     def finish(self) -> None:
         """Settle anything held back once the last delivery is in."""
@@ -553,13 +709,16 @@ class Verifier(ABC):
 class Trial:
     """One trial's sent stream and the way to verify it.
 
-    ``packets`` holds every packet sent, in send order; ``positions``
-    maps each data packet's sequence number to its 1-based position
-    (block position, or TESLA's interval index), in send order;
-    ``new_verifier()`` returns a fresh :class:`Verifier` for one
-    receiver.
+    ``packets`` holds every packet sent, in send order, under distinct
+    sequence numbers; ``positions`` maps each data packet's sequence
+    number to its 1-based position (block position, or TESLA's
+    interval index), in send order; ``new_verifier()`` returns a fresh
+    :class:`Verifier` for one receiver.  ``digests``, when the scheme
+    has them, holds each packet's :meth:`Verifier.content_digest`
+    under that verifier, in ``packets`` order.
     """
 
     packets: List[Packet]
     positions: Dict[int, int]
     new_verifier: Callable[..., Verifier]
+    digests: Optional[Sequence[bytes]] = None

@@ -44,7 +44,7 @@ from repro.crypto.lamport import LamportKeyPair
 from repro.crypto.signatures import Signer
 from repro.exceptions import SchemeParameterError, SimulationError
 from repro.packets import Packet
-from repro.schemes.base import ChainEdges, Scheme, Trial
+from repro.schemes.base import Block, ChainEdges, Scheme, Trial, stamp
 from repro.schemes.rohatgi import RohatgiScheme
 
 __all__ = ["OnlineRohatgiScheme"]
@@ -146,19 +146,22 @@ class OnlineRohatgiScheme(Scheme):
 
     def make_block(self, payloads: Sequence[bytes], signer: Signer,
                    hash_function: HashFunction = sha256,
-                   block_id: int = 0, base_seq: int = 1) -> List[Packet]:
+                   block_id: int = 0, base_seq: int = 1, *,
+                   start: float = 0.0, t_transmit: float = 0.0) -> Block:
         """Chain one-time keys forward; ordinary-sign only ``P_1``.
 
         Unlike the offline builder this needs *no* lookahead: each
         packet commits to the next key pair, generated on the spot.
         Verifying takes those key pairs too; :meth:`new_trial` hands
-        them out together with the packets.
+        them out together with the packets.  Send times are stamped as
+        :meth:`~repro.schemes.base.Scheme.make_block` says.
         """
         if not payloads:
             raise SchemeParameterError("empty block")
-        return _chain_block(payloads, signer,
-                            _keypairs(len(payloads) + 1, self.seed),
-                            block_id, base_seq)
+        return Block(stamp(
+            _chain_block(payloads, signer,
+                         _keypairs(len(payloads) + 1, self.seed),
+                         block_id, base_seq), start, t_transmit))
 
     def new_trial(self, signer: Signer, block_size: int, blocks: int, *,
                   hash_function: HashFunction = sha256,

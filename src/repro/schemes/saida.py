@@ -40,8 +40,9 @@ from repro.crypto.reed_solomon import rs_decode, rs_encode
 from repro.crypto.signatures import Signer
 from repro.exceptions import SchemeParameterError
 from repro.packets import Packet
-from repro.schemes.base import (DEFAULT_MAX_CANDIDATES, PacketOutcome,
-                                Scheme, Trial, Verifier)
+from repro.schemes.base import (DEFAULT_MAX_CANDIDATES, Block,
+                                PacketOutcome, Scheme, Trial, Verifier,
+                                stamp)
 
 __all__ = ["SaidaScheme", "SaidaReceiver"]
 
@@ -106,8 +107,13 @@ class SaidaScheme(Scheme):
 
     def make_block(self, payloads: Sequence[bytes], signer: Signer,
                    hash_function: Optional[HashFunction] = None,
-                   block_id: int = 0, base_seq: int = 1) -> List[Packet]:
-        """Hash every payload, sign the list, erasure-code, attach shares."""
+                   block_id: int = 0, base_seq: int = 1, *,
+                   start: float = 0.0, t_transmit: float = 0.0) -> Block:
+        """Hash every payload, sign the list, erasure-code, attach shares.
+
+        Send times are stamped as
+        :meth:`~repro.schemes.base.Scheme.make_block` says.
+        """
         n = len(payloads)
         if n < 1:
             raise SchemeParameterError("empty block")
@@ -127,15 +133,15 @@ class SaidaScheme(Scheme):
                 seq=base_seq + index, block_id=block_id,
                 payload=bytes(payload), extra=extra,
             ))
-        return packets
+        return Block(stamp(packets, start, t_transmit))
 
     def new_trial(self, signer: Signer, block_size: int, blocks: int, *,
                   hash_function: HashFunction = sha256,
                   t_transmit: float = 0.01,
                   seed: Optional[int] = None) -> Trial:
         """Erasure-coded blocks, verified by a :class:`SaidaReceiver`."""
-        packets, positions = self._send_blocks(signer, block_size, blocks,
-                                               hash_function, t_transmit)
+        packets, positions, _ = self._send_blocks(
+            signer, block_size, blocks, hash_function, t_transmit)
         return Trial(packets, positions,
                      partial(SaidaReceiver, signer, hash_function))
 
@@ -290,17 +296,23 @@ class SaidaReceiver(Verifier):
 
     # ------------------------------------------------------------------
 
-    def receive(self, packet: Packet, arrival_time: float = 0.0) -> None:
-        """Process one arriving SAIDA packet."""
+    def receive(self, packet: Packet, arrival_time: float = 0.0,
+                digest: Optional[bytes] = None) -> None:
+        """Process one arriving SAIDA packet.
+
+        ``digest``, when given, is its :meth:`content_digest`.
+        """
         self._arrivals.setdefault(packet.seq, arrival_time)
-        self._take(packet)
+        self._take(packet, digest)
         self.message_buffer_peak = max(self.message_buffer_peak,
                                        self.pending_count)
 
-    def _judge(self, packet: Packet, index: int) -> None:
+    def _judge(self, packet: Packet, index: int,
+               digest: Optional[bytes] = None) -> None:
         """Check ``packet`` against its reconstructed block's hash list."""
         seq = packet.seq
-        digest = self.content_digest(packet)
+        if digest is None:
+            digest = self.content_digest(packet)
         hashes = self._hash_lists.get(packet.block_id, ())
         accepted = self._accepted.get(seq)
         if accepted is not None:
@@ -319,7 +331,7 @@ class SaidaReceiver(Verifier):
             self._failed_checks += 1
             self.verified[seq] = False
 
-    def _take(self, packet: Packet) -> None:
+    def _take(self, packet: Packet, digest: Optional[bytes]) -> None:
         try:
             index, k, n, signature_length = _EXTRA.unpack_from(
                 packet.extra, 0)
@@ -329,7 +341,7 @@ class SaidaReceiver(Verifier):
             return
         block_id = packet.block_id
         if packet.seq in self._accepted or block_id in self._hash_lists:
-            self._judge(packet, index)
+            self._judge(packet, index, digest)
             return
         if block_id in self._failed_blocks:
             self.verified[packet.seq] = False

@@ -17,7 +17,7 @@ pairs the packets with it.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.graph import DependenceGraph
 from repro.core.metrics import GraphMetrics
@@ -25,7 +25,7 @@ from repro.crypto.hashing import HashFunction, sha256
 from repro.crypto.signatures import Signer
 from repro.exceptions import SchemeParameterError
 from repro.packets import Packet
-from repro.schemes.base import Scheme
+from repro.schemes.base import Block, LastBlock, Scheme
 
 __all__ = ["SignEachScheme"]
 
@@ -47,20 +47,19 @@ class SignEachScheme(Scheme):
 
     def make_block(self, payloads: Sequence[bytes], signer: Signer,
                    hash_function: HashFunction = sha256,
-                   block_id: int = 0, base_seq: int = 1) -> List[Packet]:
-        """Sign every payload independently."""
+                   block_id: int = 0, base_seq: int = 1, *,
+                   start: float = 0.0, t_transmit: float = 0.0) -> Block:
+        """Sign every payload independently.
+
+        The last block is kept (:class:`~repro.schemes.base.LastBlock`),
+        so the trials of a run sign it once.
+        """
         if not payloads:
             raise SchemeParameterError("empty block")
-        packets = []
-        for index, payload in enumerate(payloads):
-            unsigned = Packet(
-                seq=base_seq + index,
-                block_id=block_id,
-                payload=bytes(payload),
-            )
-            packets.append(unsigned.with_signature(
-                signer.sign(unsigned.auth_bytes())))
-        return packets
+        self._last = last = LastBlock.recall(
+            self._last, _sign_each, payloads, signer, hash_function,
+            block_id, base_seq)
+        return last.sent(start, t_transmit)
 
     def metrics(self, n: int, l_sign: int = 128, l_hash: int = 16,
                 sign_copies: int = 1) -> GraphMetrics:
@@ -76,3 +75,18 @@ class SignEachScheme(Scheme):
             hash_buffer=0,
             delay_slots=0,
         )
+
+
+def _sign_each(contents: Tuple[bytes, ...], signer: Signer,
+               hash_function: HashFunction, block_id: int, base_seq: int
+               ) -> Tuple[List[Packet], List[bytes]]:
+    """One block, every packet signed over its ``auth_bytes()``."""
+    packets = []
+    digests = []
+    for index, payload in enumerate(contents):
+        unsigned = Packet(seq=base_seq + index, block_id=block_id,
+                          payload=payload)
+        auth = unsigned.auth_bytes()
+        packets.append(unsigned.with_signature(signer.sign(auth)))
+        digests.append(hash_function.digest(auth))
+    return packets, digests

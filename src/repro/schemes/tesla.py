@@ -378,10 +378,12 @@ class TeslaReceiver:
     accumulate in :attr:`verdicts`.
 
     It keeps the slot rule of :class:`~repro.schemes.base.Verifier`,
-    holding candidates until their key is disclosed.  A failed
-    candidate's status (``bad-mac``, ``bad-key``) stays on the record
-    until another arrives; ``unsafe`` is final, because a later copy is
-    later still.
+    holding candidates until their key is disclosed.  A packet that
+    arrives too late to be safe fails its check, as a bad MAC does: its
+    interval field is its own claim, so a copy with a forged interval
+    must not lock the genuine packet out.  A failed status
+    (``unsafe``, ``bad-mac``, ``bad-key``) stays on the record until
+    another candidate arrives.
 
     Parameters
     ----------
@@ -418,7 +420,7 @@ class TeslaReceiver:
         self._highest_key = 0
         # interval -> held candidates, in arrival order
         self._pending: Dict[int, List[Packet]] = {}
-        # seq -> the packet its final verdict judged
+        # seq -> the packet that verified for it
         self._judged: Dict[int, Packet] = {}
         self.verdicts: Dict[int, TeslaVerdict] = {}
         #: Copies of content held or judged for their sequence number.
@@ -542,8 +544,8 @@ class TeslaReceiver:
         held = [candidate for candidate in self._pending.get(interval, ())
                 if candidate.seq == seq]
         if seq in self._judged:
-            # Verified or unsafe: a replay or seq-colliding forgery
-            # cannot overwrite or resurrect the decision.
+            # Verified: a replay or seq-colliding forgery cannot
+            # overwrite the decision.
             self._count_copy(packet)
         elif any(candidate.auth_bytes() == packet.auth_bytes()
                  for candidate in held):
@@ -557,15 +559,13 @@ class TeslaReceiver:
                 seq=seq, interval=interval, status="bad-key",
                 arrival_time=receiver_time))
         elif not self._is_safe(interval, receiver_time):
-            if waiting:
-                # The slot has candidates in time; this one can never
-                # verify.
-                self.forged_rejected += 1
-            else:
+            # Its key may be out: it can never verify, and it leaves
+            # the slot claimable.
+            self.forged_rejected += 1
+            if verdict is None:
                 self.verdicts[seq] = TeslaVerdict(
                     seq=seq, interval=interval, status="unsafe",
                     arrival_time=receiver_time)
-                self._judged[seq] = packet
         elif len(held) >= DEFAULT_MAX_CANDIDATES:
             self.forged_rejected += 1
         else:
@@ -613,8 +613,12 @@ class TeslaVerifier(Verifier):
         self._rejected = 0
         self._replays = 0
 
-    def receive(self, packet: Packet, arrival_time: float) -> None:
-        """Take one delivery; the bootstrap opens the receiver."""
+    def receive(self, packet: Packet, arrival_time: float,
+                digest: Optional[bytes] = None) -> None:
+        """Take one delivery; the bootstrap opens the receiver.
+
+        ``digest`` is not needed: the audit digests what verified.
+        """
         if packet.seq != self._bootstrap_seq:
             if self._receiver is None:
                 self._early.append((packet, arrival_time))

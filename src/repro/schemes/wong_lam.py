@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import struct
 from functools import partial
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.graph import DependenceGraph
 from repro.core.metrics import GraphMetrics
@@ -28,7 +28,7 @@ from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.crypto.signatures import Signer
 from repro.exceptions import SchemeParameterError, VerificationError
 from repro.packets import Packet
-from repro.schemes.base import ChainEdges, Scheme, Trial
+from repro.schemes.base import Block, ChainEdges, LastBlock, Scheme, Trial
 
 __all__ = ["WongLamScheme", "encode_proof", "decode_proof", "verify_wong_lam_packet"]
 
@@ -100,34 +100,23 @@ class WongLamScheme(Scheme):
 
     def make_block(self, payloads: Sequence[bytes], signer: Signer,
                    hash_function: Optional[HashFunction] = None,
-                   block_id: int = 0, base_seq: int = 1) -> List[Packet]:
+                   block_id: int = 0, base_seq: int = 1, *,
+                   start: float = 0.0, t_transmit: float = 0.0) -> Block:
         """Build packets each carrying the signed root and its own proof.
 
         The tree's leaves are the payloads under their sequence
         numbers (:func:`_leaf`); each packet's ``extra`` holds the root
         and its authentication path, and every packet carries the root
         signature (``signature`` field), making it self-contained.
+        The last block is kept (:class:`~repro.schemes.base.LastBlock`),
+        so the trials of a run sign it once.
         """
         if not payloads:
             raise SchemeParameterError("empty block")
-        hash_function = hash_function or self.hash_function
-        tree = MerkleTree([_leaf(base_seq + index, block_id, bytes(payload))
-                           for index, payload in enumerate(payloads)],
-                          hash_function)
-        signature = signer.sign(tree.root)
-        packets = []
-        for index, payload in enumerate(payloads):
-            proof = tree.proof(index)
-            extra = encode_proof(proof, tree.root, hash_function.digest_size)
-            packets.append(Packet(
-                seq=base_seq + index,
-                block_id=block_id,
-                payload=bytes(payload),
-                carried=(),
-                signature=signature,
-                extra=extra,
-            ))
-        return packets
+        self._last = last = LastBlock.recall(
+            self._last, _tree_block, payloads, signer,
+            hash_function or self.hash_function, block_id, base_seq)
+        return last.sent(start, t_transmit)
 
     def new_trial(self, signer: Signer, block_size: int, blocks: int, *,
                   hash_function: HashFunction = sha256,
@@ -136,8 +125,8 @@ class WongLamScheme(Scheme):
         """Tree-signed blocks, every packet checked on its own."""
         from repro.simulation.receiver import ChainReceiver
 
-        packets, positions = self._send_blocks(signer, block_size, blocks,
-                                               hash_function, t_transmit)
+        packets, positions, digests = self._send_blocks(
+            signer, block_size, blocks, hash_function, t_transmit)
         bases: Dict[int, int] = {}
         for packet in packets:
             bases.setdefault(packet.block_id, packet.seq)
@@ -146,7 +135,7 @@ class WongLamScheme(Scheme):
             bases=bases))
         return Trial(packets, positions,
                      partial(ChainReceiver, signer, hash_function,
-                             edges=edges))
+                             edges=edges), digests)
 
     def metrics(self, n: int, l_sign: int = 128, l_hash: int = 16,
                 sign_copies: int = 1) -> GraphMetrics:
@@ -192,6 +181,25 @@ def verify_wong_lam_packet(packet: Packet, signer: Signer,
         return False
     leaf = _leaf(packet.seq, packet.block_id, packet.payload)
     return MerkleTree.verify_static(leaf, proof, root, hash_function)
+
+
+def _tree_block(contents: Tuple[bytes, ...], signer: Signer,
+                hash_function: HashFunction, block_id: int, base_seq: int
+                ) -> Tuple[List[Packet], List[bytes]]:
+    """One tree-signed block: the root signed once, a proof per packet."""
+    tree = MerkleTree([_leaf(base_seq + index, block_id, payload)
+                       for index, payload in enumerate(contents)],
+                      hash_function)
+    signature = signer.sign(tree.root)
+    packets = []
+    for index, payload in enumerate(contents):
+        extra = encode_proof(tree.proof(index), tree.root,
+                             hash_function.digest_size)
+        packets.append(Packet(seq=base_seq + index, block_id=block_id,
+                              payload=payload, signature=signature,
+                              extra=extra))
+    return packets, [hash_function.digest(packet.auth_bytes())
+                     for packet in packets]
 
 
 def _leaf(seq: int, block_id: int, payload: bytes) -> bytes:

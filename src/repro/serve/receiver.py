@@ -145,7 +145,7 @@ class ReceiverSession:
     wire_memo:
         Decode memo shared with the other sessions of a
         :class:`ReceiverPool` (see
-        :meth:`~repro.simulation.receiver.ChainReceiver.ingest_run`).
+        :func:`~repro.simulation.receiver.ingest_run`).
     ledger:
         The pool's ground truth, filled in by the sender.
     """

@@ -28,12 +28,12 @@ the genuine one from contention: the slot rule every
 :class:`~repro.schemes.base.Verifier` keeps.  On a loss-only channel
 only the duplicate drop can fire (replicated ``P_sign`` copies), so
 loss-only simulations and attacked channels share the one body.
-:meth:`ChainReceiver.ingest_run` feeds it a run of wire deliveries (a
+:func:`ingest_run` feeds any verifier a run of wire deliveries (a
 live transport's queue entry, or a trial's whole attacked delivery
-list), decoding raw bytes and counting undecodable buffers;
-:meth:`ChainReceiver.ingest_wire` is the same for one buffer.  No
-input crashes the receiver, pollutes its trust state or unbounds its
-memory.
+list), decoding raw bytes through a decode memo and counting
+undecodable buffers; :meth:`ChainReceiver.ingest_wire` is the same
+for one buffer.  No input crashes the receiver, pollutes its trust
+state or unbounds its memory.
 
 :class:`ChainReceiver` is the trial
 :class:`~repro.schemes.base.Verifier` of every dependence-graph scheme.
@@ -55,23 +55,69 @@ from repro.schemes.base import (
     IngestHook,
     PacketOutcome,
     Verifier,
+    WireMemo,
 )
 
-__all__ = ["PacketOutcome", "ChainReceiver"]
-
-#: Content-keyed decode memo shared by receivers of one stream: wire
-#: bytes -> ``(packet, auth digest)``, or :data:`_UNDECODABLE` for
-#: bytes the strict decoder rejected.  The packet keeps its encoding
-#: (see :mod:`repro.packets`), so ``auth_bytes`` needs no slot of its
-#: own.  Two writers fill it: :meth:`ChainReceiver.ingest_run` on a
-#: miss, and a live sender as it frames (the packet it encoded and
-#: the hash of that packet's own ``auth_bytes()``).  The codec is
-#: canonical, so both write exactly what decoding and hashing the key
-#: give: every value is a pure function of the key, and sharing it
-#: cannot change a verdict (see :meth:`ChainReceiver.ingest_run`).
-WireMemo = Dict[bytes, Tuple[Optional[Packet], Optional[bytes]]]
+__all__ = ["PacketOutcome", "ChainReceiver", "ingest_run"]
 
 _UNDECODABLE = (None, None)
+
+
+def ingest_run(verifier: Verifier, deliveries: Sequence[WireDelivery],
+               on_ingest: Optional[IngestHook] = None,
+               memo: Optional[WireMemo] = None) -> None:
+    """Decode and ingest a run of wire deliveries, in order.
+
+    The one decode loop of every :class:`~repro.schemes.base.Verifier`
+    (its :meth:`~repro.schemes.base.Verifier.ingest_run`).  Undecodable
+    buffers (truncation, bit flips that break framing, garbage) are
+    counted in ``verifier.undecodable`` and discarded; they cannot
+    crash the verifier or consume buffer space.  Every other buffer's
+    packet goes to ``verifier.receive`` with its content digest.
+    ``on_ingest(delivery)``, when given, is called after each delivery
+    with ``verifier.last_ingest`` describing it (lifecycle tracing).
+
+    ``memo`` (else the verifier's own, if it has one) is a
+    :data:`~repro.schemes.base.WireMemo`: wire bytes -> ``(packet,
+    content digest)``.  A hit is neither decoded nor hashed; a miss is
+    decoded strictly and written to it.  Three writers fill one: this
+    loop on a miss, a live sender as it frames (the packet it encoded
+    and the hash of its ``auth_bytes()``), and a trial run seeding the
+    frames it sends (:func:`repro.simulation.trials.run_trials`).  All
+    write what decoding the key and digesting the packet give, because
+    the decoder is canonical: a successful decode re-encodes to the
+    identical input, so the decoded packet equals the one that was
+    framed, and its ``auth_bytes`` section is exactly what its fields
+    encode to (nothing on this path encodes a packet again).  So every
+    value is a pure function of the key, sharing a memo cannot change
+    a verdict, and a tampered or forged frame is a different key that
+    can never hit an entry made for a genuine one.
+    """
+    if memo is None:
+        memo = verifier._wire_memo
+    content_digest = verifier.content_digest
+    receive = verifier.receive
+    for delivery in deliveries:
+        data = delivery.data
+        entry = memo.get(data) if memo is not None else None
+        if entry is None:
+            try:
+                packet = packet_from_wire(data)
+            except WireDecodeError:
+                entry = _UNDECODABLE
+            else:
+                entry = (packet, content_digest(packet))
+            if memo is not None:
+                memo[data] = entry
+        packet, digest = entry
+        if packet is None:
+            verifier.undecodable += 1
+            verifier.last_ingest = "undecodable"
+            verifier.last_ingest_packet = None
+        else:
+            receive(packet, delivery.arrival_time, digest)
+        if on_ingest is not None:
+            on_ingest(delivery)
 
 
 def _signature_ok(signer: Signer, packet: Packet) -> bool:
@@ -185,53 +231,9 @@ class ChainReceiver(Verifier):
 
     # ------------------------------------------------------------------
 
-    def ingest_run(self, deliveries: Sequence[WireDelivery],
-                   on_ingest: Optional[IngestHook] = None) -> None:
-        """Decode and ingest a run of wire deliveries, in order.
-
-        Undecodable buffers (truncation, bit flips that break framing,
-        garbage) are counted in :attr:`undecodable` and discarded —
-        they cannot crash the receiver or consume buffer space.
-        ``on_ingest(delivery)``, when given, is called after each
-        delivery with :attr:`last_ingest` describing it (lifecycle
-        tracing).
-
-        The decoded packet keeps the buffer's ``auth_bytes`` section
-        as its encoding, so nothing on this path encodes a packet
-        again.  That is sound because the decoder is canonical: a
-        successful decode re-encodes to the identical input, so those
-        bytes are exactly what the decoded fields encode to.
-
-        With a shared wire memo, the decode and digest of each distinct
-        buffer are computed once and reused by every receiver that gets
-        the same bytes.  By the same canonicality, a tampered or forged
-        frame is a different key and can never hit an entry made for a
-        genuine one.
-        """
-        memo = self._wire_memo
-        digest_of = self._hash.digest
-        receive = self.receive
-        for delivery in deliveries:
-            data = delivery.data
-            entry = memo.get(data) if memo is not None else None
-            if entry is None:
-                try:
-                    packet = packet_from_wire(data)
-                except WireDecodeError:
-                    entry = _UNDECODABLE
-                else:
-                    entry = (packet, digest_of(packet.auth_bytes()))
-                if memo is not None:
-                    memo[data] = entry
-            packet, digest = entry
-            if packet is None:
-                self.undecodable += 1
-                self.last_ingest = "undecodable"
-                self.last_ingest_packet = None
-            else:
-                receive(packet, delivery.arrival_time, digest)
-            if on_ingest is not None:
-                on_ingest(delivery)
+    #: The decode loop of every verifier, bound here directly: the live
+    #: receive path calls it once per run of frames.
+    ingest_run = ingest_run
 
     def ingest_wire(self, data: bytes,
                     arrival_time: float) -> Optional[PacketOutcome]:

@@ -15,7 +15,7 @@ from repro.crypto.hashing import HashFunction, sha256
 from repro.crypto.signatures import Signer
 from repro.exceptions import SimulationError
 from repro.packets import Packet
-from repro.schemes.base import Scheme
+from repro.schemes.base import Block, Scheme
 
 __all__ = ["StreamSender", "make_payloads", "replicate_signature_packets"]
 
@@ -101,23 +101,26 @@ class StreamSender:
         self._next_block = 0
         self._clock = 0.0
 
-    def send_block(self, payloads: Sequence[bytes]) -> List[Packet]:
-        """Packetize one block and stamp send times; returns send order."""
+    def send_block(self, payloads: Sequence[bytes]) -> Block:
+        """Packetize one block, born stamped with its send times.
+
+        Returns the packets in send order, with their auth digests
+        when the scheme computed them (:class:`~repro.schemes.base.Block`).
+        """
         if not payloads:
             raise SimulationError("empty block")
         packets = self.scheme.make_block(
             list(payloads), self.signer, self.hash_function,
             block_id=self._next_block, base_seq=self._next_seq,
+            start=self._clock, t_transmit=self.t_transmit,
         )
         self._next_block += 1
         self._next_seq += len(packets)
-        stamped = []
-        for packet in packets:
-            stamped.append(packet.with_send_time(self._clock))
-            self._clock += self.t_transmit
-        return stamped
+        # One more step of the clock the block was stamped with.
+        self._clock = packets[-1].send_time + self.t_transmit
+        return packets
 
-    def send_stream(self, payloads: Iterable[bytes]) -> Iterator[List[Packet]]:
+    def send_stream(self, payloads: Iterable[bytes]) -> Iterator[Block]:
         """Yield stamped blocks for an arbitrary payload stream.
 
         The final block may be short (fewer than ``block_size``

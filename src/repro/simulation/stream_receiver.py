@@ -105,7 +105,7 @@ class StreamReceiver:
         """:meth:`receive` for a run of wire frames.
 
         Routes the run through
-        :meth:`~repro.simulation.receiver.ChainReceiver.ingest_run`
+        :func:`~repro.simulation.receiver.ingest_run`
         (``on_ingest`` included), so undecodable buffers, replays and
         forgeries degrade the verifier's counters instead of the stream
         state; whatever the run verifies is released in order, as

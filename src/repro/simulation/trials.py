@@ -4,14 +4,10 @@ A trial packetizes once for all its receivers
 (:meth:`~repro.schemes.base.Scheme.new_trial`), fans the packets out
 to every receiver's channel and checks each receiver's deliveries with
 a fresh verifier of the scheme's own
-(:class:`~repro.schemes.base.Verifier`).  Every trial of a run sends
-the same payloads under the same ids, so the trials of a single-block
-run share the packets of the scheme's kept plan, which hashes and
-signs the block once per run
-(:meth:`~repro.schemes.base.BlockPlan.packetize`).  :func:`settle`
-tallies and audits it, for every scheme and for the live receiver
-alike: a position counts as received when its packet arrived intact
-or verified anyway.  Every delivery takes the verifier's one
+(:class:`~repro.schemes.base.Verifier`).  :func:`settle` tallies and
+audits it, for every scheme and for the live receiver alike: a
+position counts as received when its packet arrived intact or verified
+anyway.  Every delivery takes the verifier's one
 :meth:`~repro.schemes.base.Verifier.receive` path, and its rejection
 and replay counters are folded the same way on every channel.  With
 ``attack`` set, deliveries cross an
@@ -19,6 +15,29 @@ and replay counters are folded the same way on every channel.  With
 (:meth:`~repro.schemes.base.Verifier.ingest_run` decodes them), and
 every accepted packet is audited against the packet sent under its
 sequence number: ``forged_accepted`` must stay 0.
+
+**A run derives its trial once.**  Every trial of a run sends the same
+payloads under the same ids, so the trials of a single-block run send
+the very packets of the scheme's kept block
+(:class:`~repro.schemes.base.LastBlock`): hashed and signed once per
+run, and born stamped with their send times, so no trial copies them.
+While a trial sends the very packet objects the previous one sent, the
+run reuses what it derived from them:
+
+* each packet's content digest, from the scheme's own packetizing
+  where it has them (:attr:`~repro.schemes.base.Trial.digests`): the
+  loss-only branch hands it to ``receive``, which hashes nothing;
+* the ``authentic`` map the soundness audit reads;
+* each packet's wire frame, which every attacked channel sends
+  (:func:`~repro.faults.channel.frame_once`);
+* a decode memo seeded with those frames, so no genuine buffer is
+  decoded.  Tampered and forged buffers miss it and go through the
+  strict decoder; their entries live in a per-trial copy and die with
+  the trial.
+
+A trial whose packets are new (a graph redrawn per block, a scheme
+without a kept block, a run of several blocks) derives all of it
+afresh.
 
 Channels come from picklable factories called with the *global* trial
 index, so trial ``t`` sees the same randomness wherever it runs and
@@ -29,7 +48,9 @@ result exactly (:func:`repro.parallel.parallel_trials`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, ClassVar, List, Mapping, Optional, Tuple
+from inspect import signature
+from operator import is_
+from typing import AbstractSet, ClassVar, Dict, List, Mapping, Optional, Tuple
 
 from repro.crypto.hashing import HashFunction, sha256
 from repro.crypto.signatures import Signer, default_signer
@@ -39,7 +60,7 @@ from repro.network.delay import DelayModel, GaussianDelay
 from repro.network.loss import BernoulliLoss, LossModel
 from repro.obs.registry import get_registry
 from repro.obs.spans import span
-from repro.schemes.base import PacketOutcome, Scheme, Verifier
+from repro.schemes.base import PacketOutcome, Scheme, Trial, Verifier, WireMemo
 from repro.simulation.stats import SimulationStats
 
 __all__ = ["SeededChannels", "FixedChannels", "run_trials", "run_session",
@@ -120,6 +141,47 @@ class FixedChannels:
         return self.channels[receiver]
 
 
+class _Derived:
+    """What a run derives from the packets a trial sends.
+
+    Reused by every later trial that sends the very same packet
+    objects (:meth:`covers`).  ``digests`` maps each sequence number to
+    its packet's content digest when the scheme supplied them; the
+    attacked branch also keeps the ``authentic`` map, the ``frames``
+    sent and the decode ``memo`` seeded with them.
+    """
+
+    __slots__ = ("packets", "digests", "authentic", "frames", "memo")
+
+    def __init__(self, sent: Trial, verifier: Verifier,
+                 attacked: bool) -> None:
+        packets = sent.packets
+        self.packets = packets
+        self.digests: Optional[Dict[int, bytes]] = None
+        if sent.digests is not None:
+            self.digests = {packet.seq: digest for packet, digest
+                            in zip(packets, sent.digests)}
+        self.authentic: Optional[Dict[int, bytes]] = None
+        self.frames: Optional[Dict[int, bytes]] = None
+        self.memo: WireMemo = {}
+        if attacked:
+            authentic = self.digests
+            if authentic is None:
+                authentic = {packet.seq: verifier.content_digest(packet)
+                             for packet in packets}
+            self.authentic = authentic
+            self.frames = {packet.seq: packet.to_wire() for packet in packets}
+            self.memo = {self.frames[packet.seq]: (packet,
+                                                   authentic[packet.seq])
+                         for packet in packets}
+
+    def covers(self, sent: Trial) -> bool:
+        """Whether ``sent`` sends the very packets this was derived from."""
+        packets = sent.packets
+        return (len(packets) == len(self.packets)
+                and all(map(is_, packets, self.packets)))
+
+
 def run_trials(scheme: Scheme, block_size: int, first_trial: int,
                trial_count: int, channels, *, receivers: int = 1,
                blocks: int = 1, attack=None,
@@ -146,7 +208,10 @@ def run_trials(scheme: Scheme, block_size: int, first_trial: int,
         ``attack(channel, trial) -> AdversarialChannel``, e.g.
         :class:`~repro.simulation.adversarial.AttackSchedule`.
     max_buffered:
-        Message-buffer cap for the hash-chain verifier.
+        Message-buffer cap for the hash-chain verifier.  A scheme whose
+        verifier has no such cap (SAIDA, TESLA) raises
+        :class:`~repro.exceptions.SimulationError` before anything is
+        delivered.
 
     Returns
     -------
@@ -164,34 +229,50 @@ def run_trials(scheme: Scheme, block_size: int, first_trial: int,
     signer = signer if signer is not None else default_signer()
     caps = {} if max_buffered is None else {"max_buffered": max_buffered}
     results = [SimulationStats() for _ in range(receivers)]
+    attacked = attack is not None
+    derived: Optional[_Derived] = None
     with span("wire.trials"):
         for trial in range(first_trial, first_trial + trial_count):
             sent = scheme.new_trial(signer, block_size, blocks,
                                     hash_function=hash_function,
                                     t_transmit=t_transmit,
                                     seed=channels.seed)
-            authentic = None
-            for receiver, stats in enumerate(results):
-                verifier = sent.new_verifier(**caps)
+            if caps and derived is None and "max_buffered" not in signature(
+                    sent.new_verifier).parameters:
+                raise SimulationError(
+                    f"{scheme.name} has no message-buffer cap: its "
+                    f"verifier takes no max_buffered")
+            verifiers = [sent.new_verifier(**caps) for _ in results]
+            if derived is None or not derived.covers(sent):
+                derived = _Derived(sent, verifiers[0], attacked)
+            digests = derived.digests
+            # Misses decoded in this trial stay in this trial.
+            memo = dict(derived.memo) if attacked else None
+            for receiver, (stats, verifier) in enumerate(
+                    zip(results, verifiers)):
                 channel = channels(trial, receiver)
-                if attack is None:
+                if not attacked:
                     deliveries = channel.transmit(sent.packets)
-                    for delivery in deliveries:
-                        verifier.receive(delivery.packet,
-                                         delivery.arrival_time)
+                    receive = verifier.receive
+                    if digests is None:
+                        for delivery in deliveries:
+                            receive(delivery.packet, delivery.arrival_time)
+                    else:
+                        for delivery in deliveries:
+                            packet = delivery.packet
+                            receive(packet, delivery.arrival_time,
+                                    digests[packet.seq])
                     intact = {delivery.packet.seq for delivery in deliveries}
                 else:
-                    if authentic is None:
-                        authentic = {
-                            packet.seq: verifier.content_digest(packet)
-                            for packet in sent.packets}
                     channel = attack(channel, trial)
-                    deliveries = channel.transmit_wire(sent.packets)
-                    verifier.ingest_run(deliveries)
+                    deliveries = channel.transmit_wire(sent.packets,
+                                                       derived.frames)
+                    verifier.ingest_run(deliveries, memo=memo)
                     intact = {delivery.seq_hint for delivery in deliveries
                               if delivery.kind == "genuine"}
                 verifier.finish()
-                settle(verifier, sent.positions, intact, authentic, stats)
+                settle(verifier, sent.positions, intact, derived.authentic,
+                       stats)
                 stats.sent += channel.sent
                 stats.dropped += channel.dropped
                 stats.merge_buffer_peaks(verifier.message_buffer_peak,
@@ -199,7 +280,7 @@ def run_trials(scheme: Scheme, block_size: int, first_trial: int,
                 stats.undecodable += verifier.undecodable
                 stats.forged_rejected += verifier.forged_rejected
                 stats.replays_dropped += verifier.replays_dropped
-                if attack is None:
+                if not attacked:
                     # Nothing on a loss-only channel can fail a check:
                     # ``forged`` is that invariant and must read 0.
                     stats.forged += verifier.forged
@@ -207,7 +288,7 @@ def run_trials(scheme: Scheme, block_size: int, first_trial: int,
                     stats.corrupted += channel.corrupted
                     stats.injected += channel.injected
                     stats.replayed += channel.replayed
-    _count(results, trial_count, attack is not None)
+    _count(results, trial_count, attacked)
     return results
 
 

@@ -15,6 +15,7 @@ from repro.schemes.tesla import (
     TeslaParameters,
     TeslaReceiver,
     TeslaSender,
+    _decode_extra,
     _encode_extra,
 )
 
@@ -159,3 +160,28 @@ class TestBogusIntervals:
         receiver.receive(packet, late)
         assert receiver.verdicts[packet.seq].status == "unsafe"
         assert receiver.pending_count == 0
+
+    def test_unsafe_copy_first_cannot_lock_the_genuine_out(self, session):
+        sender, receiver = session
+        packets = [sender.send(b"payload %d" % i, 0.01 + 0.05 * i)
+                   for i in range(12)]
+        victim = packets[9]
+        interval, tag, index, key = _decode_extra(victim.extra,
+                                                  receiver.mac.tag_size)
+        # The same packet claiming an interval whose key is long out:
+        # its own interval field makes it unsafe.
+        early = replace(victim, extra=_encode_extra(1, tag, index, key))
+        for packet in packets:
+            if packet is victim:
+                receiver.receive(early, packet.send_time)
+                assert receiver.verdicts[victim.seq].status == "unsafe"
+            receiver.receive(packet, packet.send_time + 0.001)
+        last = sender.parameters.interval_of(packets[-1].send_time)
+        for packet in sender.flush_keys(last):
+            receiver.receive(packet, packet.send_time + 0.001)
+        assert interval > 1
+        assert receiver.verdicts[victim.seq].status == "verified"
+        assert receiver.forged_rejected == 1
+        assert receiver.replays_dropped == 0
+        assert all(receiver.verdicts[packet.seq].verified
+                   for packet in packets)

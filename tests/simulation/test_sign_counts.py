@@ -1,18 +1,21 @@
-"""Where the block plan's memo saves a signature, and where it cannot.
+"""Where a kept block saves a signature, and where it cannot.
 
 The trials of a single-block Monte Carlo run send the same block, so a
 scheme that keeps its compiled plan signs it once per run
 (:meth:`~repro.schemes.base.BlockPlan.packetize` remembers its last
-block).  A scheme that compiles a new plan per block (``random(p)``)
-signs once per trial, and so does a run of two blocks per trial,
-because the memo holds one block.  The drivers take the run's signer
-from :func:`~repro.crypto.signatures.default_signer`, which these
-tests replace with a counting one.
+block), and so do sign-each (``n`` signatures, one per packet) and
+Wong–Lam (one root signature), which keep theirs the same way
+(:class:`~repro.schemes.base.LastBlock`).  A scheme that compiles a
+new plan per block (``random(p)``) signs once per trial, and so does a
+run of two blocks per trial, because the memo holds one block.  The
+drivers take the run's signer from
+:func:`~repro.crypto.signatures.default_signer`, which these tests
+replace with a counting one.
 """
 
 import pytest
 
-from repro.analysis.conformance import attack_mix
+from repro.analysis.conformance import DEFAULT_SPECS, attack_mix
 from repro.crypto.signatures import HmacStubSigner, LamportSigner
 from repro.schemes.registry import make_scheme
 from repro.simulation import WireTrialConfig, wire_monte_carlo
@@ -78,6 +81,37 @@ def test_plan_schemes_sign_once_per_run(signer, run, spec):
 def test_random_graph_signs_once_per_trial(signer, run, spec):
     run(spec)
     assert signer.calls == TRIALS
+
+
+#: Signatures per run of every conformance scheme, in both drivers.
+#: ``rohatgi-online``, SAIDA and TESLA build every trial afresh (a
+#: kept block for them is out of scope here): they sign once per trial.
+SIGNS_PER_RUN = {
+    "rohatgi": 1,
+    "emss(2,1)": 1,
+    "ac(3,3)": 1,
+    "offsets(1,3)": 1,
+    "random(0.35,11)": TRIALS,
+    "sign-each": BLOCK,
+    "wong-lam": 1,
+    "rohatgi-online": TRIALS,
+    "saida(0.5)": TRIALS,
+    "tesla(d=5,T=0.1,n=64)": TRIALS,
+}
+
+
+def test_every_conformance_scheme_has_a_count():
+    assert set(SIGNS_PER_RUN) == set(DEFAULT_SPECS.values())
+
+
+@pytest.mark.parametrize("run", [_wire, _adversarial],
+                         ids=["wire", "adversarial"])
+@pytest.mark.parametrize("spec", sorted(SIGNS_PER_RUN))
+def test_signatures_per_run(signer, run, spec):
+    stats = run(spec)
+    assert signer.calls == SIGNS_PER_RUN[spec]
+    assert stats.forged_accepted == 0
+    assert sum(t.verified for t in stats.tallies.values()) > 0
 
 
 def test_two_blocks_per_trial_sign_every_block(signer):
