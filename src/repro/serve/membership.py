@@ -330,11 +330,11 @@ def storm_channel_factory(base_factory: Callable,
                           ) -> Callable:
     """Race every join against forged packets at its bootstrap window.
 
-    Wraps a ``(receiver_index, block_id, loss_rate) -> Channel``
-    factory so the cell at (joiner's universe index, join block) gets
-    an extra :class:`~repro.faults.BootstrapBurstForgery` plan —
-    composed *after* the base mix's faults so the base per-cell
-    streams are untouched — reseeded from the cell's attack seed
+    Wraps a :func:`~repro.topology.channel.topology_channel_factory`
+    so the cell at (joiner's universe index, join block) gets an extra
+    :class:`~repro.faults.BootstrapBurstForgery` plan — composed
+    *after* the base mix's faults so the base per-cell streams are
+    untouched — reseeded from the cell's attack seed
     (:func:`~repro.topology.linkloss.attack_seed`) plus
     :data:`_BOOTSTRAP_OFFSET`.  All other cells pass through
     unchanged, so a plan with no joins leaves the session
@@ -353,12 +353,9 @@ def storm_channel_factory(base_factory: Callable,
         burst_plan = burst()
         burst_plan.reseed(attack_seed(seed, receiver_index, block_id)
                           + _BOOTSTRAP_OFFSET)
-        if isinstance(channel, AdversarialChannel):
-            # Recompose rather than mutate: the base plan's members
-            # keep their already-reseeded streams, the burst appends.
-            combined = AttackPlan(tuple(channel.plan.faults)
-                                  + burst_plan.faults)
-            return AdversarialChannel(channel.channel, combined)
-        return AdversarialChannel(channel, burst_plan)
+        # Recompose rather than mutate: the base plan's members keep
+        # their already-reseeded streams, the burst appends.
+        combined = AttackPlan(channel.plan.faults + burst_plan.faults)
+        return AdversarialChannel(channel.channel, combined)
 
     return build

@@ -7,11 +7,15 @@ block*, because the adaptive controller may re-parameterize between
 blocks, and one scheme *per receiver group*, because each subtree may
 fly its own design.  Each block is packetized once per group at one
 shared block id, sequence range and set of send times, then pushed
-through one channel per receiver (the session's topology channel,
-optionally wrapped in an :class:`~repro.faults.AdversarialChannel`)
-and onto the transport, followed by the block's one shared control
-frame (its ground truth reaches the receiver pool in-process).  A
-packet is framed at most once per block, on the first channel that
+through one channel per receiver (the session's topology channel
+inside an :class:`~repro.faults.AdversarialChannel`, whose plan is
+empty when the session is not attacked) and onto the transport,
+followed by the block's one shared control frame (its ground truth
+reaches the receiver pool in-process).  The schemes are
+dependence-graph schemes, whose
+:meth:`~repro.schemes.base.Scheme.make_block` stamps the send times
+and carries every packet's auth digest, so the sender hashes nothing.
+A packet is framed at most once per block, on the first channel that
 delivers it; every other receiver's channel reuses those bytes.
 
 Every channel is built fresh per (receiver, block) from seeds that
@@ -33,8 +37,6 @@ from repro.crypto.hashing import HashFunction, sha256
 from repro.crypto.signatures import Signer
 from repro.exceptions import SimulationError
 from repro.faults import AdversarialChannel, WireDelivery
-from repro.faults.channel import frame_once
-from repro.network.channel import Channel
 from repro.network.clock import Clock
 from repro.obs import get_registry
 from repro.obs.lifecycle import NOISE_SEQ, get_lifecycle
@@ -121,6 +123,10 @@ class _PendingBlock:
 class SenderService:
     """Signs, packetizes and streams blocks over a transport.
 
+    Like :class:`~repro.simulation.sender.StreamSender`, it takes each
+    block stamped and hashed from ``make_block``; the ledger and memo
+    digests are the :class:`~repro.schemes.base.Block`'s own.
+
     With ``batch_size > 1`` the service runs in batch-signing mode
     (:mod:`repro.crypto.batch`): blocks are packetized and paced
     immediately but held back from the transport with a placeholder
@@ -144,7 +150,8 @@ class SenderService:
     signer:
         Block-signature signer.
     channel_factory:
-        ``(receiver_index, block_id, loss_rate) -> Channel`` — see
+        ``(receiver_index, block_id, loss_rate) -> AdversarialChannel``
+        over a :class:`~repro.topology.channel.TopologyChannel` — see
         :func:`~repro.topology.channel.topology_channel_factory`.
     clock:
         Pacing clock; block transmission advances it by
@@ -155,8 +162,9 @@ class SenderService:
     hash_function:
         Must match the receivers' (``sha256`` in
         :func:`~repro.serve.service.run_live_session`): the digests in
-        ``ledger`` and ``wire_memo`` are its hashes, and receivers
-        compare them with their own.
+        ``ledger`` and ``wire_memo`` are its hashes, taken as
+        ``make_block`` computes them, and receivers compare them with
+        their own.
     batch_size:
         Blocks amortized per root signature; ``1`` (default) signs
         every block directly, exactly as before.
@@ -186,7 +194,8 @@ class SenderService:
 
     def __init__(self, transport: Transport, receiver_ids: Sequence[str],
                  signer: Signer,
-                 channel_factory: Callable[[int, int, float], Channel],
+                 channel_factory: Callable[[int, int, float],
+                                           AdversarialChannel],
                  clock: Clock, t_transmit: float = 0.001,
                  hash_function: HashFunction = sha256,
                  batch_size: int = 1,
@@ -368,30 +377,26 @@ class SenderService:
         groups: Dict[Optional[str], _GroupPackets] = {}
         count: Optional[int] = None
         for group, scheme in schemes.items():
-            packets = scheme.make_block(list(payloads), signer,
-                                        self.hash_function,
-                                        block_id=block_id, base_seq=base_seq)
+            block = scheme.make_block(list(payloads), signer,
+                                      self.hash_function, block_id=block_id,
+                                      base_seq=base_seq,
+                                      start=self._send_clock,
+                                      t_transmit=self.t_transmit)
             if count is None:
-                count = len(packets)
-            elif len(packets) != count:
+                count = len(block)
+            elif len(block) != count:
                 raise SimulationError(
-                    f"group {group!r} packetized {len(packets)} packets, "
+                    f"group {group!r} packetized {len(block)} packets, "
                     f"expected {count}; grouped schemes must share a "
                     f"block layout")
-            stamped = []
-            send_end = self._send_clock
-            for packet in packets:
-                stamped.append(packet.with_send_time(send_end))
-                send_end += self.t_transmit
-            digests = {
-                packet.seq: self.hash_function.digest(packet.auth_bytes())
-                for packet in stamped
-            }
+            digests = {packet.seq: digest
+                       for packet, digest in zip(block, block.digests)}
             groups[group] = _GroupPackets(scheme_name=scheme.name,
                                           phase=phases[group],
-                                          stamped=stamped, digests=digests)
+                                          stamped=block, digests=digests)
         self._next_block += 1
         self._next_seq += count
+        send_end = block[-1].send_time + self.t_transmit
         # Two clock rules, kept only because the pinned sessions encode
         # both (ROADMAP.md, "One stream clock").
         self._send_clock = (send_end if None in groups
@@ -420,22 +425,8 @@ class SenderService:
         # the factory reuses one attack plan per receiver across cells.
         channel = self.channel_factory(self._index_of[receiver_id], block_id,
                                        pending.loss_rate)
-        if isinstance(channel, AdversarialChannel):
-            deliveries = channel.transmit_wire(stamped, frames)
-            corrupted = channel.corrupted
-            injected = channel.injected
-            replayed = channel.replayed
-        else:
-            deliveries = [
-                WireDelivery(arrival_time=delivery.arrival_time,
-                             data=frame_once(delivery.packet, frames),
-                             kind="genuine", seq_hint=delivery.packet.seq,
-                             block_hint=delivery.packet.block_id)
-                for delivery in channel.transmit(stamped)
-            ]
-            corrupted = injected = replayed = 0
-        inner = getattr(channel, "channel", channel)
-        duplicates = getattr(inner, "duplicates_suppressed", 0)
+        deliveries = channel.transmit_wire(stamped, frames)
+        duplicates = channel.channel.duplicates_suppressed
         self.duplicates_suppressed += duplicates
         if tracer.enabled:
             surviving = {d.seq_hint for d in deliveries
@@ -478,10 +469,10 @@ class SenderService:
             registry.count("serve.packets.dropped", channel.dropped)
             if duplicates:
                 registry.count("serve.topology.duplicates", duplicates)
-            if corrupted or injected or replayed:
-                registry.count("serve.attack.corrupted", corrupted)
-                registry.count("serve.attack.injected", injected)
-                registry.count("serve.attack.replayed", replayed)
+            if channel.corrupted or channel.injected or channel.replayed:
+                registry.count("serve.attack.corrupted", channel.corrupted)
+                registry.count("serve.attack.injected", channel.injected)
+                registry.count("serve.attack.replayed", channel.replayed)
 
     async def _transmit_block(self, pending: _PendingBlock) -> None:
         """Push one packetized block through every receiver's channel.

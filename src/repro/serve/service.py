@@ -35,7 +35,7 @@ from repro.analysis.conformance import attack_mix
 from repro.crypto.batch import BatchVerifier
 from repro.crypto.signatures import HmacStubSigner, Signer
 from repro.exceptions import SimulationError
-from repro.faults import KNOWN_ATTACK_MIXES
+from repro.faults import KNOWN_ATTACK_MIXES, AttackPlan
 from repro.network.clock import Clock, MonotonicClock, VirtualClock
 from repro.obs import RunManifest, get_registry
 from repro.obs.health import HealthMonitor
@@ -450,7 +450,7 @@ def run_live_session(config: ServeConfig,
     else:
         clock = MonotonicClock()
     transport = _build_transport(config, clock)
-    attack_plan_factory = None
+    attack_plan_factory = AttackPlan
     if config.attack is not None:
         attack_name = config.attack
         attack_plan_factory = lambda: attack_mix(attack_name)  # noqa: E731
@@ -470,7 +470,7 @@ def run_live_session(config: ServeConfig,
     channel_factory = topology_channel_factory(
         config.seed, topology, trees, attack_plan_factory)
     subtree_of = {leaf: topology.subtree_of(leaf) for leaf in topology.leaves}
-    if plan is not None and attack_plan_factory is not None:
+    if plan is not None and config.attack is not None:
         # Adversarial churn: forged bursts timed at every join's
         # bootstrap window, on top of whatever mix is configured.
         channel_factory = storm_channel_factory(channel_factory, plan,

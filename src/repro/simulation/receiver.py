@@ -81,9 +81,9 @@ def ingest_run(verifier: Verifier, deliveries: Sequence[WireDelivery],
     :data:`~repro.schemes.base.WireMemo`: wire bytes -> ``(packet,
     content digest)``.  A hit is neither decoded nor hashed; a miss is
     decoded strictly and written to it.  Three writers fill one: this
-    loop on a miss, a live sender as it frames (the packet it encoded
-    and the hash of its ``auth_bytes()``), and a trial run seeding the
-    frames it sends (:func:`repro.simulation.trials.run_trials`).  All
+    loop on a miss, a live sender as it frames (the packet and its
+    digest, both as ``make_block`` made them), and a trial run seeding
+    the frames it sends (:func:`repro.simulation.trials.run_trials`).  All
     write what decoding the key and digesting the packet give, because
     the decoder is canonical: a successful decode re-encodes to the
     identical input, so the decoded packet equals the one that was

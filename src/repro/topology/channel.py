@@ -9,9 +9,9 @@ ground-truth estimator are all inherited, so every consumer of the
 the serve sender) works unchanged.
 
 :func:`topology_channel_factory` is the serve layer's one channel
-factory: ``(receiver_index, block_id, loss_rate) -> Channel``, with
-every channel of a session sharing one
-:class:`~repro.topology.linkloss.EdgeLossBank`, which is where the
+factory: ``(receiver_index, block_id, loss_rate) -> AdversarialChannel``
+around a :class:`TopologyChannel`, every channel of a session sharing
+one :class:`~repro.topology.linkloss.EdgeLossBank`, which is where the
 cross-receiver correlation lives.  Over a ``star`` it is the paper's
 independent per-receiver channel model.
 """
@@ -62,25 +62,25 @@ class TopologyChannel(Channel):
 
 def topology_channel_factory(seed: int, topology: Topology,
                              trees: Sequence[DistTree],
-                             attack_plan_factory: Optional[
-                                 Callable[[], AttackPlan]] = None,
-                             edge_model: str = "bernoulli",
-                             mean_burst: float = 4.0
-                             ) -> Callable[[int, int, float], Channel]:
+                             attack_plan_factory: Callable[
+                                 [], AttackPlan] = AttackPlan
+                             ) -> Callable[[int, int, float],
+                                           AdversarialChannel]:
     """Per-(receiver, block) channels over a shared edge-loss bank.
 
     Every call builds a fresh channel: the edge draws come from the one
     :class:`~repro.topology.linkloss.EdgeLossBank` all receivers
     consult (correlated delivery wherever root→leaf paths share
-    edges), and an attack plan, when a factory is supplied, is
-    reseeded per cell with :func:`~repro.topology.linkloss.attack_seed`
-    and wrapped around the channel as an
-    :class:`~repro.faults.AdversarialChannel`.  Each receiver's plan
-    is built once, on its first cell, and reused: a reseed pins every
-    member's stream, so a reused plan draws exactly what a fresh one
-    would.  The caller must finish transmitting on a cell's channel
-    before asking for that receiver's next cell (the serve sender
-    transmits right after building, with no ``await`` between).
+    edges), inside an :class:`~repro.faults.AdversarialChannel` (the
+    topology channel is its ``channel``) whose attack plan is reseeded
+    per cell with :func:`~repro.topology.linkloss.attack_seed`.  The
+    default is the empty :class:`~repro.faults.AttackPlan`, which
+    draws nothing: no attack.  Each receiver's plan is built once, on
+    its first cell, and reused: a reseed pins every member's stream,
+    so a reused plan draws exactly what a fresh one would.  The caller
+    must finish transmitting on a cell's channel before asking for
+    that receiver's next cell (the serve sender transmits right after
+    building, with no ``await`` between).
 
     ``receiver_index`` indexes ``topology.leaves`` — the factory is
     only valid for the leaf ordering the topology was built with.
@@ -92,8 +92,7 @@ def topology_channel_factory(seed: int, topology: Topology,
     for tree in trees:
         if tree.topology is not topology:
             raise SimulationError("tree built for a different topology")
-    bank = EdgeLossBank(topology, seed, model=edge_model,
-                        mean_burst=mean_burst)
+    bank = EdgeLossBank(topology, seed)
     paths_by_leaf: Dict[str, Tuple[Tuple[int, ...], ...]] = {
         leaf: union_paths(trees, leaf) for leaf in topology.leaves
     }
@@ -108,8 +107,6 @@ def topology_channel_factory(seed: int, topology: Topology,
                 f"({len(topology.leaves)} leaves)")
         loss = PathLoss(bank, block_id, paths_by_leaf[leaf], loss_rate)
         channel = TopologyChannel(loss, leaf)
-        if attack_plan_factory is None:
-            return channel
         plan = plans.get(receiver_index)
         if plan is None:
             plan = plans[receiver_index] = attack_plan_factory()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.exceptions import SimulationError
 from repro.faults import AdversarialChannel, AttackPlan, BootstrapBurstForgery
-from repro.network.channel import Channel
+from repro.packets import Packet
 from repro.schemes.registry import available_schemes
 from repro.serve.membership import (
     BOOTSTRAP_RULES,
@@ -20,7 +20,7 @@ from repro.topology import (
 )
 
 
-def _star_factory(seed, attack_plan_factory=None,
+def _star_factory(seed, attack_plan_factory=AttackPlan,
                   leaves=("r00", "r01", "r02", "r03")):
     topology = star_topology(list(leaves))
     return topology_channel_factory(seed, topology,
@@ -227,8 +227,13 @@ class TestStormChannelFactory:
         base = _star_factory(self.SEED)
         wrapped = storm_channel_factory(base, self._plan(), self.SEED)
         channel = wrapped(0, 3, 0.1)
-        assert isinstance(channel, Channel)
-        assert not isinstance(channel, AdversarialChannel)
+        assert channel.plan.faults == base(0, 3, 0.1).plan.faults == ()
+        packets = [Packet(seq=i + 1, block_id=3, payload=b"x%d" % i,
+                          send_time=0.001 * i) for i in range(12)]
+        got = channel.transmit_wire(packets)
+        want = _star_factory(self.SEED)(0, 3, 0.1).transmit_wire(packets)
+        assert got == want
+        assert 0 < len(got) < len(packets)
 
     def test_join_cell_gets_the_burst(self):
         base = _star_factory(self.SEED)
@@ -254,7 +259,6 @@ class TestStormChannelFactory:
         packets = []
         for factory_run in range(2):
             channel = wrapped(2, 3, 0.1)
-            from repro.packets import Packet
             stamped = [Packet(seq=i + 1, block_id=3, payload=b"x%d" % i,
                               send_time=0.0) for i in range(6)]
             packets.append([(d.kind, d.data)

@@ -77,7 +77,7 @@ class TestChannel:
         topo = dualspine_topology(LEAVES, 2)
         trees = redundant_trees(topo, 2)
         factory = topology_channel_factory(SEED, topo, trees)
-        channel = factory(0, 0, 0.0)
+        channel = factory(0, 0, 0.0).channel
         channel.transmit(_block())
         assert channel.duplicates_suppressed > 0
 
@@ -91,7 +91,8 @@ class TestFactory:
         for receiver in range(len(LEAVES)):
             for block_id in range(3):
                 packets = _block(block_id)
-                got = topo_factory(receiver, block_id, 0.25).transmit(packets)
+                got = topo_factory(receiver, block_id,
+                                   0.25).channel.transmit(packets)
                 want = plain_factory(receiver, block_id,
                                      0.25).transmit(packets)
                 assert [(d.packet.seq, d.arrival_time) for d in got] \
@@ -130,6 +131,6 @@ class TestFactory:
         topo = star_topology(LEAVES)
         factory = topology_channel_factory(SEED, topo,
                                            [shortest_path_tree(topo)])
-        factory(0, 0, 0.1).transmit(_block())
+        factory(0, 0, 0.1).channel.transmit(_block())
         assert factory.bank.cells_touched == 1
         assert set(factory.paths_by_leaf) == set(LEAVES)
