@@ -59,7 +59,7 @@ def test_bench_warm_lookup_vs_inline(benchmark, show):
     service = _service()
     point = benchmark(service.lookup, P, N, Q_TARGET, "emss", DELAY_BUDGET)
     inline = optimize_emss(N, P, Q_TARGET, max_delay_slots=DELAY_BUDGET)
-    assert point.to_parameter_choice() == inline
+    assert point == inline
 
     # The gate compares best-case against best-case with timeit so
     # pytest-benchmark calibration noise cannot flip it.

@@ -64,9 +64,9 @@ def main() -> None:
 
     # Design for the worst path: what would it take to give the
     # satellite receiver q_min >= 0.9?
-    choice = optimize_emss(BLOCK, 0.3, 0.9)
+    point = optimize_emss(BLOCK, 0.3, 0.9)
     print(f"to give that path q_min >= 0.9 (Eq. 9), EMSS needs "
-          f"(m,d) = {choice.parameters} — {choice.cost:.0f} hashes/packet "
+          f"(m,d) = {point.parameters} — {point.cost:.0f} hashes/packet "
           f"for everyone, the multicast tax of the weakest link")
 
 

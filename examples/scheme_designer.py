@@ -34,13 +34,13 @@ def main() -> None:
           f"q_min target {TARGET}\n")
     rows = []
 
-    choice = optimize_emss(BLOCK, LOSS, TARGET)
-    rows.append((f"EMSS (m,d)={choice.parameters}", choice.cost,
-                 choice.q_min, "Eq. 9"))
+    point = optimize_emss(BLOCK, LOSS, TARGET)
+    rows.append((f"EMSS (m,d)={point.parameters}", point.cost,
+                 point.q_min, "Eq. 9"))
 
-    choice = optimize_ac(BLOCK, LOSS, TARGET)
-    rows.append((f"AC (a,b)={choice.parameters}", choice.cost,
-                 choice.q_min, "Eq. 10"))
+    point = optimize_ac(BLOCK, LOSS, TARGET)
+    rows.append((f"AC (a,b)={point.parameters}", point.cost,
+                 point.q_min, "Eq. 10"))
 
     policy = search_offset_policy(BLOCK, LOSS, TARGET, max_offset=24,
                                   max_edges=5)

@@ -237,9 +237,9 @@ def _build_design_table_parser() -> argparse.ArgumentParser:
                        help="comma-separated block sizes (default 12)")
     build.add_argument("--q-targets", metavar="Q[,Q...]", default="0.75",
                        help="comma-separated q_min targets (default 0.75)")
-    build.add_argument("--delay-budgets", metavar="D[,D...]", default="8",
+    build.add_argument("--delay-budgets", metavar="D[,D...]", default=None,
                        help="comma-separated delay budgets in packet "
-                            "slots (default 8)")
+                            "slots (default: the controller budget)")
     build.add_argument("--families", metavar="F[,F...]",
                        default="emss,ac,offset",
                        help="comma-separated design families "
@@ -270,22 +270,25 @@ def _parse_axis(text: str, caster) -> tuple:
 
 def _design_table_main(argv: List[str]) -> int:
     from repro.design import DesignTable, TableSpec
-    from repro.design.table import DEFAULT_TABLE_P_GRID
     from repro.exceptions import ReproError
 
     args = _build_design_table_parser().parse_args(argv)
     try:
         if args.command == "build":
-            p_grid = (DEFAULT_TABLE_P_GRID if args.p_grid is None
-                      else _parse_axis(args.p_grid, float))
+            # Unset axes keep TableSpec's defaults: the controller's own
+            # p grid and delay budget.
+            axes = {}
+            if args.p_grid is not None:
+                axes["p_grid"] = _parse_axis(args.p_grid, float)
+            if args.delay_budgets is not None:
+                axes["delay_budgets"] = _parse_axis(args.delay_budgets, int)
             spec = TableSpec(
-                p_grid=p_grid,
                 block_sizes=_parse_axis(args.block_sizes, int),
                 q_targets=_parse_axis(args.q_targets, float),
-                delay_budgets=_parse_axis(args.delay_budgets, int),
                 families=_parse_axis(args.families, str),
                 seed=args.seed,
                 mc_trials=args.mc_trials,
+                **axes,
             )
             table = DesignTable.build(spec, workers=args.workers)
             table.save(args.out)

@@ -13,10 +13,16 @@ inline (see ``docs/design_service.md``).
 from repro.design.constraints import ConstraintReport, DesignConstraints
 from repro.design.disjoint import disjoint_paths_design
 from repro.design.dp import OffsetPolicy, search_offset_policy
-from repro.design.frontend import DESIGN_FAMILIES, DesignPoint, design_point
-from repro.design.grid import quantize_down, quantize_up, validate_grid
+from repro.design.frontend import DESIGN_FAMILIES, design_point
+from repro.design.grid import (
+    DEFAULT_DELAY_BUDGET,
+    DEFAULT_P_GRID,
+    quantize_down,
+    quantize_up,
+    validate_grid,
+)
 from repro.design.heuristic import HeuristicDesignResult, greedy_design
-from repro.design.optimizer import ParameterChoice, optimize_ac, optimize_emss
+from repro.design.optimizer import DesignPoint, optimize_ac, optimize_emss
 from repro.design.probabilistic import ProbabilisticDesign, tune_edge_probability
 from repro.design.service import DesignCoverageError, DesignService
 from repro.design.table import (
@@ -36,12 +42,13 @@ __all__ = [
     "DESIGN_FAMILIES",
     "DesignPoint",
     "design_point",
+    "DEFAULT_DELAY_BUDGET",
+    "DEFAULT_P_GRID",
     "quantize_down",
     "quantize_up",
     "validate_grid",
     "HeuristicDesignResult",
     "greedy_design",
-    "ParameterChoice",
     "optimize_ac",
     "optimize_emss",
     "ProbabilisticDesign",

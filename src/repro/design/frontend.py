@@ -8,9 +8,12 @@ entry point per method: :func:`~repro.design.optimizer.optimize_emss`,
 :func:`~repro.design.probabilistic.tune_edge_probability` and
 :func:`~repro.design.heuristic.greedy_design`, each with its own
 result type.  :func:`design_point` dispatches across all of them and
-normalizes every answer into a :class:`DesignPoint` — the common
-currency the precomputed :class:`~repro.design.table.DesignTable` is
-made of and the :class:`~repro.design.service.DesignService` serves.
+returns every answer as a :class:`~repro.design.optimizer.DesignPoint`
+— the one design record the precomputed
+:class:`~repro.design.table.DesignTable` is made of, the
+:class:`~repro.design.service.DesignService` serves and the live
+controller flies.  The EMSS and AC optimizers already return it; the
+other families are normalized into it here.
 
 Infeasibility is uniform too: every family raises
 :class:`~repro.exceptions.DesignError` when no design within its
@@ -20,14 +23,13 @@ infeasibility at a lattice point instead of crashing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from repro.core.metrics import max_deterministic_delay
 from repro.design.constraints import DesignConstraints
 from repro.design.dp import search_offset_policy
 from repro.design.heuristic import greedy_design
-from repro.design.optimizer import ParameterChoice, optimize_ac, optimize_emss
+from repro.design.optimizer import DesignPoint, optimize_ac, optimize_emss
 from repro.design.probabilistic import tune_edge_probability
 from repro.exceptions import DesignError
 
@@ -39,110 +41,6 @@ __all__ = ["DESIGN_FAMILIES", "DesignPoint", "design_point"]
 #: ``heuristic`` evaluate candidates by seeded Monte Carlo and are
 #: meant for offline builds, not inline control.
 DESIGN_FAMILIES = ("emss", "ac", "offset", "probabilistic", "heuristic")
-
-
-@dataclass(frozen=True)
-class DesignPoint:
-    """One normalized answer of the design program.
-
-    Attributes
-    ----------
-    family:
-        Which construction produced it (see :data:`DESIGN_FAMILIES`).
-    scheme_spec:
-        Registry spec string a live session can instantiate with
-        :func:`~repro.schemes.registry.make_scheme` (``"emss(2,1)"``,
-        ``"ac(2,2)"``, ``"offsets(1,5,9)"``, ``"random(0.18,7)"``).
-        ``None`` for the heuristic family, whose output is an explicit
-        graph (carried in ``extra["edges"]``) rather than a policy.
-    parameters:
-        The numeric knobs behind the spec — ``(m, d)``, ``(a, b)``,
-        the offset set, or ``(p_x,)``.
-    q_min:
-        Predicted worst-vertex authentication probability at the
-        design's ``(n, p)``.
-    cost:
-        Mean hashes per packet.
-    delay_slots:
-        Deterministic receiver delay / buffer reach implied by the
-        design, in packet slots.
-    extra:
-        Family-specific detail worth persisting (offsets, tuned edge
-        probability, heuristic edge list).
-    """
-
-    family: str
-    scheme_spec: Optional[str]
-    parameters: Tuple[float, ...]
-    q_min: float
-    cost: float
-    delay_slots: int
-    extra: Dict[str, object] = field(default_factory=dict)
-
-    def to_parameter_choice(self) -> ParameterChoice:
-        """Downcast to the optimizer's legacy two-knob result type.
-
-        Only meaningful for the families whose parameters are an
-        integer pair (``emss``, ``ac``) — the shape the adaptive
-        controllers and their event trace were built around.
-        """
-        if self.family not in ("emss", "ac") or len(self.parameters) != 2:
-            raise DesignError(
-                f"{self.family} designs do not reduce to an (x, y) "
-                f"ParameterChoice")
-        pair = (int(self.parameters[0]), int(self.parameters[1]))
-        return ParameterChoice(scheme=self.family, parameters=pair,
-                               q_min=self.q_min, cost=self.cost,
-                               delay_slots=self.delay_slots)
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready form (the table's cell payload)."""
-        payload: Dict[str, object] = {
-            "family": self.family,
-            "scheme": self.scheme_spec,
-            "parameters": list(self.parameters),
-            "q_min": self.q_min,
-            "cost": self.cost,
-            "delay_slots": self.delay_slots,
-        }
-        if self.extra:
-            payload["extra"] = dict(self.extra)
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "DesignPoint":
-        """Rebuild a point serialized by :meth:`to_dict`."""
-        try:
-            return cls(
-                family=str(payload["family"]),
-                scheme_spec=(None if payload["scheme"] is None
-                             else str(payload["scheme"])),
-                parameters=tuple(payload["parameters"]),
-                q_min=float(payload["q_min"]),
-                cost=float(payload["cost"]),
-                delay_slots=int(payload["delay_slots"]),
-                extra=dict(payload.get("extra", {})),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DesignError(f"malformed design point payload: {exc}")
-
-
-def _emss_point(n: int, p: float, q_target: float,
-                max_delay_slots: Optional[int]) -> DesignPoint:
-    choice = optimize_emss(n, p, q_target, max_delay_slots=max_delay_slots)
-    m, d = choice.parameters
-    return DesignPoint(family="emss", scheme_spec=f"emss({m},{d})",
-                       parameters=(m, d), q_min=choice.q_min,
-                       cost=choice.cost, delay_slots=choice.delay_slots)
-
-
-def _ac_point(n: int, p: float, q_target: float,
-              max_delay_slots: Optional[int]) -> DesignPoint:
-    choice = optimize_ac(n, p, q_target, max_delay_slots=max_delay_slots)
-    a, b = choice.parameters
-    return DesignPoint(family="ac", scheme_spec=f"ac({a},{b})",
-                       parameters=(a, b), q_min=choice.q_min,
-                       cost=choice.cost, delay_slots=choice.delay_slots)
 
 
 def _offset_point(n: int, p: float, q_target: float,
@@ -217,9 +115,9 @@ def design_point(family: str, n: int, p: float, q_target: float,
         its budgets meeting the target at this lattice point.
     """
     if family == "emss":
-        return _emss_point(n, p, q_target, max_delay_slots)
+        return optimize_emss(n, p, q_target, max_delay_slots=max_delay_slots)
     if family == "ac":
-        return _ac_point(n, p, q_target, max_delay_slots)
+        return optimize_ac(n, p, q_target, max_delay_slots=max_delay_slots)
     if family == "offset":
         return _offset_point(n, p, q_target, max_delay_slots)
     if family == "probabilistic":

@@ -18,7 +18,17 @@ from typing import Sequence, Tuple
 
 from repro.exceptions import DesignError
 
-__all__ = ["validate_grid", "quantize_up", "quantize_down"]
+__all__ = ["DEFAULT_P_GRID", "DEFAULT_DELAY_BUDGET", "validate_grid",
+           "quantize_up", "quantize_down"]
+
+#: The one loss-rate grid: the live controller quantizes its estimate
+#: onto it and the default :class:`~repro.design.table.TableSpec`
+#: covers it, so every controller grid point is a table cell.
+DEFAULT_P_GRID = (0.02, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.5)
+
+#: The one delay budget (packet slots) the controller designs under
+#: and the default table is built for.
+DEFAULT_DELAY_BUDGET = 8
 
 
 def validate_grid(grid: Sequence[float], name: str = "grid"

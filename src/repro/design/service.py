@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.design.frontend import DesignPoint
 from repro.design.grid import quantize_down, quantize_up
+from repro.design.optimizer import DesignPoint
 from repro.design.table import DesignTable, cell_key
 from repro.exceptions import DesignError
 from repro.obs.registry import get_registry
@@ -106,7 +106,7 @@ class DesignService:
                ) -> Optional[DesignPoint]:
         """The control-plane call: one covered cell, O(1).
 
-        Returns the cell's :class:`~repro.design.frontend.DesignPoint`,
+        Returns the cell's :class:`~repro.design.optimizer.DesignPoint`,
         or ``None`` when the cell is covered but the design program
         found it infeasible.  Raises :class:`DesignCoverageError` for
         uncovered requests (off-lattice, or an unbuilt family).

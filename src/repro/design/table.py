@@ -25,8 +25,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.design.frontend import DESIGN_FAMILIES, DesignPoint, design_point
-from repro.design.grid import validate_grid
+from repro.design.frontend import DESIGN_FAMILIES, design_point
+from repro.design.grid import DEFAULT_DELAY_BUDGET, DEFAULT_P_GRID, validate_grid
+from repro.design.optimizer import DesignPoint
 from repro.exceptions import DesignError
 from repro.obs.registry import get_registry
 from repro.obs.spans import span
@@ -37,12 +38,6 @@ __all__ = ["TABLE_SCHEMA_VERSION", "TableSpec", "DesignTable",
            "cell_key", "validate_table_payload"]
 
 TABLE_SCHEMA_VERSION = 1
-
-#: Grid the control plane quantizes loss estimates onto (kept in sync
-#: with :data:`repro.serve.adaptive.DEFAULT_P_GRID` by a regression
-#: test; duplicated here so ``repro.design`` stays import-light).
-DEFAULT_TABLE_P_GRID = (0.02, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3,
-                        0.35, 0.4, 0.5)
 
 
 @dataclass(frozen=True)
@@ -56,10 +51,10 @@ class TableSpec:
     functions of the lattice point.
     """
 
-    p_grid: Tuple[float, ...] = DEFAULT_TABLE_P_GRID
+    p_grid: Tuple[float, ...] = DEFAULT_P_GRID
     block_sizes: Tuple[int, ...] = (12,)
     q_targets: Tuple[float, ...] = (0.75,)
-    delay_budgets: Tuple[int, ...] = (8,)
+    delay_budgets: Tuple[int, ...] = (DEFAULT_DELAY_BUDGET,)
     families: Tuple[str, ...] = ("emss", "ac", "offset")
     seed: int = 7
     mc_trials: int = 1500

@@ -11,11 +11,11 @@ emerges naturally from delay jitter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.exceptions import SimulationError
 from repro.network.delay import ConstantDelay, DelayModel
-from repro.network.loss import LossEstimator, LossModel, NoLoss
+from repro.network.loss import LossModel, NoLoss
 from repro.packets import Packet
 
 __all__ = ["Delivery", "Channel"]
@@ -53,16 +53,14 @@ class Channel:
 
     def __init__(self, loss: Optional[LossModel] = None,
                  delay: Optional[DelayModel] = None,
-                 protect_signature_packets: bool = True,
-                 estimator: Optional[LossEstimator] = None) -> None:
+                 protect_signature_packets: bool = True) -> None:
         self.loss = loss if loss is not None else NoLoss()
         self.delay = delay if delay is not None else ConstantDelay(0.0)
         self.protect_signature_packets = protect_signature_packets
-        #: Ground-truth estimator fed one observation per transmitted
-        #: packet; ``sent``/``dropped``/``observed_loss_rate`` are views
-        #: of it, so the channel and any adaptive consumer read the
-        #: same numbers.
-        self.estimator = estimator if estimator is not None else LossEstimator()
+        #: Ground-truth counts: packets transmitted and packets the
+        #: loss model dropped, since construction or the last reset.
+        self.sent = 0
+        self.dropped = 0
 
     def transmit(self, packets: Iterable[Packet]) -> List[Delivery]:
         """Send ``packets`` (already stamped with ``send_time``).
@@ -70,10 +68,8 @@ class Channel:
         Returns deliveries sorted by arrival time; ties broken by send
         order to keep results deterministic.  The block's loss slots
         are drawn in one :meth:`~repro.network.loss.LossModel.sample`
-        call and folded into the estimator in one
-        :meth:`~repro.network.loss.LossEstimator.observe_many` call;
-        loss and delay models own separate RNGs, so drawing the losses
-        first moves neither stream.
+        call; loss and delay models own separate RNGs, so drawing the
+        losses first moves neither stream.
         """
         packets = list(packets)
         losses = self.loss.sample(len(packets))
@@ -82,7 +78,8 @@ class Channel:
                        for packet, lost in zip(packets, losses)]
         else:
             dropped = losses
-        self.estimator.observe_many(dropped)
+        self.sent += len(packets)
+        self.dropped += dropped.count(True)
         arrivals: List[Tuple[float, int, int, Packet]] = []
         sample_delay = self.delay.sample
         for index, packet in enumerate(packets):
@@ -100,27 +97,14 @@ class Channel:
         return [Delivery(arrival_time=arrival, packet=packet)
                 for arrival, _, _, packet in arrivals]
 
-    def stream(self, packets: Iterable[Packet]) -> Iterator[Delivery]:
-        """Iterator form of :meth:`transmit`."""
-        return iter(self.transmit(packets))
-
     def reset(self) -> None:
         """New trial: reset models and counters."""
         self.loss.reset()
         self.delay.reset()
-        self.estimator.reset()
-
-    @property
-    def sent(self) -> int:
-        """Packets transmitted so far."""
-        return self.estimator.observed
-
-    @property
-    def dropped(self) -> int:
-        """Packets the loss model dropped so far."""
-        return self.estimator.lost
+        self.sent = 0
+        self.dropped = 0
 
     @property
     def observed_loss_rate(self) -> float:
         """Fraction of transmitted packets dropped so far."""
-        return self.estimator.lifetime_rate
+        return self.dropped / self.sent if self.sent else 0.0

@@ -13,14 +13,20 @@ and, more importantly, deterministic: tiny float differences in the
 estimate cannot flip the chosen parameters, only a genuine grid-point
 crossing can.
 
-Selection prefers a precomputed
+The controller searches exactly the design table's space: it
+quantizes onto :data:`~repro.design.grid.DEFAULT_P_GRID` and selects
+with the optimizers' own defaults under
+:data:`~repro.design.grid.DEFAULT_DELAY_BUDGET` — the lattice the
+default :class:`~repro.design.table.TableSpec` covers — and keeps each
+group's answer as a :class:`~repro.design.optimizer.DesignPoint`, the
+same record a table cell holds.  Selection prefers a precomputed
 :class:`~repro.design.service.DesignService` when one is wired in
 (``--design-table``): a grid-point crossing then costs one O(1) table
 lookup instead of an inline optimizer run, with the inline search kept
 only as a *counted* cold-miss fallback (``design.inline.calls`` /
 ``design.service.fallbacks`` on the live registry — a warm-table soak
-asserts both stay zero).  Without a service the controller optimizes
-inline exactly as before, byte-for-byte.
+asserts both stay zero).  A served point and an inline one are equal
+field for field, so the two paths fly byte-identical sessions.
 
 Every decision is recorded as an :class:`AdaptationEvent` so sessions
 can assert on the switching behaviour (the acceptance test pins the
@@ -33,8 +39,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.design.grid import quantize_up
-from repro.design.optimizer import ParameterChoice, optimize_ac, optimize_emss
+from repro.design.grid import DEFAULT_DELAY_BUDGET, DEFAULT_P_GRID, quantize_up
+from repro.design.optimizer import DesignPoint, optimize_ac, optimize_emss
 from repro.design.service import DesignCoverageError, DesignService
 from repro.exceptions import DesignError, SimulationError
 from repro.network.loss import LossEstimator, PooledLossEstimator
@@ -43,10 +49,7 @@ from repro.schemes.base import Scheme
 from repro.schemes.registry import make_scheme
 from repro.serve.receiver import LossReport
 
-__all__ = ["AdaptationEvent", "AdaptiveController", "CONTROLLER_FAMILIES",
-           "DEFAULT_P_GRID"]
-
-DEFAULT_P_GRID = (0.02, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.5)
+__all__ = ["AdaptationEvent", "AdaptiveController", "CONTROLLER_FAMILIES"]
 
 #: Design families the live controllers can fly: schemes whose
 #: parameters are an integer pair the registry can instantiate from
@@ -99,7 +102,7 @@ class _GroupDesign:
     def __init__(self, estimator: LossEstimator) -> None:
         self.estimator = estimator
         self.p_design = 0.0
-        self.choice: Optional[ParameterChoice] = None
+        self.point: Optional[DesignPoint] = None
         self.scheme: Optional[Scheme] = None
         self.events: List[AdaptationEvent] = []
         self.table_hits = 0
@@ -120,30 +123,23 @@ class AdaptiveController:
     loss rate*.  Without ``group_of`` there is one group, labelled
     ``None``: the classic pool-wide controller.
 
+    Each decision reads the group's window rate — the exact rate over
+    the last ``window`` packet slots pooled across its receivers,
+    stable under bursty per-block loss — lowers it by one binomial
+    standard error of slack, and quantizes the result *up* onto
+    :data:`~repro.design.grid.DEFAULT_P_GRID` (clamped at the top).
+    Without the slack, a channel running at exactly a grid-point rate
+    hovers epsilon above it by sampling noise and flaps a full grid
+    step.
+
     Parameters
     ----------
     block_size:
         ``n`` handed to the optimizer (payloads per block).
     q_min_target:
         Authentication-probability floor the design must meet.
-    p_grid:
-        Sorted design grid; the EWMA estimate is quantized *up* to the
-        nearest grid point.  Estimates above the top of the grid clamp
-        to it.
     initial_p:
         Loss rate the session is designed for before any feedback.
-    estimate:
-        Which estimator view drives decisions: ``"window"`` (default —
-        the exact rate over the last ``window`` packet slots pooled
-        across the group's receivers, stable under bursty per-block
-        loss) or ``"ewma"`` (faster-reacting but, with block-granular
-        feedback, dominated by each block's tail).
-    slack_se:
-        Statistical slack before quantizing: the design point is the
-        smallest grid point not more than this many binomial standard
-        errors *below* the estimate.  Without it, a channel running at
-        exactly a grid-point rate hovers epsilon above it by sampling
-        noise and flaps a full grid step.  ``0`` disables the slack.
     family:
         Scheme family the controller designs within: ``"emss"``
         (default) or ``"ac"`` (see :data:`CONTROLLER_FAMILIES`).
@@ -154,14 +150,6 @@ class AdaptiveController:
         points fall back inline and are counted
         (``design.service.fallbacks``).  ``None`` keeps the classic
         always-inline behaviour.
-    m_values, d_values, max_delay_slots:
-        Search space forwarded to
-        :func:`~repro.design.optimizer.optimize_emss` (inline EMSS
-        path; ``max_delay_slots`` also bounds table lookups and the
-        inline AC search).
-    a_values, b_values:
-        Search space forwarded to
-        :func:`~repro.design.optimizer.optimize_ac` (inline AC path).
     group_of:
         Receiver id -> group label (see
         :meth:`~repro.topology.graph.Topology.subtree_of`).  Every
@@ -176,28 +164,13 @@ class AdaptiveController:
     """
 
     def __init__(self, block_size: int, q_min_target: float = 0.75,
-                 p_grid: Sequence[float] = DEFAULT_P_GRID,
                  initial_p: float = 0.05,
-                 estimate: str = "window",
-                 slack_se: float = 1.0,
                  family: str = "emss",
                  design_service: Optional[DesignService] = None,
-                 m_values: Sequence[int] = tuple(range(1, 7)),
-                 d_values: Sequence[int] = (1, 2, 4, 8),
-                 a_values: Sequence[int] = tuple(range(2, 11)),
-                 b_values: Sequence[int] = tuple(range(1, 11)),
-                 max_delay_slots: Optional[int] = 8,
                  group_of: Optional[Mapping[str, str]] = None,
                  membership_aware: bool = False) -> None:
         if block_size < 1:
             raise SimulationError(f"block_size must be >= 1, got {block_size}")
-        if not p_grid or list(p_grid) != sorted(set(p_grid)):
-            raise SimulationError("p_grid must be sorted and duplicate-free")
-        if estimate not in ("window", "ewma"):
-            raise SimulationError(
-                f"estimate must be 'window' or 'ewma', got {estimate!r}")
-        if slack_se < 0:
-            raise SimulationError(f"slack_se must be >= 0, got {slack_se}")
         if family not in CONTROLLER_FAMILIES:
             raise SimulationError(
                 f"controller family must be one of "
@@ -206,17 +179,9 @@ class AdaptiveController:
             raise SimulationError("need at least one receiver group")
         self.family = family
         self.design_service = design_service
-        self.estimate = estimate
-        self.slack_se = slack_se
         self.block_size = block_size
         self.q_min_target = q_min_target
         self.membership_aware = membership_aware
-        self.p_grid = tuple(p_grid)
-        self.m_values = tuple(m_values)
-        self.d_values = tuple(d_values)
-        self.a_values = tuple(a_values)
-        self.b_values = tuple(b_values)
-        self.max_delay_slots = max_delay_slots
         self.group_of: Dict[str, str] = dict(group_of or {})
         self.events: List[AdaptationEvent] = []
         labels = sorted(set(self.group_of.values())) or [None]
@@ -225,30 +190,25 @@ class AdaptiveController:
             design = _GroupDesign(PooledLossEstimator() if membership_aware
                                   else LossEstimator())
             design.p_design = self.quantize(initial_p)
-            design.choice = self._optimize(design, design.p_design)
-            if design.choice is None:
+            design.point = self._optimize(design, design.p_design)
+            if design.point is None:
                 raise DesignError(
                     f"initial design infeasible at p={design.p_design}")
-            design.scheme = make_scheme(self._spec(design.choice))
+            design.scheme = make_scheme(design.point.scheme_spec)
             self._designs[label] = design
 
     # ------------------------------------------------------------------
 
     def quantize(self, p_hat: float) -> float:
         """Round a loss estimate up onto the design grid (clamped)."""
-        return quantize_up(p_hat, self.p_grid, clamp=True)
-
-    @staticmethod
-    def _spec(choice: ParameterChoice) -> str:
-        x, y = choice.parameters
-        return f"{choice.scheme}({x},{y})"
+        return quantize_up(p_hat, DEFAULT_P_GRID, clamp=True)
 
     def _optimize(self, design: _GroupDesign,
-                  p_design: float) -> Optional[ParameterChoice]:
-        """Select parameters for ``p_design``: table first, inline last.
+                  p_design: float) -> Optional[DesignPoint]:
+        """Select the design for ``p_design``: table first, inline last.
 
         A covered table cell is authoritative either way — a feasible
-        cell becomes the choice, an infeasible one returns ``None``
+        cell becomes the point, an infeasible one returns ``None``
         (keep flying, retry next block) without ever running an
         optimizer.  Only an *uncovered* request falls through to the
         inline search, and that fallback is counted so warm-table
@@ -260,31 +220,23 @@ class AdaptiveController:
                 point = self.design_service.lookup(
                     p_design, self.block_size, self.q_min_target,
                     family=self.family,
-                    max_delay_slots=self.max_delay_slots)
+                    max_delay_slots=DEFAULT_DELAY_BUDGET)
             except DesignCoverageError:
                 design.table_misses += 1
                 if registry.enabled:
                     registry.count("design.service.fallbacks")
             else:
                 design.table_hits += 1
-                if point is None:
-                    return None
-                return point.to_parameter_choice()
+                return point
         design.inline_calls += 1
         if registry.enabled:
             registry.count("design.inline.calls")
+        # Called by module-global name (not bound at import), so the
+        # optimizers can be wrapped where this module looks them up.
+        optimize = optimize_ac if self.family == "ac" else optimize_emss
         try:
-            if self.family == "ac":
-                return optimize_ac(self.block_size, p_design,
-                                   self.q_min_target,
-                                   a_values=self.a_values,
-                                   b_values=self.b_values,
-                                   max_delay_slots=self.max_delay_slots)
-            return optimize_emss(self.block_size, p_design,
-                                 self.q_min_target,
-                                 m_values=self.m_values,
-                                 d_values=self.d_values,
-                                 max_delay_slots=self.max_delay_slots)
+            return optimize(self.block_size, p_design, self.q_min_target,
+                            max_delay_slots=DEFAULT_DELAY_BUDGET)
         except DesignError:
             return None
 
@@ -296,7 +248,7 @@ class AdaptiveController:
                 for label, design in self._designs.items()}
 
     def design(self, label: Optional[str] = None) -> _GroupDesign:
-        """One group's state: ``estimator``, ``p_design``, ``choice``,
+        """One group's state: ``estimator``, ``p_design``, ``point``,
         ``scheme``, ``events`` and its selection counters."""
         try:
             return self._designs[label]
@@ -304,16 +256,17 @@ class AdaptiveController:
             raise SimulationError(f"no receiver group {label!r}")
 
     def _gauges(self, design: _GroupDesign) -> Dict[str, object]:
-        m, d = design.choice.parameters
+        point = design.point
+        m, d = point.parameters
         last = design.events[-1] if design.events else None
         return {
             "p_hat": last.p_hat if last is not None else 0.0,
             "p_design": design.p_design,
-            "scheme": self._spec(design.choice),
+            "scheme": point.scheme_spec,
             "m": m,
             "d": d,
-            "predicted_q_min": design.choice.q_min,
-            "cost": design.choice.cost,
+            "predicted_q_min": point.q_min,
+            "cost": point.cost,
             "decisions": len(design.events),
             "switches": sum(1 for e in design.events if e.switched),
             "table_hits": design.table_hits,
@@ -374,37 +327,33 @@ class AdaptiveController:
                                         report.expected)
             else:
                 estimator.observe_block(lost, report.expected)
-        if self.estimate == "window":
-            p_hat = estimator.window_rate
-        else:
-            p_hat = estimator.ewma_rate
+        p_hat = estimator.window_rate
         fill = estimator.window_fill
         slack = 0.0
-        if self.slack_se > 0 and fill > 0:
-            slack = self.slack_se * math.sqrt(
-                max(p_hat * (1.0 - p_hat), 1.0 / fill) / fill)
+        if fill > 0:
+            slack = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / fill) / fill)
         p_design = self.quantize(max(0.0, p_hat - slack))
         switched = False
         feasible = True
         if p_design != design.p_design:
-            choice = self._optimize(design, p_design)
-            if choice is None:
+            point = self._optimize(design, p_design)
+            if point is None:
                 # Infeasible at the requested operating point: keep
                 # flying on the current parameters rather than stall
                 # the stream; the design point does not advance, so
                 # the next block retries.
                 feasible = False
             else:
-                switched = choice.parameters != design.choice.parameters
-                design.choice = choice
+                switched = point.parameters != design.point.parameters
+                design.point = point
                 design.p_design = p_design
                 if switched:
-                    design.scheme = make_scheme(self._spec(choice))
-        choice = design.choice
+                    design.scheme = make_scheme(point.scheme_spec)
+        point = design.point
         event = AdaptationEvent(
             block_id=block_id, p_hat=p_hat, p_design=p_design,
-            scheme=choice.scheme, parameters=choice.parameters,
-            predicted_q_min=choice.q_min, cost=choice.cost,
+            scheme=point.family, parameters=point.parameters,
+            predicted_q_min=point.q_min, cost=point.cost,
             switched=switched, feasible=feasible, group=label,
         )
         design.events.append(event)
@@ -428,12 +377,12 @@ class AdaptiveController:
         """Top of the design lattice this controller can serve.
 
         The design table's grid when a service is wired (its coverage
-        is what "off-lattice" means operationally), the controller's
-        own quantization grid otherwise.
+        is what "off-lattice" means operationally), the default grid
+        the controller quantizes onto otherwise.
         """
         if self.design_service is not None:
             return self.design_service.p_grid[-1]
-        return self.p_grid[-1]
+        return DEFAULT_P_GRID[-1]
 
     def request_refresh(self) -> bool:
         """Counted re-lookup hook for off-lattice drift alerts.
@@ -453,13 +402,13 @@ class AdaptiveController:
             design.refresh_requests += 1
             if registry.enabled:
                 registry.count("design.refresh.requests")
-            choice = self._optimize(design, design.p_design)
-            if choice is None:
+            point = self._optimize(design, design.p_design)
+            if point is None:
                 feasible = False
                 continue
-            if choice.parameters != design.choice.parameters:
-                design.scheme = make_scheme(self._spec(choice))
-            design.choice = choice
+            if point.parameters != design.point.parameters:
+                design.scheme = make_scheme(point.scheme_spec)
+            design.point = point
         return feasible
 
     def retire_receiver(self, receiver_id: str) -> bool:

@@ -4,7 +4,7 @@
 :class:`~repro.network.channel.Channel` whose loss model is a
 :class:`~repro.topology.linkloss.PathLoss` — transmit semantics,
 protected signature packets, arrival-ordered delivery and the
-ground-truth estimator are all inherited, so every consumer of the
+ground-truth loss counts are all inherited, so every consumer of the
 `Channel` interface (:mod:`repro.simulation`, :mod:`repro.faults`,
 the serve sender) works unchanged.
 
@@ -24,7 +24,6 @@ from repro.exceptions import SimulationError
 from repro.faults import AdversarialChannel, AttackPlan
 from repro.network.channel import Channel
 from repro.network.delay import ConstantDelay, DelayModel
-from repro.network.loss import LossEstimator
 from repro.topology.graph import Topology
 from repro.topology.linkloss import EdgeLossBank, PathLoss, attack_seed
 from repro.topology.trees import DistTree, union_paths
@@ -43,15 +42,13 @@ class TopologyChannel(Channel):
 
     def __init__(self, loss: PathLoss, leaf: str,
                  delay: Optional[DelayModel] = None,
-                 protect_signature_packets: bool = True,
-                 estimator: Optional[LossEstimator] = None) -> None:
+                 protect_signature_packets: bool = True) -> None:
         if not isinstance(loss, PathLoss):
             raise SimulationError("TopologyChannel requires a PathLoss")
         super().__init__(loss=loss,
                          delay=delay if delay is not None
                          else ConstantDelay(0.0),
-                         protect_signature_packets=protect_signature_packets,
-                         estimator=estimator)
+                         protect_signature_packets=protect_signature_packets)
         self.leaf = leaf
 
     @property

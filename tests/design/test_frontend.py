@@ -11,19 +11,20 @@ from repro.schemes.registry import make_scheme
 class TestDispatch:
     def test_emss_matches_direct_optimizer(self):
         point = design_point("emss", 12, 0.2, 0.75, max_delay_slots=8)
-        choice = optimize_emss(12, 0.2, 0.75, max_delay_slots=8)
+        assert point == optimize_emss(12, 0.2, 0.75, max_delay_slots=8)
         assert point.family == "emss"
-        assert point.parameters == choice.parameters
-        assert point.q_min == choice.q_min
-        assert point.cost == choice.cost
-        assert point.scheme_spec == "emss(%d,%d)" % choice.parameters
+        assert point.scheme_spec == "emss(%d,%d)" % point.parameters
+        assert point.cost == point.parameters[0]
+        assert point.delay_slots == point.parameters[0] * point.parameters[1]
+        assert point.extra == {}
 
     def test_ac_matches_direct_optimizer(self):
         point = design_point("ac", 12, 0.2, 0.75, max_delay_slots=8)
-        choice = optimize_ac(12, 0.2, 0.75, max_delay_slots=8)
+        assert point == optimize_ac(12, 0.2, 0.75, max_delay_slots=8)
         assert point.family == "ac"
-        assert point.parameters == choice.parameters
-        assert point.scheme_spec == "ac(%d,%d)" % choice.parameters
+        assert point.scheme_spec == "ac(%d,%d)" % point.parameters
+        a, b = point.parameters
+        assert (point.cost, point.delay_slots) == (2.0, a * (b + 1))
 
     def test_offset_point_carries_policy(self):
         point = design_point("offset", 40, 0.2, 0.8, max_delay_slots=8)
@@ -58,9 +59,6 @@ class TestDispatch:
 
 
 class TestDesignPoint:
-    def point(self, family="emss"):
-        return design_point(family, 12, 0.2, 0.75, max_delay_slots=8)
-
     def test_specs_instantiate_via_registry(self):
         for family in ("emss", "ac", "offset"):
             point = design_point(family, 12, 0.2, 0.75, max_delay_slots=8)
@@ -73,16 +71,6 @@ class TestDesignPoint:
             point = design_point(family, 16, 0.1, 0.6, max_delay_slots=8,
                                  **kwargs)
             assert DesignPoint.from_dict(point.to_dict()) == point
-
-    def test_parameter_choice_downcast(self):
-        choice = self.point("emss").to_parameter_choice()
-        assert choice.scheme == "emss"
-        assert choice == optimize_emss(12, 0.2, 0.75, max_delay_slots=8)
-
-    def test_offset_family_refuses_downcast(self):
-        with pytest.raises(DesignError):
-            design_point("offset", 40, 0.2, 0.8,
-                         max_delay_slots=8).to_parameter_choice()
 
     def test_from_dict_rejects_malformed(self):
         with pytest.raises(DesignError):

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
+from repro.design.grid import DEFAULT_P_GRID
 from repro.design.table import (
-    DEFAULT_TABLE_P_GRID,
     TABLE_SCHEMA_VERSION,
     DesignTable,
     TableSpec,
@@ -91,7 +91,7 @@ class TestBuild:
 
     def test_default_spec_builds(self):
         table = DesignTable.build(
-            TableSpec(p_grid=DEFAULT_TABLE_P_GRID[:2], families=("emss",)),
+            TableSpec(p_grid=DEFAULT_P_GRID[:2], families=("emss",)),
             workers=1)
         assert table.feasible_count() == 2
 

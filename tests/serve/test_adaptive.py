@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.exceptions import SimulationError
-from repro.serve.adaptive import DEFAULT_P_GRID, AdaptiveController
+from repro.design.grid import DEFAULT_P_GRID, validate_grid
+from repro.design.service import DesignService
+from repro.design.table import DesignTable, TableSpec
+from repro.exceptions import DesignError, SimulationError
+from repro.obs.registry import MetricsRegistry, use_registry
+from repro.serve.adaptive import AdaptiveController
 from repro.serve.receiver import LossReport
 
 
@@ -24,21 +28,23 @@ class TestQuantization:
         assert controller.quantize(0.9) == DEFAULT_P_GRID[-1]
 
     def test_grid_must_be_sorted(self):
-        with pytest.raises(SimulationError):
-            AdaptiveController(block_size=12, p_grid=(0.3, 0.1))
-
-    def test_estimate_mode_validated(self):
-        with pytest.raises(SimulationError):
-            AdaptiveController(block_size=12, estimate="median")
+        # The one grid the controller quantizes onto is a valid grid,
+        # and every estimate lands on one of its points.
+        assert validate_grid(DEFAULT_P_GRID, "p_grid") == DEFAULT_P_GRID
+        with pytest.raises(DesignError):
+            validate_grid(tuple(reversed(DEFAULT_P_GRID)), "p_grid")
+        controller = AdaptiveController(block_size=12)
+        for p_hat in (0.0, 0.03, 0.21, 0.49, 0.7):
+            assert controller.quantize(p_hat) in DEFAULT_P_GRID
 
 
 class TestInitialDesign:
     def test_initial_choice_matches_optimizer(self):
         controller = AdaptiveController(block_size=12, initial_p=0.05)
-        assert controller.design().choice.scheme == "emss"
-        assert controller.design().choice.q_min >= 0.75
+        assert controller.design().point.family == "emss"
+        assert controller.design().point.q_min >= 0.75
         assert controller.design().scheme.name == "emss{0}".format(
-            "(%d,%d)" % controller.design().choice.parameters)
+            "(%d,%d)" % controller.design().point.parameters)
 
     def test_p_design_starts_quantized(self):
         controller = AdaptiveController(block_size=12, initial_p=0.04)
@@ -48,7 +54,7 @@ class TestInitialDesign:
 class TestSwitching:
     def test_rising_loss_switches_parameters(self):
         controller = AdaptiveController(block_size=12, initial_p=0.02)
-        start = controller.design().choice.parameters
+        start = controller.design().point.parameters
         # Saturate the window with heavy loss; the design point must
         # move up the grid and the parameters must change.
         event = None
@@ -56,9 +62,9 @@ class TestSwitching:
             [event] = controller.observe(block_id,
                                          [_report(block_id, 30, 100)])
         assert event.p_design >= 0.3
-        assert controller.design().choice.parameters != start
+        assert controller.design().point.parameters != start
         assert any(e.switched for e in controller.events)
-        assert controller.design().choice.q_min >= 0.75
+        assert controller.design().point.q_min >= 0.75
 
     def test_stable_loss_never_switches(self):
         controller = AdaptiveController(block_size=12, initial_p=0.05)
@@ -86,18 +92,19 @@ class TestSwitching:
 
 class TestInfeasibility:
     def test_infeasible_point_keeps_current_choice(self):
-        # d capped at 1 makes the top of the grid (p=0.5) unreachable
-        # at a 0.99 target; the controller must keep flying on what it
-        # has instead of stalling the stream.
+        # Under the delay budget of 8 a 0.99 target is feasible at
+        # p=0.02 but not at the top of the grid (p=0.5); the controller
+        # must keep flying on what it has instead of stalling the
+        # stream.
         controller = AdaptiveController(block_size=12, initial_p=0.02,
-                                        d_values=(1,), q_min_target=0.99)
-        before = controller.design().choice
+                                        q_min_target=0.99)
+        before = controller.design().point
         event = None
         for block_id in range(4):
             [event] = controller.observe(block_id,
                                          [_report(block_id, 70, 100)])
         assert not event.feasible
-        assert controller.design().choice == before
+        assert controller.design().point == before
 
 
 class TestGroups:
@@ -154,3 +161,56 @@ class TestGroups:
         assert controller.retire_receiver("r00") is True
         assert controller.envelope_counts() == (10, 200)
         assert controller.retire_receiver("r09") is False
+
+
+class TestRequestRefresh:
+    GROUPS = {"r00": "s00", "r01": "s01"}
+
+    @staticmethod
+    def service(**spec_overrides):
+        spec = TableSpec(families=("emss",), **spec_overrides)
+        return DesignService(DesignTable.build(spec, workers=1))
+
+    def test_one_request_counted_per_group_per_call(self):
+        controller = AdaptiveController(block_size=12, group_of=self.GROUPS)
+        with use_registry(MetricsRegistry()) as registry:
+            assert controller.request_refresh() is True
+            assert controller.request_refresh() is True
+        assert registry.counters["design.refresh.requests"] == 4
+        for label in ("s00", "s01"):
+            assert controller.design(label).refresh_requests == 2
+            assert controller.gauges()[f"{label}.refresh_requests"] == 2
+
+    def test_service_backed_refresh_relooks_up_without_inline(self):
+        controller = AdaptiveController(block_size=12, group_of=self.GROUPS,
+                                        design_service=self.service())
+        before = {label: controller.design(label).point
+                  for label in ("s00", "s01")}
+        with use_registry(MetricsRegistry()) as registry:
+            assert controller.request_refresh() is True
+        assert registry.counters.get("design.inline.calls", 0) == 0
+        assert registry.counters["design.service.hits"] == 2
+        for label in ("s00", "s01"):
+            design = controller.design(label)
+            assert design.table_hits == 2  # the initial design + refresh
+            assert design.inline_calls == 0
+            assert design.point == before[label]
+
+    def test_infeasible_cell_returns_false_and_keeps_scheme(self):
+        controller = AdaptiveController(block_size=12, initial_p=0.05,
+                                        design_service=self.service())
+        design = controller.design()
+        scheme, point = design.scheme, design.point
+        # A table whose delay axis rounds the budget of 8 down to 1:
+        # no EMSS design within one slot meets 0.75 at p=0.05, and the
+        # covered cell says so authoritatively.
+        controller.design_service = self.service(p_grid=(0.05,),
+                                                 delay_budgets=(1,))
+        with use_registry(MetricsRegistry()) as registry:
+            assert controller.request_refresh() is False
+        assert registry.counters.get("design.inline.calls", 0) == 0
+        assert design.table_hits == 2
+        assert design.refresh_requests == 1
+        assert design.scheme is scheme
+        assert design.point == point
+        assert controller.schemes()[None] is scheme

@@ -11,11 +11,12 @@ returned at the same grid points.
 
 import pytest
 
-from repro.design.service import DesignCoverageError, DesignService
-from repro.design.table import DEFAULT_TABLE_P_GRID, DesignTable, TableSpec
+from repro.design.grid import DEFAULT_P_GRID
+from repro.design.service import DesignService
+from repro.design.table import DesignTable, TableSpec
 from repro.exceptions import DesignError, SimulationError
 from repro.obs.registry import MetricsRegistry, use_registry
-from repro.serve.adaptive import DEFAULT_P_GRID, AdaptiveController
+from repro.serve.adaptive import CONTROLLER_FAMILIES, AdaptiveController
 from repro.serve.service import ServeConfig, run_live_session
 
 RAMP_BLOCK = 20
@@ -32,6 +33,13 @@ def table_path(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("design") / "table.json")
     table.save(path)
     return path
+
+
+@pytest.fixture(scope="module")
+def lattice_service():
+    """The controller's whole lattice: both families, n in {12, 128}."""
+    spec = TableSpec(block_sizes=(12, 128), families=CONTROLLER_FAMILIES)
+    return DesignService(DesignTable.build(spec, workers=1))
 
 
 @pytest.fixture(scope="module")
@@ -108,12 +116,6 @@ class TestControllerServiceWiring:
         spec = TableSpec(families=("emss", "ac"), **spec_overrides)
         return DesignService(DesignTable.build(spec, workers=1))
 
-    def test_grids_stay_in_sync(self):
-        # The table's default p grid must track the controller's: the
-        # staircase only stays inline-free if every controller grid
-        # point is a covered table cell.
-        assert DEFAULT_TABLE_P_GRID == DEFAULT_P_GRID
-
     def test_unknown_family_rejected(self):
         with pytest.raises(SimulationError, match="family"):
             AdaptiveController(block_size=12, family="offset")
@@ -140,15 +142,33 @@ class TestControllerServiceWiring:
         assert registry.counters["design.inline.calls"] == 1
         assert controller.gauges()["table_misses"] == 1
 
-    def test_served_choice_equals_inline_choice(self):
-        with_table = AdaptiveController(block_size=12,
-                                        design_service=self.make_service())
-        inline = AdaptiveController(block_size=12)
-        assert with_table.design().choice == inline.design().choice
+    @pytest.mark.parametrize("n", (12, 128))
+    @pytest.mark.parametrize("p", DEFAULT_P_GRID)
+    @pytest.mark.parametrize("family", CONTROLLER_FAMILIES)
+    def test_served_choice_equals_inline_choice(self, family, p, n,
+                                                lattice_service):
+        # Every point of the controller's lattice is a covered table
+        # cell holding exactly what the inline search selects there.
+        def build(service):
+            return AdaptiveController(block_size=n, initial_p=p,
+                                      family=family, design_service=service)
+
+        try:
+            inline = build(None).design()
+        except DesignError as refused:
+            with pytest.raises(DesignError) as served_refusal:
+                build(lattice_service)
+            assert str(served_refusal.value) == str(refused)
+            assert lattice_service.lookup(p, n, 0.75, family) is None
+            return
+        served = build(lattice_service).design()
+        assert served.table_hits == 1 and served.inline_calls == 0
+        assert served.point == inline.point
+        assert served.point.to_dict() == inline.point.to_dict()
 
     def test_ac_controller_inline_fallback(self):
         controller = AdaptiveController(block_size=12, family="ac")
-        assert controller.design().choice.scheme == "ac"
+        assert controller.design().point.family == "ac"
         assert controller.design().inline_calls == 1
 
     def test_missing_table_file_fails_loudly(self):
