@@ -214,7 +214,14 @@ def _bench_diff_main(argv: List[str]) -> int:
     return 0
 
 
+def _axis_text(axis: tuple) -> str:
+    return ",".join(str(value) for value in axis)
+
+
 def _build_design_table_parser() -> argparse.ArgumentParser:
+    from repro.design import TableSpec
+
+    spec = TableSpec()
     parser = argparse.ArgumentParser(
         prog="repro-experiments design-table",
         description=(
@@ -233,24 +240,25 @@ def _build_design_table_parser() -> argparse.ArgumentParser:
     build.add_argument("--p-grid", metavar="P[,P...]", default=None,
                        help="comma-separated loss-rate grid (default: the "
                             "controller grid)")
-    build.add_argument("--block-sizes", metavar="N[,N...]", default="12",
-                       help="comma-separated block sizes (default 12)")
-    build.add_argument("--q-targets", metavar="Q[,Q...]", default="0.75",
-                       help="comma-separated q_min targets (default 0.75)")
+    build.add_argument("--block-sizes", metavar="N[,N...]", default=None,
+                       help="comma-separated block sizes (default "
+                            f"{_axis_text(spec.block_sizes)})")
+    build.add_argument("--q-targets", metavar="Q[,Q...]", default=None,
+                       help="comma-separated q_min targets (default "
+                            f"{_axis_text(spec.q_targets)})")
     build.add_argument("--delay-budgets", metavar="D[,D...]", default=None,
                        help="comma-separated delay budgets in packet "
                             "slots (default: the controller budget)")
-    build.add_argument("--families", metavar="F[,F...]",
-                       default="emss,ac,offset",
-                       help="comma-separated design families "
-                            "(default emss,ac,offset)")
-    build.add_argument("--seed", type=int, default=7, metavar="S",
+    build.add_argument("--families", metavar="F[,F...]", default=None,
+                       help="comma-separated design families (default "
+                            f"{_axis_text(spec.families)})")
+    build.add_argument("--seed", type=int, default=None, metavar="S",
                        help="seed-tree root for the sampled families "
-                            "(default 7)")
-    build.add_argument("--mc-trials", type=int, default=1500, metavar="N",
+                            f"(default {spec.seed})")
+    build.add_argument("--mc-trials", type=int, default=None, metavar="N",
                        dest="mc_trials",
                        help="Monte Carlo trials per sampled-family cell "
-                            "(default 1500)")
+                            f"(default {spec.mc_trials})")
     build.add_argument("--workers", type=int, default=None, metavar="N",
                        help="process-pool size (default: all CPUs; "
                             "output is byte-identical for any value)")
@@ -268,28 +276,34 @@ def _parse_axis(text: str, caster) -> tuple:
                  for part in text.split(",") if part.strip())
 
 
+#: ``design-table build`` flags that set one ``TableSpec`` axis each,
+#: with the type of one axis value.
+_TABLE_AXES = (("p_grid", float), ("block_sizes", int), ("q_targets", float),
+               ("delay_budgets", int), ("families", str))
+
+
+def _table_spec(args: argparse.Namespace):
+    """The ``TableSpec`` of ``design-table build``: unset flags keep
+    ``TableSpec``'s defaults, the controller's own lattice."""
+    from repro.design import TableSpec
+
+    fields = {name: _parse_axis(getattr(args, name), caster)
+              for name, caster in _TABLE_AXES
+              if getattr(args, name) is not None}
+    for name in ("seed", "mc_trials"):
+        if getattr(args, name) is not None:
+            fields[name] = getattr(args, name)
+    return TableSpec(**fields)
+
+
 def _design_table_main(argv: List[str]) -> int:
-    from repro.design import DesignTable, TableSpec
+    from repro.design import DesignTable
     from repro.exceptions import ReproError
 
     args = _build_design_table_parser().parse_args(argv)
     try:
         if args.command == "build":
-            # Unset axes keep TableSpec's defaults: the controller's own
-            # p grid and delay budget.
-            axes = {}
-            if args.p_grid is not None:
-                axes["p_grid"] = _parse_axis(args.p_grid, float)
-            if args.delay_budgets is not None:
-                axes["delay_budgets"] = _parse_axis(args.delay_budgets, int)
-            spec = TableSpec(
-                block_sizes=_parse_axis(args.block_sizes, int),
-                q_targets=_parse_axis(args.q_targets, float),
-                families=_parse_axis(args.families, str),
-                seed=args.seed,
-                mc_trials=args.mc_trials,
-                **axes,
-            )
+            spec = _table_spec(args)
             table = DesignTable.build(spec, workers=args.workers)
             table.save(args.out)
             print(f"design table written to {args.out}: "

@@ -75,6 +75,10 @@ LIFECYCLE_STATUSES: Dict[str, Tuple[str, ...]] = {
 #: sequences start at 1, so 0 can never collide.
 NOISE_SEQ = 0
 
+#: ``LifecycleTracer._traces`` miss marker (``None`` is a sampled-out
+#: trace).
+_UNSEEN = object()
+
 
 def lifecycle_trace_id(run_seed: int, receiver: str, block: int,
                        seq: int) -> str:
@@ -121,8 +125,8 @@ class LifecycleTracer(CanonicalLog):
         super().__init__(sink)
         self.run_seed = int(run_seed)
         self.sample = int(sample)
-        self._ids: Dict[Tuple[str, int, int], str] = {}
-        self._kept: Dict[str, bool] = {}
+        # (receiver, block, seq) -> trace ID, or None when sampled out.
+        self._traces: Dict[Tuple[str, int, int], Optional[str]] = {}
         self._birth = 0
         self.events_recorded = 0
         self.events_dropped = 0  # sampled-out events
@@ -130,18 +134,13 @@ class LifecycleTracer(CanonicalLog):
     # -- identity ------------------------------------------------------
 
     def trace_id(self, receiver: str, block: int, seq: int) -> str:
-        """Cached :func:`lifecycle_trace_id` for this run's seed."""
-        key = (receiver, block, seq)
-        trace = self._ids.get(key)
-        if trace is None:
-            trace = lifecycle_trace_id(self.run_seed, receiver, block, seq)
-            self._ids[key] = trace
-            self._kept[trace] = lifecycle_sampled(trace, self.sample)
-        return trace
+        """:func:`lifecycle_trace_id` for this run's seed."""
+        return lifecycle_trace_id(self.run_seed, receiver, block, seq)
 
     def sampled(self, receiver: str, block: int, seq: int) -> bool:
         """Whether this packet's trace is kept under the sampling knob."""
-        return self._kept[self.trace_id(receiver, block, seq)]
+        return lifecycle_sampled(self.trace_id(receiver, block, seq),
+                                 self.sample)
 
     # -- recording -----------------------------------------------------
 
@@ -152,8 +151,14 @@ class LifecycleTracer(CanonicalLog):
         ``attrs`` ride along verbatim (ground-truth ``kind`` tags,
         verification delays, byte sizes); values must be JSON-ready.
         """
-        trace = self.trace_id(receiver, block, seq)
-        if not self._kept[trace]:
+        key = (receiver, block, seq)
+        trace = self._traces.get(key, _UNSEEN)
+        if trace is _UNSEEN:
+            trace = self.trace_id(receiver, block, seq)
+            if not lifecycle_sampled(trace, self.sample):
+                trace = None
+            self._traces[key] = trace
+        if trace is None:
             self.events_dropped += 1
             return
         record = {"trace": trace, "r": receiver, "b": block, "seq": seq,

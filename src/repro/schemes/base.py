@@ -687,13 +687,18 @@ class Verifier(ABC):
         """:meth:`content_digest` of every accepted packet, by sequence.
 
         A verifier settled more than once keeps it in acceptance order
-        and never drops an entry (see :meth:`fresh_accepted`).
+        (see :meth:`fresh_accepted`).  It may drop an entry only once
+        :meth:`fresh_accepted` has yielded it, and must then lower
+        ``_audited`` by one: the live receiver's block close does.
         """
 
     def fresh_accepted(self) -> Iterator[Tuple[int, bytes]]:
         """The :meth:`accepted_digests` entries new since the last call.
 
-        Read newest first, so the cost is theirs alone.
+        Read newest first, so the cost is theirs alone.  ``_audited``
+        counts the entries already yielded, which are the oldest ones;
+        so each accepted digest is yielded exactly once, whatever the
+        verifier dropped from the yielded ones in between.
         """
         accepted = self.accepted_digests()
         fresh = len(accepted) - self._audited

@@ -8,7 +8,7 @@ closes out the block: settles it against its in-process
 :class:`BlockTruth` through the trial kernel's
 :func:`~repro.simulation.trials.settle` (per-phase tallies and the
 ``forged_accepted`` audit), appends a canonical transcript line from
-the verdict records, evicts buffers, updates its
+the verdict records, drops the block's verifier state, updates its
 :class:`~repro.network.loss.LossEstimator` and emits a
 :class:`LossReport` upstream.
 
@@ -193,8 +193,15 @@ class ReceiverSession:
         "buffered": "buffer",
         "forged-reject": "reject",
         "slot-reject": "reject",
+        "late-drop": "reject",
         "replay-drop": "replay",
         "undecodable": "undecodable",
+    }
+
+    #: Why a ``reject`` that is not a failed check was refused.
+    _INGEST_DETAIL = {
+        "slot-reject": "slot-full",
+        "late-drop": "block-closed",
     }
 
     def _trace_ingest(self, delivery: WireDelivery) -> None:
@@ -213,8 +220,9 @@ class ReceiverSession:
         attrs = {}
         if delivery.kind in ATTACK_KINDS:
             attrs["kind"] = delivery.kind
-        if verifier.last_ingest == "slot-reject":
-            attrs["detail"] = "slot-full"
+        detail = self._INGEST_DETAIL.get(verifier.last_ingest)
+        if detail is not None:
+            attrs["detail"] = detail
         get_lifecycle().record(self.receiver_id, block_id, seq, "ingest",
                                status, delivery.arrival_time, **attrs)
 

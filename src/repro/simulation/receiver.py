@@ -42,6 +42,7 @@ state or unbounds its memory.
 from __future__ import annotations
 
 from functools import partial
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import HashFunction, sha256
@@ -203,10 +204,14 @@ class ChainReceiver(Verifier):
         self._accepted: Dict[int, bytes] = {}
         self.outcomes: Dict[int, PacketOutcome] = {}
         # |{seq in _trusted : seq not in outcomes}|, kept exact at every
-        # insert into either map (neither ever shrinks): the trusted
-        # insert in _mark_verified and outcome creation in
-        # _ensure_outcome.
+        # insert into either map (the trusted insert in _mark_verified,
+        # outcome creation in _ensure_outcome) and at every prune
+        # (close_block).
         self._pending_hashes = 0
+        # The closed horizon: the last seq of the newest closed block.
+        # Nothing at or below it is held, and a frame at or below it is
+        # refused on arrival.
+        self._horizon = 0
         self.evicted = 0
         #: Evictions forced by the DoS buffer cap specifically — unlike
         #: :attr:`evicted`, which also counts the routine block-close
@@ -219,13 +224,14 @@ class ChainReceiver(Verifier):
         self._message_buffer_peak = 0
         self._hash_buffer_peak = 0
         #: Taxonomy of the most recent delivery — one of
-        #: "undecodable", "replay-drop", "forged-reject", "slot-reject",
-        #: "verified", "buffered" — plus the decoded packet (None when
-        #: decoding failed).  Written by :meth:`ingest_run`/:meth:`receive`
-        #: so lifecycle tracing can attribute the event without decoding
-        #: the wire bytes a second time.  Always this receiver's own
-        #: verdict: with a shared wire memo the packet object may be
-        #: shared with other receivers (it is frozen), the taxonomy never.
+        #: "undecodable", "late-drop", "replay-drop", "forged-reject",
+        #: "slot-reject", "verified", "buffered" — plus the decoded
+        #: packet (None when decoding failed).  Written by
+        #: :meth:`ingest_run`/:meth:`receive` so lifecycle tracing can
+        #: attribute the event without decoding the wire bytes a
+        #: second time.  Always this receiver's own verdict: with a
+        #: shared wire memo the packet object may be shared with other
+        #: receivers (it is frozen), the taxonomy never.
         self.last_ingest: Optional[str] = None
         self.last_ingest_packet: Optional[Packet] = None
 
@@ -269,15 +275,25 @@ class ChainReceiver(Verifier):
           resolves to whichever candidate matches once the covering
           hash arrives, regardless of arrival order.
 
+        A packet at or below the closed horizon (see
+        :meth:`close_block`) belongs to a block whose state is gone: it
+        is refused before any check, counted in :attr:`evicted`, and
+        returns ``None``.  Refusing it any later would let a late copy
+        of a block's ``P_sign`` verify a second time.
+
         ``digest`` is the hash of the packet's ``auth_bytes()`` when
         the caller already has it (the wire path); omitted, it is
         computed here.
         """
         seq = packet.seq
+        self.last_ingest_packet = packet
+        if seq <= self._horizon:
+            self.evicted += 1
+            self.last_ingest = "late-drop"
+            return None
         outcome = self.outcomes.get(seq)
         if digest is None:
             digest = self._hash.digest(packet.auth_bytes())
-        self.last_ingest_packet = packet
         if outcome is not None and outcome.verified:
             if self._accepted.get(seq) == digest:
                 self.replays_dropped += 1
@@ -370,8 +386,9 @@ class ChainReceiver(Verifier):
 
         Once a block's signature packet has been processed and the
         sender has moved on, buffered packets of that block whose hash
-        support was lost can never verify; callers that track block
-        boundaries reclaim the memory here.
+        support was lost can never verify.  The candidates go, counted
+        in :attr:`evicted`; the rest of the block's state stays until
+        :meth:`close_block`, which calls this.
         """
         dropped = 0
         for seq in list(self._buffered):
@@ -386,6 +403,43 @@ class ChainReceiver(Verifier):
         self._buffered_total -= dropped
         self.evicted += dropped
         return dropped
+
+    def close_block(self, block_id: int, last_seq: int) -> None:
+        """Drop everything held for a finished block; ``last_seq`` ends it.
+
+        Evicts the block's buffered candidates (:meth:`evict_block`),
+        then moves the closed horizon up to ``last_seq`` and drops every
+        outcome, trusted hash and audited accepted digest at or below
+        it, together with the outcomes of candidates the eviction took
+        from sequence numbers above it (a forged fresh sequence).  The
+        trusted hashes that never got their packet leave the hash
+        buffer.  An accepted digest that :meth:`fresh_accepted` has not
+        yet yielded stays until it has.  What is left is the blocks in
+        flight; every later frame of this block is refused on arrival.
+        Read the block's verdicts (``settle``) before closing it.
+        """
+        strays = [seq for seq in self._buffered if seq > last_seq]
+        self.evict_block(block_id)
+        outcomes = self.outcomes
+        # A candidate slot is neither verified nor trusted, so its
+        # outcome goes with its last candidate.
+        for seq in strays:
+            if seq not in self._buffered:
+                outcomes.pop(seq, None)
+        self._horizon = horizon = max(self._horizon, last_seq)
+        trusted = self._trusted
+        for seq in [seq for seq in trusted if seq <= horizon]:
+            del trusted[seq]
+            if seq not in outcomes:
+                self._pending_hashes -= 1
+        for seq in [seq for seq in outcomes if seq <= horizon]:
+            del outcomes[seq]
+        accepted = self._accepted
+        audited = [seq for seq in islice(accepted, self._audited)
+                   if seq <= horizon]
+        for seq in audited:
+            del accepted[seq]
+        self._audited -= len(audited)
 
     # ------------------------------------------------------------------
 
@@ -448,8 +502,10 @@ class ChainReceiver(Verifier):
     def accepted_digests(self) -> Dict[int, bytes]:
         """Auth digest of every packet that verified, by sequence.
 
-        A sequence number verifies at most once, so the map only grows,
-        in acceptance order: what the soundness audit reads.
+        A sequence number verifies at most once, so the map grows in
+        acceptance order: what the soundness audit reads.  Only
+        :meth:`close_block` shrinks it, by entries
+        :meth:`fresh_accepted` has already yielded.
         """
         return self._accepted
 
@@ -459,16 +515,20 @@ class ChainReceiver(Verifier):
 
     @property
     def forged(self) -> int:
-        """Records flagged forged: a mismatching packet hit a claimed slot."""
+        """Records flagged forged: a mismatching packet hit a claimed slot.
+
+        Like :meth:`verified_count`, it counts the records still held:
+        the blocks in flight, once :meth:`close_block` has run.
+        """
         return sum(1 for o in self.outcomes.values() if o.forged)
 
     @property
     def pending_hash_count(self) -> int:
         """Trusted hashes waiting for their packet (hash buffer level).
 
-        Kept as a running count, so reading it is O(1).  Trusted hashes
-        are never pruned: in a multi-block stream the level includes
-        the hashes of packets lost in earlier, already finished blocks.
+        Kept as a running count, so reading it is O(1).
+        :meth:`close_block` drops a closed block's trusted hashes, so
+        in a live stream the level counts the blocks in flight only.
         """
         return self._pending_hashes
 
@@ -488,5 +548,5 @@ class ChainReceiver(Verifier):
         return self._hash_buffer_peak
 
     def verified_count(self) -> int:
-        """Packets verified so far."""
+        """Packets verified among the records still held."""
         return sum(1 for o in self.outcomes.values() if o.verified)

@@ -10,7 +10,8 @@ module wraps the cascade verifier with stream semantics:
 * a gap (lost or never-verifiable packet) holds delivery back until
   the caller declares the gap dead — typically on a block boundary or
   a timeout — via :meth:`skip_gap` / :meth:`finish_block`;
-* finished blocks are evicted from the verifier's buffers.
+* a finished block's verifier state is dropped, so the receiver holds
+  the blocks in flight, not the session.
 
 Signature packets with empty payloads (pure ``P_sign`` carriers) are
 verified but produce no application data; delivery order skips over
@@ -156,8 +157,14 @@ class StreamReceiver:
 
     def finish_block(self, block_id: int, last_seq: int
                      ) -> List[DeliveredPayload]:
-        """Close out a block: evict its buffers and skip its gaps."""
-        self._verifier.evict_block(block_id)
+        """Close out a block: drop its verifier state and skip its gaps.
+
+        Its verdicts must already be read: the verifier's
+        :meth:`~repro.simulation.receiver.ChainReceiver.close_block`
+        drops them with the rest of the block, and refuses every later
+        frame at or below ``last_seq``.
+        """
+        self._verifier.close_block(block_id, last_seq)
         return self.skip_gap(last_seq)
 
     # ------------------------------------------------------------------

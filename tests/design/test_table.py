@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.cli import _build_design_table_parser, _table_spec
 from repro.design.grid import DEFAULT_P_GRID
 from repro.design.table import (
     TABLE_SCHEMA_VERSION,
@@ -57,6 +58,27 @@ class TestTableSpec:
         key = cell_key("emss", p, 12, 0.75, 8)
         reloaded = json.loads(json.dumps(p))
         assert cell_key("emss", reloaded, 12, 0.75, 8) == key
+
+
+class TestBuildCommand:
+    """``repro-experiments design-table build`` over ``TableSpec``."""
+
+    @staticmethod
+    def _spec(*flags):
+        return _table_spec(
+            _build_design_table_parser().parse_args(["build", *flags]))
+
+    def test_no_flags_build_the_default_spec(self):
+        assert self._spec() == TableSpec()
+
+    def test_each_flag_sets_its_field_only(self):
+        assert self._spec("--block-sizes", "8, 12", "--families", "emss",
+                          "--seed", "3") == TableSpec(
+            block_sizes=(8, 12), families=("emss",), seed=3)
+        assert self._spec("--p-grid", "0.1,0.2", "--q-targets", "0.9",
+                          "--delay-budgets", "4", "--mc-trials", "10") == \
+            TableSpec(p_grid=(0.1, 0.2), q_targets=(0.9,),
+                      delay_budgets=(4,), mc_trials=10)
 
 
 class TestBuild:
