@@ -50,7 +50,7 @@ def _measure(scheme, block, trials, p, copies, seed):
             delivered.add(delivery.packet.seq)
         for seq in delivered:
             received[seq] = received.get(seq, 0) + 1
-            if receiver.outcomes[seq].verified:
+            if receiver.verdict(seq).verified:
                 verified[seq] = verified.get(seq, 0) + 1
     profile = {seq: verified.get(seq, 0) / count
                for seq, count in received.items()}

@@ -46,9 +46,8 @@ from repro.core.metrics import GraphMetrics, compute_metrics
 from repro.crypto.hashing import HashFunction, sha256
 from repro.crypto.signatures import Signer
 from repro.exceptions import (AnalysisError, PacketFormatError,
-                               SchemeParameterError, SimulationError,
-                               WireDecodeError)
-from repro.packets import MAX_CARRIED_HASHES, Packet, packet_from_wire
+                               SchemeParameterError, SimulationError)
+from repro.packets import MAX_CARRIED_HASHES, Packet
 
 if TYPE_CHECKING:
     from repro.faults.channel import WireDelivery
@@ -594,13 +593,15 @@ class ChainEdges:
 class Verifier(ABC):
     """Receiver side of one trial: the protocol every scheme's verifier speaks.
 
-    Deliveries arrive through :meth:`receive`, one decoded packet at a
-    time, or :meth:`ingest_run`, a run of raw wire deliveries that it
-    decodes (through a decode memo when there is one) and hands to
-    :meth:`receive`.  After the last delivery, :meth:`finish` settles
-    anything held back, and :meth:`verdict` answers with a
-    :class:`PacketOutcome`.  Every delivery takes the same path, so a
-    loss-only channel and an attacked one differ only in what arrives.
+    Raw wire bytes have one way in, :meth:`ingest_run`: it decodes a
+    run of deliveries (through a decode memo when there is one) and
+    hands each packet to :meth:`receive` with its
+    :meth:`content_digest`.  :meth:`receive` takes one decoded packet
+    and returns nothing; :meth:`verdict` is the read.  After the last
+    delivery, :meth:`finish` settles anything held back, and
+    :meth:`verdict` answers with a :class:`PacketOutcome`.  Every
+    delivery takes the same path, so a loss-only channel and an
+    attacked one differ only in what arrives.
 
     Every verifier keeps one slot rule for a sequence number:
 
@@ -643,21 +644,12 @@ class Verifier(ABC):
 
     @abstractmethod
     def receive(self, packet: Packet, arrival_time: float,
-                digest: Optional[bytes] = None) -> object:
-        """Take one delivered packet.
+                digest: Optional[bytes] = None) -> None:
+        """Take one delivered packet; :meth:`verdict` reads the result.
 
         ``digest`` is the packet's :meth:`content_digest` when the
         caller already has it; a verifier may then skip computing it.
         """
-
-    def ingest_wire(self, data: bytes, arrival_time: float) -> object:
-        """Decode one wire buffer strictly, then :meth:`receive` it."""
-        try:
-            packet = packet_from_wire(data)
-        except WireDecodeError:
-            self.undecodable += 1
-            return None
-        return self.receive(packet, arrival_time)
 
     def ingest_run(self, deliveries: Sequence["WireDelivery"],
                    on_ingest: Optional[IngestHook] = None,

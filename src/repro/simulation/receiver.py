@@ -28,12 +28,13 @@ the genuine one from contention: the slot rule every
 :class:`~repro.schemes.base.Verifier` keeps.  On a loss-only channel
 only the duplicate drop can fire (replicated ``P_sign`` copies), so
 loss-only simulations and attacked channels share the one body.
-:func:`ingest_run` feeds any verifier a run of wire deliveries (a
-live transport's queue entry, or a trial's whole attacked delivery
-list), decoding raw bytes through a decode memo and counting
-undecodable buffers; :meth:`ChainReceiver.ingest_wire` is the same
-for one buffer.  No input crashes the receiver, pollutes its trust
-state or unbounds its memory.
+:func:`ingest_run`, the one wire entry, feeds any verifier a run of
+wire deliveries (a live transport's queue entry, or a trial's whole
+attacked delivery list), decoding raw bytes through a decode memo and
+counting undecodable buffers.  :meth:`ChainReceiver.receive` returns
+nothing: :meth:`ChainReceiver.verdict` is the read.  One rule frees
+state, :meth:`ChainReceiver.close_block`.  No input crashes the
+receiver, pollutes its trust state or unbounds its memory.
 
 :class:`ChainReceiver` is the trial
 :class:`~repro.schemes.base.Verifier` of every dependence-graph scheme.
@@ -241,25 +242,14 @@ class ChainReceiver(Verifier):
     #: receive path calls it once per run of frames.
     ingest_run = ingest_run
 
-    def ingest_wire(self, data: bytes,
-                    arrival_time: float) -> Optional[PacketOutcome]:
-        """:meth:`ingest_run` over one buffer; ``None`` if undecodable.
-
-        Returns the outcome record of the decoded packet's sequence
-        number, if it has one.
-        """
-        self.ingest_run((WireDelivery(arrival_time, data, "unknown"),))
-        packet = self.last_ingest_packet
-        return None if packet is None else self.outcomes.get(packet.seq)
-
     def receive(self, packet: Packet, arrival_time: float,
-                digest: Optional[bytes] = None) -> Optional[PacketOutcome]:
-        """Process one decoded packet; returns its slot's (live) outcome.
+                digest: Optional[bytes] = None) -> None:
+        """Process one decoded packet; :meth:`verdict` reads its slot.
 
-        The outcome may flip to verified later, when a subsequent
-        packet supplies the missing hash — the returned object is
-        updated in place.  ``None`` means nothing has claimed the slot:
-        the packet was rejected before anything arrived for it.
+        The slot's record may flip to verified later, when a subsequent
+        packet supplies the missing hash.  No record means nothing has
+        claimed the slot: the packet was rejected before anything
+        arrived for it.
 
         Against an attacker who controls the network:
 
@@ -277,9 +267,9 @@ class ChainReceiver(Verifier):
 
         A packet at or below the closed horizon (see
         :meth:`close_block`) belongs to a block whose state is gone: it
-        is refused before any check, counted in :attr:`evicted`, and
-        returns ``None``.  Refusing it any later would let a late copy
-        of a block's ``P_sign`` verify a second time.
+        is refused before any check and counted in :attr:`evicted`.
+        Refusing it any later would let a late copy of a block's
+        ``P_sign`` verify a second time.
 
         ``digest`` is the hash of the packet's ``auth_bytes()`` when
         the caller already has it (the wire path); omitted, it is
@@ -290,7 +280,7 @@ class ChainReceiver(Verifier):
         if seq <= self._horizon:
             self.evicted += 1
             self.last_ingest = "late-drop"
-            return None
+            return
         outcome = self.outcomes.get(seq)
         if digest is None:
             digest = self._hash.digest(packet.auth_bytes())
@@ -301,10 +291,10 @@ class ChainReceiver(Verifier):
             else:
                 self.forged_rejected += 1
                 self.last_ingest = "forged-reject"
-            return outcome
+            return
         if packet.signature is not None:
             if self._signed(packet):
-                outcome = self._ensure_outcome(seq, arrival_time)
+                self._ensure_outcome(seq, arrival_time)
                 self._mark_verified(packet, arrival_time, digest)
                 self.last_ingest = "verified"
             else:
@@ -314,13 +304,13 @@ class ChainReceiver(Verifier):
                 self.last_ingest = "forged-reject"
                 if outcome is not None:
                     outcome.forged = True
-            return outcome
+            return
         expected = self._trusted.get(seq)
         if expected is not None:
             if expected == digest or (self.edges is not None
                                       and self.edges.matches(packet,
                                                              expected)):
-                outcome = self._ensure_outcome(seq, arrival_time)
+                self._ensure_outcome(seq, arrival_time)
                 self._mark_verified(packet, arrival_time, digest)
                 self.last_ingest = "verified"
             else:
@@ -328,7 +318,7 @@ class ChainReceiver(Verifier):
                 self.last_ingest = "forged-reject"
                 if outcome is not None:
                     outcome.forged = True
-            return outcome
+            return
         # No verdict possible yet: buffer as a candidate for this slot.
         candidates = self._buffered.get(seq)
         if candidates:
@@ -336,17 +326,16 @@ class ChainReceiver(Verifier):
                 if held_digest == digest:
                     self.replays_dropped += 1
                     self.last_ingest = "replay-drop"
-                    return outcome
+                    return
             if len(candidates) >= self._max_candidates:
                 # Slot contention exhausted; drop the newcomer
                 # determinately.
                 self.forged_rejected += 1
                 self.last_ingest = "slot-reject"
-                return outcome
-        outcome = self._ensure_outcome(seq, arrival_time)
+                return
+        self._ensure_outcome(seq, arrival_time)
         self._buffer_candidate(packet, arrival_time, digest)
         self.last_ingest = "buffered"
-        return outcome
 
     #: :meth:`receive` under its former name, which the benchmark
     #: harness's tracing targets (``bench/tracing.py``) still resolve.
@@ -354,14 +343,11 @@ class ChainReceiver(Verifier):
 
     # ------------------------------------------------------------------
 
-    def _ensure_outcome(self, seq: int, arrival_time: float) -> PacketOutcome:
-        outcome = self.outcomes.get(seq)
-        if outcome is None:
-            outcome = PacketOutcome(seq, arrival_time)
-            self.outcomes[seq] = outcome
+    def _ensure_outcome(self, seq: int, arrival_time: float) -> None:
+        if seq not in self.outcomes:
+            self.outcomes[seq] = PacketOutcome(seq, arrival_time)
             if seq in self._trusted:
                 self._pending_hashes -= 1
-        return outcome
 
     def _buffer_candidate(self, packet: Packet, arrival_time: float,
                           digest: bytes) -> None:
@@ -381,58 +367,53 @@ class ChainReceiver(Verifier):
         self._message_buffer_peak = max(self._message_buffer_peak,
                                         self._buffered_total)
 
-    def evict_block(self, block_id: int) -> int:
-        """Drop buffered packets of a finished block; returns the count.
-
-        Once a block's signature packet has been processed and the
-        sender has moved on, buffered packets of that block whose hash
-        support was lost can never verify.  The candidates go, counted
-        in :attr:`evicted`; the rest of the block's state stays until
-        :meth:`close_block`, which calls this.
-        """
-        dropped = 0
-        for seq in list(self._buffered):
-            candidates = self._buffered[seq]
-            keep = [entry for entry in candidates
-                    if entry[0].block_id != block_id]
-            dropped += len(candidates) - len(keep)
-            if keep:
-                self._buffered[seq] = keep
-            else:
-                del self._buffered[seq]
-        self._buffered_total -= dropped
-        self.evicted += dropped
-        return dropped
-
     def close_block(self, block_id: int, last_seq: int) -> None:
         """Drop everything held for a finished block; ``last_seq`` ends it.
 
-        Evicts the block's buffered candidates (:meth:`evict_block`),
-        then moves the closed horizon up to ``last_seq`` and drops every
-        outcome, trusted hash and audited accepted digest at or below
-        it, together with the outcomes of candidates the eviction took
-        from sequence numbers above it (a forged fresh sequence).  The
-        trusted hashes that never got their packet leave the hash
-        buffer.  An accepted digest that :meth:`fresh_accepted` has not
-        yet yielded stays until it has.  What is left is the blocks in
-        flight; every later frame of this block is refused on arrival.
-        Read the block's verdicts (``settle``) before closing it.
+        Moves the closed horizon up to ``last_seq``.  Afterwards:
+
+        * no candidate, outcome, trusted hash or audited accepted
+          digest sits at or below the horizon, whatever block it claims
+          (a bit flip may have changed a candidate's block id);
+        * no candidate above the horizon claims ``block_id`` (a forged
+          fresh sequence number);
+        * no unverified outcome outlives the last candidate and the
+          trusted hash of its slot (an eviction took them).
+
+        Dropped candidates count in :attr:`evicted`, and the trusted
+        hashes that never got their packet leave the hash buffer.  An
+        accepted digest that :meth:`fresh_accepted` has not yet yielded
+        stays until it has.  What is left is the blocks in flight;
+        every later frame of this block is refused on arrival.  Read
+        the block's verdicts (``settle``) before closing it.
         """
-        strays = [seq for seq in self._buffered if seq > last_seq]
-        self.evict_block(block_id)
-        outcomes = self.outcomes
-        # A candidate slot is neither verified nor trusted, so its
-        # outcome goes with its last candidate.
-        for seq in strays:
-            if seq not in self._buffered:
-                outcomes.pop(seq, None)
         self._horizon = horizon = max(self._horizon, last_seq)
+        buffered = self._buffered
+        dropped = 0
+        for seq in list(buffered):
+            candidates = buffered[seq]
+            keep = [] if seq <= horizon else [
+                entry for entry in candidates if entry[0].block_id != block_id]
+            if len(keep) < len(candidates):
+                dropped += len(candidates) - len(keep)
+                if keep:
+                    buffered[seq] = keep
+                else:
+                    del buffered[seq]
+        self._buffered_total -= dropped
+        self.evicted += dropped
         trusted = self._trusted
+        outcomes = self.outcomes
         for seq in [seq for seq in trusted if seq <= horizon]:
             del trusted[seq]
             if seq not in outcomes:
                 self._pending_hashes -= 1
-        for seq in [seq for seq in outcomes if seq <= horizon]:
+        # A slot that is neither verified, nor held, nor trusted has no
+        # way left to verify: its record goes too.
+        for seq in [seq for seq, outcome in outcomes.items()
+                    if seq <= horizon or not (outcome.verified
+                                              or seq in buffered
+                                              or seq in trusted)]:
             del outcomes[seq]
         accepted = self._accepted
         audited = [seq for seq in islice(accepted, self._audited)

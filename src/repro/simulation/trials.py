@@ -24,10 +24,11 @@ run, and born stamped with their send times, so no trial copies them.
 While a trial sends the very packet objects the previous one sent, the
 run reuses what it derived from them:
 
-* each packet's content digest, from the scheme's own packetizing
-  where it has them (:attr:`~repro.schemes.base.Trial.digests`): the
-  loss-only branch hands it to ``receive``, which hashes nothing;
-* the ``authentic`` map the soundness audit reads;
+* one ``seq -> content digest`` map, from the scheme's own packetizing
+  where it has them (:attr:`~repro.schemes.base.Trial.digests`), else
+  from the verifier's :meth:`~repro.schemes.base.Verifier.content_digest`:
+  the loss-only branch hands each packet's digest to ``receive``, which
+  hashes nothing, and the attacked branch's soundness audit reads it;
 * each packet's wire frame, which every attacked channel sends
   (:func:`~repro.faults.channel.frame_once`);
 * a decode memo seeded with those frames, so no genuine buffer is
@@ -146,33 +147,28 @@ class _Derived:
 
     Reused by every later trial that sends the very same packet
     objects (:meth:`covers`).  ``digests`` maps each sequence number to
-    its packet's content digest when the scheme supplied them; the
-    attacked branch also keeps the ``authentic`` map, the ``frames``
-    sent and the decode ``memo`` seeded with them.
+    its packet's content digest: what ``receive`` is handed and what
+    the soundness audit reads.  The attacked branch also keeps the
+    ``frames`` sent and the decode ``memo`` seeded with them.
     """
 
-    __slots__ = ("packets", "digests", "authentic", "frames", "memo")
+    __slots__ = ("packets", "digests", "frames", "memo")
 
     def __init__(self, sent: Trial, verifier: Verifier,
                  attacked: bool) -> None:
         packets = sent.packets
         self.packets = packets
-        self.digests: Optional[Dict[int, bytes]] = None
-        if sent.digests is not None:
-            self.digests = {packet.seq: digest for packet, digest
-                            in zip(packets, sent.digests)}
-        self.authentic: Optional[Dict[int, bytes]] = None
+        digests = sent.digests
+        if digests is None:
+            digests = map(verifier.content_digest, packets)
+        self.digests: Dict[int, bytes] = {
+            packet.seq: digest for packet, digest in zip(packets, digests)}
         self.frames: Optional[Dict[int, bytes]] = None
         self.memo: WireMemo = {}
         if attacked:
-            authentic = self.digests
-            if authentic is None:
-                authentic = {packet.seq: verifier.content_digest(packet)
-                             for packet in packets}
-            self.authentic = authentic
             self.frames = {packet.seq: packet.to_wire() for packet in packets}
             self.memo = {self.frames[packet.seq]: (packet,
-                                                   authentic[packet.seq])
+                                                   self.digests[packet.seq])
                          for packet in packets}
 
     def covers(self, sent: Trial) -> bool:
@@ -254,14 +250,10 @@ def run_trials(scheme: Scheme, block_size: int, first_trial: int,
                 if not attacked:
                     deliveries = channel.transmit(sent.packets)
                     receive = verifier.receive
-                    if digests is None:
-                        for delivery in deliveries:
-                            receive(delivery.packet, delivery.arrival_time)
-                    else:
-                        for delivery in deliveries:
-                            packet = delivery.packet
-                            receive(packet, delivery.arrival_time,
-                                    digests[packet.seq])
+                    for delivery in deliveries:
+                        packet = delivery.packet
+                        receive(packet, delivery.arrival_time,
+                                digests[packet.seq])
                     intact = {delivery.packet.seq for delivery in deliveries}
                 else:
                     channel = attack(channel, trial)
@@ -271,8 +263,8 @@ def run_trials(scheme: Scheme, block_size: int, first_trial: int,
                     intact = {delivery.seq_hint for delivery in deliveries
                               if delivery.kind == "genuine"}
                 verifier.finish()
-                settle(verifier, sent.positions, intact, derived.authentic,
-                       stats)
+                settle(verifier, sent.positions, intact,
+                       digests if attacked else None, stats)
                 stats.sent += channel.sent
                 stats.dropped += channel.dropped
                 stats.merge_buffer_peaks(verifier.message_buffer_peak,

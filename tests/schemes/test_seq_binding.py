@@ -23,6 +23,8 @@ from repro.schemes.registry import make_scheme
 from repro.simulation.stats import SimulationStats
 from repro.simulation.trials import settle
 
+from tests.wire import ingest_one
+
 SIGNER = HmacStubSigner(key=b"relabel")
 BLOCK = 8
 SPECS = sorted(DEFAULT_SPECS.values())
@@ -37,12 +39,16 @@ def relabel(packet: Packet, seq: int) -> bytes:
 
 
 def forged_accepted(trial, source, target) -> int:
-    """Deliver the block with ``source`` relabelled into ``target``'s slot."""
+    """Deliver the block with ``source`` relabelled into ``target``'s slot.
+
+    Each buffer is a one-delivery run through ``ingest_run``: the decode
+    memo and content digest production uses.
+    """
     verifier = trial.new_verifier()
     for packet in trial.packets:
         wire = (relabel(source, target.seq) if packet is target
                 else packet.to_wire())
-        verifier.ingest_wire(wire, 0.0)
+        ingest_one(verifier, wire, 0.0)
     verifier.finish()
     authentic = {packet.seq: verifier.content_digest(packet)
                  for packet in trial.packets}

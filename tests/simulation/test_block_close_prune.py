@@ -5,9 +5,11 @@ A live receiver closes a block once ``settle`` has read it:
 calls :meth:`~repro.simulation.receiver.ChainReceiver.close_block`,
 which drops the block's outcomes, trusted hashes and audited accepted
 digests and refuses every later frame at or below the closed horizon.
-The close it replaced only evicted the block's buffered candidates
-(``evict_block``) and kept the rest for the whole session; it is kept
-here as the oracle, :class:`_Unpruned`.
+The close it replaced only evicted buffered candidates and kept the
+rest for the whole session; it is kept here as the oracle,
+:class:`_Unpruned`.  Both evict the same candidates: every one that
+claims the closed block, and every one at or below its last sequence
+number whatever block it claims (a bit flip may have changed that).
 
 Random multi-block streams of EMSS, AC, sign-each, Wong–Lam and the
 online Gennaro–Rohatgi chain — with loss, reordering within a block,
@@ -45,13 +47,15 @@ from repro.exceptions import WireDecodeError
 from repro.faults import WireDelivery
 from repro.faults.models import FRESH_SEQ_OFFSET
 from repro.obs.lifecycle import set_lifecycle
-from repro.packets import packet_from_wire
+from repro.packets import Packet, packet_from_wire
 from repro.schemes import make_scheme
 from repro.serve.receiver import BlockTruth, ReceiverSession
 from repro.serve.transport import ControlFrame
 from repro.simulation.adversarial import AttackSchedule
 from repro.simulation.receiver import ChainReceiver
 from repro.simulation.trials import SeededChannels
+
+from tests.wire import ingest_one
 
 SIGNER = HmacStubSigner(key=b"block-close")
 SCHEMES = ("emss(2,1)", "ac(2,2)", "sign-each", "wong-lam", "rohatgi-online")
@@ -72,10 +76,26 @@ class _Audited(ChainReceiver):
 
 
 class _Unpruned(_Audited):
-    """The oracle: a block close only evicts its buffered candidates."""
+    """The oracle: a block close only evicts buffered candidates.
+
+    It evicts the candidates that claim the block or sit at or below
+    ``last_seq``, counted in ``evicted``, and keeps everything else.
+    """
 
     def close_block(self, block_id: int, last_seq: int) -> None:
-        self.evict_block(block_id)
+        buffered = self._buffered  # noqa: SLF001
+        dropped = 0
+        for seq in list(buffered):
+            candidates = buffered[seq]
+            keep = [entry for entry in candidates
+                    if seq > last_seq and entry[0].block_id != block_id]
+            dropped += len(candidates) - len(keep)
+            if keep:
+                buffered[seq] = keep
+            else:
+                del buffered[seq]
+        self._buffered_total -= dropped  # noqa: SLF001
+        self.evicted += dropped
 
 
 class _Recorder:
@@ -196,6 +216,8 @@ def _play(cls, name, stream, max_buffered, traced, late=None):
             session.close_block(
                 ControlFrame(index, packets[0].seq, packets[-1].seq),
                 now=10.0 * index + 9.0)
+            if not issubclass(cls, _Unpruned):
+                _assert_closed(verifier, packets[-1].seq)
             observed.append(settled)
     finally:
         set_lifecycle(previous)
@@ -212,7 +234,20 @@ def _counters(verifier):
 def _held(verifier):
     """Every sequence number the verifier still holds state for."""
     return (set(verifier.outcomes) | set(verifier.accepted_digests())
-            | set(verifier._trusted))  # noqa: SLF001
+            | set(verifier._trusted)  # noqa: SLF001
+            | set(verifier._buffered))  # noqa: SLF001
+
+
+def _assert_closed(verifier, horizon):
+    """What every close leaves, whatever a candidate claims and any cap.
+
+    Nothing at or below ``horizon``, and no unverified record without a
+    candidate or a trusted hash for its slot.
+    """
+    assert not {seq for seq in _held(verifier) if seq <= horizon}
+    for seq, outcome in verifier.outcomes.items():
+        assert (outcome.verified or seq in verifier._buffered  # noqa: SLF001
+                or seq in verifier._trusted)  # noqa: SLF001
 
 
 @settings(max_examples=100, deadline=None)
@@ -247,7 +282,7 @@ def test_pruned_close_matches_the_unpruned_receiver(
     assert not {seq for seq in _held(verifier) if seq <= horizon}
     assert verifier.pending_hash_count == 0
     # Above the horizon only a candidate no close evicted keeps a slot
-    # (one whose block id a bit flip changed).
+    # (a fresh-sequence forgery whose block id a bit flip changed).
     assert set(verifier.outcomes) <= set(verifier._buffered)  # noqa: SLF001
 
 
@@ -394,6 +429,42 @@ def test_a_frame_claiming_a_later_slot_leaves_no_stale_arrival():
     assert expected[1][position][3] == 9.0
     assert got[1][position][3] == stream[1][2][0].arrival_time
     assert pruned.stream.verifier.evicted == oracle.stream.verifier.evicted
+
+
+# -- what a close frees, whatever a candidate claims ---------------------
+
+def test_a_candidate_whose_block_id_a_bit_flip_changed_goes_at_close():
+    # Block 0 lost its P_sign, so every packet waits as a candidate,
+    # and a corrupted copy of packet 1 claims block 7.  A close that
+    # matched candidates on their claimed block kept that copy.
+    block = _blocks(_trial("emss(2,1)", 6))[0]
+    flipped = replace(block[0], block_id=7)
+    verifier = _trial("emss(2,1)", 6).new_verifier()
+    for packet in block[:-1] + [flipped]:
+        ingest_one(verifier, packet.to_wire())
+    assert verifier.buffered_count == len(block)
+    verifier.close_block(0, block[-1].seq)
+    assert verifier.buffered_count == 0
+    assert verifier.evicted == len(block)
+    _assert_closed(verifier, block[-1].seq)
+    assert not _held(verifier)
+
+
+def test_a_cap_evicted_slot_leaves_no_record_after_the_close():
+    # Under a one-candidate cap a second fresh-sequence forgery evicts
+    # the first; the first's record outlived every close.
+    verifier = _trial("emss(2,1)", 6).new_verifier(max_buffered=1)
+    first, second = (Packet(seq=FRESH_SEQ_OFFSET + k, block_id=0,
+                            payload=b"fresh %d" % k) for k in (1, 2))
+    ingest_one(verifier, first.to_wire())
+    ingest_one(verifier, second.to_wire())
+    assert verifier.cap_evictions == 1
+    assert not verifier.verdict(first.seq).verified
+    verifier.close_block(0, 6)
+    assert verifier.verdict(first.seq) is None
+    assert verifier.verdict(second.seq) is None
+    assert verifier.outcomes == {}
+    _assert_closed(verifier, 6)
 
 
 # -- the audit -----------------------------------------------------------

@@ -16,6 +16,8 @@ from repro.schemes.rohatgi import RohatgiScheme
 from repro.simulation.receiver import ChainReceiver
 from repro.simulation.sender import make_payloads
 
+from tests.wire import ingest_one
+
 FLOOD = 100
 CAP = 8
 
@@ -35,7 +37,7 @@ class TestBoundedMemory:
     def test_buffer_never_exceeds_cap(self, signer):
         receiver = ChainReceiver(signer, max_buffered=CAP)
         for packet in _flood_packets(FLOOD):
-            receiver.ingest_wire(packet.to_wire(), 0.0)
+            ingest_one(receiver, packet.to_wire(), 0.0)
         assert receiver.buffered_count == CAP
         assert receiver.message_buffer_peak <= CAP
         assert receiver.evicted == FLOOD - CAP
@@ -44,7 +46,7 @@ class TestBoundedMemory:
         def run():
             receiver = ChainReceiver(signer, max_buffered=CAP)
             for packet in _flood_packets(FLOOD):
-                receiver.ingest_wire(packet.to_wire(), 0.0)
+                ingest_one(receiver, packet.to_wire(), 0.0)
             return sorted(seq for seq, o in receiver.outcomes.items()
                           if not o.verified), receiver.evicted
 
@@ -54,7 +56,7 @@ class TestBoundedMemory:
         receiver = ChainReceiver(signer, max_buffered=CAP)
         packets = _flood_packets(FLOOD)
         for packet in packets:
-            receiver.ingest_wire(packet.to_wire(), 0.0)
+            ingest_one(receiver, packet.to_wire(), 0.0)
         # The survivors are exactly the CAP highest sequence numbers.
         survivors = {seq for seq in receiver.outcomes
                      if receiver._buffered.get(seq)}
@@ -65,11 +67,11 @@ class TestLegitTrafficSurvives:
     def test_signed_stream_verifies_after_flood(self, signer):
         receiver = ChainReceiver(signer, max_buffered=CAP)
         for packet in _flood_packets(FLOOD):
-            receiver.ingest_wire(packet.to_wire(), 0.0)
+            ingest_one(receiver, packet.to_wire(), 0.0)
         block = RohatgiScheme().make_block(make_payloads(6), signer)
         for packet in block:
-            receiver.ingest_wire(packet.to_wire(), 1.0)
-        assert all(receiver.outcomes[p.seq].verified for p in block)
+            ingest_one(receiver, packet.to_wire(), 1.0)
+        assert all(receiver.verdict(p.seq).verified for p in block)
 
     def test_flood_between_chain_and_signature(self, signer):
         """Chaff arriving mid-block evicts itself, not the genuine block.
@@ -83,12 +85,12 @@ class TestLegitTrafficSurvives:
                                             base_seq=50_000)
         receiver = ChainReceiver(signer, max_buffered=len(block) + CAP)
         for packet in block[:-1]:
-            receiver.ingest_wire(packet.to_wire(), 0.0)
+            ingest_one(receiver, packet.to_wire(), 0.0)
         for packet in _flood_packets(FLOOD, base_seq=100):
-            receiver.ingest_wire(packet.to_wire(), 0.5)
+            ingest_one(receiver, packet.to_wire(), 0.5)
         # Signature packet arrives last and cascades.
-        receiver.ingest_wire(block[-1].to_wire(), 1.0)
-        assert all(receiver.outcomes[p.seq].verified for p in block)
+        ingest_one(receiver, block[-1].to_wire(), 1.0)
+        assert all(receiver.verdict(p.seq).verified for p in block)
         assert receiver.buffered_count <= len(block) + CAP
 
     def test_flood_can_evict_genuine_when_cap_too_small(self, signer):
@@ -98,13 +100,13 @@ class TestLegitTrafficSurvives:
         block = EmssScheme(2, 1).make_block(make_payloads(6), signer)
         receiver = ChainReceiver(signer, max_buffered=4)
         for packet in block[:-1]:
-            receiver.ingest_wire(packet.to_wire(), 0.0)
+            ingest_one(receiver, packet.to_wire(), 0.0)
         for packet in _flood_packets(FLOOD):
-            receiver.ingest_wire(packet.to_wire(), 0.5)
-        receiver.ingest_wire(block[-1].to_wire(), 1.0)
+            ingest_one(receiver, packet.to_wire(), 0.5)
+        ingest_one(receiver, block[-1].to_wire(), 1.0)
         assert receiver.buffered_count <= 4
-        assert receiver.outcomes[block[-1].seq].verified
-        assert not all(receiver.outcomes[p.seq].verified
+        assert receiver.verdict(block[-1].seq).verified
+        assert not all(receiver.verdict(p.seq).verified
                        for p in block[:-1])
 
 

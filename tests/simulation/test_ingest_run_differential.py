@@ -115,7 +115,7 @@ def _split(deliveries, cuts) -> List[List[WireDelivery]]:
 
 # -- the per-frame oracle ------------------------------------------------
 
-def _per_frame_ingest_wire(verifier, data, arrival_time):
+def _per_frame_decode(verifier, data, arrival_time):
     """The per-frame decode: memo, strict decoder, receive."""
     memo = verifier._wire_memo  # noqa: SLF001
     entry = memo.get(data) if memo is not None else None
@@ -134,14 +134,14 @@ def _per_frame_ingest_wire(verifier, data, arrival_time):
         verifier.undecodable += 1
         verifier.last_ingest = "undecodable"
         verifier.last_ingest_packet = None
-        return None
-    return verifier.receive(packet, arrival_time, digest)
+    else:
+        verifier.receive(packet, arrival_time, digest)
 
 
 def _per_frame_ingest_data(session, delivery):
     """The session's per-frame data ingest, tracing included."""
-    _per_frame_ingest_wire(session.stream.verifier, delivery.data,
-                           delivery.arrival_time)
+    _per_frame_decode(session.stream.verifier, delivery.data,
+                      delivery.arrival_time)
     session.stream._release()  # noqa: SLF001
     tracer = get_lifecycle()
     if not tracer.enabled:

@@ -120,8 +120,10 @@ def test_loss_only_streams_match_the_trusting_oracle(stream):
     receiver, oracle = _receivers(trial, max_buffered)
     for delivery in deliveries:
         packet, arrival = delivery.packet, delivery.arrival_time
-        assert _record(receiver.receive(packet, arrival)) == \
-            _record(oracle.receive(packet, arrival))
+        receiver.receive(packet, arrival)
+        oracle.receive(packet, arrival)
+        assert _record(receiver.verdict(packet.seq)) == \
+            _record(oracle.verdict(packet.seq))
     seqs = {delivery.packet.seq for delivery in deliveries}
     assert _state(receiver, seqs) == _state(oracle, seqs)
     assert receiver.replays_dropped == _repeats(deliveries)

@@ -24,7 +24,8 @@ class TestForwardChain:
         packets = _block(RohatgiScheme(), 5, signer)
         receiver = ChainReceiver(signer)
         for i, packet in enumerate(packets):
-            outcome = receiver.receive(packet, float(i))
+            receiver.receive(packet, float(i))
+            outcome = receiver.verdict(packet.seq)
             assert outcome.verified, f"packet {packet.seq}"
             assert outcome.delay == 0.0
 
@@ -99,11 +100,12 @@ class TestAdversarial:
         receiver = ChainReceiver(signer)
         receiver.receive(packets[0], 0.0)
         forged = replace(packets[1], payload=b"evil")
-        assert receiver.receive(forged, 0.0) is None
+        receiver.receive(forged, 0.0)
         assert receiver.verdict(2) is None
         assert receiver.forged_rejected == 1
         # The slot stays free: the genuine packet still verifies.
-        assert receiver.receive(packets[1], 1.0).verified
+        receiver.receive(packets[1], 1.0)
+        assert receiver.verdict(2).verified
         assert receiver.accepted_digests()[2] == \
             receiver.content_digest(packets[1])
 
@@ -111,10 +113,11 @@ class TestAdversarial:
         packets = _block(RohatgiScheme(), 2, signer)
         bad = replace(packets[0], signature=b"\x00" * 128)
         receiver = ChainReceiver(signer)
-        assert receiver.receive(bad, 0.0) is None
+        receiver.receive(bad, 0.0)
         assert receiver.verdict(1) is None
         assert receiver.forged_rejected == 1
-        outcome = receiver.receive(packets[0], 1.0)
+        receiver.receive(packets[0], 1.0)
+        outcome = receiver.verdict(1)
         assert outcome.verified and outcome.arrival_time == 1.0
 
     def test_forged_packet_does_not_poison_chain(self, signer):
@@ -135,7 +138,9 @@ class TestAdversarial:
     def test_duplicate_delivery_ignored(self, signer):
         packets = _block(RohatgiScheme(), 3, signer)
         receiver = ChainReceiver(signer)
-        first = receiver.receive(packets[0], 0.0)
-        second = receiver.receive(packets[0], 1.0)
-        assert first is second
+        receiver.receive(packets[0], 0.0)
+        first = receiver.verdict(packets[0].seq)
+        receiver.receive(packets[0], 1.0)
+        assert receiver.verdict(packets[0].seq) is first
+        assert first.arrival_time == 0.0
         assert receiver.verified_count() == 1

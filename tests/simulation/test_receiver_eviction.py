@@ -35,9 +35,9 @@ class TestBufferCap:
         # Only the two most recent data packets remain; on signature
         # arrival they verify, older ones cannot.
         receiver.receive(packets[-1], 1.0)
-        assert receiver.outcomes[4].verified
-        assert receiver.outcomes[5].verified
-        assert not receiver.outcomes[1].verified
+        assert receiver.verdict(4).verified
+        assert receiver.verdict(5).verified
+        assert not receiver.verdict(1).verified
 
     def test_cap_validation(self, signer):
         with pytest.raises(ValueError):
@@ -60,13 +60,18 @@ class TestBlockEviction:
         # Deliver both blocks minus their signatures: all buffered.
         for packet in block0[:-1] + block1[:-1]:
             receiver.receive(packet, 0.0)
-        dropped = receiver.evict_block(0)
-        assert dropped == 5
+        receiver.close_block(0, block0[-1].seq)
+        assert receiver.evicted == 5
         assert receiver.buffered_count == 5  # block 1 untouched
         # Block 1 still completes normally.
         receiver.receive(block1[-1], 1.0)
-        assert receiver.outcomes[block1[0].seq].verified
+        assert receiver.verdict(block1[0].seq).verified
 
     def test_evict_missing_block_is_noop(self, signer):
         receiver = ChainReceiver(signer)
-        assert receiver.evict_block(99) == 0
+        for packet in _block(signer, 6)[:-1]:
+            receiver.receive(packet, 0.0)
+        # Nothing claims block 99 and nothing sits at or below seq 0.
+        receiver.close_block(99, 0)
+        assert receiver.evicted == 0
+        assert receiver.buffered_count == 5

@@ -23,6 +23,8 @@ from repro.schemes.emss import EmssScheme
 from repro.simulation.receiver import ChainReceiver
 from repro.simulation.sender import make_payloads
 
+from tests.wire import ingest_one
+
 _SIGNER = HmacStubSigner(key=b"wire-memo")
 
 
@@ -52,10 +54,11 @@ def _buffers():
 
 
 def _observe(receiver, data, arrival):
-    outcome = receiver.ingest_wire(data, arrival)
+    ingest_one(receiver, data, arrival)
     packet = receiver.last_ingest_packet
-    return (outcome is None, receiver.last_ingest,
-            None if packet is None else packet.seq)
+    seq = None if packet is None else packet.seq
+    return (seq is None or receiver.verdict(seq) is None,
+            receiver.last_ingest, seq)
 
 
 def _state(receiver):
@@ -115,7 +118,7 @@ class TestMemoIsTransparent:
         pool = [ChainReceiver(_SIGNER, wire_memo=memo) for _ in range(4)]
         for receiver in pool:
             for data in genuine + hostile:
-                receiver.ingest_wire(data, 0.0)
+                ingest_one(receiver, data, 0.0)
         assert sorted(calls) == sorted(set(genuine + hostile))
         # Undecodable bytes are memoized too, and counted per receiver.
         assert all(receiver.undecodable == pool[0].undecodable >= 2
