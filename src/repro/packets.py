@@ -34,16 +34,17 @@ to.
 
 A packet built by a compiled block plan
 (:meth:`repro.schemes.base.BlockPlan.packetize`) is born with its
-encoding: ``Packet._from_plan`` writes it in the same pass that makes
-the packet, and runs no constructor.  The constructor's checks still
-all hold, each run where it first can:
+encoding and its send time: ``Packet._from_plan`` writes them in the
+same pass that makes the packet, and runs no constructor.  The
+constructor's checks still all hold, each run where it first can:
 
 * when the plan is made — each vertex carries at most
   :data:`MAX_CARRIED_HASHES` hashes, of distinct vertices in the block
   other than itself;
 * once per block, before anything is signed — the first sequence
   number is at least 1, the last fits 32 bits and ``0 <= block_id <
-  2**32``, with the exception types the constructor raises;
+  2**32``, with the exception types the constructor raises, and the
+  send times are finite;
 * per packet — the payload is within :data:`MAX_BLOB_BYTES`, and each
   carried digest is non-empty and within it, checked as it is written.
 
@@ -232,16 +233,17 @@ class Packet:
 
     @classmethod
     def _from_plan(cls, seq: int, block_id: int, payload: bytes,
-                   carried: Tuple[Tuple[int, bytes], ...]) -> "Packet":
+                   carried: Tuple[Tuple[int, bytes], ...],
+                   send_time: float) -> "Packet":
         """An unsigned packet built by a compiled block plan, encoded once.
 
         Trusted constructor for :meth:`repro.schemes.base.BlockPlan.packetize`:
         the plan has checked its carried targets (in the block, distinct,
-        never the packet itself, within the count cap) and the block's
-        ``block_id`` and sequence range, so only the payload and digest
-        sizes are checked here.  The packet is born with its
-        ``auth_bytes()`` string, written by the same encoder as
-        :meth:`auth_bytes`.
+        never the packet itself, within the count cap), the block's
+        ``block_id`` and sequence range and that its send times are
+        finite, so only the payload and digest sizes are checked here.
+        The packet is born with its ``auth_bytes()`` string, written by
+        the same encoder as :meth:`auth_bytes`.
         """
         if len(payload) > MAX_BLOB_BYTES:
             raise PacketFormatError(
@@ -256,7 +258,7 @@ class Packet:
         state["carried"] = carried
         state["signature"] = None
         state["extra"] = b""
-        state["send_time"] = 0.0
+        state["send_time"] = send_time
         state["_auth"] = _encode_fields(seq, block_id, payload, carried, b"")
         return packet
 

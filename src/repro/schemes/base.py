@@ -13,18 +13,15 @@ hash-chained (sign-each, Wong–Lam, TESLA) override packetization.
 The graph depends only on the scheme and the block size, so each
 scheme compiles it once per ``n`` into a :class:`BlockPlan` — plain
 integers, validated and topologically sorted at compile time — and
-every later block of that size reuses it.  A plan also keeps the
-packets of the last block it built (a :class:`LastBlock`), so the
-trials of a Monte Carlo run, which send one block over many loss
-draws, hash and sign it once; sign-each and Wong–Lam keep theirs the
-same way.  The memo also keeps each packet's auth digest and the
-packets stamped with their send times, so a repeated block is born
-stamped (:func:`stamp`) and hands its digests on (:class:`Block`).
+every later block of that size reuses it.  A plan keeps no blocks: it
+builds each packet once, born with its send time and its encoding,
+and hands the block's auth digests on (:class:`Block`).
 
 A scheme also owns its receiver side.  :meth:`Scheme.new_trial`
-packetizes one trial into a :class:`Trial` — the sent packets, each
-data packet's position and a factory for the scheme's
-:class:`Verifier` — and every offline driver verifies through that one
+packetizes the stream of a Monte Carlo run into a :class:`Trial` — the
+sent packets, each data packet's position and a factory for the
+scheme's :class:`Verifier` — once per run, since every trial of a run
+sends the same packets; every offline driver verifies through that one
 protocol (:func:`repro.simulation.trials.run_trials`).  Likewise its
 loss models: :meth:`Scheme.q_profile` (exact) and
 :meth:`Scheme.recurrence_q_profile` (Eq. 9/10) are all the analysis
@@ -33,10 +30,11 @@ front doors call.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from itertools import islice
+from itertools import accumulate, islice, repeat
 from operator import attrgetter
 from typing import (TYPE_CHECKING, Callable, ClassVar, Dict, Iterable,
                     Iterator, List, Optional, Sequence, Tuple)
@@ -52,9 +50,8 @@ from repro.packets import MAX_CARRIED_HASHES, Packet
 if TYPE_CHECKING:
     from repro.faults.channel import WireDelivery
 
-__all__ = ["Scheme", "BlockPlan", "build_block", "Block", "LastBlock",
-           "stamp", "Trial", "Verifier", "ChainEdges", "PacketOutcome",
-           "DEFAULT_MAX_CANDIDATES"]
+__all__ = ["Scheme", "BlockPlan", "build_block", "Block", "stamp", "Trial",
+           "Verifier", "ChainEdges", "PacketOutcome", "DEFAULT_MAX_CANDIDATES"]
 
 
 class Scheme(ABC):
@@ -85,9 +82,6 @@ class Scheme(ABC):
 
     individually_verifiable: ClassVar[bool] = False
     timed: ClassVar[bool] = False
-    #: A scheme that builds its own blocks keeps the last one here
-    #: (sign-each, Wong–Lam); pickling drops it.
-    _last: Optional[LastBlock] = None
 
     @property
     @abstractmethod
@@ -117,9 +111,8 @@ class Scheme(ABC):
         defaults leave every send time 0.
 
         The default implementation runs this scheme's compiled
-        :meth:`block_plan`, which reuses the packets of its last block
-        when the same block comes again (:meth:`BlockPlan.packetize`);
-        individually-verifiable schemes must override.
+        :meth:`block_plan`; individually-verifiable schemes must
+        override.
         """
         return self.block_plan(len(payloads)).packetize(
             payloads, signer, hash_function, block_id=block_id,
@@ -150,14 +143,15 @@ class Scheme(ABC):
                   hash_function: HashFunction = sha256,
                   t_transmit: float = 0.01,
                   seed: Optional[int] = None) -> Trial:
-        """Packetize one trial: ``blocks`` blocks of ``block_size`` payloads.
+        """Packetize a run: ``blocks`` blocks of ``block_size`` payloads.
 
-        ``seed`` pins any key material the scheme draws for itself, so
-        a trial is the same in every process.  The default streams the
-        blocks through a :class:`~repro.simulation.sender.StreamSender`
-        and verifies with the generic hash-chain receiver; schemes with
-        their own packet format override this to pair their packets
-        with their own verifier.
+        Every trial of a run sends what this returns, so it is called
+        once per run.  ``seed`` pins any key material the scheme draws
+        for itself, so a run is the same in every process.  The default
+        sends the blocks one after another on one clock
+        (:meth:`_send_blocks`) and verifies with the generic hash-chain
+        receiver; schemes with their own packet format override this to
+        pair their packets with their own verifier.
         """
         # The simulation layer builds on schemes: imported at call time.
         from repro.simulation.receiver import ChainReceiver
@@ -172,16 +166,30 @@ class Scheme(ABC):
                      ) -> Tuple[List[Packet], Dict[int, int],
                                 Optional[List[bytes]]]:
         """Stamped blocks in send order, each packet's block position,
-        and the packets' auth digests when every block had them."""
-        from repro.simulation.sender import StreamSender, make_payloads
+        and the packets' auth digests when every block had them.
 
-        sender = StreamSender(self, signer, block_size, t_transmit=t_transmit,
-                              hash_function=hash_function)
+        Block ``b`` has id ``b`` and follows the one before it by one
+        ``t_transmit`` on the sender's clock, as a
+        :class:`~repro.simulation.sender.StreamSender` places it.  No
+        sender is used here: each trial's send of the run is the one
+        ``StreamSender.send_block`` call of that trial
+        (:func:`~repro.simulation.trials.run_trials`).
+        """
+        from repro.simulation.sender import make_payloads
+
+        if t_transmit <= 0:
+            raise SimulationError(f"t_transmit must be > 0, got {t_transmit}")
+        payloads = make_payloads(block_size)
         packets: List[Packet] = []
         positions: Dict[int, int] = {}
         digests: Optional[List[bytes]] = []
-        for _ in range(blocks):
-            block = sender.send_block(make_payloads(block_size))
+        clock = 0.0
+        for block_id in range(blocks):
+            block = self.make_block(payloads, signer, hash_function,
+                                    block_id=block_id,
+                                    base_seq=len(packets) + 1, start=clock,
+                                    t_transmit=t_transmit)
+            clock = block[-1].send_time + t_transmit
             for position, packet in enumerate(block, start=1):
                 positions[packet.seq] = position
             packets.extend(block)
@@ -241,12 +249,6 @@ class Scheme(ABC):
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"
-
-    def __getstate__(self) -> dict:
-        # The kept block is run state, not part of the scheme.
-        state = dict(vars(self))
-        state.pop("_last", None)
-        return state
 
 
 def build_block(graph: DependenceGraph, payloads: Sequence[bytes],
@@ -322,7 +324,9 @@ def stamp(packets: Sequence[Packet], start: float = 0.0,
           t_transmit: float = 0.0) -> List[Packet]:
     """``packets``, built with send time 0, sent one per ``t_transmit``.
 
-    The first is stamped ``start``.  The clock advances by addition,
+    For schemes that build their own blocks; a compiled plan writes
+    the same times as it builds (:meth:`BlockPlan.packetize`).  The
+    first is stamped ``start``.  The clock advances by addition,
     packet by packet, as a sender's clock does, so a stream stamped
     block by block carries the same floats.  With both times 0 the
     packets are returned as they are.
@@ -335,77 +339,6 @@ def stamp(packets: Sequence[Packet], start: float = 0.0,
         stamped.append(packet.with_send_time(clock))
         clock += t_transmit
     return stamped
-
-
-#: ``build(contents, signer, hash_function, block_id, base_seq) ->
-#: (packets, digests)``: one block built at send time 0, with each
-#: packet's auth digest (or ``None``).
-BlockBuilder = Callable[[Tuple[bytes, ...], Signer, HashFunction, int, int],
-                        Tuple[Sequence[Packet], Optional[Sequence[bytes]]]]
-
-
-class LastBlock:
-    """The one-entry memo of a block builder: the last block it built.
-
-    The trials of a Monte Carlo run send the same block over fresh
-    loss draws, so a builder that keeps its last block hashes and signs
-    it once per run.  A block plan keeps one (:attr:`BlockPlan._last`),
-    and so do the schemes that build blocks themselves (sign-each,
-    Wong–Lam).
-
-    The key is the block's ``block_id``, ``base_seq`` and payload
-    bytes, and the ``signer`` and ``hash_function`` objects.  The
-    packets are immutable and a pure function of that key, given a
-    deterministic signer (:class:`~repro.crypto.signatures.Signer`).
-    The payloads are keyed as the ``bytes`` the packets hold, so a
-    buffer changed after a call cannot hit.
-
-    Besides the packets as built, it keeps each packet's auth digest
-    and the packets stamped for the last clock asked for (:meth:`sent`),
-    so a block sent again at the same times makes no copies.  Its
-    owner drops it when pickled.
-    """
-
-    __slots__ = ("signer", "hash_function", "key", "packets", "digests",
-                 "_stamp", "_sent")
-
-    def __init__(self, signer: Signer, hash_function: HashFunction,
-                 key: tuple, packets: Tuple[Packet, ...],
-                 digests: Optional[Tuple[bytes, ...]]) -> None:
-        self.signer = signer
-        self.hash_function = hash_function
-        self.key = key
-        self.packets = packets
-        self.digests = digests
-        self._stamp = (0.0, 0.0)
-        self._sent = packets
-
-    @classmethod
-    def recall(cls, last: Optional[LastBlock], build: BlockBuilder,
-               payloads: Sequence[bytes], signer: Signer,
-               hash_function: HashFunction, block_id: int,
-               base_seq: int) -> LastBlock:
-        """``last`` when it holds this block, else the block ``build`` makes."""
-        key = (block_id, base_seq, tuple(map(bytes, payloads)))
-        if (last is not None and last.signer is signer
-                and last.hash_function is hash_function and last.key == key):
-            return last
-        packets, digests = build(key[2], signer, hash_function, block_id,
-                                 base_seq)
-        return cls(signer, hash_function, key, tuple(packets),
-                   None if digests is None else tuple(digests))
-
-    def sent(self, start: float = 0.0, t_transmit: float = 0.0) -> Block:
-        """A new :class:`Block` of the packets stamped from ``start``.
-
-        Stamps (:func:`stamp`) only when the clock differs from the
-        last call's.
-        """
-        clock = (start, t_transmit)
-        if clock != self._stamp:
-            self._sent = tuple(stamp(self.packets, start, t_transmit))
-            self._stamp = clock
-        return Block(self._sent, self.digests)
 
 
 @dataclass(frozen=True)
@@ -422,20 +355,12 @@ class BlockPlan:
     :data:`~repro.packets.MAX_CARRIED_HASHES` hashes, of distinct
     vertices in the block other than itself.  :meth:`packetize` then
     checks the block's ids once and each packet's sizes only.
-
-    A plan also remembers the last block it packetized (a
-    :class:`LastBlock`), so the trials of a Monte Carlo run, which send
-    the same block over fresh loss draws, hash and sign it once.  The
-    memo holds one block and is not pickled or copied.
     """
 
     n: int
     root: int
     order: Tuple[int, ...]
     successors: Tuple[Tuple[int, ...], ...]
-    #: The last block :meth:`packetize` built.
-    _last: Optional[LastBlock] = field(default=None, init=False, repr=False,
-                                       compare=False)
 
     def __post_init__(self) -> None:
         for vertex, targets in enumerate(self.successors, start=1):
@@ -455,11 +380,6 @@ class BlockPlan:
                         f"vertex {vertex} carries a hash of {target}, "
                         f"outside the block of {self.n}")
 
-    def __getstate__(self) -> dict:
-        state = dict(vars(self))
-        state["_last"] = None
-        return state
-
     @classmethod
     def compile(cls, graph: DependenceGraph) -> BlockPlan:
         """Validate ``graph`` and flatten it into a plan."""
@@ -478,15 +398,11 @@ class BlockPlan:
                   start: float = 0.0, t_transmit: float = 0.0) -> Block:
         """Build the packets of one block; see :func:`build_block`.
 
-        Each packet is made once, with its ``auth_bytes()`` string,
-        which is then hashed (and, for the root, signed); the hashes
-        are the block's ``digests``.  Send times are stamped as
-        :meth:`Scheme.make_block` says.
-
-        A call with the same ``block_id``, ``base_seq`` and payload
-        bytes as the previous one, and the same ``signer`` and
-        ``hash_function`` objects, returns a new list of that call's
-        packets and hashes and signs nothing (:class:`LastBlock`).
+        Each packet is made once, with its send time and its
+        ``auth_bytes()`` string, which is then hashed (and, for the
+        root, signed); the hashes are the block's ``digests``.  Send
+        times are as :meth:`Scheme.make_block` says, written as each
+        packet is built.
         """
         n = len(payloads)
         if n != self.n:
@@ -494,31 +410,30 @@ class BlockPlan:
                 f"graph is over {self.n} packets but {n} payloads given"
             )
         Packet._check_ids(block_id, base_seq, base_seq - 1 + n)
-        last = LastBlock.recall(self._last, self._build, payloads, signer,
-                                hash_function, block_id, base_seq)
-        object.__setattr__(self, "_last", last)
-        return last.sent(start, t_transmit)
-
-    def _build(self, contents: Tuple[bytes, ...], signer: Signer,
-               hash_function: HashFunction, block_id: int, base_seq: int
-               ) -> Tuple[List[Packet], List[bytes]]:
+        # The sender's clock, added up packet by packet in send order;
+        # once a time is not finite, no later one is.
+        times = list(accumulate(repeat(t_transmit, n - 1), initial=start))
+        if not math.isfinite(times[-1]):
+            raise PacketFormatError(
+                f"send time must be finite, got {times[-1]}")
         offset = base_seq - 1
         successors = self.successors
         digest = hash_function.digest
         from_plan = Packet._from_plan
-        hashes: List[Optional[bytes]] = [None] * (self.n + 1)
-        packets: List[Optional[Packet]] = [None] * self.n
+        hashes: List[Optional[bytes]] = [None] * (n + 1)
+        packets: List[Optional[Packet]] = [None] * n
         for vertex in self.order:
             packet = from_plan(
-                offset + vertex, block_id, contents[vertex - 1],
+                offset + vertex, block_id, bytes(payloads[vertex - 1]),
                 tuple([(offset + target, hashes[target])
-                       for target in successors[vertex - 1]]))
+                       for target in successors[vertex - 1]]),
+                times[vertex - 1])
             auth = packet.auth_bytes()
             if vertex == self.root:
                 packet = packet.with_signature(signer.sign(auth))
             hashes[vertex] = digest(auth)
             packets[vertex - 1] = packet
-        return packets, hashes[1:]
+        return Block(packets, hashes[1:])
 
 
 #: Same-sequence candidates a verifier holds per slot.  The
@@ -704,7 +619,8 @@ class Verifier(ABC):
 
 @dataclass(frozen=True)
 class Trial:
-    """One trial's sent stream and the way to verify it.
+    """A run's sent stream, which each of its trials sends, and the way
+    to verify it.
 
     ``packets`` holds every packet sent, in send order, under distinct
     sequence numbers; ``positions`` maps each data packet's sequence

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import struct
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro.core.graph import DependenceGraph
 from repro.core.metrics import GraphMetrics
@@ -28,7 +28,7 @@ from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.crypto.signatures import Signer
 from repro.exceptions import SchemeParameterError, VerificationError
 from repro.packets import Packet
-from repro.schemes.base import Block, ChainEdges, LastBlock, Scheme, Trial
+from repro.schemes.base import Block, ChainEdges, Scheme, Trial, stamp
 
 __all__ = ["WongLamScheme", "encode_proof", "decode_proof", "verify_wong_lam_packet"]
 
@@ -108,15 +108,24 @@ class WongLamScheme(Scheme):
         numbers (:func:`_leaf`); each packet's ``extra`` holds the root
         and its authentication path, and every packet carries the root
         signature (``signature`` field), making it self-contained.
-        The last block is kept (:class:`~repro.schemes.base.LastBlock`),
-        so the trials of a run sign it once.
         """
         if not payloads:
             raise SchemeParameterError("empty block")
-        self._last = last = LastBlock.recall(
-            self._last, _tree_block, payloads, signer,
-            hash_function or self.hash_function, block_id, base_seq)
-        return last.sent(start, t_transmit)
+        hash_function = hash_function or self.hash_function
+        tree = MerkleTree([_leaf(base_seq + index, block_id, bytes(payload))
+                           for index, payload in enumerate(payloads)],
+                          hash_function)
+        signature = signer.sign(tree.root)
+        packets = []
+        for index, payload in enumerate(payloads):
+            extra = encode_proof(tree.proof(index), tree.root,
+                                 hash_function.digest_size)
+            packets.append(Packet(seq=base_seq + index, block_id=block_id,
+                                  payload=bytes(payload), signature=signature,
+                                  extra=extra))
+        return Block(stamp(packets, start, t_transmit),
+                     [hash_function.digest(packet.auth_bytes())
+                      for packet in packets])
 
     def new_trial(self, signer: Signer, block_size: int, blocks: int, *,
                   hash_function: HashFunction = sha256,
@@ -181,25 +190,6 @@ def verify_wong_lam_packet(packet: Packet, signer: Signer,
         return False
     leaf = _leaf(packet.seq, packet.block_id, packet.payload)
     return MerkleTree.verify_static(leaf, proof, root, hash_function)
-
-
-def _tree_block(contents: Tuple[bytes, ...], signer: Signer,
-                hash_function: HashFunction, block_id: int, base_seq: int
-                ) -> Tuple[List[Packet], List[bytes]]:
-    """One tree-signed block: the root signed once, a proof per packet."""
-    tree = MerkleTree([_leaf(base_seq + index, block_id, payload)
-                       for index, payload in enumerate(contents)],
-                      hash_function)
-    signature = signer.sign(tree.root)
-    packets = []
-    for index, payload in enumerate(contents):
-        extra = encode_proof(tree.proof(index), tree.root,
-                             hash_function.digest_size)
-        packets.append(Packet(seq=base_seq + index, block_id=block_id,
-                              payload=payload, signature=signature,
-                              extra=extra))
-    return packets, [hash_function.digest(packet.auth_bytes())
-                     for packet in packets]
 
 
 def _leaf(seq: int, block_id: int, payload: bytes) -> bytes:

@@ -163,6 +163,8 @@ class ReceiverSession:
         self.stats: Dict[str, SimulationStats] = {}
         self.reports: List[LossReport] = []
         self.blocks_closed = 0
+        #: ``stream.delivered`` at the previous block close.
+        self._delivered_at_close = 0
 
     async def run(self, transport: Transport,
                   report_sink: Callable[[LossReport], "asyncio.Future"]
@@ -280,12 +282,15 @@ class ReceiverSession:
             verified=verified_count,
         )
         self.reports.append(report)
+        delivered = self.stream.delivered
         registry = get_registry()
         if registry.enabled:
             registry.count("serve.block.closes", 1)
+            # Ingest releases payloads too, not only the close.
             registry.count(f"serve.{self.receiver_id}.delivered",
-                           len(released))
+                           delivered - self._delivered_at_close)
             registry.count(f"serve.{self.receiver_id}.arrived", arrived)
+        self._delivered_at_close = delivered
         return report
 
     @property

@@ -1,28 +1,23 @@
 """The trial kernel: one loop behind every offline driver.
 
-A trial packetizes once for all its receivers
-(:meth:`~repro.schemes.base.Scheme.new_trial`), fans the packets out
-to every receiver's channel and checks each receiver's deliveries with
-a fresh verifier of the scheme's own
-(:class:`~repro.schemes.base.Verifier`).  :func:`settle` tallies and
-audits it, for every scheme and for the live receiver alike: a
-position counts as received when its packet arrived intact or verified
-anyway.  Every delivery takes the verifier's one
-:meth:`~repro.schemes.base.Verifier.receive` path, and its rejection
-and replay counters are folded the same way on every channel.  With
-``attack`` set, deliveries cross an
+A run packetizes once for all its trials and receivers
+(:meth:`~repro.schemes.base.Scheme.new_trial`): the paper's ``q_i`` is
+a probability over loss draws for one fixed block, so every trial
+sends the same packets.  Each trial fans them out to every receiver's
+channel and checks each receiver's deliveries with a fresh verifier of
+the scheme's own (:class:`~repro.schemes.base.Verifier`).
+:func:`settle` tallies and audits it, for every scheme and for the
+live receiver alike: a position counts as received when its packet
+arrived intact or verified anyway.  Every delivery takes the
+verifier's one :meth:`~repro.schemes.base.Verifier.receive` path, and
+its rejection and replay counters are folded the same way on every
+channel.  With ``attack`` set, deliveries cross an
 :class:`~repro.faults.channel.AdversarialChannel` as wire bytes
 (:meth:`~repro.schemes.base.Verifier.ingest_run` decodes them), and
 every accepted packet is audited against the packet sent under its
 sequence number: ``forged_accepted`` must stay 0.
 
-**A run derives its trial once.**  Every trial of a run sends the same
-payloads under the same ids, so the trials of a single-block run send
-the very packets of the scheme's kept block
-(:class:`~repro.schemes.base.LastBlock`): hashed and signed once per
-run, and born stamped with their send times, so no trial copies them.
-While a trial sends the very packet objects the previous one sent, the
-run reuses what it derived from them:
+From the run's packets the run also derives, once:
 
 * one ``seq -> content digest`` map, from the scheme's own packetizing
   where it has them (:attr:`~repro.schemes.base.Trial.digests`), else
@@ -36,10 +31,6 @@ run reuses what it derived from them:
   strict decoder; their entries live in a per-trial copy and die with
   the trial.
 
-A trial whose packets are new (a graph redrawn per block, a scheme
-without a kept block, a run of several blocks) derives all of it
-afresh.
-
 Channels come from picklable factories called with the *global* trial
 index, so trial ``t`` sees the same randomness wherever it runs and
 any contiguous partition of the trial range merges back to the serial
@@ -50,8 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from inspect import signature
-from operator import is_
-from typing import AbstractSet, ClassVar, Dict, List, Mapping, Optional, Tuple
+from typing import AbstractSet, ClassVar, List, Mapping, Optional, Tuple
 
 from repro.crypto.hashing import HashFunction, sha256
 from repro.crypto.signatures import Signer, default_signer
@@ -61,7 +51,9 @@ from repro.network.delay import DelayModel, GaussianDelay
 from repro.network.loss import BernoulliLoss, LossModel
 from repro.obs.registry import get_registry
 from repro.obs.spans import span
-from repro.schemes.base import PacketOutcome, Scheme, Trial, Verifier, WireMemo
+from repro.packets import Packet
+from repro.schemes.base import PacketOutcome, Scheme, Verifier, WireMemo
+from repro.simulation.sender import StreamSender
 from repro.simulation.stats import SimulationStats
 
 __all__ = ["SeededChannels", "FixedChannels", "run_trials", "run_session",
@@ -142,40 +134,22 @@ class FixedChannels:
         return self.channels[receiver]
 
 
-class _Derived:
-    """What a run derives from the packets a trial sends.
+class _Replay:
+    """The scheme a trial's sender sees: its every block is the run's.
 
-    Reused by every later trial that sends the very same packet
-    objects (:meth:`covers`).  ``digests`` maps each sequence number to
-    its packet's content digest: what ``receive`` is handed and what
-    the soundness audit reads.  The attacked branch also keeps the
-    ``frames`` sent and the decode ``memo`` seeded with them.
+    Each trial sends the run's packets through one
+    ``StreamSender.send_block`` call, which packetizes nothing; the
+    benchmark harness (``bench/tracing.py``) times an offline trial
+    from one such call to the next.
     """
 
-    __slots__ = ("packets", "digests", "frames", "memo")
+    __slots__ = ("packets",)
 
-    def __init__(self, sent: Trial, verifier: Verifier,
-                 attacked: bool) -> None:
-        packets = sent.packets
+    def __init__(self, packets: List[Packet]) -> None:
         self.packets = packets
-        digests = sent.digests
-        if digests is None:
-            digests = map(verifier.content_digest, packets)
-        self.digests: Dict[int, bytes] = {
-            packet.seq: digest for packet, digest in zip(packets, digests)}
-        self.frames: Optional[Dict[int, bytes]] = None
-        self.memo: WireMemo = {}
-        if attacked:
-            self.frames = {packet.seq: packet.to_wire() for packet in packets}
-            self.memo = {self.frames[packet.seq]: (packet,
-                                                   self.digests[packet.seq])
-                         for packet in packets}
 
-    def covers(self, sent: Trial) -> bool:
-        """Whether ``sent`` sends the very packets this was derived from."""
-        packets = sent.packets
-        return (len(packets) == len(self.packets)
-                and all(map(is_, packets, self.packets)))
+    def make_block(self, *args, **kwargs) -> List[Packet]:
+        return self.packets
 
 
 def run_trials(scheme: Scheme, block_size: int, first_trial: int,
@@ -226,29 +200,38 @@ def run_trials(scheme: Scheme, block_size: int, first_trial: int,
     caps = {} if max_buffered is None else {"max_buffered": max_buffered}
     results = [SimulationStats() for _ in range(receivers)]
     attacked = attack is not None
-    derived: Optional[_Derived] = None
     with span("wire.trials"):
+        sent = scheme.new_trial(signer, block_size, blocks,
+                                hash_function=hash_function,
+                                t_transmit=t_transmit, seed=channels.seed)
+        if caps and "max_buffered" not in signature(
+                sent.new_verifier).parameters:
+            raise SimulationError(
+                f"{scheme.name} has no message-buffer cap: its verifier "
+                f"takes no max_buffered")
+        # Derived once per run from the packets every trial sends.
+        packets = sent.packets
+        digests = sent.digests
+        if digests is None:
+            digests = map(sent.new_verifier(**caps).content_digest, packets)
+        digests = {packet.seq: digest
+                   for packet, digest in zip(packets, digests)}
+        if attacked:
+            frames = {packet.seq: packet.to_wire() for packet in packets}
+            seeded: WireMemo = {frames[packet.seq]:
+                                (packet, digests[packet.seq])
+                                for packet in packets}
+        sender = StreamSender(_Replay(packets), signer, block_size)
         for trial in range(first_trial, first_trial + trial_count):
-            sent = scheme.new_trial(signer, block_size, blocks,
-                                    hash_function=hash_function,
-                                    t_transmit=t_transmit,
-                                    seed=channels.seed)
-            if caps and derived is None and "max_buffered" not in signature(
-                    sent.new_verifier).parameters:
-                raise SimulationError(
-                    f"{scheme.name} has no message-buffer cap: its "
-                    f"verifier takes no max_buffered")
+            sender.send_block(packets)
             verifiers = [sent.new_verifier(**caps) for _ in results]
-            if derived is None or not derived.covers(sent):
-                derived = _Derived(sent, verifiers[0], attacked)
-            digests = derived.digests
             # Misses decoded in this trial stay in this trial.
-            memo = dict(derived.memo) if attacked else None
+            memo = dict(seeded) if attacked else None
             for receiver, (stats, verifier) in enumerate(
                     zip(results, verifiers)):
                 channel = channels(trial, receiver)
                 if not attacked:
-                    deliveries = channel.transmit(sent.packets)
+                    deliveries = channel.transmit(packets)
                     receive = verifier.receive
                     for delivery in deliveries:
                         packet = delivery.packet
@@ -257,8 +240,7 @@ def run_trials(scheme: Scheme, block_size: int, first_trial: int,
                     intact = {delivery.packet.seq for delivery in deliveries}
                 else:
                     channel = attack(channel, trial)
-                    deliveries = channel.transmit_wire(sent.packets,
-                                                       derived.frames)
+                    deliveries = channel.transmit_wire(packets, frames)
                     verifier.ingest_run(deliveries, memo=memo)
                     intact = {delivery.seq_hint for delivery in deliveries
                               if delivery.kind == "genuine"}

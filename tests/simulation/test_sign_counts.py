@@ -1,14 +1,12 @@
-"""Where a kept block saves a signature, and where it cannot.
+"""A run signs once per block it sends, whatever its trial count.
 
-The trials of a single-block Monte Carlo run send the same block, so a
-scheme that keeps its compiled plan signs it once per run
-(:meth:`~repro.schemes.base.BlockPlan.packetize` remembers its last
-block), and so do sign-each (``n`` signatures, one per packet) and
-Wong–Lam (one root signature), which keep theirs the same way
-(:class:`~repro.schemes.base.LastBlock`).  A scheme that compiles a
-new plan per block (``random(p)``) signs once per trial, and so does a
-run of two blocks per trial, because the memo holds one block.  The
-drivers take the run's signer from
+The trials of a Monte Carlo run send the same packets over fresh loss
+draws, so :func:`~repro.simulation.trials.run_trials` packetizes the
+run once (:meth:`~repro.schemes.base.Scheme.new_trial`): every scheme
+signs a single-block run once (sign-each ``n`` times, one signature
+per packet), a scheme that compiles a new plan per block
+(``random(p)``) included, and a run of two blocks per trial signs
+twice.  The drivers take the run's signer from
 :func:`~repro.crypto.signatures.default_signer`, which these tests
 replace with a counting one.
 """
@@ -78,25 +76,24 @@ def test_plan_schemes_sign_once_per_run(signer, run, spec):
                          ids=["wire", "adversarial"])
 @pytest.mark.parametrize("spec", ["random(0.35,11)", "random(0.35)"],
                          ids=["seeded", "unseeded"])
-def test_random_graph_signs_once_per_trial(signer, run, spec):
+def test_random_graph_signs_once_per_run(signer, run, spec):
+    """An unseeded graph is drawn once per run, not once per trial."""
     run(spec)
-    assert signer.calls == TRIALS
+    assert signer.calls == 1
 
 
 #: Signatures per run of every conformance scheme, in both drivers.
-#: ``rohatgi-online``, SAIDA and TESLA build every trial afresh (a
-#: kept block for them is out of scope here): they sign once per trial.
 SIGNS_PER_RUN = {
     "rohatgi": 1,
     "emss(2,1)": 1,
     "ac(3,3)": 1,
     "offsets(1,3)": 1,
-    "random(0.35,11)": TRIALS,
+    "random(0.35,11)": 1,
     "sign-each": BLOCK,
     "wong-lam": 1,
-    "rohatgi-online": TRIALS,
-    "saida(0.5)": TRIALS,
-    "tesla(d=5,T=0.1,n=64)": TRIALS,
+    "rohatgi-online": 1,
+    "saida(0.5)": 1,
+    "tesla(d=5,T=0.1,n=64)": 1,
 }
 
 
@@ -116,15 +113,19 @@ def test_signatures_per_run(signer, run, spec):
 
 def test_two_blocks_per_trial_sign_every_block(signer):
     _wire("emss(2,1)", blocks_per_trial=2)
-    assert signer.calls == 2 * TRIALS
+    assert signer.calls == 2
 
 
 def test_one_time_signer_runs_every_trial(monkeypatch):
-    """A Lamport key signs once, and a run now signs once."""
-    hmac = _wire("emss(2,1)")
-    lamport = LamportSigner.generate(seed=b"plan-memo")
-    monkeypatch.setattr("repro.simulation.trials.default_signer",
-                        lambda: lamport)
-    stats = _wire("emss(2,1)")
-    assert stats.tallies == hmac.tallies
-    assert stats.forged == 0
+    """A Lamport key signs once, and a run of these schemes signs once."""
+    for spec in ("emss(2,1)", "rohatgi-online", "saida(0.5)", "wong-lam",
+                 "tesla(d=5,T=0.1,n=64)"):
+        monkeypatch.undo()
+        hmac = _wire(spec)
+        lamport = LamportSigner.generate(seed=spec.encode())
+        monkeypatch.setattr("repro.simulation.trials.default_signer",
+                            lambda: lamport)
+        stats = _wire(spec)
+        assert stats.tallies == hmac.tallies, spec
+        assert sum(t.verified for t in stats.tallies.values()) > 0, spec
+        assert stats.forged == 0, spec

@@ -1,12 +1,12 @@
-"""A run derives its trial once: what the trial kernel reuses, and when.
+"""A run packetizes once and derives its trial once.
 
-The trials of a single-block run send the very packets of the scheme's
-kept block (:class:`~repro.schemes.base.LastBlock`), born stamped with
-their send times.  :func:`~repro.simulation.trials.run_trials` then
-reuses each packet's digest, the audit map, the frames and a decode
-memo seeded with them.  These tests count what is hashed and decoded,
-check that the reuse stops where the packets change, and that none of
-it leaks into a pickled scheme or a worker count.
+The trials of a run send the same packets, so
+:func:`~repro.simulation.trials.run_trials` calls
+:meth:`~repro.schemes.base.Scheme.new_trial` once, before its trial
+loop, and derives from those packets each one's digest, the audit map,
+the frames and a decode memo seeded with them.  These tests count what
+is packetized, hashed and decoded, and check that none of it leaks
+into a pickled scheme or a worker count.
 """
 
 import pickle
@@ -20,6 +20,7 @@ from repro.crypto.signatures import HmacStubSigner
 from repro.exceptions import SimulationError
 from repro.faults.channel import AdversarialChannel
 from repro.parallel import parallel_trials
+from repro.schemes.base import Scheme
 from repro.schemes.registry import make_scheme
 from repro.simulation import SeededChannels, WireTrialConfig, run_trials
 from repro.simulation import wire_monte_carlo
@@ -74,7 +75,7 @@ def test_loss_only_run_hashes_each_sent_packet_once():
     scheme = make_scheme("emss(2,1)")
     stats = run_trials(scheme, BLOCK, 0, TRIALS, SeededChannels(0.2, 5),
                        signer=SIGNER, hash_function=counting)[0]
-    block = scheme.make_block(make_payloads(BLOCK), SIGNER, counting)
+    block = scheme.make_block(make_payloads(BLOCK), SIGNER)
     assert set(counting.inputs) == {packet.auth_bytes() for packet in block}
     assert set(counting.inputs.values()) == {1}
     assert sum(t.verified for t in stats.tallies.values()) > 0
@@ -109,10 +110,54 @@ def test_a_kept_block_is_derived_once_per_run(deliveries):
     assert len(deliveries) == TRIALS and len(frames) == 1
 
 
-def test_unseeded_random_graph_derives_every_trial(deliveries):
+@pytest.fixture
+def packetized(monkeypatch):
+    """The trial range of every ``new_trial`` call, through ``run_trials``."""
+    calls = []
+    new_trial = Scheme.new_trial
+
+    def counting(scheme, *args, **kwargs):
+        calls.append(scheme.name)
+        return new_trial(scheme, *args, **kwargs)
+
+    monkeypatch.setattr(Scheme, "new_trial", counting)
+    return calls
+
+
+def test_new_trial_runs_once_per_run(packetized):
+    scheme = make_scheme("emss(2,1)")
+    run_trials(scheme, BLOCK, 0, TRIALS, SeededChannels(0.2, 5),
+               signer=SIGNER)
+    _attacked("emss(2,1)")
+    assert packetized == [scheme.name] * 2
+
+
+def test_new_trial_runs_once_per_chunk(packetized):
+    scheme = make_scheme("emss(2,1)")
+    parallel_trials(scheme, BLOCK, TRIALS, SeededChannels(0.2, 5),
+                    workers=1, chunks=3, signer=SIGNER)
+    assert packetized == [scheme.name] * 3
+
+
+def test_loss_only_tesla_run_hashes_each_sent_packet_once():
+    counting = CountingHash()
+    scheme = make_scheme("tesla(d=5,T=0.1,n=64)")
+    stats = run_trials(scheme, BLOCK, 0, TRIALS,
+                       SeededChannels.for_scheme(scheme, 0.2, 5),
+                       signer=SIGNER, hash_function=counting)[0]
+    # TESLA's content digest hashes a packet of its own, one per sent.
+    sent = scheme.new_trial(SIGNER, BLOCK, 1, seed=5)
+    assert len(counting.inputs) == len(sent.packets)
+    assert set(counting.inputs.values()) == {1}
+    assert sum(t.verified for t in stats.tallies.values()) > 0
+    assert stats.forged == 0
+
+
+def test_unseeded_random_graph_derives_once_per_run(deliveries):
+    """An unseeded graph is drawn once per run, and derived once."""
     stats = _attacked("random(0.35)")
     assert stats.forged_accepted == 0
-    assert len({id(frames) for _, frames, _ in deliveries}) == TRIALS
+    assert len({id(frames) for _, frames, _ in deliveries}) == 1
     for packets, frames, _ in deliveries:
         # Each trial sends its own packets' bytes, not a stale frame.
         assert {seq: wire for seq, wire in frames.items()} == {
@@ -133,7 +178,7 @@ def test_unseeded_random_graph_hands_receive_its_own_digests(monkeypatch):
     scheme = make_scheme("random(0.35)")
     stats = run_trials(scheme, BLOCK, 0, TRIALS, SeededChannels(0.2, 5),
                        signer=SIGNER)[0]
-    assert len({id(packet) for packet in checked}) > BLOCK
+    assert len({id(packet) for packet in checked}) == BLOCK
     assert stats.forged == 0
 
 
@@ -142,12 +187,9 @@ def test_a_pickled_scheme_carries_no_run_state(spec):
     scheme = make_scheme(spec)
     wire_monte_carlo(scheme, WireTrialConfig(block_size=BLOCK, trials=3))
     data = pickle.dumps(scheme)
-    assert b"LastBlock" not in data
     assert b"Packet" not in data
-    clone = pickle.loads(data)
-    assert clone._last is None
-    assert all(plan._last is None
-               for plan in vars(clone).get("_block_plans", {}).values())
+    assert set(vars(pickle.loads(data))) <= {"_block_plans",
+                                            *vars(make_scheme(spec))}
 
 
 @pytest.mark.parametrize("attacked", [False, True], ids=["loss", "attacked"])
@@ -210,6 +252,7 @@ def test_the_same_block_at_the_same_times_is_the_same_packets():
         StreamSender(scheme, SIGNER, BLOCK).send_block(make_payloads(BLOCK))
         for _ in range(2))
     assert first is not again
-    assert all(a is b for a, b in zip(first, again))
-    assert first.digests == again.digests == tuple(
-        sha256.digest(packet.auth_bytes()) for packet in first)
+    assert [packet.to_wire() for packet in first] == [
+        packet.to_wire() for packet in again]
+    assert first.digests == again.digests == [
+        sha256.digest(packet.auth_bytes()) for packet in first]
