@@ -166,30 +166,15 @@ class Scheme(ABC):
                      ) -> Tuple[List[Packet], Dict[int, int],
                                 Optional[List[bytes]]]:
         """Stamped blocks in send order, each packet's block position,
-        and the packets' auth digests when every block had them.
+        and the packets' auth digests when every block had them."""
+        from repro.simulation.sender import StreamSender, make_payloads
 
-        Block ``b`` has id ``b`` and follows the one before it by one
-        ``t_transmit`` on the sender's clock, as a
-        :class:`~repro.simulation.sender.StreamSender` places it.  No
-        sender is used here: each trial's send of the run is the one
-        ``StreamSender.send_block`` call of that trial
-        (:func:`~repro.simulation.trials.run_trials`).
-        """
-        from repro.simulation.sender import make_payloads
-
-        if t_transmit <= 0:
-            raise SimulationError(f"t_transmit must be > 0, got {t_transmit}")
-        payloads = make_payloads(block_size)
+        sender = StreamSender(self, signer, block_size, t_transmit=t_transmit,
+                              hash_function=hash_function)
         packets: List[Packet] = []
         positions: Dict[int, int] = {}
         digests: Optional[List[bytes]] = []
-        clock = 0.0
-        for block_id in range(blocks):
-            block = self.make_block(payloads, signer, hash_function,
-                                    block_id=block_id,
-                                    base_seq=len(packets) + 1, start=clock,
-                                    t_transmit=t_transmit)
-            clock = block[-1].send_time + t_transmit
+        for block in sender.send_stream(make_payloads(block_size) * blocks):
             for position, packet in enumerate(block, start=1):
                 positions[packet.seq] = position
             packets.extend(block)

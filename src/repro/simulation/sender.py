@@ -109,8 +109,32 @@ class StreamSender:
         """
         if not payloads:
             raise SimulationError("empty block")
+        return self._send(list(payloads))
+
+    def send_stream(self, payloads: Iterable[bytes]) -> Iterator[Block]:
+        """Yield stamped blocks for an arbitrary payload stream.
+
+        The final block may be short (fewer than ``block_size``
+        payloads); schemes handle any block size >= their minimum.
+        Each block is placed as :meth:`send_block` places it, without
+        a call to it: a Monte Carlo run streams its blocks through here
+        once (:meth:`~repro.schemes.base.Scheme.new_trial`), and the
+        benchmark harness (``bench/tracing.py``) times an offline trial
+        from one ``send_block`` call to the next.
+        """
+        block: List[bytes] = []
+        for payload in payloads:
+            block.append(bytes(payload))
+            if len(block) == self.block_size:
+                yield self._send(block)
+                block = []
+        if block:
+            yield self._send(block)
+
+    def _send(self, payloads: List[bytes]) -> Block:
+        """Packetize ``payloads`` as the next block on this sender's clock."""
         packets = self.scheme.make_block(
-            list(payloads), self.signer, self.hash_function,
+            payloads, self.signer, self.hash_function,
             block_id=self._next_block, base_seq=self._next_seq,
             start=self._clock, t_transmit=self.t_transmit,
         )
@@ -119,18 +143,3 @@ class StreamSender:
         # One more step of the clock the block was stamped with.
         self._clock = packets[-1].send_time + self.t_transmit
         return packets
-
-    def send_stream(self, payloads: Iterable[bytes]) -> Iterator[Block]:
-        """Yield stamped blocks for an arbitrary payload stream.
-
-        The final block may be short (fewer than ``block_size``
-        payloads); schemes handle any block size >= their minimum.
-        """
-        block: List[bytes] = []
-        for payload in payloads:
-            block.append(bytes(payload))
-            if len(block) == self.block_size:
-                yield self.send_block(block)
-                block = []
-        if block:
-            yield self.send_block(block)

@@ -17,6 +17,7 @@ test pins that it runs no constructor and no second encoding.
 """
 
 import dataclasses
+import math
 import pickle
 from typing import List
 
@@ -245,6 +246,33 @@ def test_last_seq_at_u32_max_accepted():
     packets = EmssScheme(2, 1).make_block(make_payloads(4), SIGNER,
                                           base_seq=2 ** 32 - 4)
     assert packets[-1].seq == 2 ** 32 - 1
+
+
+class _CountingSigner(HmacStubSigner):
+    """HMAC signatures, counting each :meth:`sign`."""
+
+    def __init__(self) -> None:
+        super().__init__(key=b"block-plan")
+        self.calls = 0
+
+    def sign(self, message: bytes) -> bytes:
+        self.calls += 1
+        return super().sign(message)
+
+
+@pytest.mark.parametrize("times", [
+    dict(start=math.nan, t_transmit=0.01),
+    dict(start=math.inf, t_transmit=0.01),
+    dict(start=0.0, t_transmit=math.inf),
+    dict(start=0.0, t_transmit=math.nan),
+    dict(start=1e308, t_transmit=1e308),
+], ids=["nan-start", "inf-start", "inf-step", "nan-step", "overflow"])
+@pytest.mark.parametrize("spec", ["emss(2,1)", "ac(3,3)", "rohatgi"])
+def test_non_finite_send_time_refused_before_signing(spec, times):
+    signer = _CountingSigner()
+    with pytest.raises(PacketFormatError, match="send time must be finite"):
+        make_scheme(spec).make_block(make_payloads(4), signer, **times)
+    assert signer.calls == 0
 
 
 def test_overlong_payload_refused():
