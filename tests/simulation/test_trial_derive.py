@@ -139,6 +139,27 @@ def test_new_trial_runs_once_per_chunk(packetized):
     assert packetized == [scheme.name] * 3
 
 
+@pytest.mark.parametrize("spec", ["emss(2,1)", "wong-lam", "saida(0.5)",
+                                  "tesla(d=5,T=0.1,n=64)"])
+def test_each_trial_enters_send_block_once(monkeypatch, spec):
+    """A trial is one ``StreamSender.send_block`` call, whatever its
+    block count; a run's own packetizing adds none (the benchmark
+    harness times an offline trial from one call to the next)."""
+    calls = []
+    send_block = StreamSender.send_block
+
+    def counting(sender, *args, **kwargs):
+        calls.append(sender)
+        return send_block(sender, *args, **kwargs)
+
+    monkeypatch.setattr(StreamSender, "send_block", counting)
+    scheme = make_scheme(spec)
+    run_trials(scheme, BLOCK, 0, TRIALS,
+               SeededChannels.for_scheme(scheme, 0.2, 5), blocks=2,
+               signer=SIGNER)
+    assert len(calls) == TRIALS
+
+
 def test_loss_only_tesla_run_hashes_each_sent_packet_once():
     counting = CountingHash()
     scheme = make_scheme("tesla(d=5,T=0.1,n=64)")
